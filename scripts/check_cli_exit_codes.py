@@ -34,12 +34,15 @@ def main() -> int:
     broken.write_text(BROKEN_TABLE)
     good = tmp / "good.tbl"
     good.write_text(GOOD_TABLE)
+    latin1 = tmp / "latin1.tbl"
+    latin1.write_bytes(b"# r\xe9sum\xe9\n" + GOOD_TABLE.encode())
 
     cases = [
         (["check", "--family", "cyclic:4"], 0),
         (["check", "--table", str(good)], 0),
         (["check", "--table", str(broken)], 1),
         (["orientable", "--table", str(broken)], 1),
+        (["check", "--table", str(latin1)], 1),  # not UTF-8
         (["check"], 2),  # no input source
         (["check", "--table", str(good), "--family", "cyclic:2"], 2),
         (["check", "--family", "nosuch:9"], 2),

@@ -54,6 +54,7 @@ from .theorems import (
     build_orientable_witness,
     build_two_var_witness,
     commutator_decomposition,
+    exact_sigma_report,
     verify_orientable_is_commutator_subgroup,
     verify_semigroup_properties,
     verify_sigma_is_abelianization,
@@ -137,6 +138,8 @@ def _load(args) -> tuple[Semigroup, str]:
             text = Path(args.table).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read table file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"not valid UTF-8 at byte offset {exc.start}") from None
         return parse_table(text), args.table
     return make_family(args.family), args.family
 
@@ -363,14 +366,10 @@ def _cmd_witness(args) -> tuple[str, int]:
 
 
 def _sigma(args, s: Semigroup):
-    m = adjoin_identity(s)
     _, two_var_bound = _bounds(args)
     if args.exact:
-        try:
-            return sigma_report(m, two_var_bound, group_exact=True)
-        except NotAGroupError as exc:
-            raise ExactOutsideGroupError(exc.reason) from None
-    return sigma_report(m, two_var_bound)
+        return exact_sigma_report(_group_for_exact(s))
+    return sigma_report(adjoin_identity(s), two_var_bound)
 
 
 def _cmd_sigma(args) -> tuple[str, int]:
@@ -381,7 +380,7 @@ def _cmd_sigma(args) -> tuple[str, int]:
         obj = {
             "subject": subject,
             "exactness": rep.exactness,
-            "bound": None if args.exact else rep.bound,
+            "bound": rep.bound,
             "num_classes": rep.congruence.num_classes,
             "classes": classes,
             "pairs": [
@@ -391,10 +390,8 @@ def _cmd_sigma(args) -> tuple[str, int]:
         }
         return _json_text(obj), EXIT_OK
     lines = [f"subject: {subject}"]
-    if args.exact:
-        lines.append("exactness: exact-group")
-    else:
-        lines.append(f"exactness: lower-bound (bound {rep.bound})")
+    bound = "" if rep.bound is None else f" (bound {rep.bound})"
+    lines.append(f"exactness: {rep.exactness}{bound}")
     lines.append(f"classes: {rep.congruence.num_classes}")
     for i, members in enumerate(classes):
         lines.append(f"  class {i}: " + " ".join(members))

@@ -95,7 +95,7 @@ class Semigroup:
 
     ``table[i][j]`` is the index of ``names[i] * names[j]``. Associativity and
     entry ranges are verified on construction, so holding a Semigroup value is
-    proof of validity.
+    proof of validity. The hash is computed once there too: semigroups key caches.
     """
 
     names: tuple[str, ...]
@@ -124,6 +124,14 @@ class Semigroup:
         violation = check_associativity(self.table)
         if violation is not None:
             raise AssociativityError(violation)
+        object.__setattr__(self, "_hash", hash((self.names, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: unpickling must rehash
+        return (Semigroup, (self.names, self.table))
 
     @property
     def order(self) -> int:

@@ -224,41 +224,19 @@ def search_two_var(
 class SigmaReport:
     """Result of relating element pairs through two-variable equations.
 
-    exactness "exact-group" means the classes are complete (group path);
-    "lower-bound" means only pairs with witnesses of size <= bound were
-    related, so classes may merge further at larger bounds.
+    exactness "exact-group" means the classes are complete (group path) and
+    bound is None; "lower-bound" means only pairs with witnesses of size <=
+    bound were related, so classes may merge further at larger bounds.
     """
 
-    bound: int
+    bound: Optional[int]
     pairs: dict[tuple[int, int], TwoVarWitness]
     congruence: Congruence
     exactness: str
 
 
-def sigma_report(
-    m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND, group_exact: bool = False
-) -> SigmaReport:
-    """Relate all ordered pairs, either exactly (groups) or by bounded search.
-
-    The exact path delegates to the commutator-subgroup cosets and attaches a
-    constructed witness to every related pair; it raises NotAGroupError when
-    the base is not a group.
-    """
-    if group_exact:
-        # local imports: theorems builds on this module
-        from .groups import coset_congruence, group_structure
-        from .theorems import build_two_var_witness
-
-        group = group_structure(m.base)
-        cong = coset_congruence(group)
-        pairs: dict[tuple[int, int], TwoVarWitness] = {}
-        for u in range(group.order):
-            for v in range(group.order):
-                if cong.class_of[u] == cong.class_of[v]:
-                    # build_two_var_witness(group, g, h) validates for (h, g)
-                    pairs[(u, v)] = build_two_var_witness(group, v, u)
-        return SigmaReport(bound, pairs, cong, "exact-group")
-
+def sigma_report(m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND) -> SigmaReport:
+    """Relate all ordered pairs that have a witness of size <= bound, by bounded search."""
     pairs = {}
     for u in range(m.base.order):
         for v in range(m.base.order):

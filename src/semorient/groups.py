@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .core import (
     Congruence,
@@ -30,6 +33,7 @@ class GroupStructure:
     inverse: tuple[int, ...]
 
     def __post_init__(self):
+        # with associativity, a two-sided identity and inverses make the table a Latin square
         s = self.base
         n = s.order
         e = self.identity
@@ -39,12 +43,6 @@ class GroupStructure:
             h = self.inverse[g]
             if s.table[g][h] != e or s.table[h][g] != e:
                 raise SemigroupError(f"inverse map fails at element {g}")
-        full = frozenset(range(n))
-        for i in range(n):
-            if frozenset(s.table[i]) != full:
-                raise SemigroupError(f"row {i} is not a permutation")
-            if {s.table[j][i] for j in range(n)} != full:
-                raise SemigroupError(f"column {i} is not a permutation")
 
     @property
     def order(self) -> int:
@@ -84,31 +82,50 @@ def commutator(g: GroupStructure, x: int, y: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
-    """Product closure of all commutators, as an ascending index tuple.
+def derived_subgroup_tree(
+    g: GroupStructure,
+) -> Mapping[int, Optional[tuple[int, tuple[int, int]]]]:
+    """Breadth-first tree of [G, G] from the identity; each node maps to its parent step.
 
-    The commutator set is closed under inversion and conjugation, so closing
-    it under products already yields a normal subgroup; the asserts below
-    re-verify that on the finished set.
+    Edges multiply on the right by one commutator value, tried in ascending
+    value order; each value is labelled with its first (x, y) preimage in
+    lexicographic index order. A node maps to (parent, (x, y)) and the
+    identity to None. The commutator set is closed under inversion, so the
+    nodes reached are exactly the subgroup the commutators generate. The
+    cached mapping is shared by every caller, so it is read-only.
     """
     n = g.order
     t = g.base.table
-    members = {commutator(g, x, y) for x in range(n) for y in range(n)}
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(members):
-            for b in sorted(members):
-                p = t[a][b]
-                if p not in members:
-                    members.add(p)
-                    changed = True
+    preimage: dict[int, tuple[int, int]] = {}
+    for x in range(n):
+        for y in range(n):
+            preimage.setdefault(commutator(g, x, y), (x, y))
+    edges = sorted(preimage.items())
+    parent: dict[int, Optional[tuple[int, tuple[int, int]]]] = {g.identity: None}
+    queue = deque([g.identity])
+    while queue:
+        h = queue.popleft()
+        for c, pair in edges:
+            nxt = t[h][c]
+            if nxt not in parent:
+                parent[nxt] = (h, pair)
+                queue.append(nxt)
+    return MappingProxyType(parent)
+
+
+@lru_cache(maxsize=None)
+def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
+    """The nodes of the derived-subgroup tree, as an ascending index tuple.
+
+    Inverse closure and normality are re-verified on the finished set.
+    """
+    members = derived_subgroup_tree(g)
     result = tuple(sorted(members))
-    assert g.identity in members
-    assert all(g.inverse[a] in members for a in result)
-    assert all(
-        t[x][t[a][g.inverse[x]]] in members for a in result for x in range(n)
-    )
+    t = g.base.table
+    if any(g.inverse[a] not in members for a in result):
+        raise SemigroupError("commutator subgroup is not closed under inverses")
+    if any(t[x][t[a][g.inverse[x]]] not in members for a in result for x in range(g.order)):
+        raise SemigroupError("commutator subgroup is not normal")
     return result
 
 
@@ -132,6 +149,8 @@ def coset_congruence(g: GroupStructure) -> Congruence:
 def abelianization(g: GroupStructure) -> Semigroup:
     """The commutative quotient group by the coset congruence."""
     q = quotient(g.base, coset_congruence(g))
-    assert is_commutative(q) and is_cancellative(q)
-    assert q.order * len(commutator_subgroup(g)) == g.order
+    if not (is_commutative(q) and is_cancellative(q)):
+        raise SemigroupError("abelianization is not a commutative group")
+    if q.order * len(commutator_subgroup(g)) != g.order:
+        raise SemigroupError("abelianization order differs from the index of [G, G]")
     return q

@@ -14,7 +14,6 @@ claim is re-checked by the independent validators in ``equations``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +32,7 @@ from .equations import (
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
     OneVarWitness,
+    SigmaReport,
     TwoVarWitness,
     orientable_set,
     search_one_var,
@@ -48,6 +48,7 @@ from .groups import (
     commutator,
     commutator_subgroup,
     coset_congruence,
+    derived_subgroup_tree,
     group_structure,
 )
 
@@ -62,6 +63,10 @@ class InvalidDecompositionError(SemigroupError):
 
 class NotRelatedError(SemigroupError):
     """The two elements lie in different commutator-subgroup cosets."""
+
+
+class WitnessConstructionError(SemigroupError):
+    """A constructed witness failed its independent validation."""
 
 
 @dataclass(frozen=True)
@@ -81,42 +86,25 @@ def decomposition_product(group: GroupStructure, pairs) -> int:
 
 
 def commutator_decomposition(group: GroupStructure, g: int) -> CommutatorDecomposition:
-    """Shortest commutator decomposition of g, by breadth-first search.
+    """Shortest commutator decomposition of g, read off the derived-subgroup tree.
 
-    Nodes are group elements, edges multiply on the right by one commutator
-    value. Edges are tried in ascending value order and each commutator value
-    is annotated with its first (x, y) preimage in lexicographic index order,
-    so the result is reproducible. The identity gets the empty decomposition.
+    The path from the identity to g in ``derived_subgroup_tree`` is a
+    breadth-first shortest path with reproducible edge choices; the identity
+    gets the empty decomposition.
     """
     if not 0 <= g < group.order:
         raise ValueError(f"element {g} out of range")
-    preimage: dict[int, tuple[int, int]] = {}
-    for x in range(group.order):
-        for y in range(group.order):
-            c = commutator(group, x, y)
-            if c not in preimage:
-                preimage[c] = (x, y)
-    edges = sorted(preimage)
-    t = group.base.table
-    parent: dict[int, Optional[tuple[int, int]]] = {group.identity: None}
-    queue = deque([group.identity])
-    while queue:
-        h = queue.popleft()
-        for c in edges:
-            nxt = t[h][c]
-            if nxt not in parent:
-                parent[nxt] = (h, c)
-                queue.append(nxt)
-    if g not in parent:
+    tree = derived_subgroup_tree(group)
+    if g not in tree:
         raise NotInDerivedSubgroupError(
             f"element {group.base.names[g]!r} is not in the commutator subgroup"
         )
     pairs = []
-    cur = g
-    while parent[cur] is not None:
-        back, c = parent[cur]
-        pairs.append(preimage[c])
-        cur = back
+    step = tree[g]
+    while step is not None:
+        back, pair = step
+        pairs.append(pair)
+        step = tree[back]
     pairs.reverse()
     return CommutatorDecomposition(g, tuple(pairs))
 
@@ -151,7 +139,8 @@ def build_orientable_witness(
             c = (y, x, inv[y], inv[x]) + c
         witness = OneVarWitness(a, b, c)
     problem = validate_one_var(adjoin_identity(group.base), d.element, witness)
-    assert problem is None, problem
+    if problem is not None:
+        raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
     return witness
 
 
@@ -175,8 +164,25 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
     one = build_orientable_witness(group, d)
     witness = TwoVarWitness(one.a, (inv[h],), one.b, (inv[h],) + one.c)
     problem = validate_two_var(adjoin_identity(group.base), h, g, witness)
-    assert problem is None, problem
+    if problem is not None:
+        raise WitnessConstructionError(f"constructed two-variable witness: {problem}")
     return witness
+
+
+def exact_sigma_report(group: GroupStructure) -> SigmaReport:
+    """Relate all ordered pairs exactly: the classes are the commutator-subgroup cosets.
+
+    Every related pair carries a constructed witness. The classes are
+    complete rather than bounded, so the report's ``bound`` is None.
+    """
+    cong = coset_congruence(group)
+    pairs: dict[tuple[int, int], TwoVarWitness] = {}
+    for u in range(group.order):
+        for v in range(group.order):
+            if cong.class_of[u] == cong.class_of[v]:
+                # build_two_var_witness(group, g, h) validates for (h, g)
+                pairs[(u, v)] = build_two_var_witness(group, v, u)
+    return SigmaReport(None, pairs, cong, "exact-group")
 
 
 @dataclass
@@ -327,11 +333,6 @@ def verify_orientable_is_commutator_subgroup(
     return report
 
 
-def _partitions_equal(c1: Congruence, c2: Congruence) -> bool:
-    # class ids are canonical (first appearance), so equality is direct
-    return c1.class_of == c2.class_of and c1.num_classes == c2.num_classes
-
-
 def _tables_match_up_to_relabeling(
     c1: Congruence, c2: Congruence, q1: Semigroup, q2: Semigroup
 ) -> bool:
@@ -372,22 +373,18 @@ def verify_sigma_is_abelianization(
         subject or f"group of order {s.order}", {"two-var": bound}
     )
     cosets = coset_congruence(group)
+    exact = exact_sigma_report(group)
 
-    failures = []
-    count = 0
-    for g in range(s.order):
-        for h in range(s.order):
-            if cosets.class_of[g] != cosets.class_of[h]:
-                continue
-            count += 1
-            w = build_two_var_witness(group, g, h)
-            problem = validate_two_var(m, h, g, w)
-            if problem is not None:
-                failures.append(f"({names[h]}, {names[g]}): {problem}")
+    # pairs are in ascending (u, v) order, so the first failure is the smallest pair
+    witness_failures = []
+    for (u, v), w in exact.pairs.items():
+        problem = validate_two_var(m, u, v, w)
+        if problem is not None:
+            witness_failures.append(f"({names[u]}, {names[v]}): {problem}")
     report._add(
         "constructed-pair-witnesses",
-        f"built witnesses for all {count} same-coset ordered pairs",
-        failures,
+        f"built witnesses for all {len(exact.pairs)} same-coset ordered pairs",
+        witness_failures,
     )
 
     failures = []
@@ -411,15 +408,11 @@ def verify_sigma_is_abelianization(
         failures,
     )
 
-    exact = sigma_report(m, bound, group_exact=True)
     failures = []
-    if not _partitions_equal(exact.congruence, cosets):
+    # class ids are canonical (first appearance), so equal partitions compare equal
+    if exact.congruence != cosets:
         failures.append("exact classes differ from the coset partition")
-    for (u, v), w in sorted(exact.pairs.items()):
-        problem = validate_two_var(m, u, v, w)
-        if problem is not None:
-            failures.append(f"({names[u]}, {names[v]}): {problem}")
-            break
+    failures += witness_failures[:1]
     report._add(
         "sigma-classes-equal-cosets",
         f"{exact.congruence.num_classes} exact classes, all attached witnesses validate",

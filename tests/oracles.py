@@ -6,6 +6,7 @@ package's search, closure, or quotient machinery, so agreement is meaningful.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
 
@@ -153,3 +154,41 @@ def min_commutator_product_length(table, identity, target, max_k):
         if target in reach:
             return k
     return None
+
+
+def bfs_commutator_decomposition(group, g):
+    """Per-call breadth-first commutator decomposition: the pairs for g, or None.
+
+    Recomputes every commutator and the whole search on each call. Edges are
+    tried in ascending commutator value, each value labelled with its first
+    (x, y) preimage in lexicographic order; None means g lies outside the
+    commutator subgroup.
+    """
+    t = group.base.table
+    inv = group.inverse
+    preimage = {}
+    for x in range(group.order):
+        for y in range(group.order):
+            c = t[t[t[x][y]][inv[x]]][inv[y]]
+            if c not in preimage:
+                preimage[c] = (x, y)
+    edges = sorted(preimage)
+    parent = {group.identity: None}
+    queue = deque([group.identity])
+    while queue:
+        h = queue.popleft()
+        for c in edges:
+            nxt = t[h][c]
+            if nxt not in parent:
+                parent[nxt] = (h, c)
+                queue.append(nxt)
+    if g not in parent:
+        return None
+    pairs = []
+    cur = g
+    while parent[cur] is not None:
+        back, c = parent[cur]
+        pairs.append(preimage[c])
+        cur = back
+    pairs.reverse()
+    return tuple(pairs)

@@ -40,6 +40,7 @@ from semorient.theorems import (
     build_orientable_witness,
     build_two_var_witness,
     commutator_decomposition,
+    exact_sigma_report,
 )
 
 from conftest import FIXTURES
@@ -98,7 +99,7 @@ def test_criterion_2_sigma_classes_equal_cosets():
     for spec in GROUP_FAMILIES:
         s = make_family(spec)
         g = group_structure(s)
-        rep = sigma_report(adjoin_identity(s), 3, group_exact=True)
+        rep = exact_sigma_report(g)
         cosets = coset_congruence(g)
         ok = ok and rep.congruence == cosets
         q = quotient(s, rep.congruence)

@@ -35,6 +35,15 @@ def test_check_invalid_table_exit_1():
     assert "triple" in err
 
 
+def test_non_utf8_table_exit_1(tmp_path):
+    path = tmp_path / "latin1.tbl"
+    path.write_bytes(b"# r\xe9sum\xe9\nelements: e\ntable:\ne\n")
+    code, out, err = invoke("check", "--table", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid-table: not valid UTF-8 at byte offset 3\n"
+
+
 def test_usage_errors_exit_2():
     for argv in (
         ("check",),

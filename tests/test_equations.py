@@ -20,6 +20,7 @@ from semorient.equations import (
     witness_from_json,
 )
 from semorient.groups import NotAGroupError, commutator_subgroup, group_structure
+from semorient.theorems import exact_sigma_report
 
 from oracles import naive_search_one_var, naive_search_two_var
 
@@ -277,8 +278,7 @@ def test_sigma_report_leftzero_total_at_one():
 
 
 def test_sigma_report_exact_cyclic5():
-    m = monoid("cyclic:5")
-    rep = sigma_report(m, 2, group_exact=True)
+    rep = exact_sigma_report(group_structure(make_family("cyclic:5")))
     assert rep.exactness == "exact-group"
     assert rep.congruence.num_classes == 5
     assert set(rep.pairs) == {(u, u) for u in range(5)}
@@ -286,7 +286,7 @@ def test_sigma_report_exact_cyclic5():
 
 def test_sigma_report_exact_s3(s3):
     m = adjoin_identity(s3)
-    rep = sigma_report(m, 2, group_exact=True)
+    rep = exact_sigma_report(group_structure(s3))
     assert rep.congruence.num_classes == 2
     sizes = sorted(len(c) for c in rep.congruence.classes())
     assert sizes == [3, 3]
@@ -295,9 +295,8 @@ def test_sigma_report_exact_s3(s3):
 
 
 def test_sigma_report_exact_requires_group():
-    m = monoid("leftzero:3")
     with pytest.raises(NotAGroupError):
-        sigma_report(m, 2, group_exact=True)
+        group_structure(make_family("leftzero:3"))
 
 
 def test_sigma_pairs_within_congruence(catalog_family):

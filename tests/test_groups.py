@@ -92,7 +92,7 @@ def test_commutator_subgroup_orders(spec, expected_order):
     assert len(commutator_subgroup(group_structure(s))) == expected_order
 
 
-@pytest.mark.parametrize("spec", GROUP_FAMILIES)
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
 def test_commutator_subgroup_matches_closure_oracle(spec):
     s = make_family(spec)
     g = group_structure(s)

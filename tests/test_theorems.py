@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +30,9 @@ from semorient.theorems import (
     verify_sigma_is_abelianization,
 )
 
-from oracles import min_commutator_product_length
+from oracles import bfs_commutator_decomposition, min_commutator_product_length
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ------------------------------------------------------------ decompositions
@@ -116,6 +123,40 @@ def test_three_pair_witness_size_law(s3):
     w = build_orientable_witness(g, padded)
     assert w.size == 2 + 4 * 2
     assert validate_one_var(adjoin_identity(s3), r, w) is None
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
+def test_tree_matches_per_call_bfs(spec):
+    s = make_family(spec)
+    g = group_structure(s)
+    for x in range(s.order):
+        expected = bfs_commutator_decomposition(g, x)
+        if expected is None:
+            with pytest.raises(NotInDerivedSubgroupError):
+                commutator_decomposition(g, x)
+        else:
+            assert commutator_decomposition(g, x).pairs == expected
+
+
+def test_builder_failure_raises_under_optimize():
+    script = (
+        "import sys\n"
+        "import semorient.theorems as th\n"
+        "from semorient import group_structure, make_family\n"
+        "print(sys.flags.optimize)\n"
+        "th.validate_one_var = lambda *args: 'forced failure'\n"
+        "g = group_structure(make_family('symmetric:3'))\n"
+        "try:\n"
+        "    th.build_orientable_witness(g, th.commutator_decomposition(g, g.identity))\n"
+        "except th.WitnessConstructionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\nconstructed one-variable witness: forced failure\n"
 
 
 def test_invalid_decomposition_rejected(s3):
