@@ -400,7 +400,9 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
             ids[r] = len(ids)
         class_of.append(ids[r])
     result = Congruence(tuple(class_of), len(ids))
-    assert compatibility_violation(s, result) is None
+    bad = compatibility_violation(s, result)
+    if bad is not None:
+        raise CompatibilityError(bad)
     return result
 
 

@@ -34,9 +34,8 @@ from .equations import (
     OneVarWitness,
     SigmaReport,
     TwoVarWitness,
+    _one_var_search,
     orientable_set,
-    search_one_var,
-    search_two_var,
     sigma_report,
     validate_one_var,
     validate_two_var,
@@ -388,23 +387,18 @@ def verify_sigma_is_abelianization(
     )
 
     failures = []
-    found = 0
-    for u in range(s.order):
-        for v in range(s.order):
-            w = search_two_var(m, u, v, bound)
-            if w is None:
-                continue
-            found += 1
-            problem = validate_two_var(m, u, v, w)
-            if problem is not None:
-                failures.append(f"({names[u]}, {names[v]}): {problem}")
-            elif cosets.class_of[u] != cosets.class_of[v]:
-                failures.append(
-                    f"({names[u]}, {names[v]}): related by search but in different cosets"
-                )
+    found = sigma_report(m, bound).pairs
+    for (u, v), w in found.items():
+        problem = validate_two_var(m, u, v, w)
+        if problem is not None:
+            failures.append(f"({names[u]}, {names[v]}): {problem}")
+        elif cosets.class_of[u] != cosets.class_of[v]:
+            failures.append(
+                f"({names[u]}, {names[v]}): related by search but in different cosets"
+            )
     report._add(
         "bounded-pair-search-sound",
-        f"{found} ordered pairs found at bound {bound}, all within cosets",
+        f"{len(found)} ordered pairs found at bound {bound}, all within cosets",
         failures,
     )
 
@@ -498,11 +492,12 @@ def verify_semigroup_properties(
     )
 
     failures = []
-    for g in range(n):
-        w1 = search_one_var(m, g, one_var_bound)
-        if w1 is None:
-            continue
-        w2 = search_one_var(m, g, one_var_bound + 1)
+    at_bound = orientable_set(m, one_var_bound)
+    found = [g for g, w in at_bound.items() if w is not None]
+    # only elements found at the bound: the others would need the whole next size
+    at_next = _one_var_search(m, found, one_var_bound + 1)
+    for g in found:
+        w1, w2 = at_bound[g], at_next[g]
         if w2 is None:
             failures.append(f"{names[g]}: witness lost at bound {one_var_bound + 1}")
         elif _one_var_key(w2) > _one_var_key(w1):
@@ -513,15 +508,14 @@ def verify_semigroup_properties(
         failures,
     )
 
-    found = {g for g, w in orientable_set(m, one_var_bound).items() if w is not None}
     bounded = sigma_report(m, two_var_bound)
     relation = set(bounded.pairs)
 
     observations = [
         f"{names[u]}*{names[v]} has no witness at bound {one_var_bound}"
-        for u in sorted(found)
-        for v in sorted(found)
-        if s.table[u][v] not in found
+        for u in found
+        for v in found
+        if at_bound[s.table[u][v]] is None
     ]
     report._soft(
         "orientable-product-closure",

@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semorient.catalog import CATALOG_FAMILIES, make_family
-from semorient.core import adjoin_identity
+from semorient.core import adjoin_identity, eval_word, make_semigroup
 from semorient.equations import (
     OneVarWitness,
     TwoVarWitness,
@@ -19,10 +21,11 @@ from semorient.equations import (
     validate_two_var,
     witness_from_json,
 )
+from semorient.equations import _Multiset, _orderings
 from semorient.groups import NotAGroupError, commutator_subgroup, group_structure
 from semorient.theorems import exact_sigma_report
 
-from oracles import naive_search_one_var, naive_search_two_var
+from oracles import all_associative_tables, naive_search_one_var, naive_search_two_var
 
 
 def monoid(spec):
@@ -205,11 +208,13 @@ def test_search_bounds_validated():
         search_one_var(m, 77, 2)
 
 
-@pytest.mark.parametrize("spec", ["cyclic:3", "leftzero:3", "null:3", "fulltransformation:2"])
+@pytest.mark.parametrize(
+    "spec", ["cyclic:3", "leftzero:3", "rightzero:3", "null:3", "fulltransformation:2"]
+)
 def test_search_one_var_agrees_with_naive_oracle(spec):
     m = monoid(spec)
     for g in range(m.base.order):
-        for bound in (1, 2, 3):
+        for bound in (1, 2, 3, 4):
             got = search_one_var(m, g, bound)
             expected = naive_search_one_var(m, g, bound)
             if expected is None:
@@ -230,6 +235,62 @@ def test_search_two_var_agrees_with_naive_oracle(spec):
                     assert got is None
                 else:
                     assert got == TwoVarWitness(*expected)
+
+
+@pytest.mark.parametrize("raw", list(all_associative_tables(2)))
+def test_search_one_var_agrees_with_naive_oracle_on_order_2_at_bound_5(raw):
+    # two elements give many orderings with equal products, so split keys collide
+    m = adjoin_identity(make_semigroup(("a", "b"), raw))
+    for g in range(2):
+        expected = naive_search_one_var(m, g, 5)
+        assert search_one_var(m, g, 5) == (None if expected is None else OneVarWitness(*expected))
+
+
+def test_batched_searches_match_single_searches(catalog_family):
+    spec, s = catalog_family
+    m = adjoin_identity(s)
+    found = orientable_set(m, 3)
+    assert list(found) == list(range(s.order))
+    for g in range(s.order):
+        assert found[g] == search_one_var(m, g, 3)
+    pairs = sigma_report(m, 2).pairs
+    assert list(pairs) == sorted(pairs)
+    for u in range(s.order):
+        for v in range(s.order):
+            assert pairs.get((u, v)) == search_two_var(m, u, v, 2)
+
+
+@pytest.mark.parametrize(
+    "multiset", [(0,), (1, 1), (0, 0, 1), (0, 1, 1, 2), (0, 0, 1, 1, 1), (2, 0, 3, 1)]
+)
+def test_orderings_are_lexicographic_with_first_changed_position(multiset):
+    got = [(tuple(word), j) for word, j in _orderings(multiset)]
+    words = sorted(set(permutations(multiset)))
+    assert [w for w, _ in got] == words
+    assert got[0][1] == 0
+    for (prev, _), (word, j) in zip(got, got[1:]):
+        assert prev[:j] == word[:j] and prev[j] != word[j]
+
+
+@pytest.mark.parametrize("spec", ["null:3", "leftzero:2", "symmetric:3", "fulltransformation:2"])
+def test_multiset_splits_are_smallest_and_sorted(spec):
+    m = monoid(spec)
+    t, e = m.table, m.identity_index
+    for multiset in [(0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 2, 2)]:
+        if max(multiset) >= m.base.order:
+            continue
+        data = _Multiset(t, e, multiset)
+        smallest = {}
+        for word in sorted(set(permutations(multiset))):
+            for k in range(len(word) + 1):
+                key = (eval_word(m, word[:k]), eval_word(m, word[k:]))
+                smallest[key] = min(smallest.get(key, (word[:k], word[k:])), (word[:k], word[k:]))
+        assert data.splits == sorted(smallest, key=smallest.__getitem__)
+        assert [data.split(pos) for pos in range(len(data.splits))] == sorted(smallest.values())
+        for value, index in data.first.items():
+            word = data.words[index]
+            assert eval_word(m, word) == value
+            assert all(eval_word(m, w) != value for w in data.words[:index])
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,7 @@ from semorient.catalog import (
     NONGROUP_FAMILIES,
     make_family,
 )
-from semorient.core import adjoin_identity
+from semorient.core import adjoin_identity, make_semigroup
 from semorient.equations import validate_one_var, validate_two_var
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
 from semorient.theorems import (
@@ -30,7 +30,12 @@ from semorient.theorems import (
     verify_sigma_is_abelianization,
 )
 
-from oracles import bfs_commutator_decomposition, min_commutator_product_length
+from oracles import (
+    bfs_commutator_decomposition,
+    compose,
+    min_commutator_product_length,
+    transformation_table,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -125,10 +130,33 @@ def test_three_pair_witness_size_law(s3):
     assert validate_one_var(adjoin_identity(s3), r, w) is None
 
 
-@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
+WIDTH_TWO = "width-two-96"
+
+
+def width_two_group():
+    """Order-96 permutation group of 12 points with commutator width 2.
+
+    Its [G, G] has order 32 but only 29 of its elements are commutators, so
+    three decompositions need two pairs. Composition is (p*q)(x) = p(q(x)).
+    """
+    gens = [(3, 0, 10, 1, 8, 7, 2, 11, 9, 4, 6, 5), (11, 10, 6, 2, 0, 1, 3, 9, 7, 8, 5, 4)]
+    maps = [tuple(range(12))]
+    seen = set(maps)
+    for f in maps:
+        for h in gens:
+            fh = compose(f, h)
+            if fh not in seen:
+                seen.add(fh)
+                maps.append(fh)
+    maps.sort()
+    return make_semigroup([f"g{i}" for i in range(len(maps))], transformation_table(maps))
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_tree_matches_per_call_bfs(spec):
-    s = make_family(spec)
+    s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
     g = group_structure(s)
+    lengths = []
     for x in range(s.order):
         expected = bfs_commutator_decomposition(g, x)
         if expected is None:
@@ -136,6 +164,11 @@ def test_tree_matches_per_call_bfs(spec):
                 commutator_decomposition(g, x)
         else:
             assert commutator_decomposition(g, x).pairs == expected
+            lengths.append(len(expected))
+    if spec == WIDTH_TWO:
+        # the identity, 28 other commutators, and 3 products of two commutators
+        assert s.order == 96
+        assert sorted(lengths) == [0] + [1] * 28 + [2] * 3
 
 
 def test_builder_failure_raises_under_optimize():
@@ -157,6 +190,26 @@ def test_builder_failure_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\nconstructed one-variable witness: forced failure\n"
+
+
+def test_congruence_check_raises_under_optimize():
+    script = (
+        "import sys\n"
+        "import semorient.core as core\n"
+        "from semorient import make_family\n"
+        "print(sys.flags.optimize)\n"
+        "core.compatibility_violation = lambda s, c: (0, 1, 2, 3)\n"
+        "try:\n"
+        "    core.generated_congruence(make_family('symmetric:3'), [(0, 1)])\n"
+        "except core.CompatibilityError as exc:\n"
+        "    print(exc.quadruple)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n(0, 1, 2, 3)\n"
 
 
 def test_invalid_decomposition_rejected(s3):
