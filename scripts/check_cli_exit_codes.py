@@ -3,7 +3,8 @@
 
 Spawns the CLI as a real subprocess for each case and compares exit codes:
 0 success, 1 invalid table, 2 usage error, 3 group-only verb on a non-group,
-4 --exact outside the group path.
+4 --exact outside the group path. Every nonzero exit must print exactly one
+``error: <category>: <detail>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ def main() -> int:
         (["orientable", "--family", "cyclic:3", "--bound", "0"], 2),
         (["witness", "--family", "cyclic:3", "--element", "zz"], 2),
         (["nosuchverb"], 2),
+        (["orientable", "--family", "cyclic:3", "--bound", "x"], 2),
+        (["check", "--family", "cyclic:1001"], 2),  # over the order cap
         (["commutator", "--family", "leftzero:3"], 3),
         (["abelianization", "--family", "null:3"], 3),
         (["verify", "--family", "leftzero:3", "--suite", "theorems"], 3),
@@ -74,10 +77,12 @@ def main() -> int:
         if not ok:
             failures += 1
             sys.stderr.write(proc.stderr)
-        elif proc.returncode != 0 and not proc.stderr.startswith("error:") and "usage:" not in proc.stderr:
-            # non-argparse errors must carry the one-line machine-readable reason
+        elif proc.returncode != 0 and (
+            not proc.stderr.startswith("error:") or proc.stderr.count("\n") != 1
+        ):
+            # every error, argparse ones included, is one machine-readable line
             failures += 1
-            print(f"       missing machine-readable reason on stderr: {proc.stderr!r}")
+            print(f"       stderr is not one 'error:' line: {proc.stderr!r}")
 
     print(f"{len(cases) - failures} of {len(cases)} exit-code cases passed")
     return 0 if failures == 0 else 1

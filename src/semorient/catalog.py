@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
-from .core import Semigroup, SemigroupError
+from .core import MAX_ORDER, Semigroup, SemigroupError
 
 
 class FamilyError(SemigroupError):
@@ -169,6 +169,10 @@ def _split_product_spec(spec: str) -> tuple[Semigroup, Semigroup]:
 
 def _directproduct(spec: str) -> Semigroup:
     a, b = _split_product_spec(spec)
+    if a.order * b.order > MAX_ORDER:
+        raise FamilyError(
+            f"directproduct:{spec} has order {a.order * b.order}, above the maximum {MAX_ORDER}"
+        )
     elems = [(i, j) for i in range(a.order) for j in range(b.order)]
 
     def op(x, y):
@@ -215,4 +219,7 @@ def make_family(spec: str) -> Semigroup:
         n = int(rest)
     except ValueError:
         raise FamilyError(f"{name} parameter must be an integer, got {rest!r}") from None
+    # every integer family has order at least n (dihedral: exactly 2n)
+    if (2 * n if name == "dihedral" else n) > MAX_ORDER:
+        raise FamilyError(f"{spec} has order above the maximum {MAX_ORDER}")
     return _INT_PARAM[name](n)

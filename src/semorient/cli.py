@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 table validation or verification failure, 2 usage
 error, 3 group-only verb on a non-group, 4 --exact requested outside the
 group path. Every error also emits one machine-readable line on stderr of
 the form ``error: <category>: <detail>``.
+
+Each verb computes its result once and returns ``(exit code, to_json,
+to_text)``, two lazy renderers over the same values; ``run`` alone reads
+``--format`` and calls exactly one of them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .catalog import FamilyError, make_family
 from .core import (
@@ -66,6 +70,9 @@ EXIT_USAGE = 2
 EXIT_NOT_GROUP = 3
 EXIT_EXACT_OUTSIDE_GROUP = 4
 
+# (exit code, JSON renderer, text renderer)
+Result = tuple[int, Callable[[], object], Callable[[], str]]
+
 
 class UsageError(Exception):
     pass
@@ -75,8 +82,15 @@ class ExactOutsideGroupError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors as UsageError, so they print one ``error: usage:`` line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semorient",
         description="Finite semigroup tables, equation witnesses, and "
         "commutator-subgroup correspondence checks.",
@@ -174,20 +188,34 @@ def _group_for_exact(s: Semigroup):
         raise ExactOutsideGroupError(exc.reason) from None
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _no_witness(bound: Optional[int], exact_note: str) -> str:
+    return exact_note if bound is None else f"no witness with n <= {bound}"
 
 
-def _cmd_check(args) -> tuple[str, int]:
+def _table_result(t: Semigroup, head: dict, comment: str = "") -> Result:
+    """A table as JSON ``head`` plus order, elements and rows, or as a table file."""
+    return (
+        EXIT_OK,
+        lambda: {
+            **head,
+            "order": t.order,
+            "elements": list(t.names),
+            "rows": [[t.names[e] for e in row] for row in t.table],
+        },
+        lambda: comment + serialize_table(t),
+    )
+
+
+def _cmd_check(args) -> Result:
     s, subject = _load(args)
-    if args.format == "json":
-        return _json_text(
-            {"subject": subject, "ok": True, "order": s.order, "elements": list(s.names)}
-        ), EXIT_OK
-    return f"ok: associative table of order {s.order}\n", EXIT_OK
+    return (
+        EXIT_OK,
+        lambda: {"subject": subject, "ok": True, "order": s.order, "elements": list(s.names)},
+        lambda: f"ok: associative table of order {s.order}\n",
+    )
 
 
-def _cmd_info(args) -> tuple[str, int]:
+def _cmd_info(args) -> Result:
     s, subject = _load(args)
     try:
         group = group_structure(s)
@@ -209,64 +237,53 @@ def _cmd_info(args) -> tuple[str, int]:
         obj["abelianization_order"] = s.order // len(derived)
     else:
         obj["not_a_group_reason"] = group_reason
-    if args.format == "json":
-        return _json_text(obj), EXIT_OK
-    lines = [f"subject: {subject}", f"order: {s.order}"]
-    lines.append("elements: " + " ".join(s.names))
-    lines.append(f"commutative: {str(obj['commutative']).lower()}")
-    lines.append(f"cancellative: {str(obj['cancellative']).lower()}")
-    lines.append("idempotents: " + (" ".join(obj["idempotents"]) or "(none)"))
-    if group is not None:
-        lines.append(f"group: yes (identity {obj['identity']})")
-        lines.append(
-            f"commutator subgroup (order {len(obj['commutator_subgroup'])}): "
-            + " ".join(obj["commutator_subgroup"])
-        )
-        lines.append(f"abelianization order: {obj['abelianization_order']}")
-    else:
-        lines.append(f"group: no ({group_reason})")
-    return "\n".join(lines) + "\n", EXIT_OK
+
+    def to_text() -> str:
+        lines = [f"subject: {subject}", f"order: {s.order}"]
+        lines.append("elements: " + " ".join(s.names))
+        lines.append(f"commutative: {str(obj['commutative']).lower()}")
+        lines.append(f"cancellative: {str(obj['cancellative']).lower()}")
+        lines.append("idempotents: " + (" ".join(obj["idempotents"]) or "(none)"))
+        if group is not None:
+            lines.append(f"group: yes (identity {obj['identity']})")
+            lines.append(
+                f"commutator subgroup (order {len(obj['commutator_subgroup'])}): "
+                + " ".join(obj["commutator_subgroup"])
+            )
+            lines.append(f"abelianization order: {obj['abelianization_order']}")
+        else:
+            lines.append(f"group: no ({group_reason})")
+        return "\n".join(lines) + "\n"
+
+    return EXIT_OK, lambda: obj, to_text
 
 
-def _cmd_family(args) -> tuple[str, int]:
+def _cmd_family(args) -> Result:
     if args.table or not args.family:
         raise UsageError("family requires --family and takes no --table")
-    s = make_family(args.family)
-    if args.format == "json":
-        return _json_text(
-            {
-                "spec": args.family,
-                "order": s.order,
-                "elements": list(s.names),
-                "rows": [[s.names[e] for e in row] for row in s.table],
-            }
-        ), EXIT_OK
-    return serialize_table(s), EXIT_OK
+    return _table_result(make_family(args.family), {"spec": args.family})
 
 
-def _cmd_orientable(args) -> tuple[str, int]:
+def _cmd_orientable(args) -> Result:
     s, subject = _load(args)
     m = adjoin_identity(s)
     one_var_bound, _ = _bounds(args)
-    entries = []
     if args.exact:
         group = _group_for_exact(s)
-        derived = set(commutator_subgroup(group))
-        for g in range(s.order):
-            if g in derived:
-                w = build_orientable_witness(group, commutator_decomposition(group, g))
-                entries.append((g, w))
-            else:
-                entries.append((g, None))
+        found = dict.fromkeys(range(s.order))
+        for g in commutator_subgroup(group):
+            found[g] = build_orientable_witness(group, commutator_decomposition(group, g))
+        bound = None
     else:
         found = orientable_set(m, one_var_bound)
-        entries = [(g, found[g]) for g in range(s.order)]
-    count = sum(1 for _, w in entries if w is not None)
-    if args.format == "json":
-        obj = {
+        bound = one_var_bound
+    count = sum(1 for w in found.values() if w is not None)
+
+    def to_json() -> dict:
+        return {
             "subject": subject,
             "mode": "exact" if args.exact else "bounded",
-            "bound": None if args.exact else one_var_bound,
+            "bound": bound,
             "orientable_count": count,
             "elements": [
                 {
@@ -274,95 +291,67 @@ def _cmd_orientable(args) -> tuple[str, int]:
                     "orientable": w is not None,
                     "witness": None if w is None else one_var_to_json(s.names, w, g, True),
                 }
-                for g, w in entries
+                for g, w in found.items()
             ],
         }
-        return _json_text(obj), EXIT_OK
-    lines = [f"subject: {subject}"]
-    lines.append("mode: exact" if args.exact else f"bound: {one_var_bound}")
-    lines.append(f"orientable elements: {count} of {s.order}")
-    for g, w in entries:
-        if w is not None:
-            lines.append(f"{s.names[g]}: {one_var_to_text(s.names, w)}")
-        elif args.exact:
-            lines.append(f"{s.names[g]}: not orientable (exact)")
-        else:
-            lines.append(f"{s.names[g]}: no witness with n <= {one_var_bound}")
-    return "\n".join(lines) + "\n", EXIT_OK
+
+    def to_text() -> str:
+        none = _no_witness(bound, "not orientable (exact)")
+        lines = [f"subject: {subject}"]
+        lines.append("mode: exact" if args.exact else f"bound: {bound}")
+        lines.append(f"orientable elements: {count} of {s.order}")
+        for g, w in found.items():
+            lines.append(f"{s.names[g]}: {none if w is None else one_var_to_text(s.names, w)}")
+        return "\n".join(lines) + "\n"
+
+    return EXIT_OK, to_json, to_text
 
 
-def _cmd_witness(args) -> tuple[str, int]:
-    s, subject = _load(args)
+def _cmd_witness(args) -> Result:
+    s, _ = _load(args)
     m = adjoin_identity(s)
     one_var_bound, two_var_bound = _bounds(args)
     if bool(args.element) == bool(args.pair):
         raise UsageError("exactly one of --element or --pair is required")
-
-    if args.element:
-        g = _element(s, args.element)
-        if args.exact:
-            group = _group_for_exact(s)
-            try:
-                w = build_orientable_witness(group, commutator_decomposition(group, g))
-            except NotInDerivedSubgroupError:
-                w = None
-            note = "not orientable (exact)"
-        else:
-            w = search_one_var(m, g, one_var_bound)
-            note = f"no witness with n <= {one_var_bound}"
-        if args.format == "json":
-            if w is None:
-                return _json_text(
-                    {
-                        "element": s.names[g],
-                        "witness": None,
-                        "bound": None if args.exact else one_var_bound,
-                        "note": note,
-                    }
-                ), EXIT_OK
-            valid = validate_one_var(m, g, w) is None
-            return _json_text(one_var_to_json(s.names, w, g, valid)), EXIT_OK
-        if w is None:
-            return f"element: {s.names[g]}\n{note}\n", EXIT_OK
-        valid = validate_one_var(m, g, w) is None
-        return (
-            f"element: {s.names[g]}\n"
-            f"witness: {one_var_to_text(s.names, w)}\n"
-            f"valid: {str(valid).lower()}\n"
-        ), EXIT_OK
-
-    u, v = _pair(s, args.pair)
-    if args.exact:
-        group = _group_for_exact(s)
-        try:
-            # build_two_var_witness(group, g, h) validates for (h, g)
-            w = build_two_var_witness(group, v, u)
-        except NotRelatedError:
-            w = None
-        note = "not related (exact)"
+    # one path for both kinds: an element is the target (g,), a pair (u, v)
+    target = (_element(s, args.element),) if args.element else _pair(s, args.pair)
+    one = len(target) == 1
+    search, validate, show, as_json = (
+        (search_one_var, validate_one_var, one_var_to_text, one_var_to_json)
+        if one
+        else (search_two_var, validate_two_var, two_var_to_text, two_var_to_json)
+    )
+    names = [s.names[x] for x in target]
+    if not args.exact:
+        bound = one_var_bound if one else two_var_bound
+        w = search(m, *target, bound)
     else:
-        w = search_two_var(m, u, v, two_var_bound)
-        note = f"no witness with n <= {two_var_bound}"
-    if args.format == "json":
+        bound, group = None, _group_for_exact(s)
+        try:
+            if one:
+                w = build_orientable_witness(group, commutator_decomposition(group, target[0]))
+            else:
+                # build_two_var_witness(group, g, h) validates for (h, g)
+                w = build_two_var_witness(group, target[1], target[0])
+        except (NotInDerivedSubgroupError, NotRelatedError):
+            w = None
+    note = _no_witness(bound, "not orientable (exact)" if one else "not related (exact)")
+
+    def to_json() -> dict:
         if w is None:
-            return _json_text(
-                {
-                    "pair": [s.names[u], s.names[v]],
-                    "witness": None,
-                    "bound": None if args.exact else two_var_bound,
-                    "note": note,
-                }
-            ), EXIT_OK
-        valid = validate_two_var(m, u, v, w) is None
-        return _json_text(two_var_to_json(s.names, w, (u, v), valid)), EXIT_OK
-    if w is None:
-        return f"pair: ({s.names[u]}, {s.names[v]})\n{note}\n", EXIT_OK
-    valid = validate_two_var(m, u, v, w) is None
-    return (
-        f"pair: ({s.names[u]}, {s.names[v]})\n"
-        f"witness: {two_var_to_text(s.names, w)}\n"
-        f"valid: {str(valid).lower()}\n"
-    ), EXIT_OK
+            head = {"element": names[0]} if one else {"pair": names}
+            return {**head, "witness": None, "bound": bound, "note": note}
+        valid = validate(m, *target, w) is None
+        return as_json(s.names, w, target[0] if one else target, valid)
+
+    def to_text() -> str:
+        head = f"element: {names[0]}" if one else f"pair: ({names[0]}, {names[1]})"
+        if w is None:
+            return f"{head}\n{note}\n"
+        valid = validate(m, *target, w) is None
+        return f"{head}\nwitness: {show(s.names, w)}\nvalid: {str(valid).lower()}\n"
+
+    return EXIT_OK, to_json, to_text
 
 
 def _sigma(args, s: Semigroup):
@@ -372,12 +361,13 @@ def _sigma(args, s: Semigroup):
     return sigma_report(adjoin_identity(s), two_var_bound)
 
 
-def _cmd_sigma(args) -> tuple[str, int]:
+def _cmd_sigma(args) -> Result:
     s, subject = _load(args)
     rep = _sigma(args, s)
     classes = [[s.names[x] for x in members] for members in rep.congruence.classes()]
-    if args.format == "json":
-        obj = {
+
+    def to_json() -> dict:
+        return {
             "subject": subject,
             "exactness": rep.exactness,
             "bound": rep.bound,
@@ -388,105 +378,80 @@ def _cmd_sigma(args) -> tuple[str, int]:
                 for pair, w in sorted(rep.pairs.items())
             ],
         }
-        return _json_text(obj), EXIT_OK
-    lines = [f"subject: {subject}"]
-    bound = "" if rep.bound is None else f" (bound {rep.bound})"
-    lines.append(f"exactness: {rep.exactness}{bound}")
-    lines.append(f"classes: {rep.congruence.num_classes}")
-    for i, members in enumerate(classes):
-        lines.append(f"  class {i}: " + " ".join(members))
-    lines.append(f"related pairs with witnesses: {len(rep.pairs)}")
-    return "\n".join(lines) + "\n", EXIT_OK
+
+    def to_text() -> str:
+        lines = [f"subject: {subject}"]
+        bound = "" if rep.bound is None else f" (bound {rep.bound})"
+        lines.append(f"exactness: {rep.exactness}{bound}")
+        lines.append(f"classes: {rep.congruence.num_classes}")
+        for i, members in enumerate(classes):
+            lines.append(f"  class {i}: " + " ".join(members))
+        lines.append(f"related pairs with witnesses: {len(rep.pairs)}")
+        return "\n".join(lines) + "\n"
+
+    return EXIT_OK, to_json, to_text
 
 
-def _cmd_quotient(args) -> tuple[str, int]:
+def _cmd_quotient(args) -> Result:
     s, subject = _load(args)
     rep = _sigma(args, s)
-    q = quotient(s, rep.congruence)
-    if args.format == "json":
-        return _json_text(
-            {
-                "subject": subject,
-                "exactness": rep.exactness,
-                "order": q.order,
-                "elements": list(q.names),
-                "rows": [[q.names[e] for e in row] for row in q.table],
-            }
-        ), EXIT_OK
-    header = f"# sigma-quotient of {subject} ({rep.exactness})\n"
-    return header + serialize_table(q), EXIT_OK
+    return _table_result(
+        quotient(s, rep.congruence),
+        {"subject": subject, "exactness": rep.exactness},
+        f"# sigma-quotient of {subject} ({rep.exactness})\n",
+    )
 
 
-def _cmd_commutator(args) -> tuple[str, int]:
+def _cmd_commutator(args) -> Result:
     s, subject = _load(args)
     group = group_structure(s)
     if args.pair:
         x, y = _pair(s, args.pair)
-        c = commutator(group, x, y)
-        if args.format == "json":
-            return _json_text(
-                {"subject": subject, "pair": [s.names[x], s.names[y]], "commutator": s.names[c]}
-            ), EXIT_OK
-        return f"commutator({s.names[x]}, {s.names[y]}) = {s.names[c]}\n", EXIT_OK
-    derived = commutator_subgroup(group)
-    if args.format == "json":
-        return _json_text(
-            {
-                "subject": subject,
-                "order": len(derived),
-                "elements": [s.names[g] for g in derived],
-            }
-        ), EXIT_OK
+        nx, ny, nc = s.names[x], s.names[y], s.names[commutator(group, x, y)]
+        return (
+            EXIT_OK,
+            lambda: {"subject": subject, "pair": [nx, ny], "commutator": nc},
+            lambda: f"commutator({nx}, {ny}) = {nc}\n",
+        )
+    derived = [s.names[g] for g in commutator_subgroup(group)]
     return (
-        f"commutator subgroup (order {len(derived)}): "
-        + " ".join(s.names[g] for g in derived)
-        + "\n"
-    ), EXIT_OK
+        EXIT_OK,
+        lambda: {"subject": subject, "order": len(derived), "elements": derived},
+        lambda: f"commutator subgroup (order {len(derived)}): " + " ".join(derived) + "\n",
+    )
 
 
-def _cmd_abelianization(args) -> tuple[str, int]:
+def _cmd_abelianization(args) -> Result:
     s, subject = _load(args)
-    group = group_structure(s)
-    ab = abelianization(group)
-    if args.format == "json":
-        return _json_text(
-            {
-                "subject": subject,
-                "order": ab.order,
-                "elements": list(ab.names),
-                "rows": [[ab.names[e] for e in row] for row in ab.table],
-            }
-        ), EXIT_OK
-    header = f"# abelianization of {subject}\n"
-    return header + serialize_table(ab), EXIT_OK
+    return _table_result(
+        abelianization(group_structure(s)),
+        {"subject": subject},
+        f"# abelianization of {subject}\n",
+    )
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> Result:
     s, subject = _load(args)
     one_var_bound, two_var_bound = _bounds(args)
     reports = []
     if args.suite in ("theorems", "all"):
         group = group_structure(s)  # non-groups exit 3, even for --suite all
-        reports.append(
-            verify_orientable_is_commutator_subgroup(group, one_var_bound, subject=subject)
-        )
-        reports.append(
-            verify_sigma_is_abelianization(group, two_var_bound, subject=subject)
-        )
+        reports += [
+            verify_orientable_is_commutator_subgroup(group, one_var_bound, subject=subject),
+            verify_sigma_is_abelianization(group, two_var_bound, subject=subject),
+        ]
     if args.suite in ("propositions", "all"):
         reports.append(
             verify_semigroup_properties(s, one_var_bound, two_var_bound, subject=subject)
         )
     ok = all(r.passed for r in reports)
-    code = EXIT_OK if ok else EXIT_INVALID
-    if args.format == "json":
-        return _json_text(
-            {"subject": subject, "suite": args.suite, "passed": ok,
-             "reports": [r.to_json() for r in reports]}
-        ), code
-    text = "\n\n".join(r.to_text() for r in reports)
-    text += f"\n\nsuite {args.suite}: {'all checks passed' if ok else 'FAILURES'}\n"
-    return text, code
+    return (
+        EXIT_OK if ok else EXIT_INVALID,
+        lambda: {"subject": subject, "suite": args.suite, "passed": ok,
+                 "reports": [r.to_json() for r in reports]},
+        lambda: "\n\n".join(r.to_text() for r in reports)
+        + f"\n\nsuite {args.suite}: {'all checks passed' if ok else 'FAILURES'}\n",
+    )
 
 
 _COMMANDS = {
@@ -507,18 +472,13 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
     """Parse argv, dispatch, and return the exit code; output goes to out/err."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code
-    try:
-        text, code = _COMMANDS[args.verb](args)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=err)
-        return EXIT_USAGE
-    except FamilyError as exc:
+        args = build_parser().parse_args(argv)
+        code, to_json, to_text = _COMMANDS[args.verb](args)
+        text = json.dumps(to_json(), indent=2) + "\n" if args.format == "json" else to_text()
+    except SystemExit as exc:  # --help has printed its text
+        return exc.code
+    except (UsageError, FamilyError) as exc:
         print(f"error: usage: {exc}", file=err)
         return EXIT_USAGE
     except (TableFormatError, AssociativityError) as exc:

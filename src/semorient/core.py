@@ -18,6 +18,9 @@ Word = tuple[int, ...]
 # characters that would collide with the table file format or CLI selectors
 _RESERVED_NAME_CHARS = "#,:"
 
+# largest order accepted from a table file or a family spec, checked before any table is built
+MAX_ORDER = 1000
+
 
 class SemigroupError(Exception):
     """Base class for table, congruence, and group-structure failures."""
@@ -191,6 +194,10 @@ def parse_table(text: str) -> Semigroup:
         raise TableFormatError("expected 'elements:' line", line=lineno, column=tokens[0][1])
     if len(tokens) == 1:
         raise TableFormatError("no element names given", line=lineno)
+    if len(tokens) - 1 > MAX_ORDER:
+        raise TableFormatError(
+            f"{len(tokens) - 1} element names exceed the maximum order {MAX_ORDER}", line=lineno
+        )
     index: dict[str, int] = {}
     for tok, col in tokens[1:]:
         problem = _name_problem(tok)
@@ -245,25 +252,13 @@ class Monoid1:
     The identity realizes absent equation parts: an empty factor word
     evaluates to it. It is never a legal factor inside witness words, and it
     is adjoined even if the base already has an identity, so every semigroup
-    gets the same uniform shape.
+    gets the same uniform shape. Built only by ``adjoin_identity``.
     """
 
     base: Semigroup
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     identity_index: int
-
-    def __post_init__(self):
-        n = self.base.order
-        if self.identity_index != n or len(self.names) != n + 1 or len(self.table) != n + 1:
-            raise SemigroupError("malformed identity extension")
-        for i in range(n):
-            row = self.table[i]
-            if len(row) != n + 1 or row[:n] != self.base.table[i]:
-                raise SemigroupError("identity extension does not preserve base products")
-        for i in range(n + 1):
-            if self.table[n][i] != i or self.table[i][n] != i:
-                raise SemigroupError("adjoined element is not a two-sided identity")
 
     @property
     def order(self) -> int:

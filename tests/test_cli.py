@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+from semorient import catalog, cli
 from semorient.cli import run
 from semorient.core import adjoin_identity, parse_table
 from semorient.equations import validate_one_var, validate_two_var, witness_from_json
@@ -53,10 +55,78 @@ def test_usage_errors_exit_2():
         ("witness", "--family", "cyclic:2", "--element", "0", "--pair", "0,1"),
         ("witness", "--family", "cyclic:2", "--pair", "0"),
         ("orientable", "--family", "cyclic:2", "--bound", "-1"),
+        ("nosuchverb",),
+        ("check", "--family", "cyclic:2", "--bound", "2"),
+        ("orientable", "--family", "cyclic:2", "--bound", "x"),
+        ("witness", "--family", "quaternion8", "--pair", "-1,i"),
     ):
         code, _, err = invoke(*argv)
         assert code == 2, argv
         assert err.startswith("error: usage:"), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
+
+
+def test_help_exits_0(capsys):
+    assert invoke("--help") == (0, "", "")
+    assert capsys.readouterr().out.startswith("usage: semorient")
+
+
+def test_dash_names_pass_with_equals_sign():
+    code, out, _ = invoke("witness", "--family", "quaternion8", "--element=-1", "--exact")
+    assert code == 0
+    assert out.startswith("element: -1\nwitness: ")
+    code, out, _ = invoke("witness", "--family", "quaternion8", "--pair=-1,i", "--exact")
+    assert code == 0
+    assert out == "pair: (-1, i)\nnot related (exact)\n"
+
+
+def _refuse(*args):
+    raise AssertionError("must not be called")
+
+
+@pytest.mark.parametrize(
+    "fmt, renderers",
+    [
+        ("text", ("one_var_to_json", "two_var_to_json")),
+        ("json", ("one_var_to_text", "two_var_to_text", "serialize_table")),
+    ],
+)
+def test_each_format_renders_only_itself(monkeypatch, fmt, renderers):
+    for name in renderers:
+        monkeypatch.setattr(cli, name, _refuse)
+    for argv in (
+        "orientable", "orientable --exact", "witness --element 120",
+        "witness --pair 120,201", "sigma", "sigma --exact", "quotient --exact",
+        "abelianization", "family",
+    ):
+        code, _, err = invoke(*argv.split(), "--family", "symmetric:3", "--format", fmt)
+        assert (code, err) == (0, ""), argv
+
+
+def test_family_order_cap_rejects_before_building(monkeypatch):
+    monkeypatch.setitem(catalog._INT_PARAM, "cyclic", _refuse)
+    code, out, err = invoke("check", "--family", "cyclic:100000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: usage: cyclic:100000000000 has order above the maximum 1000\n"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(catalog, "_table_from_op", _refuse)
+    code, out, err = invoke("check", "--family", "directproduct:cyclic:40,cyclic:40")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: usage: directproduct:cyclic:40,cyclic:40 has order 1600, "
+        "above the maximum 1000\n"
+    )
+
+
+def test_table_order_cap_rejects_elements_line(tmp_path):
+    path = tmp_path / "big.tbl"
+    path.write_text("elements: " + " ".join(f"e{i}" for i in range(1001)) + "\ntable:\n")
+    code, out, err = invoke("check", "--table", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid-table: line 1: 1001 element names exceed the maximum order 1000\n"
+    )
 
 
 def test_group_only_verbs_exit_3():
@@ -274,3 +344,171 @@ def test_bound_increase_only_adds():
     assert sum(e["orientable"] for e in two.values()) >= sum(
         e["orientable"] for e in one.values()
     )
+
+
+# sha256 of "<exit code>\n<stdout>" for every verb, both formats, on a group and
+# a non-group; a change to any CLI output byte must change these deliberately
+GOLDEN = {
+    "check --family symmetric:3 --format text":
+        "817aca94e76bfd2edf1f090db55d32f01788e61733409dfdc8d650341a989868",
+    "check --family symmetric:3 --format json":
+        "04dc1d1e35fcfbbdd9ea825d268e110e7eca964de0968afb2081b80aad87d448",
+    "info --family symmetric:3 --format text":
+        "4db5e6dcccd8a1c4c08d7dce7c9f07d4a79278632809a09d512f6160d12bed03",
+    "info --family symmetric:3 --format json":
+        "9ea0cd118313e4f4678479ebaa5c69b2318d8e7a365078f643d311bcebf0640b",
+    "family --family symmetric:3 --format text":
+        "f7a93a12f6e3323374e59abc7744a12a5116dae11851949754179abf247ae6b0",
+    "family --family symmetric:3 --format json":
+        "52d56084e5acba8aba73892fdc170cd6c7f45a31748f149c419c806a513f5139",
+    "orientable --family symmetric:3 --format text":
+        "896cc5fb7e8460f2291f64543075bb2a764a7ab616834383e9bf4b0d09ecb12a",
+    "orientable --family symmetric:3 --format json":
+        "e5cfac4d95e4567e14f4d95e75e26c935a4c6ea3bd497c9620b26ced965f2c04",
+    "orientable --family symmetric:3 --exact --format text":
+        "2b0c3d525dc8bbd03fb2d4d1ae5339bf7c96ee07807ee222542c04e20219375e",
+    "orientable --family symmetric:3 --exact --format json":
+        "23c589ad9f350b6d76358573456ce9652532a7d299d39d32ab885d548083c09d",
+    "witness --family symmetric:3 --element 120 --format text":
+        "a00b0aa6076c5c797f9fa7c879c64a8921e1944985c7ade82c83c2130f3117a4",
+    "witness --family symmetric:3 --element 120 --format json":
+        "bf19567f95e2813354daa788caf66cf02ea0ca0bb0f2d17523e3e4cc803ba7be",
+    "witness --family symmetric:3 --element 120 --exact --format text":
+        "a00b0aa6076c5c797f9fa7c879c64a8921e1944985c7ade82c83c2130f3117a4",
+    "witness --family symmetric:3 --element 120 --exact --format json":
+        "bf19567f95e2813354daa788caf66cf02ea0ca0bb0f2d17523e3e4cc803ba7be",
+    "witness --family symmetric:3 --pair 120,201 --format text":
+        "4a9845addfc5cf7685cfc26c7634baf894535448edafa91dd596dbd36b88e1b1",
+    "witness --family symmetric:3 --pair 120,201 --format json":
+        "4471dbd7787886b68ff4b9fc4bed010ff3cbf5683493c4a19f2c82ae4bb70441",
+    "witness --family symmetric:3 --pair 120,201 --exact --format text":
+        "6de8ef9e951d6dc67092b5224fbb3929278332e492d346e8532c6dd7bae717df",
+    "witness --family symmetric:3 --pair 120,201 --exact --format json":
+        "9f25edb5516f045da5de0cc217f366383b8495b75dcb0825b5fedb95f2c0cc7a",
+    "sigma --family symmetric:3 --format text":
+        "4e039c63bd7b62aba404b5f8d13e58a1c8da22db38071614db2e67b14474a0c4",
+    "sigma --family symmetric:3 --format json":
+        "003743fb43a347259871872570093649cc1273211ac4d61f34bba732b761b785",
+    "sigma --family symmetric:3 --exact --format text":
+        "8a07878ae4e06e84f68259ce9da34a3c450755563ecb3ef0f37fda86addb2298",
+    "sigma --family symmetric:3 --exact --format json":
+        "cd1b1ec53a73b58d3db57bd4b90920eb32744c4dac6ba175cbd611481745ef76",
+    "quotient --family symmetric:3 --format text":
+        "e3021630f8967e2c69368ff942c18fd0f6db6005da75e111804101325047a1ff",
+    "quotient --family symmetric:3 --format json":
+        "f17dc872d70ef22bf08bc47bea1485bd5a77843ff9e94874a6a5a536fda60ebc",
+    "quotient --family symmetric:3 --exact --format text":
+        "c6ea19a2e87df02e358cfb773461830f335ccc7c3ae5833e9b083784aab0efd0",
+    "quotient --family symmetric:3 --exact --format json":
+        "8f3bf4e40927b3a5c484eb1a455be1891836eb9c18918b9019d51d1da42e8308",
+    "commutator --family symmetric:3 --format text":
+        "43065e7e6c2881e8e040bef1b2fb359293b7e7f92833b01fccbe046788b4f10e",
+    "commutator --family symmetric:3 --format json":
+        "f9cd17699fb684a0c4a83ec84217831cc4696028fc6da8c876bbfe048df6e059",
+    "commutator --family symmetric:3 --pair 102,210 --format text":
+        "fe3a8dbaf2f6b5a82f470342b25c3f56b48662483ac64f8717feb6f118119f34",
+    "commutator --family symmetric:3 --pair 102,210 --format json":
+        "8e36418cd9c81e92e797166dc9e6c1746daa2ec66186f02feccf89d0a1a00a55",
+    "abelianization --family symmetric:3 --format text":
+        "f46ed3b2b09c81f37a06ee72a087546273bad5a500e9f1b0642b83b7b0dd1c59",
+    "abelianization --family symmetric:3 --format json":
+        "d5ebfe22d882913160710bc556c4baa5f4c35e65aae63d9485ecd15c050206cd",
+    "verify --family symmetric:3 --format text":
+        "0f953913a39713de741af3bfba4ea48241142d00d96e2519472faaaa5edf436d",
+    "verify --family symmetric:3 --format json":
+        "a960c8b97939286a0823e12d7a4e6b9227b16ef0c4dd701a7c82badda9a2ccaf",
+    "witness --family symmetric:3 --element 102 --format text":
+        "dba7e628a1b96cd8a1b93ad7e71bdeb55548060b2ed9b8bfa7d07e7f56dfe239",
+    "witness --family symmetric:3 --element 102 --format json":
+        "8e636c192c129e9c5a26a4e24e3fdd1885ca2eda566814b098385d63a2c23722",
+    "witness --family symmetric:3 --element 102 --exact --format text":
+        "e16a1d80b1dfc23d7e8da11525ac8451561a9ca78f34344469f41d99ddb84c6d",
+    "witness --family symmetric:3 --element 102 --exact --format json":
+        "9d6ff63911c8529e54623a5ea3eb202cb23467a57bde0be220f388831a62aa68",
+    "witness --family symmetric:3 --pair 120,102 --format text":
+        "6b0a53e65280d000b48a2e54ff54c1bd3cef243374ee80cec08f9a51434dfd34",
+    "witness --family symmetric:3 --pair 120,102 --format json":
+        "61b361156ded83c14efb6d63ccf25918bfd7482d6d99779a7279bb6e7ad6be56",
+    "witness --family symmetric:3 --pair 120,102 --exact --format text":
+        "6c1ab009f5c9c8f5f16f8d5c8116c5405814b006a1d63cc5d924a4d8c32c5f63",
+    "witness --family symmetric:3 --pair 120,102 --exact --format json":
+        "97b1318608607845979a5b73fd3d8ac43ea4428db5c43ff41b792d7badd096de",
+    "check --family leftzero:3 --format text":
+        "566a02cf1bc6e19c64c59b689d754b679e0d5a2b2eb239ef0287b6842405bac0",
+    "check --family leftzero:3 --format json":
+        "67cd82e94775119b9f9648037e5b52bfb21202e30221666172511300ce0409ea",
+    "info --family leftzero:3 --format text":
+        "e6350a8b9b9de51afd1d4ea420981d7c180e26f0118cd7f27d66e57839c754a7",
+    "info --family leftzero:3 --format json":
+        "d40e39caa7d3227da98e32766b12a07cebebe00ee86d6257751a73a4cea267d0",
+    "family --family leftzero:3 --format text":
+        "3824af03d2efceb8df8e4be0536e0934245784807db016321470c2ae627e65ae",
+    "family --family leftzero:3 --format json":
+        "65247e4810f2e4a5725928465456948b41d0bd5cba18063e759f72609407bcbc",
+    "orientable --family leftzero:3 --format text":
+        "aa2214854b68b473ad0f7c172706ad7df5623a08154435a92ea5e6b3e3c02ca9",
+    "orientable --family leftzero:3 --format json":
+        "c002a9cf53f53d5115aee807edadc1deb2d79302b9e21e4d661e5bc8d5570147",
+    "orientable --family leftzero:3 --exact --format text":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "orientable --family leftzero:3 --exact --format json":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "witness --family leftzero:3 --element x0 --format text":
+        "9bd198e071c9e6befac473b85261b8832eec430e23ac8aa94ab448aa9a86ccff",
+    "witness --family leftzero:3 --element x0 --format json":
+        "ddede20fe515ca9f5aa4a24aae0be3a2fde2bf6bcb04a5547610bddc833474b9",
+    "witness --family leftzero:3 --element x0 --exact --format text":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "witness --family leftzero:3 --element x0 --exact --format json":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "witness --family leftzero:3 --pair x0,x1 --format text":
+        "6243bd1670bdeeaf19705c386375b5b7c7b8eedd81e17a364e01709f29ab6a9d",
+    "witness --family leftzero:3 --pair x0,x1 --format json":
+        "ea8c897809cd790bc6d7d56fee5ca00870b188b7735458e4a44054999d43d00a",
+    "witness --family leftzero:3 --pair x0,x1 --exact --format text":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "witness --family leftzero:3 --pair x0,x1 --exact --format json":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "sigma --family leftzero:3 --format text":
+        "e0caac06a9419cd03e78b5fa881164c6de72ea50fac52ecaca643b64f03b4cfe",
+    "sigma --family leftzero:3 --format json":
+        "f3c4fd0067b5d6c671990f302ddbb881be838e56ca5c2a4ac465641125696943",
+    "sigma --family leftzero:3 --exact --format text":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "sigma --family leftzero:3 --exact --format json":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "quotient --family leftzero:3 --format text":
+        "e80acfe0d3ba1638488d2cb9c319fda325cd06d58b713b5eae252e3b4f0dbbb5",
+    "quotient --family leftzero:3 --format json":
+        "df8d48251714461c7012db8df567c3d07b1f932b960a9241163597f81a5cbe9e",
+    "quotient --family leftzero:3 --exact --format text":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "quotient --family leftzero:3 --exact --format json":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "commutator --family leftzero:3 --format text":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "commutator --family leftzero:3 --format json":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "commutator --family leftzero:3 --pair x0,x1 --format text":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "commutator --family leftzero:3 --pair x0,x1 --format json":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "abelianization --family leftzero:3 --format text":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "abelianization --family leftzero:3 --format json":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "verify --family leftzero:3 --format text":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "verify --family leftzero:3 --format json":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "verify --family leftzero:3 --suite propositions --format text":
+        "b8b03d2c24f7a9c6792b83acb6f77d5046345523f0e00b79da0a725b0f2357dc",
+    "verify --family leftzero:3 --suite propositions --format json":
+        "61dc355cb010645736ae85afd32fb89ac14a6f2cd58c743ac5d9f09982e38e70",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_output_bytes_are_pinned(argv):
+    code, out, _ = invoke(*argv.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == GOLDEN[argv]
