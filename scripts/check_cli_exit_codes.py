@@ -52,6 +52,8 @@ def main() -> int:
         (["nosuchverb"], 2),
         (["orientable", "--family", "cyclic:3", "--bound", "x"], 2),
         (["check", "--family", "cyclic:1001"], 2),  # over the order cap
+        # a nested operand over the order cap
+        (["check", "--family", "directproduct:directproduct:cyclic:40,cyclic:40,cyclic:2"], 2),
         (["commutator", "--family", "leftzero:3"], 3),
         (["abelianization", "--family", "null:3"], 3),
         (["verify", "--family", "leftzero:3", "--suite", "theorems"], 3),

@@ -12,6 +12,14 @@ class FamilyError(SemigroupError):
     """Unknown family name or parameter outside the supported range."""
 
 
+class _SpecSyntaxError(FamilyError):
+    """A spec that does not parse, as opposed to one that parses but names no table.
+
+    Only this kind sends ``_split_product_spec`` on to the next comma: a range
+    or order-cap error comes from an operand that parsed, so it is final.
+    """
+
+
 # groups small enough for the exhaustive verification suites
 GROUP_FAMILIES = tuple(f"cyclic:{n}" for n in range(1, 9)) + (
     "klein4",
@@ -155,16 +163,16 @@ def _split_product_spec(spec: str) -> tuple[Semigroup, Semigroup]:
     # nested products contain commas themselves, so try each split point
     positions = [i for i, ch in enumerate(spec) if ch == ","]
     if not positions:
-        raise FamilyError("directproduct takes two comma-separated family specs")
+        raise _SpecSyntaxError("directproduct takes two comma-separated family specs")
     for pos in positions:
         left, right = spec[:pos], spec[pos + 1 :]
         if not left or not right:
             continue
         try:
             return make_family(left), make_family(right)
-        except FamilyError:
+        except _SpecSyntaxError:
             continue
-    raise FamilyError(f"cannot parse directproduct operands {spec!r}")
+    raise _SpecSyntaxError(f"cannot parse directproduct operands {spec!r}")
 
 
 def _directproduct(spec: str) -> Semigroup:
@@ -205,20 +213,20 @@ def make_family(spec: str) -> Semigroup:
     name, sep, rest = spec.partition(":")
     if name == "directproduct":
         if not sep:
-            raise FamilyError("directproduct needs two family specs")
+            raise _SpecSyntaxError("directproduct needs two family specs")
         return _directproduct(rest)
     if name in _NO_PARAM:
         if sep:
-            raise FamilyError(f"{name} takes no parameter")
+            raise _SpecSyntaxError(f"{name} takes no parameter")
         return _NO_PARAM[name]()
     if name not in _INT_PARAM:
-        raise FamilyError(f"unknown family {name!r}")
+        raise _SpecSyntaxError(f"unknown family {name!r}")
     if not sep or not rest:
-        raise FamilyError(f"{name} needs an integer parameter, e.g. {name}:3")
+        raise _SpecSyntaxError(f"{name} needs an integer parameter, e.g. {name}:3")
     try:
         n = int(rest)
     except ValueError:
-        raise FamilyError(f"{name} parameter must be an integer, got {rest!r}") from None
+        raise _SpecSyntaxError(f"{name} parameter must be an integer, got {rest!r}") from None
     # every integer family has order at least n (dihedral: exactly 2n)
     if (2 * n if name == "dihedral" else n) > MAX_ORDER:
         raise FamilyError(f"{spec} has order above the maximum {MAX_ORDER}")

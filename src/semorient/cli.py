@@ -13,6 +13,7 @@ to_text)``, two lazy renderers over the same values; ``run`` alone reads
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -473,7 +474,8 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help writes to stdout
+            args = build_parser().parse_args(argv)
         code, to_json, to_text = _COMMANDS[args.verb](args)
         text = json.dumps(to_json(), indent=2) + "\n" if args.format == "json" else to_text()
     except SystemExit as exc:  # --help has printed its text

@@ -36,6 +36,16 @@ def first_assoc_violation(table):
     return None
 
 
+def magma_closure(table, generators):
+    """Smallest set holding ``generators`` and every product of two members, by fixpoint."""
+    members = set(generators)
+    while True:
+        grown = members | {table[x][y] for x in members for y in members}
+        if grown == members:
+            return members
+        members = grown
+
+
 def all_associative_tables(n):
     """Every associative Cayley table on {0..n-1}; feasible for n <= 3."""
     cells = n * n

@@ -168,6 +168,26 @@ def test_family_errors(spec):
         make_family(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # an operand that parses but names no table ends the search for a split
+        ("directproduct:directproduct:cyclic:40,cyclic:40,cyclic:2",
+         "directproduct:cyclic:40,cyclic:40 has order 1600, above the maximum 1000"),
+        ("directproduct:cyclic:2,directproduct:cyclic:3,cyclic:1001",
+         "cyclic:1001 has order above the maximum 1000"),
+        ("directproduct:symmetric:5,cyclic:2", "symmetric:n supports 1 <= n <= 4"),
+        # an operand that does not parse sends it on to the next comma, and past the last
+        ("directproduct:nosuch:3,cyclic:2",
+         "cannot parse directproduct operands 'nosuch:3,cyclic:2'"),
+    ],
+)
+def test_directproduct_operand_errors(spec, message):
+    with pytest.raises(FamilyError) as exc:
+        make_family(spec)
+    assert str(exc.value) == message
+
+
 def test_make_family_is_deterministic():
     assert make_family("dihedral:4") == make_family("dihedral:4")
     assert make_family("symmetric:3") is make_family("symmetric:3")  # cached

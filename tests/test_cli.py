@@ -67,8 +67,10 @@ def test_usage_errors_exit_2():
 
 
 def test_help_exits_0(capsys):
-    assert invoke("--help") == (0, "", "")
-    assert capsys.readouterr().out.startswith("usage: semorient")
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: semorient")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_dash_names_pass_with_equals_sign():
@@ -112,6 +114,17 @@ def test_family_order_cap_rejects_before_building(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(catalog, "_table_from_op", _refuse)
     code, out, err = invoke("check", "--family", "directproduct:cyclic:40,cyclic:40")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: usage: directproduct:cyclic:40,cyclic:40 has order 1600, "
+        "above the maximum 1000\n"
+    )
+
+
+def test_nested_product_over_the_cap_reports_the_cap():
+    code, out, err = invoke(
+        "check", "--family", "directproduct:directproduct:cyclic:40,cyclic:40,cyclic:2"
+    )
     assert (code, out) == (2, "")
     assert err == (
         "error: usage: directproduct:cyclic:40,cyclic:40 has order 1600, "

@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semorient.catalog import CATALOG_FAMILIES, make_family
 from semorient.core import (
+    MAX_ORDER,
     AssociativityError,
     CompatibilityError,
     Congruence,
@@ -22,10 +25,11 @@ from semorient.core import (
     quotient,
     serialize_table,
 )
+from semorient.core import _magma_generators  # private: the greedy set is checked directly
 from semorient.groups import commutator_subgroup, group_structure
 
 from conftest import FIXTURES
-from oracles import first_assoc_violation, transformation_table
+from oracles import first_assoc_violation, magma_closure, transformation_table
 
 BROKEN_2X2 = [[1, 1], [1, 0]]  # xor-with-1 magma
 
@@ -114,6 +118,81 @@ def test_check_associativity_ok_tables(z4):
 def test_check_associativity_broken():
     assert check_associativity(BROKEN_2X2) == first_assoc_violation(BROKEN_2X2)
     assert check_associativity(BROKEN_2X2) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_associativity_matches_oracle_on_every_small_magma(n):
+    # all n^(n*n) tables: 1, 16 and 19683
+    for flat in product(range(n), repeat=n * n):
+        table = [flat[i * n : (i + 1) * n] for i in range(n)]
+        assert check_associativity(table) == first_assoc_violation(table), table
+
+
+def _left_zeros_then(group, zeros):
+    """``zeros`` left zeros first, then the group; g*l = l for every g."""
+    n = zeros + group.order
+    rows = [[i] * n for i in range(zeros)]
+    rows += [list(range(zeros)) + [zeros + x for x in row] for row in group.table]
+    return rows
+
+
+def _rectangular_band(p, q):
+    # (a, b)(c, d) = (a, d), element (a, b) at index a*q + b
+    return [[(x // q) * q + y % q for y in range(p * q)] for x in range(p * q)]
+
+
+_NEAR_ASSOCIATIVE = [
+    make_family(spec).table
+    for spec in CATALOG_FAMILIES + ("dihedral:12", "directproduct:symmetric:3,cyclic:4")
+] + [
+    _left_zeros_then(make_family("symmetric:3"), 4),
+    _left_zeros_then(make_family("quaternion8"), 6),
+    _rectangular_band(2, 3),
+]
+
+
+def test_near_associative_bases_are_associative():
+    for table in _NEAR_ASSOCIATIVE:
+        assert len(table) <= 24
+        assert check_associativity(table) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_associativity_matches_oracle_after_one_cell_change(data):
+    # tables one cell away from associative are where a wrong generating set would show
+    table = [list(row) for row in data.draw(st.sampled_from(_NEAR_ASSOCIATIVE))]
+    n = len(table)
+    i, j, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    table[i][j] = v
+    assert check_associativity(table) == first_assoc_violation(table)
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        (make_family("leftzero:5").table, [0, 1, 2, 3, 4]),
+        (make_family("null:5").table, [0, 1, 2, 3, 4]),
+        (_rectangular_band(2, 3), [0, 1, 2, 3]),
+        (make_family("dihedral:12").table, [0, 1, 12]),  # e, r, s
+        # z, a, b, ab with every other product z: ab is an earlier member times a later one
+        ([[0, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [0, 1, 2]),
+    ],
+)
+def test_magma_generators_are_greedy_and_generate_everything(table, expected):
+    generators = _magma_generators(table)
+    assert generators == expected
+    assert magma_closure(table, generators) == set(range(len(table)))
+    for k, a in enumerate(generators):
+        # each generator is the smallest element the earlier ones do not generate
+        missing = set(range(len(table))) - magma_closure(table, generators[:k])
+        assert a == min(missing)
+
+
+def test_check_associativity_at_the_order_cap():
+    s = make_family("dihedral:500")
+    assert s.order == MAX_ORDER
+    assert check_associativity(s.table) is None
 
 
 def test_semigroup_constructor_rejects_bad_tables():
