@@ -61,6 +61,8 @@ def main() -> int:
         (["orientable", "--family", "fulltransformation:2", "--exact"], 4),
         (["quotient", "--family", "null:3", "--exact"], 4),
         (["witness", "--family", "cyclic:4", "--element", "1", "--exact"], 0),
+        # outside [G, G]: answered by the commutative-image filter, not a bound-7 search
+        (["witness", "--family", "cyclic:12", "--element", "1", "--bound", "7"], 0),
         (["verify", "--family", "quaternion8", "--suite", "all"], 0),
         (["orientable", "--family", "symmetric:3", "--bound", "3", "--format", "json"], 0),
         (["quotient", "--family", "symmetric:3", "--exact"], 0),

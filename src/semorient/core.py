@@ -455,6 +455,23 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
     return result
 
 
+@lru_cache(maxsize=None)
+def commutative_congruence(s: Semigroup) -> Congruence:
+    """κ, the least congruence with a commutative quotient: generated by every (xy, yx).
+
+    It bounds every equation search from above. Let φ: S → S/κ. A witness
+    a = b*g*c carries one factor multiset on both sides and S/κ is
+    commutative, so φ(a) = φ(b)φ(c) and φ(a) = φ(g)φ(b)φ(c) = φ(g)φ(a): the
+    class of g fixes the class w = φ(a). Likewise a*u*b = c*v*d forces
+    [u]w = [v]w for w the class of the whole multiset. So an element whose
+    class fixes no class, or a pair with [u]w != [v]w for every class w, has
+    no witness at any bound. On a group S/κ = G/[G, G].
+    """
+    t = s.table
+    n = s.order
+    return generated_congruence(s, [(t[x][y], t[y][x]) for x in range(n) for y in range(x)])
+
+
 def quotient(s: Semigroup, c: Congruence) -> Semigroup:
     """Quotient semigroup on congruence classes; compatibility is re-verified here.
 

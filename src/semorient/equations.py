@@ -6,6 +6,9 @@ base elements. Validity needs the factor multisets of the two sides to agree
 and the substituted products to be equal. Searches are exhaustive up to a
 factor-count bound and return the canonical minimal witness: smallest factor
 count first, then the lexicographically smallest word tuple (a, b, c[, d]).
+The public entry points search only the elements and pairs that pass the
+commutative-image test of ``core.commutative_congruence``; the others have no
+witness at any bound and get None without a search.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
-from .core import Congruence, Monoid1, Word, eval_word, generated_congruence
+from .core import (
+    Congruence,
+    Monoid1,
+    Word,
+    commutative_congruence,
+    eval_word,
+    generated_congruence,
+)
 
 ONE_VAR_DEFAULT_BOUND = 4
 TWO_VAR_DEFAULT_BOUND = 3
@@ -225,16 +235,18 @@ def _multisets(m: Monoid1, n: int) -> Iterator[_Multiset]:
         yield _Multiset(m.table, m.identity_index, multiset)
 
 
-def _one_var_search(
+def unfiltered_one_var_search(
     m: Monoid1, elements: Sequence[int], bound: int
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical minimal witness (or None) for each element, sharing all per-multiset work.
 
-    Element g reads first[t[t[p][g]][s]] for each split key (p, s) in
-    ascending (b, c) order; the smallest ordering index, at its first
-    position, gives the multiset's smallest (a, b, c). The orderings of two
-    different multisets never coincide, so across multisets a alone decides.
-    Elements found at one size drop out before the next.
+    Every element given is searched, with no commutative-image filter, so a
+    check that must not hold by construction can call it. Element g reads
+    first[t[t[p][g]][s]] for each split key (p, s) in ascending (b, c) order;
+    the smallest ordering index, at its first position, gives the multiset's
+    smallest (a, b, c). The orderings of two different multisets never
+    coincide, so across multisets a alone decides. Elements found at one size
+    drop out before the next.
     """
     _check_bound(bound)
     for g in elements:
@@ -265,16 +277,17 @@ def _one_var_search(
     return {g: found.get(g) for g in elements}
 
 
-def _two_var_search(
+def unfiltered_two_var_search(
     m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
 ) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
     """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
 
-    For each multiset every element x gets one map: value of b*x*c -> position
-    of the smallest split (b, c) with that value. Each split gives u one
-    value, so the shared value of (u, v) whose left position is lowest
-    carries the smallest (a, b), and the right map its smallest (c, d).
-    Across multisets (a, b) alone decides, as in the one-variable case.
+    Every pair given is searched, with no commutative-image filter. For each
+    multiset every element x gets one map: value of b*x*c -> position of the
+    smallest split (b, c) with that value. Each split gives u one value, so
+    the shared value of (u, v) whose left position is lowest carries the
+    smallest (a, b), and the right map its smallest (c, d). Across multisets
+    (a, b) alone decides, as in the one-variable case.
     """
     _check_bound(bound)
     for u, v in pairs:
@@ -311,6 +324,46 @@ def _two_var_search(
     return {pair: found.get(pair) for pair in pairs}
 
 
+def _kappa(m: Monoid1) -> tuple[tuple[int, ...], list[int]]:
+    """The κ-class of each base element and the smallest member of each class, by class id."""
+    kappa = commutative_congruence(m.base)
+    return kappa.class_of, [members[0] for members in kappa.classes()]
+
+
+def _one_var_candidates(m: Monoid1, elements: Sequence[int]) -> list[int]:
+    """The elements whose κ-class fixes some class, in input order; the rest have no witness.
+
+    The adjoined identity is not in S/κ; it is always kept.
+    """
+    cls, reps = _kappa(m)
+    t, e = m.table, m.identity_index
+    keep = []
+    for g in elements:
+        _check_index(m, g)
+        if g == e or any(cls[t[g][r]] == w for w, r in enumerate(reps)):
+            keep.append(g)
+    return keep
+
+
+def _two_var_candidates(
+    m: Monoid1, pairs: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs (u, v) with [u]w = [v]w for some κ-class w, in input order.
+
+    The rest have no witness. A pair holding the adjoined identity, which is
+    not in S/κ, is always kept.
+    """
+    cls, reps = _kappa(m)
+    t, e = m.table, m.identity_index
+    keep = []
+    for u, v in pairs:
+        _check_index(m, u)
+        _check_index(m, v)
+        if e in (u, v) or any(cls[t[u][r]] == cls[t[v][r]] for r in reps):
+            keep.append((u, v))
+    return keep
+
+
 def search_one_var(
     m: Monoid1, g: int, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> Optional[OneVarWitness]:
@@ -319,17 +372,21 @@ def search_one_var(
     The balance condition forces both sides of a witness onto the same factor
     multiset, so for each multiset of size n we take any ordering as a and any
     ordering with a split point as (b, c); b and c are contiguous products, so
-    this covers every factorization. None means no witness of that size
-    exists, which is not a proof that g satisfies no equation at all.
+    this covers every factorization. An element that fails the
+    commutative-image test gets None without a search. Otherwise None means
+    no witness of that size exists, which is not a proof that g satisfies no
+    equation at all.
     """
-    return _one_var_search(m, [g], bound)[g]
+    return unfiltered_one_var_search(m, _one_var_candidates(m, [g]), bound).get(g)
 
 
 def orientable_set(
     m: Monoid1, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical witness (or None) for every base element, in index order."""
-    return _one_var_search(m, range(m.base.order), bound)
+    everything = range(m.base.order)
+    found = unfiltered_one_var_search(m, _one_var_candidates(m, everything), bound)
+    return {g: found.get(g) for g in everything}
 
 
 def search_two_var(
@@ -339,9 +396,10 @@ def search_two_var(
 
     Each side of a valid witness carries the same size-n factor multiset, so
     both sides range over orderings of one multiset with independent split
-    points. None means no witness that small, not unrelatedness.
+    points. A pair that fails the commutative-image test gets None without a
+    search. Otherwise None means no witness that small, not unrelatedness.
     """
-    return _two_var_search(m, [(u, v)], bound)[(u, v)]
+    return unfiltered_two_var_search(m, _two_var_candidates(m, [(u, v)]), bound).get((u, v))
 
 
 @dataclass
@@ -362,7 +420,8 @@ class SigmaReport:
 def sigma_report(m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND) -> SigmaReport:
     """Relate all ordered pairs that have a witness of size <= bound, by bounded search."""
     everything = [(u, v) for u in range(m.base.order) for v in range(m.base.order)]
-    found = _two_var_search(m, everything, bound)
+    found = unfiltered_two_var_search(m, _two_var_candidates(m, everything), bound)
+    # candidates keep their ascending (u, v) order
     pairs = {pair: w for pair, w in found.items() if w is not None}
     cong = generated_congruence(m.base, list(pairs))
     return SigmaReport(bound, pairs, cong, "lower-bound")

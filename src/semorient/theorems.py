@@ -34,9 +34,9 @@ from .equations import (
     OneVarWitness,
     SigmaReport,
     TwoVarWitness,
-    _one_var_search,
-    orientable_set,
     sigma_report,
+    unfiltered_one_var_search,
+    unfiltered_two_var_search,
     validate_one_var,
     validate_two_var,
 )
@@ -298,7 +298,9 @@ def verify_orientable_is_commutator_subgroup(
     )
 
     failures = []
-    found = orientable_set(m, bound)
+    # unfiltered: the commutative-image filter would make soundness hold by construction
+    everything = range(s.order)
+    found = unfiltered_one_var_search(m, everything, bound)
     for g, w in found.items():
         if w is None:
             continue
@@ -317,7 +319,7 @@ def verify_orientable_is_commutator_subgroup(
     )
 
     big = max(bound, 2 + 4 * (max(k_max, 1) - 1))
-    full = found if big == bound else orientable_set(m, big)
+    full = found if big == bound else unfiltered_one_var_search(m, everything, big)
     got = {g for g, w in full.items() if w is not None}
     failures = (
         []
@@ -387,7 +389,13 @@ def verify_sigma_is_abelianization(
     )
 
     failures = []
-    found = sigma_report(m, bound).pairs
+    # unfiltered, as in bounded-search-sound
+    everything = [(u, v) for u in range(s.order) for v in range(s.order)]
+    found = {
+        pair: w
+        for pair, w in unfiltered_two_var_search(m, everything, bound).items()
+        if w is not None
+    }
     for (u, v), w in found.items():
         problem = validate_two_var(m, u, v, w)
         if problem is not None:
@@ -492,10 +500,11 @@ def verify_semigroup_properties(
     )
 
     failures = []
-    at_bound = orientable_set(m, one_var_bound)
+    # unfiltered at both bounds: the check tests the search itself
+    at_bound = unfiltered_one_var_search(m, range(n), one_var_bound)
     found = [g for g, w in at_bound.items() if w is not None]
     # only elements found at the bound: the others would need the whole next size
-    at_next = _one_var_search(m, found, one_var_bound + 1)
+    at_next = unfiltered_one_var_search(m, found, one_var_bound + 1)
     for g in found:
         w1, w2 = at_bound[g], at_next[g]
         if w2 is None:

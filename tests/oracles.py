@@ -202,3 +202,33 @@ def bfs_commutator_decomposition(group, g):
         cur = back
     pairs.reverse()
     return tuple(pairs)
+
+
+def set_partitions(n):
+    """Every partition of {0..n-1} as a tuple of class ids in first-appearance order."""
+
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(used + 1):
+            yield from grow(prefix + [c], max(used, c + 1))
+
+    yield from grow([], 0)
+
+
+def commutative_congruences(table):
+    """Every partition that is compatible with the table and has a commutative quotient."""
+    n = len(table)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    for cls in set_partitions(n):
+        if any(cls[table[x][y]] != cls[table[y][x]] for x, y in pairs):
+            continue
+        if all(
+            cls[table[u][v]] == cls[table[u2][v2]]
+            for u, u2 in pairs
+            if cls[u] == cls[u2]
+            for v, v2 in pairs
+            if cls[v] == cls[v2]
+        ):
+            yield cls

@@ -14,6 +14,7 @@ from semorient.core import (
     TableFormatError,
     adjoin_identity,
     check_associativity,
+    commutative_congruence,
     compatibility_violation,
     eval_word,
     generated_congruence,
@@ -29,7 +30,13 @@ from semorient.core import _magma_generators  # private: the greedy set is check
 from semorient.groups import commutator_subgroup, group_structure
 
 from conftest import FIXTURES
-from oracles import first_assoc_violation, magma_closure, transformation_table
+from oracles import (
+    all_associative_tables,
+    commutative_congruences,
+    first_assoc_violation,
+    magma_closure,
+    transformation_table,
+)
 
 BROKEN_2X2 = [[1, 1], [1, 0]]  # xor-with-1 magma
 
@@ -304,6 +311,21 @@ def test_generated_congruence_commutation_pairs_equal_cosets(group_family):
     from semorient.groups import coset_congruence
 
     assert c == coset_congruence(g)
+
+
+def test_commutative_congruence_is_the_least_one():
+    # brute force over every partition: κ is a commutative congruence and refines all others
+    tables = [raw for n in (1, 2, 3) for raw in all_associative_tables(n)]
+    specs = ("fulltransformation:2", "klein4", "dihedral:3")
+    tables += [make_family(spec).table for spec in specs]
+    for raw in tables:
+        s = make_semigroup([f"x{i}" for i in range(len(raw))], raw)
+        kappa = commutative_congruence(s).class_of
+        found = list(commutative_congruences(s.table))
+        assert kappa in found
+        for other in found:
+            merged = [(x, y) for x in range(s.order) for y in range(x) if kappa[x] == kappa[y]]
+            assert all(other[x] == other[y] for x, y in merged)
 
 
 def test_generated_congruence_rejects_bad_pairs(z4):

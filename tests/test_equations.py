@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semorient.catalog import CATALOG_FAMILIES, make_family
-from semorient.core import adjoin_identity, eval_word, make_semigroup
+from semorient.core import (
+    adjoin_identity,
+    commutative_congruence,
+    eval_word,
+    is_commutative,
+    make_semigroup,
+)
 from semorient.equations import (
     OneVarWitness,
     TwoVarWitness,
@@ -17,11 +23,18 @@ from semorient.equations import (
     sigma_report,
     two_var_to_json,
     two_var_to_text,
+    unfiltered_one_var_search,
+    unfiltered_two_var_search,
     validate_one_var,
     validate_two_var,
     witness_from_json,
 )
-from semorient.equations import _Multiset, _orderings
+from semorient.equations import (  # private: the search data and the filter are checked directly
+    _Multiset,
+    _one_var_candidates,
+    _orderings,
+    _two_var_candidates,
+)
 from semorient.groups import NotAGroupError, commutator_subgroup, group_structure
 from semorient.theorems import exact_sigma_report
 
@@ -323,6 +336,87 @@ def test_idempotent_canonical_witness(catalog_family):
     for e in range(s.order):
         if s.table[e][e] == e:
             assert validate_one_var(m, e, OneVarWitness((e, e), (e,), (e,))) is None
+
+
+# ------------------------------------------------------- commutative image
+
+
+SMALL_TABLES = [
+    make_semigroup([f"x{i}" for i in range(n)], raw)
+    for n in (1, 2, 3)
+    for raw in all_associative_tables(n)
+]
+
+
+def _assert_filter_keeps_search_results(s):
+    """The filtered entry points equal the unfiltered search; rejects have no witness."""
+    m = adjoin_identity(s)
+    n, e = s.order, m.identity_index
+    elements = range(n)
+    one = unfiltered_one_var_search(m, elements, 4)
+    assert orientable_set(m, 4) == one
+    for g in elements:
+        assert search_one_var(m, g, 4) == one[g]
+    kept = _one_var_candidates(m, elements)
+    assert kept == sorted(kept)
+    assert all(one[g] is None for g in elements if g not in kept)
+
+    pairs = [(u, v) for u in elements for v in elements]
+    two = unfiltered_two_var_search(m, pairs, 3)
+    assert sigma_report(m, 3).pairs == {pair: w for pair, w in two.items() if w is not None}
+    for u, v in pairs:
+        assert search_two_var(m, u, v, 3) == two[(u, v)]
+    kept_pairs = set(_two_var_candidates(m, pairs))
+    assert all(two[pair] is None for pair in pairs if pair not in kept_pairs)
+
+    # the adjoined identity is outside S/κ: it always reaches the search
+    assert _one_var_candidates(m, [e]) == [e]
+    assert _two_var_candidates(m, [(e, 0), (0, e)]) == [(e, 0), (0, e)]
+    assert search_one_var(m, e, 2) == unfiltered_one_var_search(m, [e], 2)[e]
+    assert search_two_var(m, e, 0, 2) == unfiltered_two_var_search(m, [(e, 0)], 2)[(e, 0)]
+
+
+def test_filter_keeps_search_results_on_every_small_table():
+    assert len(SMALL_TABLES) == 1 + 8 + 113
+    for s in SMALL_TABLES:
+        _assert_filter_keeps_search_results(s)
+
+
+def test_filter_keeps_search_results_on_catalog(catalog_family):
+    spec, s = catalog_family
+    _assert_filter_keeps_search_results(s)
+
+
+def test_filtered_searches_still_reject_bad_input():
+    m = monoid("cyclic:3")
+    with pytest.raises(ValueError):
+        search_one_var(m, 9, 2)
+    with pytest.raises(ValueError):
+        search_two_var(m, 0, 9, 2)
+    with pytest.raises(ValueError):
+        search_one_var(m, 1, 0)  # rejected by the filter, but the bound is still checked
+
+
+COMMUTATIVE_FAMILIES = [spec for spec in CATALOG_FAMILIES if is_commutative(make_family(spec))]
+
+
+@pytest.mark.parametrize("spec", ["small tables", *COMMUTATIVE_FAMILIES])
+def test_bound_one_decides_on_commutative_tables(spec):
+    # κ is trivial, and g*w = w gives the size-1 witness ([w], [w], []),
+    # u*w = v*w the size-1 witness ([], [w], [], [w])
+    if spec == "small tables":
+        tables = [s for s in SMALL_TABLES if is_commutative(s)]
+        assert len(tables) == 1 + 6 + 63
+    else:
+        tables = [make_family(spec)]
+    for s in tables:
+        assert commutative_congruence(s).num_classes == s.order
+        m = adjoin_identity(s)
+        elements = range(s.order)
+        found = {g for g, w in orientable_set(m, 1).items() if w is not None}
+        assert found == set(_one_var_candidates(m, elements))
+        pairs = [(u, v) for u in elements for v in elements]
+        assert set(sigma_report(m, 1).pairs) == set(_two_var_candidates(m, pairs))
 
 
 # -------------------------------------------------------------- sigma report

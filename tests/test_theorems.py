@@ -13,8 +13,9 @@ from semorient.catalog import (
     NONGROUP_FAMILIES,
     make_family,
 )
-from semorient.core import adjoin_identity, make_semigroup
+from semorient.core import adjoin_identity, commutative_congruence, make_semigroup
 from semorient.equations import validate_one_var, validate_two_var
+from semorient.equations import _one_var_candidates, _two_var_candidates  # private: the filter
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
 from semorient.theorems import (
     CommutatorDecomposition,
@@ -169,6 +170,20 @@ def test_tree_matches_per_call_bfs(spec):
         # the identity, 28 other commutators, and 3 products of two commutators
         assert s.order == 96
         assert sorted(lengths) == [0] + [1] * 28 + [2] * 3
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
+def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
+    # congruence closure on one side, the derived-subgroup tree on the other
+    s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
+    g = group_structure(s)
+    m = adjoin_identity(s)
+    elements = range(s.order)
+    assert commutative_congruence(s) == coset_congruence(g)
+    assert tuple(_one_var_candidates(m, elements)) == commutator_subgroup(g)
+    cosets = coset_congruence(g).class_of
+    pairs = [(u, v) for u in elements for v in elements]
+    assert _two_var_candidates(m, pairs) == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
 
 
 def test_builder_failure_raises_under_optimize():
