@@ -66,6 +66,13 @@ def main() -> int:
         (["verify", "--family", "quaternion8", "--suite", "all"], 0),
         (["orientable", "--family", "symmetric:3", "--bound", "3", "--format", "json"], 0),
         (["quotient", "--family", "symmetric:3", "--exact"], 0),
+        # --table, so each verb's deferred imports run in a process that never loads catalog
+        (["info", "--table", str(good)], 0),
+        (["commutator", "--table", str(good), "--pair", "e,a"], 0),
+        (["abelianization", "--table", str(good)], 0),
+        (["sigma", "--table", str(good), "--exact"], 0),
+        (["witness", "--table", str(good), "--pair", "e,a", "--exact"], 0),
+        (["verify", "--table", str(good), "--suite", "all"], 0),
     ]
 
     failures = 0

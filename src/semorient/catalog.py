@@ -5,11 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
-from .core import MAX_ORDER, Semigroup, SemigroupError
-
-
-class FamilyError(SemigroupError):
-    """Unknown family name or parameter outside the supported range."""
+from .core import MAX_ORDER, FamilyError, Semigroup
 
 
 class _SpecSyntaxError(FamilyError):

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
-from pathlib import Path
 from typing import Callable, Optional, TextIO
 
-from .catalog import FamilyError, make_family
+# only core at module level: each verb imports the layers it runs, so a call
+# loads no more code than it uses (``check --table`` loads core alone)
 from .core import (
+    ONE_VAR_DEFAULT_BOUND,
+    TWO_VAR_DEFAULT_BOUND,
     AssociativityError,
+    FamilyError,
+    NotAGroupError,
     Semigroup,
     TableFormatError,
     adjoin_identity,
@@ -31,38 +34,6 @@ from .core import (
     parse_table,
     quotient,
     serialize_table,
-)
-from .equations import (
-    ONE_VAR_DEFAULT_BOUND,
-    TWO_VAR_DEFAULT_BOUND,
-    one_var_to_json,
-    one_var_to_text,
-    orientable_set,
-    search_one_var,
-    search_two_var,
-    sigma_report,
-    two_var_to_json,
-    two_var_to_text,
-    validate_one_var,
-    validate_two_var,
-)
-from .groups import (
-    NotAGroupError,
-    abelianization,
-    commutator,
-    commutator_subgroup,
-    group_structure,
-)
-from .theorems import (
-    NotInDerivedSubgroupError,
-    NotRelatedError,
-    build_orientable_witness,
-    build_two_var_witness,
-    commutator_decomposition,
-    exact_sigma_report,
-    verify_orientable_is_commutator_subgroup,
-    verify_semigroup_properties,
-    verify_sigma_is_abelianization,
 )
 
 EXIT_OK = 0
@@ -150,12 +121,15 @@ def _load(args) -> tuple[Semigroup, str]:
         raise UsageError("exactly one of --table or --family is required")
     if args.table:
         try:
-            text = Path(args.table).read_text(encoding="utf-8")
+            with open(args.table, encoding="utf-8") as f:
+                text = f.read()
         except OSError as exc:
             raise UsageError(f"cannot read table file: {exc}") from None
         except UnicodeDecodeError as exc:
             raise TableFormatError(f"not valid UTF-8 at byte offset {exc.start}") from None
         return parse_table(text), args.table
+    from .catalog import make_family
+
     return make_family(args.family), args.family
 
 
@@ -183,6 +157,8 @@ def _pair(s: Semigroup, spec: str) -> tuple[int, int]:
 
 
 def _group_for_exact(s: Semigroup):
+    from .groups import group_structure
+
     try:
         return group_structure(s)
     except NotAGroupError as exc:
@@ -217,6 +193,8 @@ def _cmd_check(args) -> Result:
 
 
 def _cmd_info(args) -> Result:
+    from .groups import commutator_subgroup, group_structure
+
     s, subject = _load(args)
     try:
         group = group_structure(s)
@@ -262,14 +240,21 @@ def _cmd_info(args) -> Result:
 def _cmd_family(args) -> Result:
     if args.table or not args.family:
         raise UsageError("family requires --family and takes no --table")
+    from .catalog import make_family
+
     return _table_result(make_family(args.family), {"spec": args.family})
 
 
 def _cmd_orientable(args) -> Result:
+    from .equations import one_var_to_json, one_var_to_text, orientable_set
+
     s, subject = _load(args)
     m = adjoin_identity(s)
     one_var_bound, _ = _bounds(args)
     if args.exact:
+        from .groups import commutator_subgroup
+        from .theorems import build_orientable_witness, commutator_decomposition
+
         group = _group_for_exact(s)
         found = dict.fromkeys(range(s.order))
         for g in commutator_subgroup(group):
@@ -309,6 +294,17 @@ def _cmd_orientable(args) -> Result:
 
 
 def _cmd_witness(args) -> Result:
+    from .equations import (
+        one_var_to_json,
+        one_var_to_text,
+        search_one_var,
+        search_two_var,
+        two_var_to_json,
+        two_var_to_text,
+        validate_one_var,
+        validate_two_var,
+    )
+
     s, _ = _load(args)
     m = adjoin_identity(s)
     one_var_bound, two_var_bound = _bounds(args)
@@ -327,6 +323,14 @@ def _cmd_witness(args) -> Result:
         bound = one_var_bound if one else two_var_bound
         w = search(m, *target, bound)
     else:
+        from .theorems import (
+            NotInDerivedSubgroupError,
+            NotRelatedError,
+            build_orientable_witness,
+            build_two_var_witness,
+            commutator_decomposition,
+        )
+
         bound, group = None, _group_for_exact(s)
         try:
             if one:
@@ -358,11 +362,17 @@ def _cmd_witness(args) -> Result:
 def _sigma(args, s: Semigroup):
     _, two_var_bound = _bounds(args)
     if args.exact:
+        from .theorems import exact_sigma_report
+
         return exact_sigma_report(_group_for_exact(s))
+    from .equations import sigma_report
+
     return sigma_report(adjoin_identity(s), two_var_bound)
 
 
 def _cmd_sigma(args) -> Result:
+    from .equations import two_var_to_json
+
     s, subject = _load(args)
     rep = _sigma(args, s)
     classes = [[s.names[x] for x in members] for members in rep.congruence.classes()]
@@ -404,6 +414,8 @@ def _cmd_quotient(args) -> Result:
 
 
 def _cmd_commutator(args) -> Result:
+    from .groups import commutator, commutator_subgroup, group_structure
+
     s, subject = _load(args)
     group = group_structure(s)
     if args.pair:
@@ -423,6 +435,8 @@ def _cmd_commutator(args) -> Result:
 
 
 def _cmd_abelianization(args) -> Result:
+    from .groups import abelianization, group_structure
+
     s, subject = _load(args)
     return _table_result(
         abelianization(group_structure(s)),
@@ -432,6 +446,13 @@ def _cmd_abelianization(args) -> Result:
 
 
 def _cmd_verify(args) -> Result:
+    from .groups import group_structure
+    from .theorems import (
+        verify_orientable_is_commutator_subgroup,
+        verify_semigroup_properties,
+        verify_sigma_is_abelianization,
+    )
+
     s, subject = _load(args)
     one_var_bound, two_var_bound = _bounds(args)
     reports = []
@@ -477,7 +498,12 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
         with contextlib.redirect_stdout(out):  # --help writes to stdout
             args = build_parser().parse_args(argv)
         code, to_json, to_text = _COMMANDS[args.verb](args)
-        text = json.dumps(to_json(), indent=2) + "\n" if args.format == "json" else to_text()
+        if args.format == "json":
+            import json
+
+            text = json.dumps(to_json(), indent=2) + "\n"
+        else:
+            text = to_text()
     except SystemExit as exc:  # --help has printed its text
         return exc.code
     except (UsageError, FamilyError) as exc:

@@ -9,10 +9,9 @@ between threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -21,6 +20,10 @@ _RESERVED_NAME_CHARS = "#,:"
 
 # largest order accepted from a table file or a family spec, checked before any table is built
 MAX_ORDER = 1000
+
+# default factor-count bounds of the one- and two-variable searches
+ONE_VAR_DEFAULT_BOUND = 4
+TWO_VAR_DEFAULT_BOUND = 3
 
 
 class SemigroupError(Exception):
@@ -65,6 +68,16 @@ class CompatibilityError(SemigroupError):
             f"partition is not a congruence: {u} ~ {u2} and {v} ~ {v2} "
             "but the products land in different classes"
         )
+
+
+class FamilyError(SemigroupError):
+    """Unknown family name or parameter outside the supported range."""
+
+
+class NotAGroupError(SemigroupError):
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(f"group structure required: {reason}")
 
 
 def _magma_generators(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -146,45 +159,59 @@ def _name_problem(name: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot assign or delete {type(self).__name__}.{name}")
+
+
 class Semigroup:
     """A finite semigroup: distinct element names plus an associative Cayley table.
 
     ``table[i][j]`` is the index of ``names[i] * names[j]``. Associativity and
     entry ranges are verified on construction, so holding a Semigroup value is
-    proof of validity. The hash is computed once there too: semigroups key caches.
+    proof of validity. The value is immutable, and its hash is computed once
+    there too: semigroups key caches.
     """
 
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("names", "table", "_hash")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        n = len(self.names)
+    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        n = len(names)
         if n == 0:
             raise TableFormatError("a semigroup needs at least one element")
         seen = set()
-        for name in self.names:
+        for name in names:
             problem = _name_problem(name)
             if problem:
                 raise TableFormatError(problem)
             if name in seen:
                 raise TableFormatError(f"duplicate element name {name!r}")
             seen.add(name)
-        if len(self.table) != n:
-            raise TableFormatError(f"table has {len(self.table)} rows for {n} elements")
-        for i, row in enumerate(self.table):
+        if len(table) != n:
+            raise TableFormatError(f"table has {len(table)} rows for {n} elements")
+        for i, row in enumerate(table):
             if len(row) != n:
                 raise TableFormatError(f"table row {i} has {len(row)} entries, expected {n}")
             for e in row:
                 if not 0 <= e < n:
                     raise TableFormatError(f"table entry {e} out of range in row {i}")
-        violation = check_associativity(self.table)
+        violation = check_associativity(table)
         if violation is not None:
             raise AssociativityError(violation)
-        object.__setattr__(self, "_hash", hash((self.names, self.table)))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_hash", hash((names, table)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.table == other.table
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Semigroup(names={self.names!r}, table={self.table!r})"
 
     def __reduce__(self):
         # string hashes differ between processes: unpickling must rehash
@@ -277,17 +304,20 @@ def parse_table(text: str) -> Semigroup:
         raise TableFormatError("unexpected content after table rows", line=rows[n][0])
     table = []
     for i, (lineno, line) in enumerate(rows):
-        tokens = _tokenize(line)
+        # str.split and _tokenize split at the same characters: those with isspace()
+        tokens = line.split()
         if len(tokens) != n:
             raise TableFormatError(
                 f"table row {i} has {len(tokens)} entries, expected {n}", line=lineno
             )
-        row = []
-        for tok, col in tokens:
-            if tok not in index:
-                raise TableFormatError(f"unknown element name {tok!r}", line=lineno, column=col)
-            row.append(index[tok])
-        table.append(tuple(row))
+        try:
+            table.append(tuple(map(index.__getitem__, tokens)))
+        except KeyError:
+            # only an error needs the columns
+            tok, col = next((tok, col) for tok, col in _tokenize(line) if tok not in index)
+            raise TableFormatError(
+                f"unknown element name {tok!r}", line=lineno, column=col
+            ) from None
     return Semigroup(names, tuple(table))
 
 
@@ -299,8 +329,7 @@ def serialize_table(s: Semigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Monoid1:
+class Monoid1(NamedTuple):
     """A semigroup with a fresh two-sided identity adjoined as the last element.
 
     The identity realizes absent equation parts: an empty factor word
@@ -348,30 +377,45 @@ def idempotents(s: Semigroup) -> tuple[int, ...]:
     return tuple(e for e in range(s.order) if s.table[e][e] == e)
 
 
-@dataclass(frozen=True)
 class Congruence:
     """A partition of element indices by class id, intended to respect multiplication.
 
     Class ids are canonical: class k first appears at the smallest element
     index not already covered, so equal partitions compare equal directly.
     Compatibility with the table is checked by consumers (see ``quotient``),
-    not by this constructor.
+    not by this constructor. The value is immutable.
     """
 
-    class_of: tuple[int, ...]
-    num_classes: int
+    __slots__ = ("class_of", "num_classes")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
+    def __init__(self, class_of: tuple[int, ...], num_classes: int):
         next_fresh = 0
-        for x, c in enumerate(self.class_of):
-            if not 0 <= c < self.num_classes:
+        for x, c in enumerate(class_of):
+            if not 0 <= c < num_classes:
                 raise SemigroupError(f"class id {c} out of range at element {x}")
             if c > next_fresh:
                 raise SemigroupError("class ids must appear in first-appearance order")
             if c == next_fresh:
                 next_fresh += 1
-        if next_fresh != self.num_classes:
+        if next_fresh != num_classes:
             raise SemigroupError("not every class id is used")
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "num_classes", num_classes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.class_of == other.class_of and self.num_classes == other.num_classes
+
+    def __hash__(self) -> int:
+        return hash((self.class_of, self.num_classes))
+
+    def __repr__(self) -> str:
+        return f"Congruence(class_of={self.class_of!r}, num_classes={self.num_classes!r})"
+
+    def __reduce__(self):
+        return (Congruence, (self.class_of, self.num_classes))
 
     def classes(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_classes)]

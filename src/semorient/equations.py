@@ -13,12 +13,13 @@ witness at any bound and get None without a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
+    ONE_VAR_DEFAULT_BOUND,
+    TWO_VAR_DEFAULT_BOUND,
     Congruence,
     Monoid1,
     Word,
@@ -27,12 +28,8 @@ from .core import (
     generated_congruence,
 )
 
-ONE_VAR_DEFAULT_BOUND = 4
-TWO_VAR_DEFAULT_BOUND = 3
 
-
-@dataclass(frozen=True)
-class OneVarWitness:
+class OneVarWitness(NamedTuple):
     """Factor words (a, b, c) certifying that an element g solves a = b*t*c."""
 
     a: Word
@@ -44,8 +41,7 @@ class OneVarWitness:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class TwoVarWitness:
+class TwoVarWitness(NamedTuple):
     """Factor words (a, b, c, d) certifying that a pair (u, v) solves a*t1*b = c*t2*d."""
 
     a: Word
@@ -402,8 +398,7 @@ def search_two_var(
     return unfiltered_two_var_search(m, _two_var_candidates(m, [(u, v)]), bound).get((u, v))
 
 
-@dataclass
-class SigmaReport:
+class SigmaReport(NamedTuple):
     """Result of relating element pairs through two-variable equations.
 
     exactness "exact-group" means the classes are complete (group path) and

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .core import (
     Congruence,
+    NotAGroupError,
     Semigroup,
     SemigroupError,
     is_cancellative,
@@ -18,14 +18,7 @@ from .core import (
 )
 
 
-class NotAGroupError(SemigroupError):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(f"group structure required: {reason}")
-
-
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     """Identity and inverse map over a semigroup whose table is a Latin square.
 
     Built only by ``group_structure``, which finds both.

@@ -14,8 +14,7 @@ claim is re-checked by the independent validators in ``equations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Congruence,
@@ -68,8 +67,7 @@ class WitnessConstructionError(SemigroupError):
     """A constructed witness failed its independent validation."""
 
 
-@dataclass(frozen=True)
-class CommutatorDecomposition:
+class CommutatorDecomposition(NamedTuple):
     """An element written as a left-to-right product of commutators x_i y_i x_i^-1 y_i^-1."""
 
     element: int
@@ -184,19 +182,25 @@ def exact_sigma_report(group: GroupStructure) -> SigmaReport:
     return SigmaReport(None, pairs, cong, "exact-group")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str  # pass | fail | soft-report
     details: str
     counterexample: Optional[str] = None
 
 
-@dataclass
 class VerificationReport:
-    subject: str
-    bounds: dict[str, int]
-    checks: list[CheckResult] = field(default_factory=list)
+    """The checks run on one subject, in order; the suites append to ``checks``."""
+
+    def __init__(
+        self,
+        subject: str,
+        bounds: dict[str, int],
+        checks: Optional[list[CheckResult]] = None,
+    ):
+        self.subject = subject
+        self.bounds = bounds
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

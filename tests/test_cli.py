@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from semorient import catalog, cli
+from semorient import catalog, cli, equations
 from semorient.cli import run
 from semorient.core import adjoin_identity, parse_table
 from semorient.equations import validate_one_var, validate_two_var, witness_from_json
@@ -89,13 +89,22 @@ def _refuse(*args):
 @pytest.mark.parametrize(
     "fmt, renderers",
     [
-        ("text", ("one_var_to_json", "two_var_to_json")),
-        ("json", ("one_var_to_text", "two_var_to_text", "serialize_table")),
+        ("text", ((equations, "one_var_to_json"), (equations, "two_var_to_json"))),
+        (
+            "json",
+            (
+                (equations, "one_var_to_text"),
+                (equations, "two_var_to_text"),
+                (cli, "serialize_table"),
+            ),
+        ),
     ],
 )
 def test_each_format_renders_only_itself(monkeypatch, fmt, renderers):
-    for name in renderers:
-        monkeypatch.setattr(cli, name, _refuse)
+    # each verb imports the witness renderers from equations when it runs;
+    # cli binds serialize_table from core at import
+    for module, name in renderers:
+        monkeypatch.setattr(module, name, _refuse)
     for argv in (
         "orientable", "orientable --exact", "witness --element 120",
         "witness --pair 120,201", "sigma", "sigma --exact", "quotient --exact",

@@ -80,6 +80,10 @@ def test_parse_broken_magma_reports_first_triple():
         ("elements: a b\ntable:\na b\nb a\nextra line", "after table rows"),
         ("elements: a b\ntable:\na b b\nb a\n", "3 entries"),
         ("elements: a b\ntable:\na q\nb a\n", "unknown element name 'q'"),
+        ("elements: a b\ntable:\na\tb\tb\nb a\n", "3 entries"),
+        ("elements: a b\ntable:\na b\nb\xa0a\xa0a\n", "3 entries"),
+        ("elements: a b\ntable:\na\t\xa0q\nb a\n", "unknown element name 'q'"),
+        ("elements: a b\ntable:\na b\nb\xa0a\tq\n", "table row 1 has 3 entries"),
         ("elements: a b#c\ntable:\na a\na a\n", "reserved character"),
     ],
 )
@@ -94,6 +98,28 @@ def test_parse_error_reports_position():
         parse_table("elements: a b\ntable:\na b\nb q\n")
     assert exc.value.line == 4
     assert exc.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b\tq", "line 4, column 3: unknown element name 'q'"),
+        ("\xa0b\t\xa0q", "line 4, column 5: unknown element name 'q'"),
+        ("  q\u3000b", "line 4, column 3: unknown element name 'q'"),
+        ("b\x1fqq\t", "line 4, column 3: unknown element name 'qq'"),
+        ("\tb\xa0a\tb", "line 4: table row 1 has 3 entries, expected 2"),
+    ],
+)
+def test_parse_error_text_with_tabs_and_no_break_spaces(row, message):
+    # a row splits at every character with isspace(); columns count characters from 1
+    with pytest.raises(TableFormatError) as exc:
+        parse_table(f"elements: a b\ntable:\na b\n{row}\n")
+    assert str(exc.value) == message
+
+
+def test_rows_split_at_any_whitespace():
+    s = parse_table("elements: a b\ntable:\n\ta\xa0b \nb\u3000\x1fa\t\n")
+    assert s.table == ((0, 1), (1, 0))
 
 
 def test_parse_skips_comments_and_blank_lines():
