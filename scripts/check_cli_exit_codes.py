@@ -60,6 +60,8 @@ def main() -> int:
         (["sigma", "--family", "leftzero:3", "--exact"], 4),
         (["orientable", "--family", "fulltransformation:2", "--exact"], 4),
         (["quotient", "--family", "null:3", "--exact"], 4),
+        # the bound is checked before the exact path reads the cosets
+        (["quotient", "--family", "symmetric:3", "--exact", "--bound", "0"], 2),
         (["witness", "--family", "cyclic:4", "--element", "1", "--exact"], 0),
         # outside [G, G]: answered by the commutative-image filter, not a bound-7 search
         (["witness", "--family", "cyclic:12", "--element", "1", "--bound", "7"], 0),

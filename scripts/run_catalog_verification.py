@@ -12,7 +12,7 @@ import sys
 
 from semorient.catalog import CATALOG_FAMILIES, make_family
 from semorient.groups import NotAGroupError, group_structure
-from semorient.theorems import (
+from semorient.verify import (
     verify_orientable_is_commutator_subgroup,
     verify_semigroup_properties,
     verify_sigma_is_abelianization,

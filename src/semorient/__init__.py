@@ -51,14 +51,8 @@ _HOMES = {
         "TwoVarWitness",
         "one_var_to_json",
         "one_var_to_text",
-        "orientable_set",
-        "search_one_var",
-        "search_two_var",
-        "sigma_report",
         "two_var_to_json",
         "two_var_to_text",
-        "unfiltered_one_var_search",
-        "unfiltered_two_var_search",
         "validate_one_var",
         "validate_two_var",
         "witness_from_json",
@@ -71,19 +65,29 @@ _HOMES = {
         "coset_congruence",
         "group_structure",
     ),
+    "search": (
+        "orientable_set",
+        "search_one_var",
+        "search_two_var",
+        "sigma_report",
+        "unfiltered_one_var_search",
+        "unfiltered_two_var_search",
+    ),
     "theorems": (
-        "CheckResult",
         "CommutatorDecomposition",
         "InvalidDecompositionError",
         "NotInDerivedSubgroupError",
         "NotRelatedError",
-        "VerificationReport",
         "WitnessConstructionError",
         "build_orientable_witness",
         "build_two_var_witness",
         "commutator_decomposition",
         "decomposition_product",
         "exact_sigma_report",
+    ),
+    "verify": (
+        "CheckResult",
+        "VerificationReport",
         "verify_orientable_is_commutator_subgroup",
         "verify_semigroup_properties",
         "verify_sigma_is_abelianization",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .core import MAX_ORDER, FamilyError, Semigroup
 
@@ -50,9 +50,9 @@ def _parity(p) -> int:
 def _cyclic(n: int) -> Semigroup:
     if n < 1:
         raise FamilyError("cyclic:n requires n >= 1")
-    names = tuple(str(i) for i in range(n))
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return Semigroup(names, table)
+    line = tuple(range(n))
+    # row i is (i + j) % n for every j: the line rotated by i
+    return Semigroup(tuple(map(str, line)), tuple(line[i:] + line[:i] for i in range(n)))
 
 
 def _klein4() -> Semigroup:
@@ -81,23 +81,17 @@ def _dihedral(n: int) -> Semigroup:
     """Rotations r^i then reflections r^i s, with s r = r^-1 s."""
     if n < 1:
         raise FamilyError("dihedral:n requires n >= 1")
-    elems = [(i, 0) for i in range(n)] + [(i, 1) for i in range(n)]
-
-    def op(x, y):
-        i, e = x
-        j, f = y
-        if e == 0:
-            return ((i + j) % n, f)
-        return ((i - j) % n, 1 - f)
-
-    def name(x):
-        i, e = x
-        rot = "e" if i == 0 else ("r" if i == 1 else f"r{i}")
-        if e == 0:
-            return rot
-        return "s" if i == 0 else ("rs" if i == 1 else f"r{i}s")
-
-    return _table_from_op(elems, op, name)
+    rotations = ("e", "r", *(f"r{i}" for i in range(2, n)))[:n]
+    reflections = ("s", "rs", *(f"r{i}s" for i in range(2, n)))[:n]
+    # r^i r^j = r^(i+j) and r^i (r^j s) = r^(i+j) s; reflection r^j s sits at n + j
+    low, high = tuple(range(n)), tuple(range(n, 2 * n))
+    table = [low[i:] + low[:i] + high[i:] + high[:i] for i in range(n)]
+    # (r^i s) r^j = r^(i-j) s and (r^i s)(r^j s) = r^(i-j): i, i - 1, ... in both halves
+    low, high = low[::-1], high[::-1]
+    for i in range(n):
+        cut = n - 1 - i  # low[cut] == i
+        table.append(high[cut:] + high[:cut] + low[cut:] + low[:cut])
+    return Semigroup(rotations + reflections, tuple(table))
 
 
 # axis products for 1, i, j, k as (sign, axis)
@@ -127,16 +121,14 @@ def _leftzero(n: int) -> Semigroup:
     if n < 1:
         raise FamilyError("leftzero:n requires n >= 1")
     names = tuple(f"x{i}" for i in range(n))
-    table = tuple(tuple(i for _ in range(n)) for i in range(n))
-    return Semigroup(names, table)
+    return Semigroup(names, tuple((i,) * n for i in range(n)))
 
 
 def _rightzero(n: int) -> Semigroup:
     if n < 1:
         raise FamilyError("rightzero:n requires n >= 1")
     names = tuple(f"x{i}" for i in range(n))
-    table = tuple(tuple(range(n)) for _ in range(n))
-    return Semigroup(names, table)
+    return Semigroup(names, (tuple(range(n)),) * n)
 
 
 def _null(n: int) -> Semigroup:
@@ -144,8 +136,7 @@ def _null(n: int) -> Semigroup:
     if n < 1:
         raise FamilyError("null:n requires n >= 1")
     names = ("z",) + tuple(f"x{i}" for i in range(1, n))
-    table = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return Semigroup(names, table)
+    return Semigroup(names, ((0,) * n,) * n)
 
 
 def _fulltransformation(n: int) -> Semigroup:
@@ -177,12 +168,21 @@ def _directproduct(spec: str) -> Semigroup:
         raise FamilyError(
             f"directproduct:{spec} has order {a.order * b.order}, above the maximum {MAX_ORDER}"
         )
-    elems = [(i, j) for i in range(a.order) for j in range(b.order)]
+    return _product(a, b)
 
-    def op(x, y):
-        return (a.table[x[0]][y[0]], b.table[x[1]][y[1]])
 
-    return _table_from_op(elems, op, lambda x: f"{a.names[x[0]]}|{b.names[x[1]]}")
+def _product(a: Semigroup, b: Semigroup) -> Semigroup:
+    """(i, j) at index i * |b| + j, with (i, j)(k, l) = (ik, jl)."""
+    nb = b.order
+    names = tuple(f"{x}|{y}" for x in a.names for y in b.names)
+    # blocks[v][j] is row j of b shifted into the block of a-element v
+    blocks = [[tuple(map((v * nb).__add__, row)) for row in b.table] for v in range(a.order)]
+    table = tuple(
+        tuple(chain.from_iterable(blocks[v][j] for v in row_a))
+        for row_a in a.table
+        for j in range(nb)
+    )
+    return Semigroup(names, table)
 
 
 _NO_PARAM = {"klein4": _klein4, "quaternion8": _quaternion8}

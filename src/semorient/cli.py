@@ -61,58 +61,69 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_BOUND = ("--bound", {"type": int, "help": "search bound"})
+_EXACT = ("--exact", {"action": "store_true", "help": "exact group path"})
+
+# each verb's help line and the arguments it takes beyond --table, --family and --format
+_VERBS = {
+    "check": ("parse and validate a table", ()),
+    "info": ("structural summary: commutativity, idempotents, group detection", ()),
+    "family": ("print the canonical table file of a family", ()),
+    "orientable": (
+        "witnesses for every element, by bounded search or --exact",
+        (("--bound", {"type": int, "help": f"search bound (default {ONE_VAR_DEFAULT_BOUND})"}),
+         _EXACT),
+    ),
+    "witness": (
+        "witness for one element or one ordered pair",
+        (("--element", {"metavar": "NAME", "help": "element to search"}),
+         ("--pair", {"metavar": "X,Y", "help": "ordered pair to relate"}),
+         _BOUND, _EXACT),
+    ),
+    "sigma": (
+        "class partition from pair-relating equations",
+        (("--bound", {"type": int, "help": f"search bound (default {TWO_VAR_DEFAULT_BOUND})"}),
+         _EXACT),
+    ),
+    "quotient": ("quotient table by the sigma classes", (_BOUND, _EXACT)),
+    "commutator": (
+        "commutator of a pair, or the whole commutator subgroup",
+        (("--pair", {"metavar": "X,Y", "help": "pair to commutate"}),),
+    ),
+    "abelianization": ("quotient by the commutator subgroup (groups only)", ()),
+    "verify": (
+        "run verification suites",
+        (("--suite", {"choices": ("theorems", "propositions", "all"), "default": "all",
+                      "help": "which suite to run (default all)"}),
+         ("--bound", {"type": int, "help": "override both search bounds"})),
+    ),
+}
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with ``verb`` given, of that verb alone.
+
+    A call naming a verb never reaches another verb's subparser, and the
+    verb list appears only in the top-level help and in the errors for a
+    missing or unknown verb, which are parsed with every verb.
+    """
     parser = _Parser(
         prog="semorient",
         description="Finite semigroup tables, equation witnesses, and "
         "commutator-subgroup correspondence checks.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    for name, (help_, extra) in _VERBS.items():
+        if verb is not None and name != verb:
+            continue
         p = sub.add_parser(name, help=help_)
         p.add_argument("--table", metavar="PATH", help="path to a table file")
         p.add_argument("--family", metavar="SPEC", help="family spec, e.g. symmetric:3")
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        return p
-
-    add("check", "parse and validate a table")
-    add("info", "structural summary: commutativity, idempotents, group detection")
-    add("family", "print the canonical table file of a family")
-
-    p = add("orientable", "witnesses for every element, by bounded search or --exact")
-    p.add_argument("--bound", type=int, help=f"search bound (default {ONE_VAR_DEFAULT_BOUND})")
-    p.add_argument("--exact", action="store_true", help="exact group path")
-
-    p = add("witness", "witness for one element or one ordered pair")
-    p.add_argument("--element", metavar="NAME", help="element to search")
-    p.add_argument("--pair", metavar="X,Y", help="ordered pair to relate")
-    p.add_argument("--bound", type=int, help="search bound")
-    p.add_argument("--exact", action="store_true", help="exact group path")
-
-    p = add("sigma", "class partition from pair-relating equations")
-    p.add_argument("--bound", type=int, help=f"search bound (default {TWO_VAR_DEFAULT_BOUND})")
-    p.add_argument("--exact", action="store_true", help="exact group path")
-
-    p = add("quotient", "quotient table by the sigma classes")
-    p.add_argument("--bound", type=int, help="search bound")
-    p.add_argument("--exact", action="store_true", help="exact group path")
-
-    p = add("commutator", "commutator of a pair, or the whole commutator subgroup")
-    p.add_argument("--pair", metavar="X,Y", help="pair to commutate")
-
-    add("abelianization", "quotient by the commutator subgroup (groups only)")
-
-    p = add("verify", "run verification suites")
-    p.add_argument(
-        "--suite",
-        choices=("theorems", "propositions", "all"),
-        default="all",
-        help="which suite to run (default all)",
-    )
-    p.add_argument("--bound", type=int, help="override both search bounds")
+        for flag, options in extra:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -246,10 +257,9 @@ def _cmd_family(args) -> Result:
 
 
 def _cmd_orientable(args) -> Result:
-    from .equations import one_var_to_json, one_var_to_text, orientable_set
+    from .equations import one_var_to_json, one_var_to_text
 
     s, subject = _load(args)
-    m = adjoin_identity(s)
     one_var_bound, _ = _bounds(args)
     if args.exact:
         from .groups import commutator_subgroup
@@ -261,7 +271,9 @@ def _cmd_orientable(args) -> Result:
             found[g] = build_orientable_witness(group, commutator_decomposition(group, g))
         bound = None
     else:
-        found = orientable_set(m, one_var_bound)
+        from .search import orientable_set
+
+        found = orientable_set(adjoin_identity(s), one_var_bound)
         bound = one_var_bound
     count = sum(1 for w in found.values() if w is not None)
 
@@ -297,8 +309,6 @@ def _cmd_witness(args) -> Result:
     from .equations import (
         one_var_to_json,
         one_var_to_text,
-        search_one_var,
-        search_two_var,
         two_var_to_json,
         two_var_to_text,
         validate_one_var,
@@ -313,15 +323,17 @@ def _cmd_witness(args) -> Result:
     # one path for both kinds: an element is the target (g,), a pair (u, v)
     target = (_element(s, args.element),) if args.element else _pair(s, args.pair)
     one = len(target) == 1
-    search, validate, show, as_json = (
-        (search_one_var, validate_one_var, one_var_to_text, one_var_to_json)
+    validate, show, as_json = (
+        (validate_one_var, one_var_to_text, one_var_to_json)
         if one
-        else (search_two_var, validate_two_var, two_var_to_text, two_var_to_json)
+        else (validate_two_var, two_var_to_text, two_var_to_json)
     )
     names = [s.names[x] for x in target]
     if not args.exact:
+        from .search import search_one_var, search_two_var
+
         bound = one_var_bound if one else two_var_bound
-        w = search(m, *target, bound)
+        w = (search_one_var if one else search_two_var)(m, *target, bound)
     else:
         from .theorems import (
             NotInDerivedSubgroupError,
@@ -359,22 +371,19 @@ def _cmd_witness(args) -> Result:
     return EXIT_OK, to_json, to_text
 
 
-def _sigma(args, s: Semigroup):
-    _, two_var_bound = _bounds(args)
-    if args.exact:
-        from .theorems import exact_sigma_report
-
-        return exact_sigma_report(_group_for_exact(s))
-    from .equations import sigma_report
-
-    return sigma_report(adjoin_identity(s), two_var_bound)
-
-
 def _cmd_sigma(args) -> Result:
     from .equations import two_var_to_json
 
     s, subject = _load(args)
-    rep = _sigma(args, s)
+    _, two_var_bound = _bounds(args)
+    if args.exact:
+        from .theorems import exact_sigma_report
+
+        rep = exact_sigma_report(_group_for_exact(s))
+    else:
+        from .search import sigma_report
+
+        rep = sigma_report(adjoin_identity(s), two_var_bound)
     classes = [[s.names[x] for x in members] for members in rep.congruence.classes()]
 
     def to_json() -> dict:
@@ -405,11 +414,21 @@ def _cmd_sigma(args) -> Result:
 
 def _cmd_quotient(args) -> Result:
     s, subject = _load(args)
-    rep = _sigma(args, s)
+    _, two_var_bound = _bounds(args)
+    if args.exact:
+        # the exact classes are the cosets of [G, G]; the quotient needs no pair witness
+        from .groups import coset_congruence
+
+        cong, exactness = coset_congruence(_group_for_exact(s)), "exact-group"
+    else:
+        from .search import sigma_report
+
+        rep = sigma_report(adjoin_identity(s), two_var_bound)
+        cong, exactness = rep.congruence, rep.exactness
     return _table_result(
-        quotient(s, rep.congruence),
-        {"subject": subject, "exactness": rep.exactness},
-        f"# sigma-quotient of {subject} ({rep.exactness})\n",
+        quotient(s, cong),
+        {"subject": subject, "exactness": exactness},
+        f"# sigma-quotient of {subject} ({exactness})\n",
     )
 
 
@@ -447,7 +466,7 @@ def _cmd_abelianization(args) -> Result:
 
 def _cmd_verify(args) -> Result:
     from .groups import group_structure
-    from .theorems import (
+    from .verify import (
         verify_orientable_is_commutator_subgroup,
         verify_semigroup_properties,
         verify_sigma_is_abelianization,
@@ -496,7 +515,8 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
     err = err if err is not None else sys.stderr
     try:
         with contextlib.redirect_stdout(out):  # --help writes to stdout
-            args = build_parser().parse_args(argv)
+            verb = argv[0] if argv and argv[0] in _VERBS else None
+            args = build_parser(verb).parse_args(argv)
         code, to_json, to_text = _COMMANDS[args.verb](args)
         if args.format == "json":
             import json

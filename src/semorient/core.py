@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from operator import eq, itemgetter
+from itertools import chain, compress
+from operator import eq, itemgetter, ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Word = tuple[int, ...]
@@ -81,34 +82,43 @@ class NotAGroupError(SemigroupError):
 
 
 def _magma_generators(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy generating set of the table as a magma, ascending.
+    """Greedy generating set of the table, ascending.
 
     Each generator is the smallest index not yet covered; the covered set is
-    then closed under every product ``x*y`` and ``y*x`` of its members, so it
-    is the sub-magma the generators so far generate, whatever the bracketing.
-    Left-to-right words alone would miss products such as ``x*(y*z)`` of a
-    table not yet known to be associative, and so pick more generators.
+    then closed under multiplying by a generator on either side, Θ(n·|A|)
+    products in all. Every covered element is a product of generators, so
+    the set generates the table as a magma. On an associative table the
+    covered set is the sub-semigroup the generators so far generate, which
+    is also their sub-magma, so no generator is redundant. On another table
+    it may be smaller, and the set larger, which is still a generating set.
     """
     n = len(rows)
     covered: set[int] = set()
     members: list[int] = []
-    generators = []
+    generators: list[int] = []
+    generator_rows = []
     for start in range(n):
         if start in covered:
             continue
+        row = rows[start]
         generators.append(start)
+        generator_rows.append(row)
+        # the new generator meets itself and, on both sides, the members so far,
+        # which include the earlier generators
+        batch = {row[start], *map(row.__getitem__, members)}
+        batch.update(map(itemgetter(start), map(rows.__getitem__, members)))
+        batch -= covered
+        batch.discard(start)
         covered.add(start)
-        done = len(members)
         members.append(start)
-        # members[:done] are already closed; multiply each newer member with all of them
-        while done < len(members):
-            z = members[done]
-            done += 1
-            products = set(map(rows[z].__getitem__, members))
-            products.update(map(itemgetter(z), map(rows.__getitem__, members)))
-            products -= covered
-            covered |= products
-            members.extend(products)
+        while batch:
+            covered |= batch
+            members.extend(batch)
+            new = set()
+            for z in batch:
+                new.update(map(rows[z].__getitem__, generators))  # z*g
+                new.update(map(itemgetter(z), generator_rows))  # g*z
+            batch = new - covered
     return generators
 
 
@@ -119,26 +129,70 @@ def check_associativity(table: Sequence[Sequence[int]]) -> Optional[tuple[int, i
     Semigroups* I, §1.2): the middles ``a`` with ``(x*a)*y == x*(a*y)`` for all
     ``x, y`` form a sub-magma, because for two such middles ``a, b``
     ``(x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y)``.
-    So it is enough to check the middles of a generating set A, one row
-    comparison per (generator, row) pair at C speed: Θ(n²·|A|) for a table
-    that passes, with |A| <= 1 + log2(n) for a group. Only when a comparison
-    fails does a row-comparison scan over the pairs (i, j) in order find the
-    first bad triple; it skips the middles that the generators checked before
-    the failing one already generate.
+    So it is enough to check the middles of a generating set A.
+
+    Each middle is checked per fiber of its row, at C speed. Two equal rows x
+    give equal sides, so x ranges over the r distinct rows. And x*(a*y)
+    depends on y only through a*y, so the equation holds for all y iff (i)
+    row x*a is constant on every fiber {y : a*y = v} and (ii) it holds at one
+    y per fiber. Whether a row passes (i) depends only on the fiber
+    partition, so each distinct partition checks a row once. A middle is
+    checked by whole rows instead, r row comparisons, when its row is
+    injective (singleton fibers, which every row passes) or when that costs
+    less than checking its partition's new rows; passing whole rows also
+    shows (i) for the rows x*a. A group thus costs one row comparison per
+    (generator, row) pair, Θ(n²·|A|) with |A| <= 1 + log2(n); a left-zero,
+    right-zero or null table, whose rows are constant or all equal, Θ(n²).
+
+    Only when a middle fails does a row-comparison scan over the pairs (i, j)
+    in order find the first bad triple; it skips the middles that the
+    generators checked before the failing one already cover.
     """
     n = len(table)
     if n == 1:
         # the one in-range table associates; itemgetter of one index would return a scalar
         return None
     rows = [tuple(row) for row in table]  # itemgetter returns tuples: compare like with like
+    backwards = range(n - 1, -1, -1)
+    # the first of each run of equal rows, ascending
+    xrows = [rows[x] for x in sorted(dict(zip(reversed(rows), backwards)).values())]
+    r = len(xrows)
+    # fiber partition -> (rows checked for (i), the rows among them that pass)
+    seen: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
     for a in _magma_generators(rows):
-        times_a = itemgetter(*rows[a])  # x-row -> (x*(a*y) for every y)
-        if not all(map(eq, map(times_a, rows), map(rows.__getitem__, map(itemgetter(a), rows)))):
+        row_a = rows[a]
+        xa = list(map(itemgetter(a), xrows))
+        rep = dict(zip(reversed(row_a), backwards))  # a*y -> the smallest y in its fiber
+        k = len(rep)
+        if k < n:
+            partition = tuple(map(rep.__getitem__, row_a))  # y -> its fiber's smallest y
+            checked, good = seen.setdefault(partition, (set(), set()))
+            needed = set(xa)
+            fresh = list(needed - checked)
+            # (i) on the fresh rows and (ii) cost |fresh|*n + r*k; whole rows cost r*n
+            if len(fresh) * n + r * k < r * n:
+                fresh_rows = list(map(rows.__getitem__, fresh))
+                same = map(eq, map(itemgetter(*partition), fresh_rows), fresh_rows)
+                good.update(compress(fresh, same))
+                checked.update(fresh)
+                if not good.issuperset(needed):
+                    break
+                values, ys = zip(*rep.items())
+                left = map(itemgetter(*ys), map(rows.__getitem__, xa))  # (x*a)*y, y per fiber
+                if not all(map(eq, left, map(itemgetter(*values), xrows))):  # x*v
+                    break
+                continue
+        # x-row -> (x*(a*y) for every y), against row x*a
+        if not all(map(eq, map(itemgetter(*row_a), xrows), map(rows.__getitem__, xa))):
             break
+        if k < n:
+            # the whole rows agree, so every row x*a is constant on the fibers
+            checked.update(needed)
+            good.update(needed)
     else:
         return None
-    # a is the smallest element the generators before it do not generate, so every
-    # middle j < a lies in the sub-magma of middles known to associate
+    # a is the smallest element the generators before it do not cover, so every
+    # middle j < a is a product of them and lies in the sub-magma known to associate
     times = [itemgetter(*row) for row in rows[a:]]
     for i, row in enumerate(rows):
         for j, times_j in enumerate(times, a):
@@ -192,9 +246,9 @@ class Semigroup:
         for i, row in enumerate(table):
             if len(row) != n:
                 raise TableFormatError(f"table row {i} has {len(row)} entries, expected {n}")
-            for e in row:
-                if not 0 <= e < n:
-                    raise TableFormatError(f"table entry {e} out of range in row {i}")
+            if min(row) < 0 or max(row) >= n:
+                e = next(e for e in row if not 0 <= e < n)
+                raise TableFormatError(f"table entry {e} out of range in row {i}")
         violation = check_associativity(table)
         if violation is not None:
             raise AssociativityError(violation)
@@ -433,13 +487,27 @@ def compatibility_violation(
     """Find a quadruple (u, u', v, v') witnessing incompatibility, or None.
 
     One-sided translation invariance is checked; together with transitivity
-    that is equivalent to full two-sided compatibility.
+    that is equivalent to full two-sided compatibility. Each member's row and
+    column of classes is compared with its class's first member at C speed;
+    only a mismatch is scanned for its first t.
     """
     table = s.table
     cls = c.class_of
+    classes_of = cls.__getitem__
+    columns = None
     for members in c.classes():
+        if len(members) == 1:
+            continue
+        if columns is None:
+            columns = tuple(zip(*table))
         u0 = members[0]
+        row0 = tuple(map(classes_of, table[u0]))
+        col0 = tuple(map(classes_of, columns[u0]))
         for u in members[1:]:
+            if row0 == tuple(map(classes_of, table[u])) and col0 == tuple(
+                map(classes_of, columns[u])
+            ):
+                continue
             for t in range(s.order):
                 if cls[table[u0][t]] != cls[table[u][t]]:
                     return (u0, u, t, t)
@@ -448,11 +516,18 @@ def compatibility_violation(
     return None
 
 
+@lru_cache(maxsize=None)
+def _generators(s: Semigroup) -> list[int]:
+    """``_magma_generators`` of the table: on an associative table they generate it as a semigroup."""
+    return _magma_generators(s.table)
+
+
 def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing ``pairs``.
 
     Union-find seeded with the pairs and saturated to fixpoint under left and
-    right translation: u ~ v forces t*u ~ t*v and u*t ~ v*t for every t.
+    right translation: u ~ v forces t*u ~ t*v and u*t ~ v*t for every t. It is
+    enough to translate by generators, because every t is a product of them.
     """
     n = s.order
     parent = list(range(n))
@@ -474,16 +549,24 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
         parent[rb] = ra
         queue.append((a, b))
 
+    pairs = list(pairs)
+    ends = list(chain.from_iterable(pairs))
+    if ends and (min(ends) < 0 or max(ends) >= n):
+        a, b = next((a, b) for a, b in pairs if not (0 <= a < n and 0 <= b < n))
+        raise ValueError(f"pair ({a}, {b}) out of range")
     for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair ({a}, {b}) out of range")
         union(a, b)
     table = s.table
+    generators = _generators(s)
+    generator_rows = list(map(table.__getitem__, generators))
     while queue:
         u, v = queue.popleft()
-        for t in range(n):
-            union(table[t][u], table[t][v])
-            union(table[u][t], table[v][t])
+        row_u, row_v = table[u], table[v]
+        # (t*u, u*t) and (t*v, v*t) for every generator t; only distinct unequal pairs
+        left = [*map(itemgetter(u), generator_rows), *map(row_u.__getitem__, generators)]
+        right = [*map(itemgetter(v), generator_rows), *map(row_v.__getitem__, generators)]
+        for a, b in set(compress(zip(left, right), map(ne, left, right))):
+            union(a, b)
 
     ids: dict[int, int] = {}
     class_of = []
@@ -510,10 +593,19 @@ def commutative_congruence(s: Semigroup) -> Congruence:
     [u]w = [v]w for w the class of the whole multiset. So an element whose
     class fixes no class, or a pair with [u]w != [v]w for every class w, has
     no witness at any bound. On a group S/κ = G/[G, G].
+
+    The pairs (ab, ba) of generators a, b give the same congruence ρ: S/ρ is
+    generated by the images of the generators, which commute, so S/ρ is
+    commutative and κ ⊆ ρ; every seed pair lies in κ, so ρ ⊆ κ.
     """
     t = s.table
-    n = s.order
-    return generated_congruence(s, [(t[x][y], t[y][x]) for x in range(n) for y in range(x)])
+    generators = _generators(s)
+    seeds = []
+    for i, a in enumerate(generators):
+        ab = list(map(t[a].__getitem__, generators[:i]))
+        ba = list(map(itemgetter(a), map(t.__getitem__, generators[:i])))
+        seeds += compress(zip(ab, ba), map(ne, ab, ba))  # a pair ab = ba adds nothing
+    return generated_congruence(s, seeds)
 
 
 def quotient(s: Semigroup, c: Congruence) -> Semigroup:
@@ -535,16 +627,11 @@ def quotient(s: Semigroup, c: Congruence) -> Semigroup:
 
 def is_commutative(s: Semigroup) -> bool:
     t = s.table
-    return all(t[i][j] == t[j][i] for i in range(s.order) for j in range(i))
+    return t == tuple(zip(*t))
 
 
 def is_cancellative(s: Semigroup) -> bool:
     """True iff every row and every column of the table is injective."""
     n = s.order
-    for row in s.table:
-        if len(set(row)) != n:
-            return False
-    for j in range(n):
-        if len({s.table[i][j] for i in range(n)}) != n:
-            return False
-    return True
+    t = s.table
+    return all(len(set(line)) == n for line in chain(t, zip(*t)))

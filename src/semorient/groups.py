@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -37,25 +38,27 @@ def group_structure(s: Semigroup) -> GroupStructure:
     """Detect group structure, or raise NotAGroupError with the reason.
 
     A finite associative table is a group iff it has a two-sided identity and
-    is a Latin square; inverses are then read off the identity's column.
+    is a Latin square; each element's inverse is where its row holds the
+    identity. With an identity e the rows alone decide the Latin square:
+    x*y = e gives y*x = e, because x*(y*x) = (x*y)*x = x*e and a bijective
+    row cancels x; likewise y*x = e with a bijective column gives x*y = e.
+    So row x is bijective iff x is a unit iff column x is.
     """
     n = s.order
-    identity = None
-    for e in range(n):
-        if all(s.table[e][x] == x and s.table[x][e] == x for x in range(n)):
-            identity = e
-            break
+    t = s.table
+    everything = tuple(range(n))
+    identity = next(
+        (e for e in everything if t[e] == everything and tuple(map(itemgetter(e), t)) == everything),
+        None,
+    )
     if identity is None:
         raise NotAGroupError("no identity element")
-    full = frozenset(range(n))
-    for i in range(n):
-        if frozenset(s.table[i]) != full or {s.table[j][i] for j in range(n)} != full:
+    for i, row in enumerate(t):
+        if len(set(row)) != n:
             raise NotAGroupError(
                 f"element {s.names[i]!r} has no inverse (table is not a Latin square)"
             )
-    inverse = tuple(
-        next(h for h in range(n) if s.table[g][h] == identity) for g in range(n)
-    )
+    inverse = tuple(row.index(identity) for row in t)
     return GroupStructure(s, identity, inverse)
 
 
@@ -80,10 +83,16 @@ def derived_subgroup_tree(
     """
     n = g.order
     t = g.base.table
+    inv = g.inverse
+    columns = tuple(zip(*t))
+    backwards = range(n - 1, -1, -1)
     preimage: dict[int, tuple[int, int]] = {}
     for x in range(n):
-        for y in range(n):
-            preimage.setdefault(commutator(g, x, y), (x, y))
+        xyx = map(columns[inv[x]].__getitem__, t[x])  # (x*y*x^-1 for every y)
+        row = map(getitem, map(t.__getitem__, xyx), inv)  # (x*y*x^-1*y^-1 for every y)
+        first = dict(zip(reversed(tuple(row)), backwards))  # value -> its smallest y
+        for c in first.keys() - preimage.keys():
+            preimage[c] = (x, first[c])
     edges = sorted(preimage.items())
     parent: dict[int, Optional[tuple[int, tuple[int, int]]]] = {g.identity: None}
     queue = deque([g.identity])
@@ -103,12 +112,14 @@ def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
 
     Inverse closure and normality are re-verified on the finished set.
     """
-    members = derived_subgroup_tree(g)
+    members = derived_subgroup_tree(g).keys()
     result = tuple(sorted(members))
     t = g.base.table
-    if any(g.inverse[a] not in members for a in result):
+    inv = g.inverse
+    if not members >= set(map(inv.__getitem__, result)):
         raise SemigroupError("commutator subgroup is not closed under inverses")
-    if any(t[x][t[a][g.inverse[x]]] not in members for a in result for x in range(g.order)):
+    # x*(a*x^-1) for every x
+    if not all(members >= set(map(getitem, t, map(t[a].__getitem__, inv))) for a in result):
         raise SemigroupError("commutator subgroup is not normal")
     return result
 

@@ -21,9 +21,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from semorient.core import adjoin_identity, is_commutative, make_semigroup  # noqa: E402
-from semorient.equations import _one_var_candidates, _two_var_candidates  # noqa: E402
-from semorient.equations import orientable_set, sigma_report  # noqa: E402
 from semorient.groups import NotAGroupError, group_structure  # noqa: E402
+from semorient.search import _one_var_candidates, _two_var_candidates  # noqa: E402
+from semorient.search import orientable_set, sigma_report  # noqa: E402
 
 from oracles import compose, transformation_table  # noqa: E402
 

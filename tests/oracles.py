@@ -232,3 +232,43 @@ def commutative_congruences(table):
             if cls[v] == cls[v2]
         ):
             yield cls
+
+
+def least_congruence(table, pairs):
+    """Smallest congruence containing ``pairs``, as class ids in first-appearance order.
+
+    Merges classes until every left and right translate, by every element, of
+    two related elements is related; no generating set, no union-find.
+    """
+    n = len(table)
+    cls = list(range(n))
+
+    def merge(a, b):
+        old, new = cls[b], cls[a]
+        if old != new:
+            for x in range(n):
+                if cls[x] == old:
+                    cls[x] = new
+            return True
+        return False
+
+    for a, b in pairs:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            for v in range(u + 1, n):
+                if cls[u] != cls[v]:
+                    continue
+                for t in range(n):
+                    changed |= merge(table[t][u], table[t][v])
+                    changed |= merge(table[u][t], table[v][t])
+    ids = {}
+    return tuple(ids.setdefault(c, len(ids)) for c in cls)
+
+
+def all_pairs_kappa(table):
+    """κ from every pair (xy, yx), by ``least_congruence``."""
+    n = len(table)
+    return least_congruence(table, [(table[x][y], table[y][x]) for x in range(n) for y in range(n)])

@@ -23,10 +23,6 @@ from semorient.core import (
 from semorient.equations import (
     OneVarWitness,
     TwoVarWitness,
-    orientable_set,
-    search_one_var,
-    search_two_var,
-    sigma_report,
     validate_one_var,
     validate_two_var,
 )
@@ -36,6 +32,7 @@ from semorient.groups import (
     coset_congruence,
     group_structure,
 )
+from semorient.search import orientable_set, search_one_var, search_two_var, sigma_report
 from semorient.theorems import (
     build_orientable_witness,
     build_two_var_witness,

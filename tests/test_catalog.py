@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from semorient import catalog
 from semorient.catalog import CATALOG_FAMILIES, FamilyError, make_family
 from semorient.core import check_associativity, is_commutative
 
@@ -191,3 +192,86 @@ def test_directproduct_operand_errors(spec, message):
 def test_make_family_is_deterministic():
     assert make_family("dihedral:4") == make_family("dihedral:4")
     assert make_family("symmetric:3") is make_family("symmetric:3")  # cached
+
+
+# Reference tables made one cell at a time, as the catalog made them before it
+# built rows by rotation, repetition and slicing: one op call and one dict lookup per cell.
+def _per_cell(elements, op, name_of):
+    index = {e: i for i, e in enumerate(elements)}
+    names = tuple(name_of(e) for e in elements)
+    return names, tuple(tuple(index[op(a, b)] for b in elements) for a in elements)
+
+
+def _cyclic_per_cell(n):
+    return _per_cell(range(n), lambda i, j: (i + j) % n, str)
+
+
+def _dihedral_per_cell(n):
+    def op(x, y):
+        (i, e), (j, f) = x, y
+        return ((i + j) % n, f) if e == 0 else ((i - j) % n, 1 - f)
+
+    def name(x):
+        i, e = x
+        rot = "e" if i == 0 else ("r" if i == 1 else f"r{i}")
+        if e == 0:
+            return rot
+        return "s" if i == 0 else ("rs" if i == 1 else f"r{i}s")
+
+    return _per_cell([(i, 0) for i in range(n)] + [(i, 1) for i in range(n)], op, name)
+
+
+def _band_per_cell(n, op, names):
+    return names, tuple(tuple(op(i, j) for j in range(n)) for i in range(n))
+
+
+def _product_per_cell(left, right):
+    a, b = make_family(left), make_family(right)
+    elements = [(i, j) for i in range(a.order) for j in range(b.order)]
+    return _per_cell(
+        elements,
+        lambda x, y: (a.table[x[0]][y[0]], b.table[x[1]][y[1]]),
+        lambda x: f"{a.names[x[0]]}|{b.names[x[1]]}",
+    )
+
+
+_X = [f"x{i}" for i in range(40)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40])
+def test_family_rows_match_the_per_cell_tables(n):
+    expected = {
+        f"cyclic:{n}": _cyclic_per_cell(n),
+        f"dihedral:{n}": _dihedral_per_cell(n),
+        f"leftzero:{n}": _band_per_cell(n, lambda i, j: i, tuple(_X[:n])),
+        f"rightzero:{n}": _band_per_cell(n, lambda i, j: j, tuple(_X[:n])),
+        f"null:{n}": _band_per_cell(n, lambda i, j: 0, ("z",) + tuple(_X[1:n])),
+    }
+    for spec, (names, table) in expected.items():
+        s = make_family(spec)
+        assert (s.names, s.table) == (names, table), spec
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("cyclic:1", "cyclic:1"),
+        ("cyclic:2", "cyclic:3"),
+        ("symmetric:3", "dihedral:4"),
+        ("leftzero:3", "null:2"),
+        ("quaternion8", "rightzero:2"),
+        ("directproduct:cyclic:2,cyclic:2", "fulltransformation:2"),
+    ],
+)
+def test_product_rows_match_the_per_cell_table(left, right):
+    s = make_family(f"directproduct:{left},{right}")
+    assert (s.names, s.table) == _product_per_cell(left, right)
+
+
+def test_product_order_cap_rejects_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a product above the order cap")
+
+    monkeypatch.setattr(catalog, "_product", refuse)
+    with pytest.raises(FamilyError, match="has order 1600, above the maximum 1000"):
+        make_family("directproduct:cyclic:40,cyclic:40")

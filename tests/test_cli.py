@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -534,3 +535,56 @@ GOLDEN = {
 def test_cli_output_bytes_are_pinned(argv):
     code, out, _ = invoke(*argv.split())
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == GOLDEN[argv]
+
+
+def _parse(parser, argv):
+    """What parsing ``argv`` prints on stdout and the usage error it raises, if any."""
+    out = io.StringIO()
+    error = None
+    with contextlib.redirect_stdout(out):
+        try:
+            parser.parse_args(argv)
+        except cli.UsageError as exc:
+            error = str(exc)
+        except SystemExit:  # --help
+            pass
+    return out.getvalue(), error
+
+
+_BAD_ARGUMENTS = (
+    ["--nosuch"],
+    ["--format", "xml"],
+    ["--table"],
+    ["--bound", "x"],
+    ["--element"],
+    ["--suite", "nope"],
+    ["--pair"],
+    ["--exact", "yes"],
+    ["extra"],
+)
+
+
+@pytest.mark.parametrize("verb", cli._VERBS)
+def test_a_verbs_own_parser_matches_the_full_parser(verb):
+    full, own = cli.build_parser(), cli.build_parser(verb)
+    assert _parse(own, [verb, "--help"]) == _parse(full, [verb, "--help"])
+    assert _parse(own, [verb, "--help"])[0].startswith(f"usage: semorient {verb} ")
+    for bad in _BAD_ARGUMENTS:
+        argv = [verb, *bad]
+        got, expected = _parse(own, argv), _parse(full, argv)
+        assert got == expected, argv
+        if expected[1] is not None:
+            # run() builds the verb's own parser and prints the full parser's error
+            assert invoke(*argv) == (2, "", f"error: usage: {expected[1]}\n"), argv
+
+
+def test_top_level_help_and_errors_use_every_verb():
+    full = cli.build_parser()
+    code, out, err = invoke("--help")
+    assert (code, out, err) == (0, _parse(full, ["--help"])[0], "")
+    for verb in cli._VERBS:
+        assert verb in out
+    for argv in ([], ["nosuchverb"], ["--format", "json", "check"]):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: usage: {_parse(full, argv)[1]}\n", argv

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -30,10 +31,13 @@ from semorient.core import _magma_generators  # private: the greedy set is check
 from semorient.groups import commutator_subgroup, group_structure
 
 from conftest import FIXTURES
+from kappa_probe import random_transformation_semigroup
 from oracles import (
     all_associative_tables,
+    all_pairs_kappa,
     commutative_congruences,
     first_assoc_violation,
+    least_congruence,
     magma_closure,
     transformation_table,
 )
@@ -421,3 +425,172 @@ def test_generated_congruence_always_quotientable(data):
     c = generated_congruence(s, pairs)
     q = quotient(s, c)  # closure correctness: never raises
     assert q.order == c.num_classes
+
+
+def _chain_semilattice(n):
+    # x*y = max(x, y): every row has its own fiber partition
+    return [[max(x, y) for y in range(n)] for x in range(n)]
+
+
+# tables whose rows repeat or are constant on large fibers: the per-fiber path
+_FIBERED = {
+    "leftzero": make_family("leftzero:9").table,
+    "rightzero": make_family("rightzero:9").table,
+    "null": make_family("null:9").table,
+    "rectangular-band": _rectangular_band(3, 4),
+    "chain-semilattice": _chain_semilattice(10),
+    "left-zeros-then-group": _left_zeros_then(make_family("symmetric:3"), 5),
+}
+
+
+@pytest.mark.parametrize("label", _FIBERED)
+def test_per_fiber_check_matches_oracle_on_perturbed_tables(label):
+    base = _FIBERED[label]
+    assert check_associativity(base) is None
+    n = len(base)
+    names = [f"x{i}" for i in range(n)]
+    rng = random.Random(label)
+    for _ in range(150):
+        table = [list(row) for row in base]
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        expected = first_assoc_violation(table)
+        assert check_associativity(table) == expected, table
+        # on a non-associative table the greedy set may grow, but it still generates
+        assert magma_closure(table, _magma_generators(table)) == set(range(n))
+        if expected is None:
+            make_semigroup(names, table)
+            continue
+        with pytest.raises(AssociativityError) as exc:
+            make_semigroup(names, table)
+        i, j, k = expected
+        assert str(exc.value) == (
+            f"not associative at triple ({i}, {j}, {k}): (e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+        )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1], [1, 2]], "table entry 2 out of range in row 1"),
+        ([[0, -1], [1, 0]], "table entry -1 out of range in row 0"),
+        ([[0, 9, -3], [0, 1, 2], [0, 1, 2]], "table entry 9 out of range in row 0"),
+        ([[0, 1], [1, 0, 1]], "table row 1 has 3 entries, expected 2"),
+        # row order decides: a bad entry in row 0 before a short row 1
+        ([[5, 1], [1]], "table entry 5 out of range in row 0"),
+        ([[0, 1, 2], [0], [7, 7, 7]], "table row 1 has 1 entries, expected 3"),
+    ],
+)
+def test_entry_range_errors_name_the_first_bad_entry(rows, message):
+    with pytest.raises(TableFormatError) as exc:
+        make_semigroup([f"x{i}" for i in range(len(rows))], rows)
+    assert str(exc.value) == message
+
+
+def test_commutative_and_cancellative_match_naive_loops():
+    for n in (1, 2, 3):
+        for raw in all_associative_tables(n):
+            s = make_semigroup([f"x{i}" for i in range(n)], raw)
+            t = s.table
+            assert is_commutative(s) == all(t[i][j] == t[j][i] for i in range(n) for j in range(n))
+            rows_injective = all(len({t[i][j] for j in range(n)}) == n for i in range(n))
+            columns_injective = all(len({t[i][j] for i in range(n)}) == n for j in range(n))
+            assert is_cancellative(s) == (rows_injective and columns_injective)
+
+
+def _random_semigroups(count, seed=1, max_order=16):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        s = random_transformation_semigroup(rng, max_order)
+        if s is not None:
+            found.append(s)
+    return found
+
+
+_KAPPA_SPECS = CATALOG_FAMILIES + (
+    "dihedral:6", "leftzero:7", "rightzero:5", "null:6", "directproduct:symmetric:3,cyclic:2",
+    "directproduct:leftzero:2,cyclic:3",
+)
+
+
+@pytest.mark.parametrize("spec", _KAPPA_SPECS)
+def test_kappa_from_generators_equals_all_pairs_kappa_on_the_catalog(spec):
+    s = make_family(spec)
+    assert commutative_congruence(s).class_of == all_pairs_kappa(s.table)
+
+
+def test_kappa_from_generators_equals_all_pairs_kappa_on_small_and_random_tables():
+    semigroups = [
+        make_semigroup([f"x{i}" for i in range(n)], raw)
+        for n in (1, 2, 3)
+        for raw in all_associative_tables(n)
+    ] + _random_semigroups(60)
+    for s in semigroups:
+        assert commutative_congruence(s).class_of == all_pairs_kappa(s.table), s.table
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generated_congruence_matches_naive_closure(data):
+    spec = data.draw(st.sampled_from(_KAPPA_SPECS))
+    s = make_family(spec)
+    elems = st.integers(min_value=0, max_value=s.order - 1)
+    pairs = data.draw(st.lists(st.tuples(elems, elems), max_size=4))
+    assert generated_congruence(s, pairs).class_of == least_congruence(s.table, pairs)
+
+
+def test_generated_congruence_reports_the_first_bad_pair(z4):
+    with pytest.raises(ValueError, match=r"^pair \(5, 0\) out of range$"):
+        generated_congruence(z4, [(0, 1), (5, 0), (-1, 2)])
+    with pytest.raises(ValueError, match=r"^pair \(1, -1\) out of range$"):
+        generated_congruence(z4, iter([(1, 2), (1, -1)]))
+
+
+def _first_incompatibility(s, c):
+    """The quadruple the per-element loop finds: classes in order, then t, left before right."""
+    table, cls = s.table, c.class_of
+    for members in c.classes():
+        for u in members[1:]:
+            for t in range(s.order):
+                if cls[table[members[0]][t]] != cls[table[u][t]]:
+                    return (members[0], u, t, t)
+                if cls[table[t][members[0]]] != cls[table[t][u]]:
+                    return (t, t, members[0], u)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compatibility_violation_matches_the_per_element_loop(data):
+    s = make_family(data.draw(st.sampled_from(_KAPPA_SPECS)))
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=s.order, max_size=s.order))
+    ids = {}
+    c = Congruence(tuple(ids.setdefault(x, len(ids)) for x in raw), len(ids))
+    assert compatibility_violation(s, c) == _first_incompatibility(s, c)
+
+
+def _one_sided_cosets(s, subgroup, left):
+    """The left cosets g*H (compatible with left translation only) or the right cosets H*g."""
+    t = s.table
+    h = [s.index_of(name) for name in subgroup]
+    coset = [frozenset(t[g][x] if left else t[x][g] for x in h) for g in range(s.order)]
+    ids = {}
+    return Congruence(tuple(ids.setdefault(c, len(ids)) for c in coset), len(ids))
+
+
+@pytest.mark.parametrize(
+    "spec, subgroup",
+    [("symmetric:3", ("012", "021")), ("dihedral:4", ("e", "s")), ("symmetric:4", ("0123", "1032"))],
+)
+def test_compatibility_violation_matches_the_loop_on_one_sided_cosets(spec, subgroup):
+    # cosets of a non-normal subgroup pass one translation check and fail the other
+    s = make_family(spec)
+    for left in (True, False):
+        c = _one_sided_cosets(s, subgroup, left)
+        found = compatibility_violation(s, c)
+        assert found is not None
+        assert found == _first_incompatibility(s, c)
+        u, u2, v, v2 = found
+        # left cosets fail only under right translation, (u, u', t, t); right ones only under left
+        assert (u != u2, v != v2) == (left, not left)

@@ -17,25 +17,27 @@ from semorient.equations import (
     TwoVarWitness,
     one_var_to_json,
     one_var_to_text,
-    orientable_set,
-    search_one_var,
-    search_two_var,
-    sigma_report,
     two_var_to_json,
     two_var_to_text,
-    unfiltered_one_var_search,
-    unfiltered_two_var_search,
     validate_one_var,
     validate_two_var,
     witness_from_json,
 )
-from semorient.equations import (  # private: the search data and the filter are checked directly
+from semorient.groups import NotAGroupError, commutator_subgroup, group_structure
+from semorient.search import (
+    orientable_set,
+    search_one_var,
+    search_two_var,
+    sigma_report,
+    unfiltered_one_var_search,
+    unfiltered_two_var_search,
+)
+from semorient.search import (  # private: the search data and the filter are checked directly
     _Multiset,
     _one_var_candidates,
     _orderings,
     _two_var_candidates,
 )
-from semorient.groups import NotAGroupError, commutator_subgroup, group_structure
 from semorient.theorems import exact_sigma_report
 
 from oracles import all_associative_tables, naive_search_one_var, naive_search_two_var

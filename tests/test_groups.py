@@ -2,18 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import deque
+
 from semorient.catalog import GROUP_FAMILIES, NONGROUP_FAMILIES, make_family
-from semorient.core import generated_congruence, is_cancellative, is_commutative
+from semorient.core import generated_congruence, is_cancellative, is_commutative, make_semigroup
 from semorient.groups import (
     NotAGroupError,
     abelianization,
     commutator,
     commutator_subgroup,
     coset_congruence,
+    derived_subgroup_tree,
     group_structure,
 )
 
-from oracles import brute_commutators, coset_partition, subgroup_closure
+from oracles import all_associative_tables, brute_commutators, coset_partition, subgroup_closure
 
 
 def test_group_structure_z6():
@@ -175,3 +178,78 @@ def test_smallest_commutative_congruence_is_coset_partition(spec):
         (s.table[x][y], s.table[y][x]) for x in range(s.order) for y in range(s.order)
     ]
     assert generated_congruence(s, pairs) == coset_congruence(g)
+
+
+def _group_structure_by_loops(s):
+    """(identity, inverse) or the NotAGroupError reason, by per-element loops."""
+    n, t = s.order, s.table
+    identity = next(
+        (e for e in range(n) if all(t[e][x] == x and t[x][e] == x for x in range(n))), None
+    )
+    if identity is None:
+        return "no identity element"
+    for i in range(n):
+        if set(t[i]) != set(range(n)) or {t[j][i] for j in range(n)} != set(range(n)):
+            return f"element {s.names[i]!r} has no inverse (table is not a Latin square)"
+    return identity, tuple(next(h for h in range(n) if t[g][h] == identity) for g in range(n))
+
+
+def _monoid_with_zero(group):
+    """The group with a zero adjoined last: an identity, but not a Latin square."""
+    n = group.order
+    rows = [list(row) + [n] for row in group.table] + [[n] * (n + 1)]
+    return make_semigroup([f"g{i}" for i in range(n)] + ["z"], rows)
+
+
+def _group_structure_cases():
+    cases = [
+        make_semigroup([f"x{i}" for i in range(n)], raw)
+        for n in (1, 2, 3)
+        for raw in all_associative_tables(n)
+    ]
+    specs = GROUP_FAMILIES + NONGROUP_FAMILIES + ("dihedral:9", "directproduct:klein4,symmetric:3")
+    cases += [make_family(spec) for spec in specs]
+    cases += [_monoid_with_zero(make_family(spec)) for spec in ("cyclic:1", "symmetric:3")]
+    return cases
+
+
+def test_group_structure_matches_the_per_element_loops():
+    for s in _group_structure_cases():
+        expected = _group_structure_by_loops(s)
+        try:
+            g = group_structure(s)
+        except NotAGroupError as exc:
+            assert exc.reason == expected, s.table
+        else:
+            assert (g.identity, g.inverse) == expected, s.table
+
+
+def _derived_tree_by_loops(g):
+    """The BFS tree with each commutator value labelled by a double loop over (x, y)."""
+    preimage = {}
+    for x in range(g.order):
+        for y in range(g.order):
+            preimage.setdefault(commutator(g, x, y), (x, y))
+    edges = sorted(preimage.items())
+    parent = {g.identity: None}
+    queue = deque([g.identity])
+    while queue:
+        h = queue.popleft()
+        for c, pair in edges:
+            nxt = g.base.table[h][c]
+            if nxt not in parent:
+                parent[nxt] = (h, pair)
+                queue.append(nxt)
+    return parent
+
+
+@pytest.mark.parametrize(
+    "spec",
+    GROUP_FAMILIES + ("dihedral:9", "symmetric:4", "directproduct:quaternion8,symmetric:3"),
+)
+def test_derived_tree_matches_the_double_loop(spec):
+    g = group_structure(make_family(spec))
+    tree = derived_subgroup_tree(g)
+    expected = _derived_tree_by_loops(g)
+    assert dict(tree) == expected
+    assert list(tree) == list(expected)  # the same BFS order

@@ -18,14 +18,11 @@ from semorient.core import (
     adjoin_identity,
     make_semigroup,
 )
-from semorient.equations import OneVarWitness, SigmaReport, TwoVarWitness, sigma_report
+from semorient.equations import OneVarWitness, SigmaReport, TwoVarWitness
 from semorient.groups import group_structure
-from semorient.theorems import (
-    CheckResult,
-    CommutatorDecomposition,
-    VerificationReport,
-    commutator_decomposition,
-)
+from semorient.search import sigma_report
+from semorient.theorems import CommutatorDecomposition, commutator_decomposition
+from semorient.verify import CheckResult, VerificationReport
 
 from conftest import FIXTURES
 
@@ -131,17 +128,22 @@ def bare():
         ("check --table bad_assoc.tbl", 1, set()),
         ("check --family cyclic:3", 0, {"catalog"}),
         ("family --family cyclic:3", 0, {"catalog"}),
-        ("orientable --table z2.tbl", 0, {"equations"}),
-        ("witness --table z2.tbl --element 0", 0, {"equations"}),
-        ("witness --table z2.tbl --pair 0,1", 0, {"equations"}),
-        ("sigma --table z2.tbl", 0, {"equations"}),
-        ("quotient --table z2.tbl", 0, {"equations"}),
+        ("orientable --table z2.tbl", 0, {"equations", "search"}),
+        ("witness --table z2.tbl --element 0", 0, {"equations", "search"}),
+        ("witness --table z2.tbl --pair 0,1", 0, {"equations", "search"}),
+        ("sigma --table z2.tbl", 0, {"equations", "search"}),
+        ("quotient --table z2.tbl", 0, {"equations", "search"}),
         ("info --table s3.tbl", 0, {"groups"}),
         ("commutator --table s3.tbl --pair 021,102", 0, {"groups"}),
         ("abelianization --table s3.tbl", 0, {"groups"}),
         ("sigma --table s3.tbl --exact", 0, {"equations", "groups", "theorems"}),
         ("witness --table s3.tbl --element 120 --exact", 0, {"equations", "groups", "theorems"}),
-        ("verify --table s3.tbl", 0, {"equations", "groups", "theorems"}),
+        ("verify --table s3.tbl", 0, {"equations", "groups", "search", "theorems", "verify"}),
+        # the exact quotient reads the coset congruence and builds no witness
+        ("quotient --table s3.tbl --exact", 0, {"groups"}),
+        ("orientable --table s3.tbl --exact", 0, {"equations", "groups", "theorems"}),
+        ("witness --table s3.tbl --pair 120,201 --exact", 0, {"equations", "groups", "theorems"}),
+        ("quotient --table s3.tbl --exact --bound 0", 2, set()),
     ],
 )
 def test_each_verb_loads_only_its_layers(bare, argv, code, layers):
@@ -151,6 +153,25 @@ def test_each_verb_loads_only_its_layers(bare, argv, code, layers):
     ours = {m for m in modules if m == "semorient" or m.startswith("semorient.")}
     assert ours == BASE | {f"semorient.{layer}" for layer in layers}
     assert "dataclasses" not in modules - bare
+
+
+def test_old_modules_resolve_moved_names_only_on_demand():
+    # code written against the old homes (the benchmark tracer reads
+    # ``semorient.equations.search_one_var``) still finds the moved names
+    script = (
+        "import sys\n"
+        "import semorient.equations as e, semorient.theorems as t\n"
+        "assert 'semorient.search' not in sys.modules, 'search loaded'\n"
+        "assert 'semorient.verify' not in sys.modules, 'verify loaded'\n"
+        "assert e.search_one_var is sys.modules['semorient.search'].search_one_var\n"
+        "assert t.VerificationReport is sys.modules['semorient.verify'].VerificationReport\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for module in (semorient.equations, semorient.theorems):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name
 
 
 def test_import_semorient_loads_no_layer():

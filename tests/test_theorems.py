@@ -15,8 +15,8 @@ from semorient.catalog import (
 )
 from semorient.core import adjoin_identity, commutative_congruence, make_semigroup
 from semorient.equations import validate_one_var, validate_two_var
-from semorient.equations import _one_var_candidates, _two_var_candidates  # private: the filter
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
+from semorient.search import _one_var_candidates, _two_var_candidates  # private: the filter
 from semorient.theorems import (
     CommutatorDecomposition,
     InvalidDecompositionError,
@@ -26,6 +26,8 @@ from semorient.theorems import (
     build_two_var_witness,
     commutator_decomposition,
     decomposition_product,
+)
+from semorient.verify import (
     verify_orientable_is_commutator_subgroup,
     verify_semigroup_properties,
     verify_sigma_is_abelianization,
@@ -357,7 +359,7 @@ def test_report_serialization(s3):
 
 
 def test_report_records_failures():
-    from semorient.theorems import VerificationReport
+    from semorient.verify import VerificationReport
 
     report = VerificationReport("toy", {"one-var": 2})
     report._add("some-check", "details", ["element x broke it"])
