@@ -75,6 +75,13 @@ def main() -> int:
         (["sigma", "--table", str(good), "--exact"], 0),
         (["witness", "--table", str(good), "--pair", "e,a", "--exact"], 0),
         (["verify", "--table", str(good), "--suite", "all"], 0),
+        # argv the plain path declines, parsed by argparse as before
+        (["check", "--tab", str(good)], 0),  # an abbreviation
+        (["orientable", "--family", "cyclic:3", "--bound=2"], 0),
+        (["check", "--family", "cyclic:3", "--format", "text", "--format", "json"], 0),
+        (["orientable", "--family", "cyclic:3", "--bound", "-1"], 2),
+        (["check", "-h"], 0),
+        (["witness", "--family", "quaternion8", "--element=-1", "--exact"], 0),
     ]
 
     failures = 0

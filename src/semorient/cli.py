@@ -5,17 +5,18 @@ error, 3 group-only verb on a non-group, 4 --exact requested outside the
 group path. Every error also emits one machine-readable line on stderr of
 the form ``error: <category>: <detail>``.
 
-Each verb computes its result once and returns ``(exit code, to_json,
-to_text)``, two lazy renderers over the same values; ``run`` alone reads
-``--format`` and calls exactly one of them.
+Each verb lives in its own module of ``semorient.verbs``. Its ``run(args)``
+computes the result once and returns ``(exit code, to_json, to_text)``, two
+lazy renderers over the same values; ``run`` here alone reads ``--format``
+and calls exactly one of them.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
-from typing import Callable, Optional, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 # only core at module level: each verb imports the layers it runs, so a call
 # loads no more code than it uses (``check --table`` loads core alone)
@@ -27,14 +28,12 @@ from .core import (
     NotAGroupError,
     Semigroup,
     TableFormatError,
-    adjoin_identity,
-    idempotents,
-    is_cancellative,
-    is_commutative,
     parse_table,
-    quotient,
     serialize_table,
 )
+
+if TYPE_CHECKING:  # argparse loads only in build_parser
+    import argparse
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -54,17 +53,17 @@ class ExactOutsideGroupError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports argument errors as UsageError, so they print one ``error: usage:`` line."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 _BOUND = ("--bound", {"type": int, "help": "search bound"})
 _EXACT = ("--exact", {"action": "store_true", "help": "exact group path"})
 
-# each verb's help line and the arguments it takes beyond --table, --family and --format
+# the arguments every verb takes
+_COMMON = (
+    ("--table", {"metavar": "PATH", "help": "path to a table file"}),
+    ("--family", {"metavar": "SPEC", "help": "family spec, e.g. symmetric:3"}),
+    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
+)
+
+# each verb's help line and the arguments it takes beyond _COMMON
 _VERBS = {
     "check": ("parse and validate a table", ()),
     "info": ("structural summary: commutativity, idempotents, group detection", ()),
@@ -107,7 +106,15 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     verb list appears only in the top-level help and in the errors for a
     missing or unknown verb, which are parsed with every verb.
     """
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Reports argument errors as UsageError, so they print one ``error: usage:`` line."""
+
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(
         prog="semorient",
         description="Finite semigroup tables, equation witnesses, and "
         "commutator-subgroup correspondence checks.",
@@ -117,14 +124,49 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
         if verb is not None and name != verb:
             continue
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--table", metavar="PATH", help="path to a table file")
-        p.add_argument("--family", metavar="SPEC", help="family spec, e.g. symmetric:3")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-        for flag, options in extra:
+        for flag, options in _COMMON + extra:
             p.add_argument(flag, **options)
     return parser
+
+
+def _plain_args(argv) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from ``argv``, if argv is plain; else None.
+
+    Plain means a verb followed only by full option names from its table,
+    each at most once, whose values do not start with ``-`` and pass the
+    option's ``type`` and ``choices``. On such argv argparse would print
+    nothing and build the same namespace, so a plain call never imports it.
+    Anything else (help, abbreviations, ``--opt=value``, repeats, a bad
+    value) returns None and goes to argparse, which alone prints help and
+    usage errors.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    options = dict(_COMMON + _VERBS[argv[0]][1])
+    values = {
+        flag[2:]: False if o.get("action") == "store_true" else o.get("default")
+        for flag, o in options.items()
+    }
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        o = options.pop(flag, None)  # popped, so a repeated option is not found
+        if o is None:
+            return None
+        if o.get("action") == "store_true":
+            values[flag[2:]] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in o:
+            try:
+                value = o["type"](value)
+            except ValueError:
+                return None
+        if value not in o.get("choices", (value,)):
+            return None
+        values[flag[2:]] = value
+    return SimpleNamespace(verb=argv[0], **values)
 
 
 def _load(args) -> tuple[Semigroup, str]:
@@ -194,330 +236,19 @@ def _table_result(t: Semigroup, head: dict, comment: str = "") -> Result:
     )
 
 
-def _cmd_check(args) -> Result:
-    s, subject = _load(args)
-    return (
-        EXIT_OK,
-        lambda: {"subject": subject, "ok": True, "order": s.order, "elements": list(s.names)},
-        lambda: f"ok: associative table of order {s.order}\n",
-    )
-
-
-def _cmd_info(args) -> Result:
-    from .groups import commutator_subgroup, group_structure
-
-    s, subject = _load(args)
-    try:
-        group = group_structure(s)
-    except NotAGroupError as exc:
-        group, group_reason = None, exc.reason
-    obj = {
-        "subject": subject,
-        "order": s.order,
-        "elements": list(s.names),
-        "commutative": is_commutative(s),
-        "cancellative": is_cancellative(s),
-        "idempotents": [s.names[e] for e in idempotents(s)],
-        "group": group is not None,
-    }
-    if group is not None:
-        derived = commutator_subgroup(group)
-        obj["identity"] = s.names[group.identity]
-        obj["commutator_subgroup"] = [s.names[g] for g in derived]
-        obj["abelianization_order"] = s.order // len(derived)
-    else:
-        obj["not_a_group_reason"] = group_reason
-
-    def to_text() -> str:
-        lines = [f"subject: {subject}", f"order: {s.order}"]
-        lines.append("elements: " + " ".join(s.names))
-        lines.append(f"commutative: {str(obj['commutative']).lower()}")
-        lines.append(f"cancellative: {str(obj['cancellative']).lower()}")
-        lines.append("idempotents: " + (" ".join(obj["idempotents"]) or "(none)"))
-        if group is not None:
-            lines.append(f"group: yes (identity {obj['identity']})")
-            lines.append(
-                f"commutator subgroup (order {len(obj['commutator_subgroup'])}): "
-                + " ".join(obj["commutator_subgroup"])
-            )
-            lines.append(f"abelianization order: {obj['abelianization_order']}")
-        else:
-            lines.append(f"group: no ({group_reason})")
-        return "\n".join(lines) + "\n"
-
-    return EXIT_OK, lambda: obj, to_text
-
-
-def _cmd_family(args) -> Result:
-    if args.table or not args.family:
-        raise UsageError("family requires --family and takes no --table")
-    from .catalog import make_family
-
-    return _table_result(make_family(args.family), {"spec": args.family})
-
-
-def _cmd_orientable(args) -> Result:
-    from .equations import one_var_to_json, one_var_to_text
-
-    s, subject = _load(args)
-    one_var_bound, _ = _bounds(args)
-    if args.exact:
-        from .groups import commutator_subgroup
-        from .theorems import build_orientable_witness, commutator_decomposition
-
-        group = _group_for_exact(s)
-        found = dict.fromkeys(range(s.order))
-        for g in commutator_subgroup(group):
-            found[g] = build_orientable_witness(group, commutator_decomposition(group, g))
-        bound = None
-    else:
-        from .search import orientable_set
-
-        found = orientable_set(adjoin_identity(s), one_var_bound)
-        bound = one_var_bound
-    count = sum(1 for w in found.values() if w is not None)
-
-    def to_json() -> dict:
-        return {
-            "subject": subject,
-            "mode": "exact" if args.exact else "bounded",
-            "bound": bound,
-            "orientable_count": count,
-            "elements": [
-                {
-                    "element": s.names[g],
-                    "orientable": w is not None,
-                    "witness": None if w is None else one_var_to_json(s.names, w, g, True),
-                }
-                for g, w in found.items()
-            ],
-        }
-
-    def to_text() -> str:
-        none = _no_witness(bound, "not orientable (exact)")
-        lines = [f"subject: {subject}"]
-        lines.append("mode: exact" if args.exact else f"bound: {bound}")
-        lines.append(f"orientable elements: {count} of {s.order}")
-        for g, w in found.items():
-            lines.append(f"{s.names[g]}: {none if w is None else one_var_to_text(s.names, w)}")
-        return "\n".join(lines) + "\n"
-
-    return EXIT_OK, to_json, to_text
-
-
-def _cmd_witness(args) -> Result:
-    from .equations import (
-        one_var_to_json,
-        one_var_to_text,
-        two_var_to_json,
-        two_var_to_text,
-        validate_one_var,
-        validate_two_var,
-    )
-
-    s, _ = _load(args)
-    m = adjoin_identity(s)
-    one_var_bound, two_var_bound = _bounds(args)
-    if bool(args.element) == bool(args.pair):
-        raise UsageError("exactly one of --element or --pair is required")
-    # one path for both kinds: an element is the target (g,), a pair (u, v)
-    target = (_element(s, args.element),) if args.element else _pair(s, args.pair)
-    one = len(target) == 1
-    validate, show, as_json = (
-        (validate_one_var, one_var_to_text, one_var_to_json)
-        if one
-        else (validate_two_var, two_var_to_text, two_var_to_json)
-    )
-    names = [s.names[x] for x in target]
-    if not args.exact:
-        from .search import search_one_var, search_two_var
-
-        bound = one_var_bound if one else two_var_bound
-        w = (search_one_var if one else search_two_var)(m, *target, bound)
-    else:
-        from .theorems import (
-            NotInDerivedSubgroupError,
-            NotRelatedError,
-            build_orientable_witness,
-            build_two_var_witness,
-            commutator_decomposition,
-        )
-
-        bound, group = None, _group_for_exact(s)
-        try:
-            if one:
-                w = build_orientable_witness(group, commutator_decomposition(group, target[0]))
-            else:
-                # build_two_var_witness(group, g, h) validates for (h, g)
-                w = build_two_var_witness(group, target[1], target[0])
-        except (NotInDerivedSubgroupError, NotRelatedError):
-            w = None
-    note = _no_witness(bound, "not orientable (exact)" if one else "not related (exact)")
-
-    def to_json() -> dict:
-        if w is None:
-            head = {"element": names[0]} if one else {"pair": names}
-            return {**head, "witness": None, "bound": bound, "note": note}
-        valid = validate(m, *target, w) is None
-        return as_json(s.names, w, target[0] if one else target, valid)
-
-    def to_text() -> str:
-        head = f"element: {names[0]}" if one else f"pair: ({names[0]}, {names[1]})"
-        if w is None:
-            return f"{head}\n{note}\n"
-        valid = validate(m, *target, w) is None
-        return f"{head}\nwitness: {show(s.names, w)}\nvalid: {str(valid).lower()}\n"
-
-    return EXIT_OK, to_json, to_text
-
-
-def _cmd_sigma(args) -> Result:
-    from .equations import two_var_to_json
-
-    s, subject = _load(args)
-    _, two_var_bound = _bounds(args)
-    if args.exact:
-        from .theorems import exact_sigma_report
-
-        rep = exact_sigma_report(_group_for_exact(s))
-    else:
-        from .search import sigma_report
-
-        rep = sigma_report(adjoin_identity(s), two_var_bound)
-    classes = [[s.names[x] for x in members] for members in rep.congruence.classes()]
-
-    def to_json() -> dict:
-        return {
-            "subject": subject,
-            "exactness": rep.exactness,
-            "bound": rep.bound,
-            "num_classes": rep.congruence.num_classes,
-            "classes": classes,
-            "pairs": [
-                two_var_to_json(s.names, w, pair, True)
-                for pair, w in sorted(rep.pairs.items())
-            ],
-        }
-
-    def to_text() -> str:
-        lines = [f"subject: {subject}"]
-        bound = "" if rep.bound is None else f" (bound {rep.bound})"
-        lines.append(f"exactness: {rep.exactness}{bound}")
-        lines.append(f"classes: {rep.congruence.num_classes}")
-        for i, members in enumerate(classes):
-            lines.append(f"  class {i}: " + " ".join(members))
-        lines.append(f"related pairs with witnesses: {len(rep.pairs)}")
-        return "\n".join(lines) + "\n"
-
-    return EXIT_OK, to_json, to_text
-
-
-def _cmd_quotient(args) -> Result:
-    s, subject = _load(args)
-    _, two_var_bound = _bounds(args)
-    if args.exact:
-        # the exact classes are the cosets of [G, G]; the quotient needs no pair witness
-        from .groups import coset_congruence
-
-        cong, exactness = coset_congruence(_group_for_exact(s)), "exact-group"
-    else:
-        from .search import sigma_report
-
-        rep = sigma_report(adjoin_identity(s), two_var_bound)
-        cong, exactness = rep.congruence, rep.exactness
-    return _table_result(
-        quotient(s, cong),
-        {"subject": subject, "exactness": exactness},
-        f"# sigma-quotient of {subject} ({exactness})\n",
-    )
-
-
-def _cmd_commutator(args) -> Result:
-    from .groups import commutator, commutator_subgroup, group_structure
-
-    s, subject = _load(args)
-    group = group_structure(s)
-    if args.pair:
-        x, y = _pair(s, args.pair)
-        nx, ny, nc = s.names[x], s.names[y], s.names[commutator(group, x, y)]
-        return (
-            EXIT_OK,
-            lambda: {"subject": subject, "pair": [nx, ny], "commutator": nc},
-            lambda: f"commutator({nx}, {ny}) = {nc}\n",
-        )
-    derived = [s.names[g] for g in commutator_subgroup(group)]
-    return (
-        EXIT_OK,
-        lambda: {"subject": subject, "order": len(derived), "elements": derived},
-        lambda: f"commutator subgroup (order {len(derived)}): " + " ".join(derived) + "\n",
-    )
-
-
-def _cmd_abelianization(args) -> Result:
-    from .groups import abelianization, group_structure
-
-    s, subject = _load(args)
-    return _table_result(
-        abelianization(group_structure(s)),
-        {"subject": subject},
-        f"# abelianization of {subject}\n",
-    )
-
-
-def _cmd_verify(args) -> Result:
-    from .groups import group_structure
-    from .verify import (
-        verify_orientable_is_commutator_subgroup,
-        verify_semigroup_properties,
-        verify_sigma_is_abelianization,
-    )
-
-    s, subject = _load(args)
-    one_var_bound, two_var_bound = _bounds(args)
-    reports = []
-    if args.suite in ("theorems", "all"):
-        group = group_structure(s)  # non-groups exit 3, even for --suite all
-        reports += [
-            verify_orientable_is_commutator_subgroup(group, one_var_bound, subject=subject),
-            verify_sigma_is_abelianization(group, two_var_bound, subject=subject),
-        ]
-    if args.suite in ("propositions", "all"):
-        reports.append(
-            verify_semigroup_properties(s, one_var_bound, two_var_bound, subject=subject)
-        )
-    ok = all(r.passed for r in reports)
-    return (
-        EXIT_OK if ok else EXIT_INVALID,
-        lambda: {"subject": subject, "suite": args.suite, "passed": ok,
-                 "reports": [r.to_json() for r in reports]},
-        lambda: "\n\n".join(r.to_text() for r in reports)
-        + f"\n\nsuite {args.suite}: {'all checks passed' if ok else 'FAILURES'}\n",
-    )
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "info": _cmd_info,
-    "family": _cmd_family,
-    "orientable": _cmd_orientable,
-    "witness": _cmd_witness,
-    "sigma": _cmd_sigma,
-    "quotient": _cmd_quotient,
-    "commutator": _cmd_commutator,
-    "abelianization": _cmd_abelianization,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     """Parse argv, dispatch, and return the exit code; output goes to out/err."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        with contextlib.redirect_stdout(out):  # --help writes to stdout
-            verb = argv[0] if argv and argv[0] in _VERBS else None
-            args = build_parser(verb).parse_args(argv)
-        code, to_json, to_text = _COMMANDS[args.verb](args)
+        args = _plain_args(argv)
+        if args is None:
+            with contextlib.redirect_stdout(out):  # --help writes to stdout
+                verb = argv[0] if argv and argv[0] in _VERBS else None
+                args = build_parser(verb).parse_args(argv)
+        # __import__, unlike importlib.import_module, shows under ``-X importtime``
+        module = __import__(f"{__package__}.verbs.{args.verb}", fromlist=("run",))
+        code, to_json, to_text = module.run(args)
         if args.format == "json":
             import json
 

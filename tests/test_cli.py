@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semorient import catalog, cli, equations
 from semorient.cli import run
@@ -588,3 +590,89 @@ def test_top_level_help_and_errors_use_every_verb():
         code, out, err = invoke(*argv)
         assert (code, out) == (2, ""), argv
         assert err == f"error: usage: {_parse(full, argv)[1]}\n", argv
+
+
+_OPTIONS = sorted({flag for flag, _ in cli._COMMON}
+                  | {flag for _, extra in cli._VERBS.values() for flag, _ in extra})
+# argv that argparse reads but the plain path must decline
+_ODD_OPTIONS = ("--tab", "--b", "--bound=2", "-h", "--help", "--")
+# "\u0663" is the Arabic-Indic digit three, which int() reads as 3
+_ODD_VALUES = ("-1", "", " 4", "1_0", "\u0663", "xml", "nope")
+_VALUES = (
+    "text", "json", "theorems", "propositions", "all", "0", "1", "2", "3",
+    "z2.tbl", "s3.tbl", "bad_assoc.tbl", "missing.tbl",
+    "cyclic:3", "symmetric:3", "leftzero:3", "fulltransformation:2", "nosuch:1",
+    "120", "x0", "120,201", "0,1", "x0,x1", "stray",
+)
+
+
+# values each option takes, drawn more often after it
+_GOOD = {"--format": ("text", "json"), "--suite": ("theorems", "propositions", "all"),
+         "--bound": ("1", "2", "3")}
+
+
+@st.composite
+def _argv(draw, values):
+    """A verb (or none), then options with or without a value, and stray values."""
+    verb = draw(st.sampled_from((*cli._VERBS, "nosuchverb", "--help", "-h", "--format", None)))
+    own = [flag for flag, _ in cli._COMMON + cli._VERBS.get(verb, ("", ()))[1]]
+    argv = [] if verb is None else [verb]
+    for _ in range(draw(st.integers(0, 5))):
+        # mostly the verb's own options with a value, so that much of argv is plain
+        flag = draw(st.sampled_from(own * 6 + _OPTIONS + list(_ODD_OPTIONS)))
+        value = draw(st.sampled_from(_GOOD.get(flag, ()) * 4 + values))
+        argv += draw(st.sampled_from([(flag, value)] * 3 + [(flag,), (value,)]))
+    return argv
+
+
+@st.composite
+def _near_plain_argv(draw, values):
+    """Plain argv, with one more option and value at times, odd or repeated."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    options = draw(st.permutations(cli._COMMON + cli._VERBS[verb][1]))
+    chunks = [
+        (flag,) if o.get("action") == "store_true"
+        else (flag, draw(st.sampled_from(_GOOD.get(flag, ()) * 4 + _VALUES)))
+        for flag, o in options[:draw(st.integers(0, len(options)))]
+    ]
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(_OPTIONS + list(_ODD_OPTIONS)))
+        value = draw(st.sampled_from(values))
+        chunks.insert(draw(st.integers(0, len(chunks))), (flag, value))
+    return [verb] + [token for chunk in chunks for token in chunk]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv(_VALUES + _ODD_VALUES) | _near_plain_argv(_VALUES + _ODD_VALUES))
+@example(["check", "--tab", "z2.tbl"])
+@example(["orientable", "--family", "cyclic:3", "--bound=2"])
+@example(["check", "--family", "cyclic:3", "--format", "text", "--format", "json"])
+@example(["check", "--family", "cyclic:3", "--format", "xml"])
+@example(["orientable", "--family", "cyclic:3", "--bound", "-1"])
+@example(["check", "-h"])
+@example(["check", "--", "--family", "cyclic:3"])
+def test_plain_argv_gives_argparses_namespace(argv):
+    plain = cli._plain_args(argv)
+    dashed = [token for token in argv[1:] if token.startswith("-")]
+    if set(argv) & set(_ODD_OPTIONS) or len(dashed) != len(set(dashed)):
+        # abbreviations, ``--opt=value``, help and repeated options go to argparse
+        assert plain is None, argv
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
+# bounds stay at most 3: " 3" and "0_3" stand in for " 4" and "1_0"
+_SMALL_ODD_VALUES = ("-1", "", " 3", "0_3", "\u0663", "xml", "nope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv(_VALUES + _SMALL_ODD_VALUES) | _near_plain_argv(_VALUES + _SMALL_ODD_VALUES))
+def test_any_argv_exits_0_to_4_with_one_error_line(argv):
+    argv = [str(FIXTURES / a) if a.endswith(".tbl") else a for a in argv]
+    code, out, err = invoke(*argv)
+    assert code in range(5), argv
+    assert "Traceback" not in out + err, argv
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+    else:
+        assert err == "", argv

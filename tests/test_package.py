@@ -120,39 +120,73 @@ def bare():
     return _loaded("-c", "pass")[1]
 
 
-@pytest.mark.parametrize(
-    "argv, code, layers",
-    [
-        ("check --table z2.tbl", 0, set()),
-        ("check --table z2.tbl --format json", 0, set()),
-        ("check --table bad_assoc.tbl", 1, set()),
-        ("check --family cyclic:3", 0, {"catalog"}),
-        ("family --family cyclic:3", 0, {"catalog"}),
-        ("orientable --table z2.tbl", 0, {"equations", "search"}),
-        ("witness --table z2.tbl --element 0", 0, {"equations", "search"}),
-        ("witness --table z2.tbl --pair 0,1", 0, {"equations", "search"}),
-        ("sigma --table z2.tbl", 0, {"equations", "search"}),
-        ("quotient --table z2.tbl", 0, {"equations", "search"}),
-        ("info --table s3.tbl", 0, {"groups"}),
-        ("commutator --table s3.tbl --pair 021,102", 0, {"groups"}),
-        ("abelianization --table s3.tbl", 0, {"groups"}),
-        ("sigma --table s3.tbl --exact", 0, {"equations", "groups", "theorems"}),
-        ("witness --table s3.tbl --element 120 --exact", 0, {"equations", "groups", "theorems"}),
-        ("verify --table s3.tbl", 0, {"equations", "groups", "search", "theorems", "verify"}),
-        # the exact quotient reads the coset congruence and builds no witness
-        ("quotient --table s3.tbl --exact", 0, {"groups"}),
-        ("orientable --table s3.tbl --exact", 0, {"equations", "groups", "theorems"}),
-        ("witness --table s3.tbl --pair 120,201 --exact", 0, {"equations", "groups", "theorems"}),
-        ("quotient --table s3.tbl --exact --bound 0", 2, set()),
-    ],
-)
-def test_each_verb_loads_only_its_layers(bare, argv, code, layers):
+def _cli_loads(argv, code, layers):
+    """Run the CLI on ``argv``; check its exit code and ``semorient`` modules, return all modules.
+
+    ``layers`` names the modules beyond BASE; a verb's module brings its package.
+    """
     argv = [str(FIXTURES / a) if a.endswith(".tbl") else a for a in argv.split()]
     got_code, modules = _loaded("-m", "semorient", *argv)
     assert got_code == code
     ours = {m for m in modules if m == "semorient" or m.startswith("semorient.")}
-    assert ours == BASE | {f"semorient.{layer}" for layer in layers}
-    assert "dataclasses" not in modules - bare
+    expected = {f"semorient.{layer}" for layer in layers}
+    assert ours == BASE | expected | {m.rpartition(".")[0] for m in expected}
+    return modules
+
+
+@pytest.mark.parametrize(
+    "argv, code, layers",
+    [
+        ("check --table z2.tbl", 0, {"verbs.check"}),
+        ("check --table z2.tbl --format json", 0, {"verbs.check"}),
+        ("check --table bad_assoc.tbl", 1, {"verbs.check"}),
+        ("check --family cyclic:3", 0, {"catalog", "verbs.check"}),
+        ("family --family cyclic:3", 0, {"catalog", "verbs.family"}),
+        ("orientable --table z2.tbl", 0, {"equations", "search", "verbs.orientable"}),
+        ("witness --table z2.tbl --element 0", 0, {"equations", "search", "verbs.witness"}),
+        ("witness --table z2.tbl --pair 0,1", 0, {"equations", "search", "verbs.witness"}),
+        ("sigma --table z2.tbl", 0, {"equations", "search", "verbs.sigma"}),
+        ("quotient --table z2.tbl", 0, {"equations", "search", "verbs.quotient"}),
+        ("info --table s3.tbl", 0, {"groups", "verbs.info"}),
+        ("commutator --table s3.tbl --pair 021,102", 0, {"groups", "verbs.commutator"}),
+        ("abelianization --table s3.tbl", 0, {"groups", "verbs.abelianization"}),
+        ("sigma --table s3.tbl --exact", 0, {"equations", "groups", "theorems", "verbs.sigma"}),
+        ("witness --table s3.tbl --element 120 --exact", 0,
+         {"equations", "groups", "theorems", "verbs.witness"}),
+        ("verify --table s3.tbl", 0,
+         {"equations", "groups", "search", "theorems", "verify", "verbs.verify"}),
+        # the exact quotient reads the coset congruence and builds no witness
+        ("quotient --table s3.tbl --exact", 0, {"groups", "verbs.quotient"}),
+        ("orientable --table s3.tbl --exact", 0,
+         {"equations", "groups", "theorems", "verbs.orientable"}),
+        ("witness --table s3.tbl --pair 120,201 --exact", 0,
+         {"equations", "groups", "theorems", "verbs.witness"}),
+        ("quotient --table s3.tbl --exact --bound 0", 2, {"verbs.quotient"}),
+    ],
+)
+def test_each_verb_loads_only_its_layers(bare, argv, code, layers):
+    modules = _cli_loads(argv, code, layers)
+    assert not {"argparse", "gettext", "dataclasses"} & (modules - bare)
+
+
+@pytest.mark.parametrize(
+    "argv, code, layers",
+    [
+        ("check --help", 0, set()),
+        ("check --nosuch", 2, set()),
+        # an abbreviation, ``--opt=value`` and a value starting with ``-`` are
+        # left to argparse, which accepts them as before
+        ("check --tab z2.tbl", 0, {"verbs.check"}),
+        ("orientable --table z2.tbl --bound=2", 0,
+         {"equations", "search", "verbs.orientable"}),
+        ("witness --table s3.tbl --element=120 --exact", 0,
+         {"equations", "groups", "theorems", "verbs.witness"}),
+        ("orientable --table z2.tbl --bound -1", 2, {"equations", "verbs.orientable"}),
+    ],
+)
+def test_argv_the_plain_path_declines_loads_argparse(bare, argv, code, layers):
+    modules = _cli_loads(argv, code, layers)
+    assert "argparse" in modules - bare
 
 
 def test_old_modules_resolve_moved_names_only_on_demand():
