@@ -3,12 +3,14 @@
 
 Spawns the CLI as a real subprocess for each case and compares exit codes:
 0 success, 1 invalid table, 2 usage error, 3 group-only verb on a non-group,
-4 --exact outside the group path. Every nonzero exit must print exactly one
-``error: <category>: <detail>`` line on stderr.
+4 --exact outside the group path, 120 a stdout that cannot take the output.
+Every nonzero exit must print exactly one ``error: <category>: <detail>``
+line on stderr.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -29,8 +31,29 @@ a e
 """
 
 
+def _spawn(argv: list[str], stdout: str) -> subprocess.CompletedProcess:
+    """Run the CLI on argv; ``stdout`` is "pipe", "closed-pipe" or "closed-fd"."""
+    command = [sys.executable, "-m", "semorient", *argv]
+    if stdout == "closed-pipe":  # a pipe whose read end is closed before the spawn
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(command, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+    if stdout == "closed-fd":  # fd 1 closed in the child before it starts Python
+        return subprocess.run(
+            command, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
+        )
+    return subprocess.run(command, capture_output=True, text=True)
+
+
 def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="semorient-exit-"))
+    with tempfile.TemporaryDirectory() as tmp:
+        return _check(Path(tmp))
+
+
+def _check(tmp: Path) -> int:
     broken = tmp / "broken.tbl"
     broken.write_text(BROKEN_TABLE)
     good = tmp / "good.tbl"
@@ -83,17 +106,23 @@ def main() -> int:
         (["check", "-h"], 0),
         (["witness", "--family", "quaternion8", "--element=-1", "--exact"], 0),
     ]
+    cases = [(argv, expected, "pipe") for argv, expected in cases] + [
+        # output that cannot be written: one ``error: output:`` line, no traceback
+        (["check", "--table", str(good)], 120, "closed-pipe"),
+        (["check", "--table", str(good)], 120, "closed-fd"),
+        (["check", "--help"], 120, "closed-fd"),
+        # an error writes nothing to stdout, so a closed stdout does not matter
+        (["check", "--table", str(broken)], 1, "closed-fd"),
+    ]
 
     failures = 0
-    for argv, expected in cases:
-        proc = subprocess.run(
-            [sys.executable, "-m", "semorient", *argv],
-            capture_output=True,
-            text=True,
-        )
+    for argv, expected, stdout in cases:
+        proc = _spawn(argv, stdout)
         ok = proc.returncode == expected
         status = "PASS" if ok else "FAIL"
-        print(f"[{status}] exit {proc.returncode} (expected {expected}): semorient {' '.join(argv)}")
+        where = "" if stdout == "pipe" else f" (stdout {stdout})"
+        print(f"[{status}] exit {proc.returncode} (expected {expected}): "
+              f"semorient {' '.join(argv)}{where}")
         if not ok:
             failures += 1
             sys.stderr.write(proc.stderr)
@@ -103,6 +132,9 @@ def main() -> int:
             # every error, argparse ones included, is one machine-readable line
             failures += 1
             print(f"       stderr is not one 'error:' line: {proc.stderr!r}")
+        elif expected == 120 and not proc.stderr.startswith("error: output: "):
+            failures += 1
+            print(f"       stderr is not an 'error: output:' line: {proc.stderr!r}")
 
     print(f"{len(cases) - failures} of {len(cases)} exit-code cases passed")
     return 0 if failures == 0 else 1

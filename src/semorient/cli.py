@@ -2,21 +2,25 @@
 
 Exit codes: 0 success, 1 table validation or verification failure, 2 usage
 error, 3 group-only verb on a non-group, 4 --exact requested outside the
-group path. Every error also emits one machine-readable line on stderr of
-the form ``error: <category>: <detail>``.
+group path, 120 stdout closed or failing (the status CPython itself gives a
+failed final flush of stdout). Every error also emits one machine-readable
+line on stderr, when stderr is open, of the form ``error: <category>: <detail>``.
 
 Each verb lives in its own module of ``semorient.verbs``. Its ``run(args)``
 computes the result once and returns ``(exit code, to_json, to_text)``, two
 lazy renderers over the same values; ``run`` here alone reads ``--format``
-and calls exactly one of them.
+and calls exactly one of them. ``main``, the process entry, ends the process
+with ``os._exit`` once the output is flushed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
+import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, NoReturn, Optional, TextIO
 
 # only core at module level: each verb imports the layers it runs, so a call
 # loads no more code than it uses (``check --table`` loads core alone)
@@ -40,6 +44,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_NOT_GROUP = 3
 EXIT_EXACT_OUTSIDE_GROUP = 4
+EXIT_OUTPUT = 120
 
 # (exit code, JSON renderer, text renderer)
 Result = tuple[int, Callable[[], object], Callable[[], str]]
@@ -236,6 +241,25 @@ def _table_result(t: Semigroup, head: dict, comment: str = "") -> Result:
     )
 
 
+def _fail(err: Optional[TextIO], code: int, category: str, detail) -> int:
+    """Write the one ``error: <category>: <detail>`` line, if stderr is open; return code."""
+    if err is not None:
+        with contextlib.suppress(OSError):
+            err.write(f"error: {category}: {detail}\n")
+    return code
+
+
+def _write(out: Optional[TextIO], err: Optional[TextIO], text: str, code: int) -> int:
+    """Write the output and return ``code``, or EXIT_OUTPUT if stdout cannot take it."""
+    if out is None:  # the process started with fd 1 closed
+        return _fail(err, EXIT_OUTPUT, "output", "stdout is closed")
+    try:
+        out.write(text)
+    except OSError as exc:
+        return _fail(err, EXIT_OUTPUT, "output", exc)
+    return code
+
+
 def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     """Parse argv, dispatch, and return the exit code; output goes to out/err."""
     out = out if out is not None else sys.stdout
@@ -243,9 +267,13 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
     try:
         args = _plain_args(argv)
         if args is None:
-            with contextlib.redirect_stdout(out):  # --help writes to stdout
-                verb = argv[0] if argv and argv[0] in _VERBS else None
-                args = build_parser(verb).parse_args(argv)
+            verb = argv[0] if argv and argv[0] in _VERBS else None
+            # --help prints its text here, to be written as any other output
+            with contextlib.redirect_stdout(io.StringIO()) as help_text:
+                try:
+                    args = build_parser(verb).parse_args(argv)
+                except SystemExit as exc:
+                    return _write(out, err, help_text.getvalue(), exc.code)
         # __import__, unlike importlib.import_module, shows under ``-X importtime``
         module = __import__(f"{__package__}.verbs.{args.verb}", fromlist=("run",))
         code, to_json, to_text = module.run(args)
@@ -255,26 +283,36 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
             text = json.dumps(to_json(), indent=2) + "\n"
         else:
             text = to_text()
-    except SystemExit as exc:  # --help has printed its text
-        return exc.code
     except (UsageError, FamilyError) as exc:
-        print(f"error: usage: {exc}", file=err)
-        return EXIT_USAGE
+        return _fail(err, EXIT_USAGE, "usage", exc)
     except (TableFormatError, AssociativityError) as exc:
-        print(f"error: invalid-table: {exc}", file=err)
-        return EXIT_INVALID
+        return _fail(err, EXIT_INVALID, "invalid-table", exc)
     except ExactOutsideGroupError as exc:
-        print(f"error: exact-requires-group: {exc}", file=err)
-        return EXIT_EXACT_OUTSIDE_GROUP
+        return _fail(err, EXIT_EXACT_OUTSIDE_GROUP, "exact-requires-group", exc)
     except NotAGroupError as exc:
-        print(f"error: not-a-group: {exc.reason}", file=err)
-        return EXIT_NOT_GROUP
-    out.write(text)
-    return code
+        return _fail(err, EXIT_NOT_GROUP, "not-a-group", exc.reason)
+    return _write(out, err, text, code)
 
 
-def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+def main() -> NoReturn:
+    """The process entry: run the CLI on sys.argv, flush, and end without teardown.
+
+    Once ``run`` returns, semorient holds no open file, no thread and no
+    ``atexit`` handler, so interpreter teardown (module cleanup, the final
+    GC passes, deallocation) would only cost time: after the two streams are
+    flushed, ``os._exit`` ends the process at the status ``sys.exit`` would
+    give. In-process callers use ``run``, which returns.
+    """
+    code = run(sys.argv[1:])
+    if code != EXIT_OUTPUT and sys.stdout is not None:  # a failed write is reported already
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = _fail(sys.stderr, EXIT_OUTPUT, "output", exc)
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import NamedTuple
 
-from .core import SemigroupError, adjoin_identity
+from .core import Monoid1, SemigroupError, adjoin_identity
 from .equations import (
     OneVarWitness,
     SigmaReport,
@@ -117,6 +117,13 @@ def build_orientable_witness(
     result has |a| = 2 + 4(k - 1) for k pairs; the identity (k = 0) gets the
     canonical witness x x^-1 = x * t * x^-1 over the smallest element.
     """
+    return _orientable_witness(group, adjoin_identity(group.base), d)
+
+
+def _orientable_witness(
+    group: GroupStructure, m: Monoid1, d: CommutatorDecomposition
+) -> OneVarWitness:
+    """``build_orientable_witness``, validated on ``m``, the group's ``adjoin_identity``."""
     if decomposition_product(group, d.pairs) != d.element:
         raise InvalidDecompositionError("pairs do not multiply to the element")
     inv = group.inverse
@@ -134,7 +141,7 @@ def build_orientable_witness(
             a = a + (x, inv[x], y, inv[y])
             c = (y, x, inv[y], inv[x]) + c
         witness = OneVarWitness(a, b, c)
-    problem = validate_one_var(adjoin_identity(group.base), d.element, witness)
+    problem = validate_one_var(m, d.element, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
     return witness
@@ -157,9 +164,16 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
         raise NotRelatedError(
             f"{names[g]!r} and {names[h]!r} lie in different cosets"
         ) from None
-    one = build_orientable_witness(group, d)
+    m = adjoin_identity(group.base)
+    return _two_var_witness(m, inv, _orientable_witness(group, m, d), h, g)
+
+
+def _two_var_witness(
+    m: Monoid1, inv: tuple[int, ...], one: OneVarWitness, h: int, g: int
+) -> TwoVarWitness:
+    """The witness for (h, g) from ``one``, a witness for g * h^-1, validated on ``m``."""
     witness = TwoVarWitness(one.a, (inv[h],), one.b, (inv[h],) + one.c)
-    problem = validate_two_var(adjoin_identity(group.base), h, g, witness)
+    problem = validate_two_var(m, h, g, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed two-variable witness: {problem}")
     return witness
@@ -168,14 +182,25 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
 def exact_sigma_report(group: GroupStructure) -> SigmaReport:
     """Relate all ordered pairs exactly: the classes are the commutator-subgroup cosets.
 
-    Every related pair carries a constructed witness. The classes are
-    complete rather than bounded, so the report's ``bound`` is None.
+    Every related pair carries the witness ``build_two_var_witness(group, v, u)``
+    gives. It depends on (u, v) only through v * u^-1 in [G, G], so each of
+    those |[G, G]| one-variable witnesses is built and validated once; every
+    two-variable witness is still validated. The classes are complete rather
+    than bounded, so the report's ``bound`` is None.
     """
     cong = coset_congruence(group)
+    m = adjoin_identity(group.base)
+    t = group.base.table
+    inv = group.inverse
+    ones: dict[int, OneVarWitness] = {}  # v * u^-1 -> its one-variable witness
     pairs: dict[tuple[int, int], TwoVarWitness] = {}
     for u in range(group.order):
         for v in range(group.order):
             if cong.class_of[u] == cong.class_of[v]:
-                # build_two_var_witness(group, g, h) validates for (h, g)
-                pairs[(u, v)] = build_two_var_witness(group, v, u)
+                gh = t[v][inv[u]]
+                one = ones.get(gh)
+                if one is None:
+                    d = commutator_decomposition(group, gh)
+                    one = ones[gh] = _orientable_witness(group, m, d)
+                pairs[(u, v)] = _two_var_witness(m, inv, one, u, v)
     return SigmaReport(None, pairs, cong, "exact-group")

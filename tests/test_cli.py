@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +18,8 @@ from semorient.equations import validate_one_var, validate_two_var, witness_from
 from semorient.catalog import make_family
 
 from conftest import FIXTURES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(*argv):
@@ -676,3 +682,104 @@ def test_any_argv_exits_0_to_4_with_one_error_line(argv):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
     else:
         assert err == "", argv
+
+
+# The process entry ``main`` flushes stdout and ends with ``os._exit``. With
+# PYTHONUNBUFFERED unset the output sits in stdout's buffer until that flush;
+# with it set each write goes straight to the file descriptor.
+def _env(buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _semorient(argv, buffered, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "semorient", *argv], env=_env(buffered), **kwargs
+    )
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, large",
+    [
+        ("family --family cyclic:300", True),
+        ("family --family cyclic:300 --format json", True),
+        ("sigma --exact --family dihedral:36 --format json", True),
+        # small enough to stay in stdout's buffer until main flushes it
+        ("check --family cyclic:2", False),
+    ],
+)
+def test_output_is_written_whole(tmp_path, argv, large, buffered):
+    code, out, err = invoke(*argv.split())
+    expected = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(expected) > 64 * 1024) == large  # more than a pipe holds
+    piped = _semorient(argv.split(), buffered, capture_output=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, expected, b"")
+    path = tmp_path / "out"
+    with open(path, "wb") as f:
+        filed = _semorient(argv.split(), buffered, stdout=f, stderr=subprocess.PIPE)
+    assert (filed.returncode, path.read_bytes(), filed.stderr) == (0, expected, b"")
+
+
+def test_run_returns_for_every_exit_code():
+    # only main ends the process; run returns each code and the interpreter
+    # then tears down as usual, running atexit handlers
+    script = (
+        "import atexit, io\n"
+        "from semorient.cli import run\n"
+        "atexit.register(print, 'teardown')\n"
+        "for argv in (\n"
+        "    'check --family cyclic:2',\n"
+        f"    'check --table {FIXTURES / 'bad_assoc.tbl'}',\n"
+        "    'nosuchverb',\n"
+        "    'commutator --family leftzero:3',\n"
+        "    'sigma --family leftzero:3 --exact',\n"
+        "):\n"
+        "    print(run(argv.split(), out=io.StringIO(), err=io.StringIO()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(True)
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0\n1\n2\n3\n4\nteardown\n"
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [("check", "--family", "cyclic:2"), ("check", "--help")])
+def test_unwritable_output_exits_120(argv):
+    err = io.StringIO()
+    assert run(list(argv), out=_BrokenPipe(), err=err) == 120
+    assert err.getvalue() == "error: output: [Errno 32] Broken pipe\n"
+    # an error writes no output, so it keeps its own exit code
+    err = io.StringIO()
+    assert run(["check"], out=_BrokenPipe(), err=err) == 2
+    assert err.getvalue().startswith("error: usage:")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_that_fails_in_a_fresh_process_exits_120(buffered):
+    argv = ["check", "--table", str(FIXTURES / "z2.tbl")]
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        proc = _semorient(argv, buffered, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (120, "error: output: [Errno 32] Broken pipe\n")
+    proc = _semorient(
+        argv, buffered, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
+    )
+    assert (proc.returncode, proc.stderr) == (120, "error: output: stdout is closed\n")
+    if os.path.exists("/dev/full"):  # a failed final flush, or a failed write when unbuffered
+        with open("/dev/full", "w") as full:
+            proc = _semorient(argv, buffered, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 120
+        assert proc.stderr == "error: output: [Errno 28] No space left on device\n"

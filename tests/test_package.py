@@ -98,17 +98,33 @@ def test_star_import_binds_every_name():
         assert namespace[name] is getattr(semorient, name), name
 
 
-def _loaded(*argv):
-    """The modules a fresh interpreter imports running ``python -X importtime *argv``."""
+# Prepended to the code a fresh interpreter runs: when the process ends through
+# ``os._exit``, as ``cli.main`` ends it, stderr's last line lists ``sys.modules``.
+_REPORT = (
+    "import os, sys\n"
+    "def _report(code, _exit=os._exit):\n"
+    "    sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n')\n"
+    "    sys.stderr.flush()\n"
+    "    _exit(code)\n"
+    "os._exit = _report\n"
+)
+# ``python -m semorient``, run from the -c prelude
+CLI = "import runpy\nrunpy.run_module('semorient', run_name='__main__', alter_sys=True)"
+
+
+def _loaded(code, *argv):
+    """The exit code and the modules a fresh interpreter holds when ``code`` ends it.
+
+    ``code`` runs with ``sys.argv[1:] == argv``. The modules are read from
+    ``sys.modules`` at the end, so imports through ``importlib.import_module``
+    count too.
+    """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", f"{_REPORT}{code}\nos._exit(0)\n", *argv],
+        capture_output=True, text=True, env=env,
     )
-    lines = proc.stderr.splitlines()
-    modules = {
-        line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")
-    }
-    return proc.returncode, modules
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
 
 
 BASE = {"semorient", "semorient.cli", "semorient.core"}
@@ -117,7 +133,7 @@ BASE = {"semorient", "semorient.cli", "semorient.core"}
 @pytest.fixture(scope="module")
 def bare():
     """The modules a bare interpreter imports."""
-    return _loaded("-c", "pass")[1]
+    return _loaded("pass")[1]
 
 
 def _cli_loads(argv, code, layers):
@@ -126,7 +142,7 @@ def _cli_loads(argv, code, layers):
     ``layers`` names the modules beyond BASE; a verb's module brings its package.
     """
     argv = [str(FIXTURES / a) if a.endswith(".tbl") else a for a in argv.split()]
-    got_code, modules = _loaded("-m", "semorient", *argv)
+    got_code, modules = _loaded(CLI, *argv)
     assert got_code == code
     ours = {m for m in modules if m == "semorient" or m.startswith("semorient.")}
     expected = {f"semorient.{layer}" for layer in layers}
@@ -209,7 +225,7 @@ def test_old_modules_resolve_moved_names_only_on_demand():
 
 
 def test_import_semorient_loads_no_layer():
-    code, modules = _loaded("-c", "import semorient")
+    code, modules = _loaded("import semorient")
     assert code == 0
     assert {m for m in modules if m.startswith("semorient")} == {"semorient"}
 

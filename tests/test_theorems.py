@@ -26,6 +26,7 @@ from semorient.theorems import (
     build_two_var_witness,
     commutator_decomposition,
     decomposition_product,
+    exact_sigma_report,
 )
 from semorient.verify import (
     verify_orientable_is_commutator_subgroup,
@@ -186,6 +187,51 @@ def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
     cosets = coset_congruence(g).class_of
     pairs = [(u, v) for u in elements for v in elements]
     assert _two_var_candidates(m, pairs) == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
+def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
+    # the report builds each one-variable witness once; the pairs stay those
+    # build_two_var_witness gives, in the same order
+    s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
+    g = group_structure(s)
+    cosets = coset_congruence(g).class_of
+    expected = [
+        ((u, v), build_two_var_witness(g, v, u))
+        for u in range(s.order)
+        for v in range(s.order)
+        if cosets[u] == cosets[v]
+    ]
+    assert list(exact_sigma_report(g).pairs.items()) == expected
+
+
+def test_sigma_report_validates_each_witness_once(monkeypatch):
+    import semorient.theorems as th
+
+    g = group_structure(make_family("symmetric:4"))
+    ones, twos = [], []
+    one, two = th.validate_one_var, th.validate_two_var
+
+    def count_one(m, x, w):
+        ones.append(x)
+        return one(m, x, w)
+
+    def count_two(m, u, v, w):
+        twos.append((u, v))
+        return two(m, u, v, w)
+
+    monkeypatch.setattr(th, "validate_one_var", count_one)
+    monkeypatch.setattr(th, "validate_two_var", count_two)
+    report = exact_sigma_report(g)
+    # one one-variable witness per element of [G, G], every pair validated
+    assert sorted(ones) == sorted(commutator_subgroup(g))
+    assert twos == list(report.pairs)
+    # a failing pair still raises, also one whose one-variable witness an
+    # earlier pair built
+    last = twos[-1]
+    monkeypatch.setattr(th, "validate_two_var", lambda m, u, v, w: "no" if (u, v) == last else None)
+    with pytest.raises(th.WitnessConstructionError, match="two-variable witness: no"):
+        exact_sigma_report(g)
 
 
 def test_builder_failure_raises_under_optimize():
