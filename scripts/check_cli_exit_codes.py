@@ -74,6 +74,10 @@ def _check(tmp: Path) -> int:
         (["witness", "--family", "cyclic:3", "--element", "zz"], 2),
         (["nosuchverb"], 2),
         (["orientable", "--family", "cyclic:3", "--bound", "x"], 2),
+        # over the bound cap (core.MAX_BOUND), rejected before any search
+        (["orientable", "--family", "cyclic:3", "--bound", "9"], 2),
+        (["verify", "--family", "quaternion8", "--bound", "9"], 2),
+        (["orientable", "--family", "cyclic:3", "--bound", "8"], 0),
         (["check", "--family", "cyclic:1001"], 2),  # over the order cap
         # a nested operand over the order cap
         (["check", "--family", "directproduct:directproduct:cyclic:40,cyclic:40,cyclic:2"], 2),

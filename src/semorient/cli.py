@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Optional, TextIO
 # only core at module level: each verb imports the layers it runs, so a call
 # loads no more code than it uses (``check --table`` loads core alone)
 from .core import (
+    MAX_BOUND,
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
     AssociativityError,
@@ -193,11 +194,13 @@ def _load(args) -> tuple[Semigroup, str]:
 
 def _bounds(args) -> tuple[int, int]:
     bound = getattr(args, "bound", None)
-    if bound is not None and bound < 1:
+    if bound is None:
+        return ONE_VAR_DEFAULT_BOUND, TWO_VAR_DEFAULT_BOUND
+    if bound < 1:
         raise UsageError("--bound must be a positive integer")
-    one = bound if bound is not None else ONE_VAR_DEFAULT_BOUND
-    two = bound if bound is not None else TWO_VAR_DEFAULT_BOUND
-    return one, two
+    if bound > MAX_BOUND:
+        raise UsageError(f"--bound must be at most {MAX_BOUND}")
+    return bound, bound
 
 
 def _element(s: Semigroup, name: str) -> int:

@@ -8,15 +8,7 @@ from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .core import (
-    Congruence,
-    NotAGroupError,
-    Semigroup,
-    SemigroupError,
-    is_cancellative,
-    is_commutative,
-    quotient,
-)
+from .core import Congruence, NotAGroupError, Semigroup, quotient
 
 
 class GroupStructure(NamedTuple):
@@ -110,18 +102,11 @@ def derived_subgroup_tree(
 def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
     """The nodes of the derived-subgroup tree, as an ascending index tuple.
 
-    Inverse closure and normality are re-verified on the finished set.
+    The nodes are the closure of the commutator set under products, which in
+    a finite group is a subgroup, and it is normal because a conjugate of a
+    commutator is a commutator.
     """
-    members = derived_subgroup_tree(g).keys()
-    result = tuple(sorted(members))
-    t = g.base.table
-    inv = g.inverse
-    if not members >= set(map(inv.__getitem__, result)):
-        raise SemigroupError("commutator subgroup is not closed under inverses")
-    # x*(a*x^-1) for every x
-    if not all(members >= set(map(getitem, t, map(t[a].__getitem__, inv))) for a in result):
-        raise SemigroupError("commutator subgroup is not normal")
-    return result
+    return tuple(sorted(derived_subgroup_tree(g)))
 
 
 @lru_cache(maxsize=None)
@@ -142,10 +127,9 @@ def coset_congruence(g: GroupStructure) -> Congruence:
 
 
 def abelianization(g: GroupStructure) -> Semigroup:
-    """The commutative quotient group by the coset congruence."""
-    q = quotient(g.base, coset_congruence(g))
-    if not (is_commutative(q) and is_cancellative(q)):
-        raise SemigroupError("abelianization is not a commutative group")
-    if q.order * len(commutator_subgroup(g)) != g.order:
-        raise SemigroupError("abelianization order differs from the index of [G, G]")
-    return q
+    """The commutative quotient group by the coset congruence.
+
+    The cosets of the normal subgroup [G, G] form a group of order
+    |G| / |[G, G]|, commutative because every commutator lies in [G, G].
+    """
+    return quotient(g.base, coset_congruence(g))

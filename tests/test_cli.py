@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from semorient import catalog, cli, equations
 from semorient.cli import run
-from semorient.core import adjoin_identity, parse_table
+from semorient.core import MAX_BOUND, adjoin_identity, parse_table, serialize_table
 from semorient.equations import validate_one_var, validate_two_var, witness_from_json
 from semorient.catalog import make_family
 
@@ -158,6 +158,43 @@ def test_table_order_cap_rejects_elements_line(tmp_path):
     assert err == (
         "error: invalid-table: line 1: 1001 element names exceed the maximum order 1000\n"
     )
+
+
+_BOUNDED_VERBS = (
+    "orientable", "witness --element i", "witness --pair i,j", "sigma", "quotient",
+    "verify --suite theorems", "verify --suite propositions",
+)
+
+
+@pytest.mark.parametrize("flag", ["--bound 9", "--bound=9", "--bound 1000000000000"])
+@pytest.mark.parametrize("verb", _BOUNDED_VERBS)
+def test_bound_cap_rejects_before_any_search(monkeypatch, verb, flag):
+    from semorient import search, verify
+
+    searches = (
+        "orientable_set", "search_one_var", "search_two_var", "sigma_report",
+        "unfiltered_one_var_search", "unfiltered_two_var_search",
+    )
+    for name in (*searches, "_Multiset"):
+        monkeypatch.setattr(search, name, _refuse)
+    # verify binds three searches at import; the verb reads the suites when it runs
+    for name in (
+        *searches[-3:], "verify_orientable_is_commutator_subgroup",
+        "verify_sigma_is_abelianization", "verify_semigroup_properties",
+    ):
+        monkeypatch.setattr(verify, name, _refuse)
+    for extra in [()] if verb.startswith("verify") else [(), ("--exact",)]:
+        code, out, err = invoke(*verb.split(), "--family", "quaternion8", *flag.split(), *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == f"error: usage: --bound must be at most {MAX_BOUND}\n", extra
+
+
+def test_bound_cap_accepts_the_cap():
+    code, out, err = invoke("witness", "--family", "cyclic:3", "--element", "0", "--bound", "8")
+    assert (code, err) == (0, "")
+    assert out == "element: 0\nwitness: [0] = [] * t * [0]\nvalid: true\n"
+    # the cap is the smallest value above every bound the docs, CI and benchmark use
+    assert MAX_BOUND == 8
 
 
 def test_group_only_verbs_exit_3():
@@ -682,6 +719,61 @@ def test_any_argv_exits_0_to_4_with_one_error_line(argv):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
     else:
         assert err == "", argv
+
+
+_FUZZ_SPECS = (
+    "cyclic:1", "cyclic:4", "klein4", "symmetric:3", "leftzero:2", "rightzero:3", "null:3",
+    "fulltransformation:2", "directproduct:cyclic:2,cyclic:3",
+)
+# characters str.split, str.isspace or str.splitlines treat specially, a BOM, and
+# bytes that are not UTF-8
+_FUZZ_INSERTS = tuple(c.encode() for c in "\x0b\x1c\x85\u2028\ufeff") + (b"\xff", b"\xe9", b"\x80")
+
+
+@st.composite
+def _table_bytes(draw):
+    """A valid table of order <= 6, then up to three byte-level edits."""
+    data = serialize_table(make_family(draw(st.sampled_from(_FUZZ_SPECS)))).encode()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("truncate", "flip", "insert", "duplicate", "drop")))
+        if edit in ("duplicate", "drop"):
+            lines = data.splitlines(keepends=True)
+            if lines:
+                i = draw(st.integers(0, len(lines) - 1))
+                lines[i : i + 1] = [lines[i]] * (2 if edit == "duplicate" else 0)
+            data = b"".join(lines)
+            continue
+        at = draw(st.integers(0, len(data)))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "insert":
+            data = data[:at] + draw(st.sampled_from(_FUZZ_INSERTS)) + data[at:]
+        elif at < len(data):
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.tbl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_bytes())
+@example("elements: a\x1cb\ntable:\na b\nb a\n".encode())
+@example("\ufeffelements: e\ntable:\ne\n".encode())
+@example(b"elements: e\ntable:\n\xff\n")
+def test_any_table_bytes_exit_0_to_4_with_one_error_line(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for verb in ("check", "info", "orientable --bound 2", "sigma --bound 2"):
+        code, out, err = invoke(*verb.split(), "--table", str(fuzz_path))
+        assert code in range(5), (verb, data)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (
+                verb, data, err
+            )
+        else:
+            assert err == "", (verb, data)
 
 
 # The process entry ``main`` flushes stdout and ends with ``os._exit``. With

@@ -28,6 +28,7 @@ from semorient.core import (
     serialize_table,
 )
 from semorient.core import _magma_generators  # private: the greedy set is checked directly
+from semorient.core import _tokenize  # private: columns are checked against str.split
 from semorient.groups import commutator_subgroup, group_structure
 
 from conftest import FIXTURES
@@ -124,6 +125,18 @@ def test_parse_error_text_with_tabs_and_no_break_spaces(row, message):
 def test_rows_split_at_any_whitespace():
     s = parse_table("elements: a b\ntable:\n\ta\xa0b \nb\u3000\x1fa\t\n")
     assert s.table == ((0, 1), (1, 0))
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from("ab#:\t \x0b\x1c\x1f\x85\xa0\u2028\u3000\ufeff"), max_size=30))
+def test_tokenize_columns_point_at_the_tokens_of_split(line):
+    tokens = _tokenize(line)
+    assert [tok for tok, _ in tokens] == line.split()
+    columns = [col for _, col in tokens]
+    assert columns == sorted(set(columns))
+    for tok, col in tokens:
+        assert line[col - 1 : col - 1 + len(tok)] == tok
+        assert col == 1 or line[col - 2].isspace()
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -485,6 +498,39 @@ def test_entry_range_errors_name_the_first_bad_entry(rows, message):
     with pytest.raises(TableFormatError) as exc:
         make_semigroup([f"x{i}" for i in range(len(rows))], rows)
     assert str(exc.value) == message
+
+
+# parse_table rejects these names first, so only a direct construction reaches them
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((), "a semigroup needs at least one element"),
+        (("",), "empty element name"),
+        (("a b",), "element name 'a b' contains whitespace"),
+        (("a\x85",), "element name 'a\\x85' contains whitespace"),
+        (("x#",), "element name 'x#' contains reserved character '#'"),
+        (("x,y",), "element name 'x,y' contains reserved character ','"),
+        (("a:",), "element name 'a:' contains reserved character ':'"),
+        (("a", "b", "a"), "duplicate element name 'a'"),
+    ],
+)
+def test_constructor_validates_names(names, message):
+    with pytest.raises(TableFormatError) as exc:
+        make_semigroup(names, [[0] * len(names)] * len(names))
+    assert str(exc.value) == message
+
+
+def test_index_of_unknown_name(z4):
+    assert z4.index_of("3") == 3
+    with pytest.raises(KeyError) as exc:
+        z4.index_of("4")
+    assert exc.value.args == ("unknown element name '4'",)
+
+
+def test_quotient_rejects_a_congruence_of_another_order(z4):
+    with pytest.raises(ValueError) as exc:
+        quotient(z4, Congruence((0, 1, 0), 2))
+    assert str(exc.value) == "congruence does not match the semigroup's order"
 
 
 def test_commutative_and_cancellative_match_naive_loops():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,12 @@ from semorient.catalog import (
 from semorient.core import adjoin_identity, commutative_congruence, make_semigroup
 from semorient.equations import validate_one_var, validate_two_var
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
-from semorient.search import _one_var_candidates, _two_var_candidates  # private: the filter
+from semorient.search import (
+    _one_var_candidates,  # private: the filter
+    _two_var_candidates,
+    unfiltered_one_var_search,
+    unfiltered_two_var_search,
+)
 from semorient.theorems import (
     CommutatorDecomposition,
     InvalidDecompositionError,
@@ -255,26 +261,6 @@ def test_builder_failure_raises_under_optimize():
     assert proc.stdout == "1\nconstructed one-variable witness: forced failure\n"
 
 
-def test_congruence_check_raises_under_optimize():
-    script = (
-        "import sys\n"
-        "import semorient.core as core\n"
-        "from semorient import make_family\n"
-        "print(sys.flags.optimize)\n"
-        "core.compatibility_violation = lambda s, c: (0, 1, 2, 3)\n"
-        "try:\n"
-        "    core.generated_congruence(make_family('symmetric:3'), [(0, 1)])\n"
-        "except core.CompatibilityError as exc:\n"
-        "    print(exc.quadruple)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n(0, 1, 2, 3)\n"
-
-
 def test_invalid_decomposition_rejected(s3):
     g = group_structure(s3)
     with pytest.raises(InvalidDecompositionError):
@@ -388,6 +374,48 @@ def test_properties_suite_exact_checks_on_groups(s3):
     assert statuses["orientable-product-closure-exact"] == "pass"
     assert statuses["orientable-identity-class-exact"] == "pass"
     assert statuses["sigma-congruence-exact"] == "pass"
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Patch validator ``name`` in each of ``modules`` to count its calls by argument."""
+    calls = Counter()
+    validator = getattr(modules[0], name)
+
+    def counting(m, *args):
+        calls[args] += 1
+        return validator(m, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "quaternion8", "dihedral:6"])
+def test_suites_validate_each_constructed_witness_once(monkeypatch, spec):
+    import semorient.theorems as th
+    import semorient.verify as vf
+
+    g = group_structure(make_family(spec))
+    m = adjoin_identity(g.base)
+    everything = range(g.order)
+    # the builders validate what they build; the suites validate what the searches find
+    built = Counter(
+        (x, build_orientable_witness(g, commutator_decomposition(g, x)))
+        for x in commutator_subgroup(g)
+    )
+    found = unfiltered_one_var_search(m, everything, 2)
+    searched = Counter((x, w) for x, w in found.items() if w is not None)
+    calls = _count_calls(monkeypatch, "validate_one_var", (th, vf))
+    assert verify_orientable_is_commutator_subgroup(g, 2).passed
+    assert calls == built + searched
+
+    built = Counter((u, v, w) for (u, v), w in exact_sigma_report(g).pairs.items())
+    pairs = [(u, v) for u in everything for v in everything]
+    found = unfiltered_two_var_search(m, pairs, 2)
+    searched = Counter((u, v, w) for (u, v), w in found.items() if w is not None)
+    calls = _count_calls(monkeypatch, "validate_two_var", (th, vf))
+    assert verify_sigma_is_abelianization(g, 2).passed
+    assert calls == built + searched
 
 
 def test_report_serialization(s3):
