@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, permutations, product
 
-from .core import MAX_ORDER, FamilyError, Semigroup
+from .core import CACHE_SIZE, MAX_ORDER, FamilyError, Semigroup
 
 
 class _SpecSyntaxError(FamilyError):
@@ -198,7 +198,7 @@ _INT_PARAM = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def make_family(spec: str) -> Semigroup:
     """Build a catalog semigroup from a spec string.
 

@@ -55,10 +55,6 @@ class UsageError(Exception):
     pass
 
 
-class ExactOutsideGroupError(Exception):
-    pass
-
-
 _BOUND = ("--bound", {"type": int, "help": "search bound"})
 _EXACT = ("--exact", {"action": "store_true", "help": "exact group path"})
 
@@ -217,15 +213,6 @@ def _pair(s: Semigroup, spec: str) -> tuple[int, int]:
     return _element(s, left), _element(s, right)
 
 
-def _group_for_exact(s: Semigroup):
-    from .groups import group_structure
-
-    try:
-        return group_structure(s)
-    except NotAGroupError as exc:
-        raise ExactOutsideGroupError(exc.reason) from None
-
-
 def _no_witness(bound: Optional[int], exact_note: str) -> str:
     return exact_note if bound is None else f"no witness with n <= {bound}"
 
@@ -290,9 +277,11 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
         return _fail(err, EXIT_USAGE, "usage", exc)
     except (TableFormatError, AssociativityError) as exc:
         return _fail(err, EXIT_INVALID, "invalid-table", exc)
-    except ExactOutsideGroupError as exc:
-        return _fail(err, EXIT_EXACT_OUTSIDE_GROUP, "exact-requires-group", exc)
     except NotAGroupError as exc:
+        # under --exact only the exact branch of orientable, witness, sigma or
+        # quotient asks for a group; verbs without --exact are group-only verbs
+        if getattr(args, "exact", False):
+            return _fail(err, EXIT_EXACT_OUTSIDE_GROUP, "exact-requires-group", exc.reason)
         return _fail(err, EXIT_NOT_GROUP, "not-a-group", exc.reason)
     return _write(out, err, text, code)
 

@@ -30,6 +30,11 @@ MAX_BOUND = 8
 ONE_VAR_DEFAULT_BOUND = 4
 TWO_VAR_DEFAULT_BOUND = 3
 
+# entries each module-level lru_cache keeps, keyed by table, group or spec: above
+# the distinct keys one CLI call uses (at most 3 on any benchmark job), so a
+# library loop over many tables keeps the most recent ones, not every one seen
+CACHE_SIZE = 32
+
 
 class SemigroupError(Exception):
     """Base class for table, congruence, and group-structure failures."""
@@ -307,15 +312,19 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 
 
 def parse_table(text: str) -> Semigroup:
-    """Parse the table file format into a validated Semigroup.
+    r"""Parse the table file format into a validated Semigroup.
 
     The format is line oriented: ``#`` comment lines and blank lines are
     ignored; an ``elements:`` line lists the n element names; a ``table:``
     line is followed by exactly n rows of n names, row i column j giving
-    ``names[i] * names[j]``.
+    ``names[i] * names[j]``. Lines end at ``\n``, ``\r\n`` or a lone ``\r``,
+    the line ends ``open()`` translates; any other line-break character of
+    ``str.splitlines`` (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``,
+    ``\u2028``, ``\u2029``) is whitespace inside its line.
     """
     significant: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -401,7 +410,7 @@ class Monoid1(NamedTuple):
         return self.base.order + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def adjoin_identity(s: Semigroup) -> Monoid1:
     """Adjoin a fresh two-sided identity, displayed as "1" (primed until unused)."""
     n = s.order
@@ -515,7 +524,7 @@ def compatibility_violation(
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _generators(s: Semigroup) -> list[int]:
     """``_magma_generators`` of the table: on an associative table they generate it as a semigroup."""
     return _magma_generators(s.table)
@@ -579,7 +588,7 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
     return Congruence(tuple(class_of), len(ids))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def commutative_congruence(s: Semigroup) -> Congruence:
     """κ, the least congruence with a commutative quotient: generated by every (xy, yx).
 

@@ -8,7 +8,7 @@ from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .core import Congruence, NotAGroupError, Semigroup, quotient
+from .core import CACHE_SIZE, Congruence, NotAGroupError, Semigroup, quotient
 
 
 class GroupStructure(NamedTuple):
@@ -60,7 +60,7 @@ def commutator(g: GroupStructure, x: int, y: int) -> int:
     return t[t[t[x][y]][g.inverse[x]]][g.inverse[y]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def derived_subgroup_tree(
     g: GroupStructure,
 ) -> Mapping[int, Optional[tuple[int, tuple[int, int]]]]:
@@ -98,7 +98,7 @@ def derived_subgroup_tree(
     return MappingProxyType(parent)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
     """The nodes of the derived-subgroup tree, as an ascending index tuple.
 
@@ -109,7 +109,7 @@ def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
     return tuple(sorted(derived_subgroup_tree(g)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def coset_congruence(g: GroupStructure) -> Congruence:
     """Partition into cosets of the commutator subgroup: u ~ v iff u * v^-1 is in it."""
     n = g.order

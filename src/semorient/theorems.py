@@ -127,9 +127,7 @@ def _orientable_witness(
     if decomposition_product(group, d.pairs) != d.element:
         raise InvalidDecompositionError("pairs do not multiply to the element")
     inv = group.inverse
-    if not d.pairs:
-        if d.element != group.identity:
-            raise InvalidDecompositionError("only the identity has an empty decomposition")
+    if not d.pairs:  # an empty product is the identity, so d.element is too
         x = 0
         witness = OneVarWitness((x, inv[x]), (x,), (inv[x],))
     else:

@@ -1,6 +1,6 @@
 """``orientable``: a witness for every element, by bounded search or ``--exact``."""
 
-from ..cli import EXIT_OK, Result, _bounds, _group_for_exact, _load, _no_witness
+from ..cli import EXIT_OK, Result, _bounds, _load, _no_witness
 from ..core import adjoin_identity
 
 
@@ -10,10 +10,10 @@ def run(args) -> Result:
     s, subject = _load(args)
     one_var_bound, _ = _bounds(args)
     if args.exact:
-        from ..groups import commutator_subgroup
+        from ..groups import commutator_subgroup, group_structure
         from ..theorems import build_orientable_witness, commutator_decomposition
 
-        group = _group_for_exact(s)
+        group = group_structure(s)
         found = dict.fromkeys(range(s.order))
         for g in commutator_subgroup(group):
             found[g] = build_orientable_witness(group, commutator_decomposition(group, g))

@@ -1,6 +1,6 @@
 """``quotient``: the quotient table by the sigma classes."""
 
-from ..cli import Result, _bounds, _group_for_exact, _load, _table_result
+from ..cli import Result, _bounds, _load, _table_result
 from ..core import adjoin_identity, quotient
 
 
@@ -9,9 +9,9 @@ def run(args) -> Result:
     _, two_var_bound = _bounds(args)
     if args.exact:
         # the exact classes are the cosets of [G, G]; the quotient needs no pair witness
-        from ..groups import coset_congruence
+        from ..groups import coset_congruence, group_structure
 
-        cong, exactness = coset_congruence(_group_for_exact(s)), "exact-group"
+        cong, exactness = coset_congruence(group_structure(s)), "exact-group"
     else:
         from ..search import sigma_report
 

@@ -1,6 +1,6 @@
 """``sigma``: the class partition from pair-relating equations."""
 
-from ..cli import EXIT_OK, Result, _bounds, _group_for_exact, _load
+from ..cli import EXIT_OK, Result, _bounds, _load
 from ..core import adjoin_identity
 
 
@@ -10,9 +10,10 @@ def run(args) -> Result:
     s, subject = _load(args)
     _, two_var_bound = _bounds(args)
     if args.exact:
+        from ..groups import group_structure
         from ..theorems import exact_sigma_report
 
-        rep = exact_sigma_report(_group_for_exact(s))
+        rep = exact_sigma_report(group_structure(s))
     else:
         from ..search import sigma_report
 

@@ -6,7 +6,6 @@ from ..cli import (
     UsageError,
     _bounds,
     _element,
-    _group_for_exact,
     _load,
     _no_witness,
     _pair,
@@ -44,6 +43,7 @@ def run(args) -> Result:
         bound = one_var_bound if one else two_var_bound
         w = (search_one_var if one else search_two_var)(m, *target, bound)
     else:
+        from ..groups import group_structure
         from ..theorems import (
             NotInDerivedSubgroupError,
             NotRelatedError,
@@ -52,7 +52,7 @@ def run(args) -> Result:
             commutator_decomposition,
         )
 
-        bound, group = None, _group_for_exact(s)
+        bound, group = None, group_structure(s)
         try:
             if one:
                 w = build_orientable_witness(group, commutator_decomposition(group, target[0]))

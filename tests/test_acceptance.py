@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; each test also asserts, so the suite is red if any criterion fails.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -252,9 +253,12 @@ def test_criterion_7_infrastructure():
         ]
         assert generated_congruence(s, pairs) == coset_congruence(g), spec
 
-    script = Path(__file__).resolve().parent.parent / "scripts" / "check_cli_exit_codes.py"
+    root = Path(__file__).resolve().parent.parent
+    # the script's CLI calls import the package of this checkout, whatever PYTHONPATH says
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True
+        [sys.executable, str(root / "scripts" / "check_cli_exit_codes.py")],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report(

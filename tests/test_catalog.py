@@ -162,6 +162,8 @@ def test_directproduct_nests():
         "directproduct",
         "directproduct:cyclic:2",
         "leftzero:0",
+        "rightzero:0",
+        "null:0",
     ],
 )
 def test_family_errors(spec):
@@ -181,6 +183,8 @@ def test_family_errors(spec):
         # an operand that does not parse sends it on to the next comma, and past the last
         ("directproduct:nosuch:3,cyclic:2",
          "cannot parse directproduct operands 'nosuch:3,cyclic:2'"),
+        # a comma with an empty side is no split point
+        ("directproduct:,cyclic:2", "cannot parse directproduct operands ',cyclic:2'"),
     ],
 )
 def test_directproduct_operand_errors(spec, message):

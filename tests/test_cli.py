@@ -68,6 +68,7 @@ def test_usage_errors_exit_2():
         ("check", "--family", "cyclic:2", "--bound", "2"),
         ("orientable", "--family", "cyclic:2", "--bound", "x"),
         ("witness", "--family", "quaternion8", "--pair", "-1,i"),
+        ("witness", "--family", "cyclic:2", "--element", "zz"),
     ):
         code, _, err = invoke(*argv)
         assert code == 2, argv
@@ -219,6 +220,9 @@ def test_exact_outside_group_exit_4():
         code, _, err = invoke(*argv)
         assert code == 4, argv
         assert err.startswith("error: exact-requires-group:"), argv
+    # the bounds are read before the table is asked to be a group
+    code, _, err = invoke("sigma", "--family", "null:3", "--exact", "--bound", "9")
+    assert (code, err) == (2, f"error: usage: --bound must be at most {MAX_BOUND}\n")
 
 
 def test_orientable_s3_json_lists_three_elements():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from semorient.catalog import CATALOG_FAMILIES, make_family
 from semorient.core import (
+    CACHE_SIZE,
     MAX_ORDER,
     AssociativityError,
     CompatibilityError,
@@ -29,7 +30,7 @@ from semorient.core import (
 )
 from semorient.core import _magma_generators  # private: the greedy set is checked directly
 from semorient.core import _tokenize  # private: columns are checked against str.split
-from semorient.groups import commutator_subgroup, group_structure
+from semorient.groups import commutator_subgroup, coset_congruence, group_structure
 
 from conftest import FIXTURES
 from kappa_probe import random_transformation_semigroup
@@ -125,6 +126,47 @@ def test_parse_error_text_with_tabs_and_no_break_spaces(row, message):
 def test_rows_split_at_any_whitespace():
     s = parse_table("elements: a b\ntable:\n\ta\xa0b \nb\u3000\x1fa\t\n")
     assert s.table == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("sep", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_only_newlines_end_lines(sep):
+    # str.splitlines breaks lines at these too; in a table they are whitespace in a row
+    assert parse_table(f"elements: e a\ntable:\ne{sep}a\na e\n").table == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "text, culprit, message",
+    [
+        ("elements: e a\ntable:\ne a\u2028a\na e\n", "e a\u2028a",
+         "line 3: table row 0 has 3 entries, expected 2"),
+        ("elements: e a\ntable:\ne a\na e\n\x0c\nzz\u2028yy\n", "zz",
+         "line 6: unexpected content after table rows"),
+        ("elements: e a\x85b\x85a\ntable:\n", "elements",
+         "line 1, column 17: duplicate element name 'a'"),
+    ],
+)
+def test_error_line_numbers_count_newlines(text, culprit, message):
+    with pytest.raises(TableFormatError) as exc:
+        parse_table(text)
+    assert str(exc.value) == message
+    # the line an editor, wc -l and grep -n give: one more than the newlines before it
+    assert exc.value.line == text[: text.index(culprit)].count("\n") + 1
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_crlf_and_lone_cr_end_lines(end):
+    good = end.join(["elements: a b", "table:", "a b", "b a", ""])
+    assert parse_table(good).table == ((0, 1), (1, 0))
+    bad = end.join(["# comment", "elements: a b", "table:", "", "a b", "b q", ""])
+    with pytest.raises(TableFormatError) as exc:
+        parse_table(bad)
+    assert (exc.value.line, exc.value.column) == (6, 3)
+
+
+def test_mixed_line_ends_each_end_one_line():
+    with pytest.raises(TableFormatError) as exc:
+        parse_table("elements: a b\r\ntable:\ra b\n\r\nb q\n")
+    assert (exc.value.line, exc.value.column) == (5, 3)
 
 
 @settings(max_examples=300)
@@ -256,7 +298,7 @@ def test_semigroup_constructor_rejects_bad_tables():
 
 def test_eval_word_z4(z4):
     m = adjoin_identity(z4)
-    assert eval_word(m, (1, 1, 1)) == 3
+    assert eval_word(m, (1, 1, 1)) == 3 == z4.mul(1, 2)
     assert eval_word(m, ()) == m.identity_index
     with pytest.raises(ValueError):
         eval_word(m, (9,))
@@ -640,3 +682,22 @@ def test_compatibility_violation_matches_the_loop_on_one_sided_cosets(spec, subg
         u, u2, v, v2 = found
         # left cosets fail only under right translation, (u, u', t, t); right ones only under left
         assert (u != u2, v != v2) == (left, not left)
+
+
+def test_module_caches_stay_bounded():
+    from semorient.core import _generators
+    from semorient.groups import derived_subgroup_tree
+
+    caches = (
+        adjoin_identity, _generators, commutative_congruence, derived_subgroup_tree,
+        commutator_subgroup, coset_congruence, make_family,
+    )
+    for k in range(CACHE_SIZE + 5):
+        # a new Z3 table each time: the same group under fresh names
+        s = make_semigroup([f"e{k}", f"a{k}", f"b{k}"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        adjoin_identity(s)
+        commutative_congruence(s)  # and _generators
+        coset_congruence(group_structure(s))  # and commutator_subgroup, derived_subgroup_tree
+        make_family(f"cyclic:{k + 1}")
+        assert all(f.cache_info().currsize <= CACHE_SIZE for f in caches)
+    assert all(f.cache_info().currsize == CACHE_SIZE for f in caches)

@@ -147,6 +147,12 @@ def test_two_var_structural_reasons():
     assert "multisets differ" in validate_two_var(
         m, 0, 0, TwoVarWitness((0,), (), (1,), ())
     )
+    e = m.identity_index
+    assert "adjoined identity" in validate_two_var(m, 0, 0, TwoVarWitness((e,), (), (e,), ()))
+    # in Z2, 1*0 = 1 but 1*1 = 0
+    reason = validate_two_var(m, 0, 1, TwoVarWitness((1,), (), (1,), ()))
+    assert reason == "substitution fails: a*u*b evaluates to 1 but c*v*d evaluates to 0"
+    assert TwoVarWitness((1,), (0, 1), (), (1, 0, 1)).size == 3
 
 
 # ------------------------------------------------------------------ searches
@@ -500,3 +506,9 @@ def test_witness_from_json_rejects_unknown(s3):
         witness_from_json(s3.names, {"kind": "one-var", "a": ["zz"], "b": [], "c": ["zz"], "element": "012"})
     with pytest.raises(ValueError):
         witness_from_json(s3.names, {"kind": "mystery"})
+    one = {"kind": "one-var", "a": ["120"], "b": [], "c": ["120"]}
+    with pytest.raises(ValueError, match="unknown element name 'zz'"):
+        witness_from_json(s3.names, {**one, "element": "zz"})
+    two = {"kind": "two-var", "a": ["120"], "b": [], "c": ["120"], "d": []}
+    with pytest.raises(ValueError, match=r"unknown element name in pair \['012', 'zz'\]"):
+        witness_from_json(s3.names, {**two, "pair": ["012", "zz"]})

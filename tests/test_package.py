@@ -1,5 +1,6 @@
 """The package surface: lazy exports, the modules each CLI verb loads, and the value types."""
 
+import ast
 import copy
 import os
 import pickle
@@ -82,6 +83,24 @@ def test_moved_names_are_one_object():
     assert semorient.groups.NotAGroupError is core.NotAGroupError
     assert semorient.equations.ONE_VAR_DEFAULT_BOUND == core.ONE_VAR_DEFAULT_BOUND == 4
     assert semorient.equations.TWO_VAR_DEFAULT_BOUND == core.TWO_VAR_DEFAULT_BOUND == 3
+
+
+def test_a_layer_reads_as_a_package_attribute(monkeypatch):
+    core = import_module("semorient.core")
+    # after ``import semorient`` alone the layer is no attribute yet; __getattr__ imports it
+    monkeypatch.delattr(semorient, "core")
+    assert semorient.core is core
+
+
+def test_no_assert_statements_in_the_package():
+    # a check that carries correctness must still run under python -O, which drops asserts
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "semorient").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -14,8 +15,21 @@ from semorient.catalog import (
     NONGROUP_FAMILIES,
     make_family,
 )
-from semorient.core import adjoin_identity, commutative_congruence, make_semigroup
-from semorient.equations import validate_one_var, validate_two_var
+from semorient.cli import run
+from semorient.core import (
+    Congruence,
+    adjoin_identity,
+    commutative_congruence,
+    make_semigroup,
+    serialize_table,
+)
+from semorient.equations import (
+    OneVarWitness,
+    TwoVarWitness,
+    one_var_to_text,
+    validate_one_var,
+    validate_two_var,
+)
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
 from semorient.search import (
     _one_var_candidates,  # private: the filter
@@ -28,6 +42,7 @@ from semorient.theorems import (
     InvalidDecompositionError,
     NotInDerivedSubgroupError,
     NotRelatedError,
+    WitnessConstructionError,
     build_orientable_witness,
     build_two_var_witness,
     commutator_decomposition,
@@ -195,6 +210,33 @@ def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
     assert _two_var_candidates(m, pairs) == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
 
 
+def test_width_two_group_on_the_exact_path(tmp_path):
+    s = width_two_group()
+    g = group_structure(s)
+    m = adjoin_identity(s)
+    two_pairs = {
+        x: build_orientable_witness(g, d)
+        for x in commutator_subgroup(g)
+        if len((d := commutator_decomposition(g, x)).pairs) == 2
+    }
+    assert len(two_pairs) == 3
+    for x, w in two_pairs.items():
+        assert w.size == 6 and validate_one_var(m, x, w) is None
+    # every same-coset ordered pair: 96 elements times |[G, G]| = 32
+    report = exact_sigma_report(g)
+    assert len(report.pairs) == 3072
+    assert all(validate_two_var(m, u, v, w) is None for (u, v), w in report.pairs.items())
+    # the CLI prints the same witnesses for the table file
+    path = tmp_path / "width-two.tbl"
+    path.write_text(serialize_table(s))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["orientable", "--table", str(path), "--exact"], out=out, err=err) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == [f"subject: {path}", "mode: exact", "orientable elements: 32 of 96"]
+    for x, w in two_pairs.items():
+        assert f"{s.names[x]}: {one_var_to_text(s.names, w)}" in lines
+
+
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
     # the report builds each one-variable witness once; the pairs stay those
@@ -238,6 +280,15 @@ def test_sigma_report_validates_each_witness_once(monkeypatch):
     monkeypatch.setattr(th, "validate_two_var", lambda m, u, v, w: "no" if (u, v) == last else None)
     with pytest.raises(th.WitnessConstructionError, match="two-variable witness: no"):
         exact_sigma_report(g)
+
+
+def test_one_var_builder_failure_raises(monkeypatch, s3):
+    import semorient.theorems as th
+
+    g = group_structure(s3)
+    monkeypatch.setattr(th, "validate_one_var", lambda *args: "forced failure")
+    with pytest.raises(WitnessConstructionError, match="one-variable witness: forced failure"):
+        build_orientable_witness(g, commutator_decomposition(g, g.identity))
 
 
 def test_builder_failure_raises_under_optimize():
@@ -440,3 +491,188 @@ def test_report_records_failures():
     assert not report.passed
     assert report.checks[0].counterexample == "element x broke it"
     assert "FAIL" in report.to_text()
+
+
+# ------------------------------------------------------------ planted defects
+#
+# Each case replaces one name in ``semorient.verify`` by a broken version and
+# runs one suite on S3 at bound 2, where the identity is element 0, A3 is
+# {0, 3, 4} and element 1 is a transposition. The named check must report the
+# defect: a hard check fails with a counterexample and fails the report; a soft
+# report records possible violations and leaves the report passing.
+
+
+def _singletons(g):
+    return Congruence(tuple(range(g.order)), g.order)
+
+
+def _shrunk(commutator_subgroup):
+    # [G, G] without its last element: no longer the set the search finds, nor closed
+    return lambda g: commutator_subgroup(g)[:-1]
+
+
+def _finest(coset_congruence):
+    # every element its own class: the search relates elements of different classes
+    return _singletons
+
+
+def _non_compatible(coset_congruence):
+    # the identity and one transposition, a subgroup that is not normal, as one class
+    return lambda g: Congruence((0, 0, 1, 2, 3, 4), 5)
+
+
+def _bogus_one_var(search):
+    def bogus(m, elements, bound):
+        found = search(m, elements, bound)
+        return {g: w and OneVarWitness((g,), (), ()) for g, w in found.items()}
+
+    return bogus
+
+
+def _bogus_two_var(search):
+    def bogus(m, pairs, bound):
+        found = search(m, pairs, bound)
+        return {p: w and TwoVarWitness((0,), (), (), ()) for p, w in found.items()}
+
+    return bogus
+
+
+def _lost_at_next_bound(search):
+    def lost(m, elements, bound):
+        return dict.fromkeys(elements) if bound > 2 else search(m, elements, bound)
+
+    return lost
+
+
+def _grown_at_next_bound(search):
+    def grown(m, elements, bound):
+        found = search(m, elements, bound)
+        if bound > 2:
+            found = {g: w and OneVarWitness(w.a + (0,), w.b + (0,), w.c) for g, w in found.items()}
+        return found
+
+    return grown
+
+
+def _identity_unwitnessed(search):
+    # the identity's witness dropped: the product of a 3-cycle and its inverse has none
+    def dropped(m, elements, bound):
+        return {g: None if g == 0 else w for g, w in search(m, elements, bound).items()}
+
+    return dropped
+
+
+def _relation(label, keep):
+    """A ``sigma_report`` whose relation keeps only the pairs ``keep`` accepts."""
+
+    def patch(sigma_report):
+        def report(m, bound):
+            rep = sigma_report(m, bound)
+            return rep._replace(pairs={p: w for p, w in rep.pairs.items() if keep(*p)})
+
+        return report
+
+    patch.__name__ = label
+    return patch
+
+
+def _padded(build):
+    def padded(group, d):
+        w = build(group, d)
+        return OneVarWitness(w.a + (0,), w.b + (0,), w.c)
+
+    return padded
+
+
+def _always_fails(validate):
+    return lambda *args: "planted failure"
+
+
+def _wrong_quotient_classes(exact_sigma_report):
+    return lambda g: exact_sigma_report(g)._replace(congruence=_singletons(g))
+
+
+PLANTED = [
+    # (suite, name in semorient.verify, defect, check id, text it reports, soft)
+    ("orientable", "build_orientable_witness", _padded, "constructed-witnesses",
+     "witness size 3, expected 2", False),
+    ("orientable", "unfiltered_one_var_search", _bogus_one_var, "bounded-search-sound",
+     "b_word and c_word may not both be empty", False),
+    ("orientable", "commutator_subgroup", _shrunk, "bounded-search-sound",
+     "outside the commutator subgroup", False),
+    ("orientable", "commutator_subgroup", _shrunk, "orientable-set-equals-commutator-subgroup",
+     "sets differ on elements ['201']", False),
+    ("sigma", "unfiltered_two_var_search", _bogus_two_var, "bounded-pair-search-sound",
+     "unbalanced lengths", False),
+    ("sigma", "coset_congruence", _finest, "bounded-pair-search-sound",
+     "related by search but in different cosets", False),
+    ("sigma", "exact_sigma_report", _wrong_quotient_classes, "sigma-quotient-is-abelianization",
+     "quotient is not commutative", False),
+    ("properties", "validate_two_var", _always_fails, "reflexivity-witnesses",
+     "(012, 012)", False),
+    ("properties", "validate_two_var", _always_fails, "commutation-witnesses",
+     "(012, 012): planted failure", False),
+    ("properties", "validate_one_var", _always_fails, "idempotent-witnesses", "012", False),
+    ("properties", "unfiltered_one_var_search", _lost_at_next_bound, "search-monotonicity",
+     "witness lost at bound 3", False),
+    ("properties", "unfiltered_one_var_search", _grown_at_next_bound, "search-monotonicity",
+     "canonical witness grew at a larger bound", False),
+    ("properties", "unfiltered_one_var_search", _identity_unwitnessed,
+     "orientable-product-closure", "has no witness at bound 2", True),
+    ("properties", "sigma_report", _relation("asymmetric", lambda u, v: u <= v),
+     "sigma-relation-symmetry", "possible violation(s)", True),
+    ("properties", "sigma_report", _relation("no-diagonal", lambda u, v: u != v),
+     "sigma-relation-transitivity", "possible violation(s)", True),
+    ("properties", "sigma_report", _relation("one-coset", lambda u, v: {u, v} <= {0, 3, 4}),
+     "sigma-relation-compatibility", "translate of", True),
+    ("properties", "sigma_report", _relation("empty", lambda u, v: False),
+     "orientable-identity-class", "possible violation(s)", True),
+    ("properties", "commutator_subgroup", _shrunk, "orientable-product-closure-exact",
+     "120*120", False),
+    ("properties", "coset_congruence", _finest, "orientable-identity-class-exact",
+     "(120, 012)", False),
+    ("properties", "coset_congruence", _non_compatible, "sigma-congruence-exact",
+     "(0, 1, ", False),
+]
+
+
+def _suite(name, s3):
+    if name == "orientable":
+        return verify_orientable_is_commutator_subgroup(group_structure(s3), 2)
+    if name == "sigma":
+        return verify_sigma_is_abelianization(group_structure(s3), 2)
+    return verify_semigroup_properties(s3, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "suite, name, defect, check_id, text, soft",
+    PLANTED,
+    ids=[f"{check_id}-{name}-{defect.__name__}" for _, name, defect, check_id, *_ in PLANTED],
+)
+def test_planted_defect_is_reported(monkeypatch, s3, suite, name, defect, check_id, text, soft):
+    import semorient.verify as vf
+
+    assert s3.names[:5] == ("012", "021", "102", "120", "201")
+    monkeypatch.setattr(vf, name, defect(getattr(vf, name)))
+    report = _suite(suite, s3)
+    check = next(c for c in report.checks if c.check_id == check_id)
+    if soft:
+        assert check.status == "soft-report" and "possible violation(s)" in check.details
+        assert text in check.details, check.details
+        assert report.passed, report.to_text()
+    else:
+        assert check.status == "fail" and text in check.counterexample, report.to_text()
+        assert not report.passed
+        assert "result: FAIL" in report.to_text()
+
+
+def test_planted_defect_fails_the_verify_verb(monkeypatch):
+    import semorient.verify as vf
+
+    search = vf.unfiltered_one_var_search
+    monkeypatch.setattr(vf, "unfiltered_one_var_search", _bogus_one_var(search))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--family", "symmetric:3", "--suite", "theorems", "--bound", "2"]
+    assert run(argv, out=out, err=err) == 1
+    assert "[fail] bounded-search-sound" in out.getvalue()
+    assert out.getvalue().endswith("\nsuite theorems: FAILURES\n") and err.getvalue() == ""
