@@ -10,11 +10,13 @@ line on stderr.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 BROKEN_TABLE = """\
 elements: 0 1
@@ -31,21 +33,25 @@ a e
 """
 
 
-def _spawn(argv: list[str], stdout: str) -> subprocess.CompletedProcess:
-    """Run the CLI on argv; ``stdout`` is "pipe", "closed-pipe" or "closed-fd"."""
-    command = [sys.executable, "-m", "semorient", *argv]
+def _spawn(
+    argv: list[str], stdout: str = "pipe", env: Optional[dict] = None, module: str = "semorient"
+) -> subprocess.CompletedProcess:
+    """Run ``python -m module`` on argv, with the variables of ``env`` added to the environment.
+
+    ``stdout`` is "pipe", "closed-pipe" or "closed-fd".
+    """
+    command = [sys.executable, "-m", module, *argv]
+    run = functools.partial(subprocess.run, command, text=True, env={**os.environ, **(env or {})})
     if stdout == "closed-pipe":  # a pipe whose read end is closed before the spawn
         read, write = os.pipe()
         os.close(read)
         try:
-            return subprocess.run(command, stdout=write, stderr=subprocess.PIPE, text=True)
+            return run(stdout=write, stderr=subprocess.PIPE)
         finally:
             os.close(write)
     if stdout == "closed-fd":  # fd 1 closed in the child before it starts Python
-        return subprocess.run(
-            command, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
-        )
-    return subprocess.run(command, capture_output=True, text=True)
+        return run(stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    return run(capture_output=True)
 
 
 def main() -> int:
@@ -60,6 +66,10 @@ def _check(tmp: Path) -> int:
     good.write_text(GOOD_TABLE)
     latin1 = tmp / "latin1.tbl"
     latin1.write_bytes(b"# r\xe9sum\xe9\n" + GOOD_TABLE.encode())
+    accented = tmp / "accented.tbl"
+    accented.write_text("elements: e \u00e9\ntable:\ne \u00e9\n\u00e9 e\n", encoding="utf-8")
+    # more directproduct operations than catalog.MAX_PRODUCTS, all of order 1
+    nested = "directproduct:" * 20 + "cyclic:1" + ",cyclic:1" * 20
 
     cases = [
         (["check", "--family", "cyclic:4"], 0),
@@ -109,24 +119,41 @@ def _check(tmp: Path) -> int:
         (["orientable", "--family", "cyclic:3", "--bound", "-1"], 2),
         (["check", "-h"], 0),
         (["witness", "--family", "quaternion8", "--element=-1", "--exact"], 0),
+        (["check", "--family", nested], 2),  # refused before any operand is parsed
     ]
-    cases = [(argv, expected, "pipe") for argv, expected in cases] + [
+    ascii_out = {"env": {"PYTHONIOENCODING": "ascii"}}
+    # the CLI module run directly: one UsageError class, the same output as ``-m semorient``
+    as_cli = {"module": "semorient.cli"}
+    cases = [(argv, expected, {}) for argv, expected in cases] + [
         # output that cannot be written: one ``error: output:`` line, no traceback
-        (["check", "--table", str(good)], 120, "closed-pipe"),
-        (["check", "--table", str(good)], 120, "closed-fd"),
-        (["check", "--help"], 120, "closed-fd"),
+        (["check", "--table", str(good)], 120, {"stdout": "closed-pipe"}),
+        (["check", "--table", str(good)], 120, {"stdout": "closed-fd"}),
+        (["check", "--help"], 120, {"stdout": "closed-fd"}),
         # an error writes nothing to stdout, so a closed stdout does not matter
-        (["check", "--table", str(broken)], 1, "closed-fd"),
+        (["check", "--table", str(broken)], 1, {"stdout": "closed-fd"}),
+        # a stdout whose encoding has no bytes for an element name
+        (["info", "--table", str(accented)], 120, ascii_out),
+        (["witness", "--family", "cyclic:3", "--element", "zz"], 2, as_cli),
+        (["check", "--family", "cyclic:3"], 0, as_cli),
     ]
 
     failures = 0
-    for argv, expected, stdout in cases:
-        proc = _spawn(argv, stdout)
+    for argv, expected, how in cases:
+        proc = _spawn(argv, **how)
         ok = proc.returncode == expected
         status = "PASS" if ok else "FAIL"
-        where = "" if stdout == "pipe" else f" (stdout {stdout})"
+        where = "".join(f" ({key} {value})" for key, value in how.items())
         print(f"[{status}] exit {proc.returncode} (expected {expected}): "
               f"semorient {' '.join(argv)}{where}")
+        if ok and how is as_cli:
+            plain = _spawn(argv)
+            ok = (plain.returncode, plain.stdout, plain.stderr) == (
+                proc.returncode, proc.stdout, proc.stderr
+            )
+            if not ok:
+                print("       output differs from python -m semorient")
+                failures += 1
+                continue
         if not ok:
             failures += 1
             sys.stderr.write(proc.stderr)

@@ -16,6 +16,9 @@ class _SpecSyntaxError(FamilyError):
     """
 
 
+# k products of operands of order >= 2 reach order 2**(k + 1), over MAX_ORDER past this k
+MAX_PRODUCTS = MAX_ORDER.bit_length() - 2
+
 # groups small enough for the exhaustive verification suites
 GROUP_FAMILIES = tuple(f"cyclic:{n}" for n in range(1, 9)) + (
     "klein4",
@@ -206,6 +209,8 @@ def make_family(spec: str) -> Semigroup:
     ``quaternion8``, ``leftzero:3``, ``null:3``, ``fulltransformation:2``,
     ``directproduct:cyclic:2,cyclic:3``.
     """
+    if (products := spec.count("directproduct:")) > MAX_PRODUCTS:  # refused before parsing
+        raise FamilyError(f"{products} directproduct operations, above the maximum {MAX_PRODUCTS}")
     name, sep, rest = spec.partition(":")
     if name == "directproduct":
         if not sep:

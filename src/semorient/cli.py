@@ -2,15 +2,15 @@
 
 Exit codes: 0 success, 1 table validation or verification failure, 2 usage
 error, 3 group-only verb on a non-group, 4 --exact requested outside the
-group path, 120 stdout closed or failing (the status CPython itself gives a
-failed final flush of stdout). Every error also emits one machine-readable
-line on stderr, when stderr is open, of the form ``error: <category>: <detail>``.
+group path, 120 stdout closed, failing or unable to encode the output (the
+status CPython gives a failed final flush of stdout). Every error also emits
+one line on stderr, when stderr is open: ``error: <category>: <detail>``.
 
-Each verb lives in its own module of ``semorient.verbs``. Its ``run(args)``
-computes the result once and returns ``(exit code, to_json, to_text)``, two
-lazy renderers over the same values; ``run`` here alone reads ``--format``
-and calls exactly one of them. ``main``, the process entry, ends the process
-with ``os._exit`` once the output is flushed.
+This module is the process edge, imported by ``__main__`` alone. Each verb's
+module in ``semorient.verbs`` computes the result once in ``run(args)`` and
+returns ``(exit code, to_json, to_text)``, two lazy renderers over the same
+values; ``run`` here alone reads ``--format`` and calls one of them, and
+``_write`` alone decides exit 120.
 """
 
 from __future__ import annotations
@@ -20,40 +20,29 @@ import io
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NoReturn, Optional, TextIO
+from typing import TYPE_CHECKING, NoReturn, Optional, TextIO
 
-# only core at module level: each verb imports the layers it runs, so a call
-# loads no more code than it uses (``check --table`` loads core alone)
+# only core and the verb toolkit at module level: each verb imports the layers it
+# runs, so a call loads no more code than it uses (``check --table`` loads core alone)
 from .core import (
-    MAX_BOUND,
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
     AssociativityError,
     FamilyError,
     NotAGroupError,
-    Semigroup,
     TableFormatError,
-    parse_table,
-    serialize_table,
+)
+from .verbs import (
+    EXIT_EXACT_OUTSIDE_GROUP,
+    EXIT_INVALID,
+    EXIT_NOT_GROUP,
+    EXIT_OUTPUT,
+    EXIT_USAGE,
+    UsageError,
 )
 
 if TYPE_CHECKING:  # argparse loads only in build_parser
     import argparse
-
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_USAGE = 2
-EXIT_NOT_GROUP = 3
-EXIT_EXACT_OUTSIDE_GROUP = 4
-EXIT_OUTPUT = 120
-
-# (exit code, JSON renderer, text renderer)
-Result = tuple[int, Callable[[], object], Callable[[], str]]
-
-
-class UsageError(Exception):
-    pass
-
 
 _BOUND = ("--bound", {"type": int, "help": "search bound"})
 _EXACT = ("--exact", {"action": "store_true", "help": "exact group path"})
@@ -171,66 +160,6 @@ def _plain_args(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(verb=argv[0], **values)
 
 
-def _load(args) -> tuple[Semigroup, str]:
-    if bool(args.table) == bool(args.family):
-        raise UsageError("exactly one of --table or --family is required")
-    if args.table:
-        try:
-            with open(args.table, encoding="utf-8") as f:
-                text = f.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read table file: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise TableFormatError(f"not valid UTF-8 at byte offset {exc.start}") from None
-        return parse_table(text), args.table
-    from .catalog import make_family
-
-    return make_family(args.family), args.family
-
-
-def _bounds(args) -> tuple[int, int]:
-    bound = getattr(args, "bound", None)
-    if bound is None:
-        return ONE_VAR_DEFAULT_BOUND, TWO_VAR_DEFAULT_BOUND
-    if bound < 1:
-        raise UsageError("--bound must be a positive integer")
-    if bound > MAX_BOUND:
-        raise UsageError(f"--bound must be at most {MAX_BOUND}")
-    return bound, bound
-
-
-def _element(s: Semigroup, name: str) -> int:
-    try:
-        return s.index_of(name)
-    except KeyError:
-        raise UsageError(f"unknown element name {name!r}") from None
-
-
-def _pair(s: Semigroup, spec: str) -> tuple[int, int]:
-    left, sep, right = spec.partition(",")
-    if not sep or not left or not right:
-        raise UsageError("--pair needs two comma-separated element names")
-    return _element(s, left), _element(s, right)
-
-
-def _no_witness(bound: Optional[int], exact_note: str) -> str:
-    return exact_note if bound is None else f"no witness with n <= {bound}"
-
-
-def _table_result(t: Semigroup, head: dict, comment: str = "") -> Result:
-    """A table as JSON ``head`` plus order, elements and rows, or as a table file."""
-    return (
-        EXIT_OK,
-        lambda: {
-            **head,
-            "order": t.order,
-            "elements": list(t.names),
-            "rows": [[t.names[e] for e in row] for row in t.table],
-        },
-        lambda: comment + serialize_table(t),
-    )
-
-
 def _fail(err: Optional[TextIO], code: int, category: str, detail) -> int:
     """Write the one ``error: <category>: <detail>`` line, if stderr is open; return code."""
     if err is not None:
@@ -240,12 +169,13 @@ def _fail(err: Optional[TextIO], code: int, category: str, detail) -> int:
 
 
 def _write(out: Optional[TextIO], err: Optional[TextIO], text: str, code: int) -> int:
-    """Write the output and return ``code``, or EXIT_OUTPUT if stdout cannot take it."""
+    """Write and flush the output; return ``code``, or EXIT_OUTPUT if stdout cannot take it."""
     if out is None:  # the process started with fd 1 closed
         return _fail(err, EXIT_OUTPUT, "output", "stdout is closed")
     try:
         out.write(text)
-    except OSError as exc:
+        out.flush()
+    except (OSError, UnicodeEncodeError) as exc:  # or its encoding lacks a character
         return _fail(err, EXIT_OUTPUT, "output", exc)
     return code
 
@@ -287,20 +217,14 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
 
 
 def main() -> NoReturn:
-    """The process entry: run the CLI on sys.argv, flush, and end without teardown.
+    """The process entry: run the CLI on sys.argv, flush stderr, and end without teardown.
 
-    Once ``run`` returns, semorient holds no open file, no thread and no
-    ``atexit`` handler, so interpreter teardown (module cleanup, the final
-    GC passes, deallocation) would only cost time: after the two streams are
-    flushed, ``os._exit`` ends the process at the status ``sys.exit`` would
-    give. In-process callers use ``run``, which returns.
+    Once ``run`` returns, stdout is flushed and semorient holds no open file, no
+    thread and no ``atexit`` handler, so interpreter teardown (module cleanup,
+    the final GC passes, deallocation) would only cost time: ``os._exit`` ends
+    the process at the status ``sys.exit`` would give. In-process callers use ``run``.
     """
     code = run(sys.argv[1:])
-    if code != EXIT_OUTPUT and sys.stdout is not None:  # a failed write is reported already
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            code = _fail(sys.stderr, EXIT_OUTPUT, "output", exc)
     if sys.stderr is not None:
         with contextlib.suppress(OSError):
             sys.stderr.flush()

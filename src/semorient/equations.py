@@ -13,6 +13,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import NamedTuple, Optional, Sequence
 
+from . import _HOMES
 from .core import (  # the bounds stay importable from here, where they first lived
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
@@ -22,20 +23,10 @@ from .core import (  # the bounds stay importable from here, where they first li
     eval_word,
 )
 
-# names defined in ``search`` that callers still read here (perfbench/tracer.py does);
-# ``search`` is imported only when one is read, so importing this module never loads it
-_IN_SEARCH = frozenset((
-    "orientable_set",
-    "search_one_var",
-    "search_two_var",
-    "sigma_report",
-    "unfiltered_one_var_search",
-    "unfiltered_two_var_search",
-))
 
-
+# the names of ``search`` stay readable here (perfbench/tracer.py reads them), loaded on demand
 def __getattr__(name: str):
-    if name in _IN_SEARCH:
+    if name in _HOMES["search"]:
         return getattr(import_module(".search", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import NamedTuple
 
+from . import _HOMES
 from .core import Monoid1, SemigroupError, adjoin_identity
 from .equations import (
     OneVarWitness,
@@ -33,19 +34,10 @@ from .groups import (
     derived_subgroup_tree,
 )
 
-# names defined in ``verify`` that callers still read here (perfbench/tracer.py does);
-# ``verify`` is imported only when one is read, so importing this module never loads it
-_IN_VERIFY = frozenset((
-    "CheckResult",
-    "VerificationReport",
-    "verify_orientable_is_commutator_subgroup",
-    "verify_semigroup_properties",
-    "verify_sigma_is_abelianization",
-))
 
-
+# the names of ``verify`` stay readable here (perfbench/tracer.py reads them), loaded on demand
 def __getattr__(name: str):
-    if name in _IN_VERIFY:
+    if name in _HOMES["verify"]:
         return getattr(import_module(".verify", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -1,6 +1,6 @@
 """``abelianization``: the quotient by the commutator subgroup (groups only)."""
 
-from ..cli import Result, _load, _table_result
+from . import Result, _load, _table_result
 
 
 def run(args) -> Result:

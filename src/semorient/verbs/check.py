@@ -1,6 +1,6 @@
 """``check``: parse and validate a table."""
 
-from ..cli import EXIT_OK, Result, _load
+from . import EXIT_OK, Result, _load
 
 
 def run(args) -> Result:

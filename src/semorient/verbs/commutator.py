@@ -1,6 +1,6 @@
 """``commutator``: the commutator of a pair, or the whole commutator subgroup."""
 
-from ..cli import EXIT_OK, Result, _load, _pair
+from . import EXIT_OK, Result, _load, _pair
 
 
 def run(args) -> Result:

@@ -1,6 +1,6 @@
 """``family``: the canonical table file of a family spec."""
 
-from ..cli import Result, UsageError, _table_result
+from . import Result, UsageError, _table_result
 
 
 def run(args) -> Result:

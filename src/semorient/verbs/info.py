@@ -1,6 +1,6 @@
 """``info``: commutativity, cancellativity, idempotents and group detection."""
 
-from ..cli import EXIT_OK, Result, _load
+from . import EXIT_OK, Result, _load
 from ..core import NotAGroupError, idempotents, is_cancellative, is_commutative
 
 

@@ -1,6 +1,6 @@
 """``orientable``: a witness for every element, by bounded search or ``--exact``."""
 
-from ..cli import EXIT_OK, Result, _bounds, _load, _no_witness
+from . import EXIT_OK, Result, _bounds, _load, _no_witness
 from ..core import adjoin_identity
 
 

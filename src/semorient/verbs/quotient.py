@@ -1,6 +1,6 @@
 """``quotient``: the quotient table by the sigma classes."""
 
-from ..cli import Result, _bounds, _load, _table_result
+from . import Result, _bounds, _load, _table_result
 from ..core import adjoin_identity, quotient
 
 

@@ -1,6 +1,6 @@
 """``sigma``: the class partition from pair-relating equations."""
 
-from ..cli import EXIT_OK, Result, _bounds, _load
+from . import EXIT_OK, Result, _bounds, _load
 from ..core import adjoin_identity
 
 

@@ -1,6 +1,6 @@
 """``verify``: the verification suites."""
 
-from ..cli import EXIT_INVALID, EXIT_OK, Result, _bounds, _load
+from . import EXIT_INVALID, EXIT_OK, Result, _bounds, _load
 
 
 def run(args) -> Result:

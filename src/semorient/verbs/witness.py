@@ -1,6 +1,6 @@
 """``witness``: a witness for one element or one ordered pair."""
 
-from ..cli import (
+from . import (
     EXIT_OK,
     Result,
     UsageError,

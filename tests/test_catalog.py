@@ -272,6 +272,29 @@ def test_product_rows_match_the_per_cell_table(left, right):
     assert (s.names, s.table) == _product_per_cell(left, right)
 
 
+def test_product_limit_follows_the_order_cap():
+    # nine operands of order 2 fit under the cap, ten do not
+    k = catalog.MAX_PRODUCTS
+    assert (k, 2 ** (k + 1) <= catalog.MAX_ORDER < 2 ** (k + 2)) == (8, True)
+    assert make_family("directproduct:" * k + "cyclic:2" + ",cyclic:2" * k).order == 2 ** (k + 1)
+
+
+def test_too_many_products_rejected_before_any_builder_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("parsed or built an operand of a spec over the product limit")
+
+    for builders in (catalog._INT_PARAM, catalog._NO_PARAM):
+        for name in builders:
+            monkeypatch.setitem(builders, name, refuse)
+    monkeypatch.setattr(catalog, "_split_product_spec", refuse)
+    monkeypatch.setattr(catalog, "_product", refuse)
+    products = catalog.MAX_PRODUCTS + 1
+    spec = "directproduct:" * products + "cyclic:1" + ",cyclic:1" * products
+    with pytest.raises(FamilyError) as exc:
+        make_family(spec)
+    assert str(exc.value) == "9 directproduct operations, above the maximum 8"
+
+
 def test_product_order_cap_rejects_before_building(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a product above the order cap")

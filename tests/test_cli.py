@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semorient import catalog, cli, equations
+from semorient import catalog, cli, equations, verbs
 from semorient.cli import run
 from semorient.core import MAX_BOUND, adjoin_identity, parse_table, serialize_table
 from semorient.equations import validate_one_var, validate_two_var, witness_from_json
@@ -105,14 +105,14 @@ def _refuse(*args):
             (
                 (equations, "one_var_to_text"),
                 (equations, "two_var_to_text"),
-                (cli, "serialize_table"),
+                (verbs, "serialize_table"),
             ),
         ),
     ],
 )
 def test_each_format_renders_only_itself(monkeypatch, fmt, renderers):
     # each verb imports the witness renderers from equations when it runs;
-    # cli binds serialize_table from core at import
+    # the verbs package binds serialize_table from core at import
     for module, name in renderers:
         monkeypatch.setattr(module, name, _refuse)
     for argv in (
@@ -137,6 +137,26 @@ def test_family_order_cap_rejects_before_building(monkeypatch):
     assert err == (
         "error: usage: directproduct:cyclic:40,cyclic:40 has order 1600, "
         "above the maximum 1000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # left-nested over order-1 operands: 7.9 s with 20 products before the limit
+        "directproduct:" * 25 + "cyclic:1" + ",cyclic:1" * 25,
+        # right-nested around an order-1000 operand: one order-1000 product per level
+        "directproduct:cyclic:1," * 16 + "cyclic:1000",
+    ],
+    ids=["left-nested", "right-nested"],
+)
+def test_too_many_products_exit_2_before_parsing(monkeypatch, spec):
+    monkeypatch.setattr(catalog, "_split_product_spec", _refuse)
+    code, out, err = invoke("check", "--family", spec)
+    assert (code, out) == (2, "")
+    products = spec.count("directproduct:")
+    assert err == (
+        f"error: usage: {products} directproduct operations, above the maximum 8\n"
     )
 
 
@@ -795,6 +815,23 @@ def _semorient(argv, buffered, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "semorient", *argv], env=_env(buffered), **kwargs
     )
+
+
+@pytest.mark.parametrize(
+    "encoding, name",
+    [("ascii", "t.tbl"), ("utf-8", os.fsdecode(b"r\xe9sum\xe9.tbl"))],
+    ids=["element-name", "non-utf8-path"],
+)
+def test_output_stdout_cannot_encode_exits_120(tmp_path, encoding, name):
+    # info prints the element names and the table path, which the encoding cannot hold
+    path = tmp_path / name
+    path.write_text("elements: e \u00e9\ntable:\ne \u00e9\n\u00e9 e\n", encoding="utf-8")
+    raw, err = io.BytesIO(), io.StringIO()
+    out = io.TextIOWrapper(raw, encoding=encoding)
+    assert run(["info", "--table", str(path)], out=out, err=err) == 120
+    assert err.getvalue().startswith(f"error: output: '{encoding}' codec can't encode")
+    assert err.getvalue().count("\n") == 1
+    assert raw.getvalue() == b""
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

@@ -103,6 +103,34 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _imported_modules(path: Path):
+    """The absolute names of the modules a source file imports, relative imports resolved."""
+    package = list(path.relative_to(SRC).parent.parts)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(package[: len(package) - node.level + 1] if node.level else [])
+            module = ".".join(filter(None, (base, node.module)))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_main_imports_the_cli():
+    # cli is the process edge: a module that imports it brings back the cli <-> verbs
+    # cycle, and ``python -m semorient.cli`` would then hold two copies of cli
+    main = SRC / "semorient" / "__main__.py"
+    found = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted((SRC / "semorient").rglob("*.py"))
+        if path != main
+        for name in _imported_modules(path)
+        if name == "semorient.cli" or name.startswith("semorient.cli.")
+    ]
+    assert found == []
+    assert "semorient.cli.main" in set(_imported_modules(main))
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         semorient.no_such_name
@@ -146,7 +174,7 @@ def _loaded(code, *argv):
     return proc.returncode, set(proc.stderr.splitlines()[-1].split())
 
 
-BASE = {"semorient", "semorient.cli", "semorient.core"}
+BASE = {"semorient", "semorient.cli", "semorient.core", "semorient.verbs"}
 
 
 @pytest.fixture(scope="module")
