@@ -11,8 +11,9 @@ from .core import CACHE_SIZE, MAX_ORDER, FamilyError, Semigroup
 class _SpecSyntaxError(FamilyError):
     """A spec that does not parse, as opposed to one that parses but names no table.
 
-    Only this kind sends ``_split_product_spec`` on to the next comma: a range
-    or order-cap error comes from an operand that parsed, so it is final.
+    In an operand of ``directproduct`` this kind becomes the product's own
+    "cannot parse" error; a range or order-cap error comes from an operand
+    that parsed, so it propagates unchanged.
     """
 
 
@@ -150,18 +151,23 @@ def _fulltransformation(n: int) -> Semigroup:
 
 
 def _split_product_spec(spec: str) -> tuple[Semigroup, Semigroup]:
-    # nested products contain commas themselves, so try each split point
-    positions = [i for i, ch in enumerate(spec) if ch == ","]
-    if not positions:
+    # An operand holds one comma per "directproduct:" in it, and each proper
+    # prefix of it that ends at a comma holds fewer commas than products. So
+    # only the first comma with as many commas as products before it can split.
+    parts = spec.split(",")
+    if len(parts) == 1:
         raise _SpecSyntaxError("directproduct takes two comma-separated family specs")
-    for pos in positions:
-        left, right = spec[:pos], spec[pos + 1 :]
-        if not left or not right:
-            continue
-        try:
-            return make_family(left), make_family(right)
-        except _SpecSyntaxError:
-            continue
+    products = 0
+    for commas, part in enumerate(parts[:-1]):
+        products += part.count("directproduct:")
+        if products == commas:
+            left, right = ",".join(parts[: commas + 1]), ",".join(parts[commas + 1 :])
+            if left and right:
+                try:
+                    return make_family(left), make_family(right)
+                except _SpecSyntaxError:
+                    pass
+            break
     raise _SpecSyntaxError(f"cannot parse directproduct operands {spec!r}")
 
 

@@ -23,7 +23,8 @@ _RESERVED_NAME_CHARS = "#,:"
 MAX_ORDER = 1000
 
 # largest search bound the CLI accepts, checked before any search: a search of
-# size n keeps all n! orderings of each multiset of n factors
+# size n on k elements keeps the maps of all C(n + k - 2, k - 1) multisets of
+# n - 1 factors, each with at most (k + 1)**2 split keys
 MAX_BOUND = 8
 
 # default factor-count bounds of the one- and two-variable searches

@@ -11,7 +11,6 @@ get None without a search. The exact group path never loads this module.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -30,111 +29,58 @@ def _check_bound(bound: int) -> None:
         raise ValueError("bound must be >= 1")
 
 
-def _orderings(multiset: Word) -> Iterator[tuple[list[int], int]]:
-    """Distinct orderings of a multiset in ascending lexicographic order.
+def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[tuple[dict, dict]]]:
+    """The search data of every multiset of base elements, one size n = 1..bound at a time.
 
-    Knuth's Algorithm L (TAOCP 7.2.1.2). Yields the working list, which the
-    next step mutates, with the first position j changed since the previous
-    ordering (0 for the first).
+    Each size is an iterator over its multisets M in
+    ``combinations_with_replacement`` order, giving ``(first, splits)``:
+    ``first`` maps each product value to the smallest ordering of M reaching
+    it, and ``splits`` maps each (prefix product, suffix product) key to the
+    smallest split (b, c) of an ordering of M reaching it. Both are in
+    ascending order of their words.
+
+    Both come from the data of the multisets one letter smaller. An ordering
+    of M is a letter y of M followed by an ordering of M - y, and a split is
+    ((), c) for an ordering c of M, or ((y,) + b, c) for a split (b, c) of
+    M - y. Trying y in ascending order and reading each smaller dict in its
+    own ascending order meets the candidates in ascending word order, so the
+    first entry kept per key (``setdefault``) is the smallest, and dict order
+    is ascending again.
+
+    A size must be read in full before the next is asked for. Only the size
+    that the next one reads is kept, and the last size is never stored. On k
+    base elements the kept size n - 1 holds C(n + k - 2, k - 1) multisets,
+    each with at most k values in ``first`` and (k + 1)**2 keys in
+    ``splits``: 17 550 multisets on ``symmetric:4`` at bound 5.
     """
-    word = sorted(multiset)
-    n = len(word)
-    j = 0
-    while True:
-        yield word, j
-        j = n - 2
-        while j >= 0 and word[j] >= word[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        last = n - 1
-        while word[j] >= word[last]:
-            last -= 1
-        word[j], word[last] = word[last], word[j]
-        word[j + 1 :] = word[:j:-1]
+    t, e = m.table, m.identity_index
+    below: dict[Word, tuple[dict, dict]] = {(): ({e: ()}, {(e, e): ((), ())})}
 
+    def level(n: int, below: dict, kept: Optional[dict]) -> Iterator[tuple[dict, dict]]:
+        for multiset in combinations_with_replacement(range(m.base.order), n):
+            parts = [
+                (y, below[multiset[:i] + multiset[i + 1 :]])
+                for i, y in enumerate(multiset)
+                if not i or y != multiset[i - 1]
+            ]
+            first: dict[int, Word] = {}
+            for y, (sub_first, _) in parts:
+                row = t[y]
+                for v, w in sub_first.items():
+                    first.setdefault(row[v], (y, *w))
+            splits = {(e, v): ((), c) for v, c in first.items()}
+            for y, (_, sub_splits) in parts:
+                row = t[y]
+                for (p, s), (b, c) in sub_splits.items():
+                    splits.setdefault((row[p], s), ((y, *b), c))
+            if kept is not None:
+                kept[multiset] = first, splits
+            yield first, splits
 
-class _Multiset:
-    """Element-independent search data of one multiset of n base elements.
-
-    ``words`` are its distinct orderings in ascending order; ``first`` maps each
-    product value to the index of the first ordering with that value.
-    ``splits`` lists each reachable (prefix product, suffix product) key once,
-    sorted by the smallest split (b, c) = (word[:k], word[k:]) reaching it.
-
-    Splits are ranked without slicing. Let f be the index of the first
-    ordering that starts with word[:k]; orderings sharing a prefix are
-    consecutive, so (f, k) orders the prefixes b (a proper prefix sorts
-    first) and the ordering's index then orders c. The code
-    (f * (n + 1) + k) * W + index, with W = n! above every index, compares as
-    (b, c) does, and a key keeps its smallest code. That is the rule for a
-    split (word2, k2) met after the held (word1, k1): with d the first
-    position where the words differ (n if they are equal), the later split
-    wins iff k2 < k1 and k2 <= d.
-
-    * k2 <= d and k2 < k1: b2 = word1[:k2] is a proper prefix of b1, so b2 < b1.
-    * d < k2 < k1: both b reach position d, where word1 is smaller, so b1 < b2.
-    * k2 >= k1 and k1 <= d: b1 = word2[:k1] is a prefix of b2, a proper one
-      unless k1 = k2, and then b1 = b2 and c1 < c2 since word1 < word2.
-    * k2 >= k1 > d: both b reach position d, so b1 < b2.
-
-    The empty prefix and the empty suffix are the only factors with product
-    e, the adjoined identity, so the keys (e, v) and (v, e) come from
-    ``first`` directly.
-    """
-
-    __slots__ = ("words", "first", "splits", "_codes", "_width")
-
-    def __init__(self, t: Sequence[Sequence[int]], e: int, multiset: Word):
-        n = len(multiset)
-        width = factorial(n)
-        pre = [e] * (n + 1)
-        suf = [e] * (n + 1)
-        # code[k] is the code of split k of the current ordering, less its index
-        code = [k * width for k in range(n + 1)]
-        inner = range(1, n)
-        words: list[Word] = []
-        first: dict[int, int] = {}
-        held: dict[tuple[int, int], int] = {}
-        for index, (word, j) in enumerate(_orderings(multiset)):
-            p = pre[j]
-            for i in range(j, n):
-                p = t[p][word[i]]
-                pre[i + 1] = p
-                code[i + 1] = (index * (n + 1) + i + 1) * width
-            s = e
-            for i in range(n - 1, 0, -1):
-                s = t[word[i]][s]
-                suf[i] = s
-            words.append(tuple(word))
-            first.setdefault(p, index)
-            for k in inner:
-                key = (pre[k], suf[k])
-                c = code[k] + index
-                old = held.get(key)
-                if old is None or c < old:
-                    held[key] = c
-        for value, index in first.items():
-            held[(e, value)] = index
-            held[(value, e)] = (index * (n + 1) + n) * width + index
-        self.words = words
-        self.first = first
-        self.splits = sorted(held, key=held.__getitem__)
-        self._codes = held
-        self._width = width
-
-    def split(self, pos: int) -> tuple[Word, Word]:
-        """The smallest (b, c) reaching ``splits[pos]``."""
-        fk, index = divmod(self._codes[self.splits[pos]], self._width)
-        word = self.words[index]
-        k = fk % (len(word) + 1)
-        return word[:k], word[k:]
-
-
-def _multisets(m: Monoid1, n: int) -> Iterator[_Multiset]:
-    """The search data of every size-n multiset of base elements, in turn."""
-    for multiset in combinations_with_replacement(range(m.base.order), n):
-        yield _Multiset(m.table, m.identity_index, multiset)
+    for n in range(1, bound + 1):
+        kept = {} if n < bound else None
+        yield level(n, below, kept)
+        below = kept
 
 
 def unfiltered_one_var_search(
@@ -144,11 +90,11 @@ def unfiltered_one_var_search(
 
     Every element given is searched, with no commutative-image filter, so a
     check that must not hold by construction can call it. Element g reads
-    first[t[t[p][g]][s]] for each split key (p, s) in ascending (b, c) order;
-    the smallest ordering index, at its first position, gives the multiset's
-    smallest (a, b, c). The orderings of two different multisets never
-    coincide, so across multisets a alone decides. Elements found at one size
-    drop out before the next.
+    the rank in ``first`` of t[t[p][g]][s] for each split key (p, s) in
+    ascending (b, c) order; the smallest rank, at its first position, gives
+    the multiset's smallest (a, b, c). The orderings of two different
+    multisets never coincide, so across multisets a alone decides. Elements
+    found at one size drop out before the next.
     """
     _check_bound(bound)
     for g in elements:
@@ -156,23 +102,24 @@ def unfiltered_one_var_search(
     t = m.table
     found: dict[int, OneVarWitness] = {}
     todo = list(elements)
-    for n in range(1, bound + 1):
+    for level in _levels(m, bound):
         if not todo:
             break
         cols = [(g, [row[g] for row in t]) for g in todo]
         best: dict[int, tuple[Word, Word, Word]] = {}
-        for data in _multisets(m, n):
-            first = data.first
-            missing = len(data.words)
+        for first, splits in level:
+            rank = {v: r for r, v in enumerate(first)}
+            words, bcs = list(first.values()), list(splits.values())
+            missing = len(words)
             for g, col in cols:
-                ranks = [first.get(t[col[p]][s], missing) for p, s in data.splits]
+                ranks = [rank.get(t[col[p]][s], missing) for p, s in splits]
                 r = min(ranks)
                 if r == missing:
                     continue
-                a = data.words[r]
+                a = words[r]
                 cur = best.get(g)
                 if cur is None or a < cur[0]:
-                    best[g] = (a, *data.split(ranks.index(r)))
+                    best[g] = (a, *bcs[ranks.index(r)])
         for g, abc in best.items():
             found[g] = OneVarWitness(*abc)
         todo = [g for g in todo if g not in best]
@@ -198,15 +145,16 @@ def unfiltered_two_var_search(
     t = m.table
     found: dict[tuple[int, int], TwoVarWitness] = {}
     todo = list(pairs)
-    for n in range(1, bound + 1):
+    for level in _levels(m, bound):
         if not todo:
             break
         cols = [(x, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
         best: dict[tuple[int, int], tuple[tuple[Word, Word], tuple[Word, Word]]] = {}
-        for data in _multisets(m, n):
+        for _, splits in level:
+            bcs = list(splits.values())
             positions = {}
             for x, col in cols:
-                values = [t[col[p]][s] for p, s in data.splits]
+                values = [t[col[p]][s] for p, s in splits]
                 # reversed, so that each value keeps its first position
                 positions[x] = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
             for pair in todo:
@@ -216,10 +164,10 @@ def unfiltered_two_var_search(
                 if not shared:
                     continue
                 value = min(shared, key=left.__getitem__)
-                ab = data.split(left[value])
+                ab = bcs[left[value]]
                 cur = best.get(pair)
                 if cur is None or ab < cur[0]:
-                    best[pair] = (ab, data.split(right[value]))
+                    best[pair] = (ab, bcs[right[value]])
         for pair, (ab, cd) in best.items():
             found[pair] = TwoVarWitness(*ab, *cd)
         todo = [pair for pair in todo if pair not in best]

@@ -7,7 +7,7 @@ package's search, closure, or quotient machinery, so agreement is meaningful.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
+from itertools import permutations, product
 
 
 def compose(f, g):
@@ -115,6 +115,42 @@ def naive_search_two_var(m, u, v, bound):
         if best is not None:
             return best
     return None
+
+
+def fixed_size_search_one_var(m, g, n):
+    """The smallest (a, b, c) with |a| = n that solves a = b*g*c, or None.
+
+    Walks a in ``product`` order; (b, c) ranges over the splits of every
+    distinct ordering of a, so the first a with a solution is the smallest
+    and its smallest split completes the witness.
+    """
+    t = m.table
+    for a in product(range(m.base.order), repeat=n):
+        va = mul_word(m, a)
+        found = [
+            (word[:k], word[k:])
+            for word in sorted(set(permutations(a)))
+            for k in range(n + 1)
+            if t[t[mul_word(m, word[:k])][g]][mul_word(m, word[k:])] == va
+        ]
+        if found:
+            return (a, *min(found))
+    return None
+
+
+def rees_matrix_table(group, rows, cols, sandwich):
+    """Cayley table of the Rees matrix semigroup M[G; I, Λ; P], as index lists.
+
+    ``group`` is the Cayley table of G, I = range(rows), Λ = range(cols) and
+    ``sandwich[lam][i]`` is the entry p_{λi}. Element (i, x, λ) sits at index
+    (i * |G| + x) * cols + λ, and (i, x, λ)(j, y, μ) = (i, x·p_{λj}·y, μ).
+    """
+    elements = list(product(range(rows), range(len(group)), range(cols)))
+    index = {el: k for k, el in enumerate(elements)}
+    return [
+        [index[(i, group[group[x][sandwich[lam][j]]][y], mu)] for j, y, mu in elements]
+        for i, x, lam in elements
+    ]
 
 
 def subgroup_closure(table, generators):

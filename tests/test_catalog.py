@@ -1,9 +1,12 @@
+import io
+import time
 from itertools import permutations, product
 
 import pytest
 
 from semorient import catalog
 from semorient.catalog import CATALOG_FAMILIES, FamilyError, make_family
+from semorient.cli import run
 from semorient.core import check_associativity, is_commutative
 
 from oracles import perm_name, transformation_table
@@ -191,6 +194,18 @@ def test_directproduct_operand_errors(spec, message):
     with pytest.raises(FamilyError) as exc:
         make_family(spec)
     assert str(exc.value) == message
+
+
+def test_long_product_spec_fails_in_linear_time():
+    # one product of 14 001 operands: a split tried at every comma re-parses the rest each time
+    rest = "cyclic:1" + ",cyclic:1" * 14_000
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    code = run(["check", "--family", f"directproduct:{rest}"], out=out, err=err)
+    elapsed = time.perf_counter() - started
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: usage: cannot parse directproduct operands {rest!r}\n"
+    assert elapsed < 1, elapsed
 
 
 def test_make_family_is_deterministic():

@@ -196,7 +196,7 @@ def test_bound_cap_rejects_before_any_search(monkeypatch, verb, flag):
         "orientable_set", "search_one_var", "search_two_var", "sigma_report",
         "unfiltered_one_var_search", "unfiltered_two_var_search",
     )
-    for name in (*searches, "_Multiset"):
+    for name in (*searches, "_levels"):
         monkeypatch.setattr(search, name, _refuse)
     # verify binds three searches at import; the verb reads the suites when it runs
     for name in (

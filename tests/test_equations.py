@@ -1,4 +1,5 @@
-from itertools import permutations
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +34,19 @@ from semorient.search import (
     unfiltered_two_var_search,
 )
 from semorient.search import (  # private: the search data and the filter are checked directly
-    _Multiset,
+    _levels,
     _one_var_candidates,
-    _orderings,
     _two_var_candidates,
 )
 from semorient.theorems import exact_sigma_report
 
-from oracles import all_associative_tables, naive_search_one_var, naive_search_two_var
+from oracles import (
+    all_associative_tables,
+    fixed_size_search_one_var,
+    naive_search_one_var,
+    naive_search_two_var,
+    rees_matrix_table,
+)
 
 
 def monoid(spec):
@@ -267,6 +273,28 @@ def test_search_one_var_agrees_with_naive_oracle_on_order_2_at_bound_5(raw):
         assert search_one_var(m, g, 5) == (None if expected is None else OneVarWitness(*expected))
 
 
+def test_rees_matrix_semigroup_needs_witnesses_of_size_3():
+    # M[Z3; 2, 2; P] with P = ((e, e), (e, g)) for the generator g: a non-group of order 12
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    table = rees_matrix_table(z3, 2, 2, ((0, 0), (0, 1)))
+    m = adjoin_identity(make_semigroup([f"r{k}" for k in range(12)], table))
+    found = orientable_set(m, 3)
+    assert Counter(len(w.a) for w in found.values()) == {1: 4, 2: 4, 3: 4}
+    for g, w in found.items():
+        assert validate_one_var(m, g, w) is None
+        small = naive_search_one_var(m, g, 2)
+        if len(w.a) <= 2:
+            assert w == small
+        else:
+            # the naive search takes seconds per element at size 3
+            assert small is None and w == fixed_size_search_one_var(m, g, 3)
+    pairs = sigma_report(m, 2).pairs
+    sample = [(0, 3), (0, 8), (2, 9), (3, 8), (5, 10), (11, 4)]
+    assert {pair in pairs for pair in sample} == {True, False}
+    for u, v in sample:
+        assert pairs.get((u, v)) == naive_search_two_var(m, u, v, 2)
+
+
 def test_batched_searches_match_single_searches(catalog_family):
     spec, s = catalog_family
     m = adjoin_identity(s)
@@ -281,37 +309,24 @@ def test_batched_searches_match_single_searches(catalog_family):
             assert pairs.get((u, v)) == search_two_var(m, u, v, 2)
 
 
-@pytest.mark.parametrize(
-    "multiset", [(0,), (1, 1), (0, 0, 1), (0, 1, 1, 2), (0, 0, 1, 1, 1), (2, 0, 3, 1)]
-)
-def test_orderings_are_lexicographic_with_first_changed_position(multiset):
-    got = [(tuple(word), j) for word, j in _orderings(multiset)]
-    words = sorted(set(permutations(multiset)))
-    assert [w for w, _ in got] == words
-    assert got[0][1] == 0
-    for (prev, _), (word, j) in zip(got, got[1:]):
-        assert prev[:j] == word[:j] and prev[j] != word[j]
-
-
 @pytest.mark.parametrize("spec", ["null:3", "leftzero:2", "symmetric:3", "fulltransformation:2"])
-def test_multiset_splits_are_smallest_and_sorted(spec):
+def test_level_data_is_smallest_and_sorted(spec):
     m = monoid(spec)
-    t, e = m.table, m.identity_index
-    for multiset in [(0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 2, 2)]:
-        if max(multiset) >= m.base.order:
-            continue
-        data = _Multiset(t, e, multiset)
-        smallest = {}
-        for word in sorted(set(permutations(multiset))):
-            for k in range(len(word) + 1):
-                key = (eval_word(m, word[:k]), eval_word(m, word[k:]))
-                smallest[key] = min(smallest.get(key, (word[:k], word[k:])), (word[:k], word[k:]))
-        assert data.splits == sorted(smallest, key=smallest.__getitem__)
-        assert [data.split(pos) for pos in range(len(data.splits))] == sorted(smallest.values())
-        for value, index in data.first.items():
-            word = data.words[index]
-            assert eval_word(m, word) == value
-            assert all(eval_word(m, w) != value for w in data.words[:index])
+    for n, level in enumerate(_levels(m, 5), start=1):
+        multisets = combinations_with_replacement(range(m.base.order), n)
+        for multiset, (first, splits) in zip_longest(multisets, level):
+            words = sorted(set(permutations(multiset)))
+            smallest_a = {}
+            smallest_bc = {}
+            for word in words:
+                smallest_a.setdefault(eval_word(m, word), word)
+                for k in range(n + 1):
+                    key = (eval_word(m, word[:k]), eval_word(m, word[k:]))
+                    bc = (word[:k], word[k:])
+                    smallest_bc[key] = min(smallest_bc.get(key, bc), bc)
+            # the entries and their order: ascending words
+            assert list(first.items()) == sorted(smallest_a.items(), key=lambda kv: kv[1])
+            assert list(splits.items()) == sorted(smallest_bc.items(), key=lambda kv: kv[1])
 
 
 @settings(max_examples=30, deadline=None)
