@@ -83,60 +83,20 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[tuple[dict, dict]]]:
         below = kept
 
 
-def unfiltered_one_var_search(
-    m: Monoid1, elements: Sequence[int], bound: int
-) -> dict[int, Optional[OneVarWitness]]:
-    """Canonical minimal witness (or None) for each element, sharing all per-multiset work.
-
-    Every element given is searched, with no commutative-image filter, so a
-    check that must not hold by construction can call it. Element g reads
-    the rank in ``first`` of t[t[p][g]][s] for each split key (p, s) in
-    ascending (b, c) order; the smallest rank, at its first position, gives
-    the multiset's smallest (a, b, c). The orderings of two different
-    multisets never coincide, so across multisets a alone decides. Elements
-    found at one size drop out before the next.
-    """
-    _check_bound(bound)
-    for g in elements:
-        _check_index(m, g)
-    t = m.table
-    found: dict[int, OneVarWitness] = {}
-    todo = list(elements)
-    for level in _levels(m, bound):
-        if not todo:
-            break
-        cols = [(g, [row[g] for row in t]) for g in todo]
-        best: dict[int, tuple[Word, Word, Word]] = {}
-        for first, splits in level:
-            rank = {v: r for r, v in enumerate(first)}
-            words, bcs = list(first.values()), list(splits.values())
-            missing = len(words)
-            for g, col in cols:
-                ranks = [rank.get(t[col[p]][s], missing) for p, s in splits]
-                r = min(ranks)
-                if r == missing:
-                    continue
-                a = words[r]
-                cur = best.get(g)
-                if cur is None or a < cur[0]:
-                    best[g] = (a, *bcs[ranks.index(r)])
-        for g, abc in best.items():
-            found[g] = OneVarWitness(*abc)
-        todo = [g for g in todo if g not in best]
-    return {g: found.get(g) for g in elements}
-
-
 def unfiltered_two_var_search(
     m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
 ) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
     """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
 
-    Every pair given is searched, with no commutative-image filter. For each
-    multiset every element x gets one map: value of b*x*c -> position of the
-    smallest split (b, c) with that value. Each split gives u one value, so
-    the shared value of (u, v) whose left position is lowest carries the
-    smallest (a, b), and the right map its smallest (c, d). Across multisets
-    (a, b) alone decides, as in the one-variable case.
+    Every pair given is searched, with no commutative-image filter, so a
+    check that must not hold by construction can call it. For each multiset
+    each element x gives each split (b, c) the value b*x*c. A left element u
+    maps each value to the position of the smallest split reaching it; a
+    right element v needs only the set of its values. The shared value of
+    (u, v) whose left position is lowest carries the smallest (a, b), and the
+    first split where v reaches it the smallest (c, d). The orderings of two
+    different multisets never coincide, so across multisets (a, b) alone
+    decides. Pairs found at one size drop out before the next.
     """
     _check_bound(bound)
     for u, v in pairs:
@@ -148,51 +108,47 @@ def unfiltered_two_var_search(
     for level in _levels(m, bound):
         if not todo:
             break
-        cols = [(x, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
+        lefts = {u for u, _ in todo}
+        cols = [(x, x in lefts, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
         best: dict[tuple[int, int], tuple[tuple[Word, Word], tuple[Word, Word]]] = {}
         for _, splits in level:
             bcs = list(splits.values())
-            positions = {}
-            for x, col in cols:
-                values = [t[col[p]][s] for p, s in splits]
+            down = range(len(bcs) - 1, -1, -1)
+            values, seen = {}, {}
+            for x, is_left, col in cols:
+                vals = values[x] = [t[col[p]][s] for p, s in splits]
                 # reversed, so that each value keeps its first position
-                positions[x] = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+                seen[x] = dict(zip(reversed(vals), down)) if is_left else set(vals)
             for pair in todo:
-                left = positions[pair[0]]
-                right = positions[pair[1]]
-                shared = left.keys() & right.keys()
+                left = seen[pair[0]]
+                shared = left.keys() & seen[pair[1]]
                 if not shared:
                     continue
                 value = min(shared, key=left.__getitem__)
                 ab = bcs[left[value]]
                 cur = best.get(pair)
                 if cur is None or ab < cur[0]:
-                    best[pair] = (ab, bcs[right[value]])
+                    best[pair] = (ab, bcs[values[pair[1]].index(value)])
         for pair, (ab, cd) in best.items():
             found[pair] = TwoVarWitness(*ab, *cd)
         todo = [pair for pair in todo if pair not in best]
     return {pair: found.get(pair) for pair in pairs}
 
 
-def _kappa(m: Monoid1) -> tuple[tuple[int, ...], list[int]]:
-    """The κ-class of each base element and the smallest member of each class, by class id."""
-    kappa = commutative_congruence(m.base)
-    return kappa.class_of, [members[0] for members in kappa.classes()]
+def unfiltered_one_var_search(
+    m: Monoid1, elements: Sequence[int], bound: int
+) -> dict[int, Optional[OneVarWitness]]:
+    """Canonical minimal witness (or None) for each element: the pair search on (1, g).
 
-
-def _one_var_candidates(m: Monoid1, elements: Sequence[int]) -> list[int]:
-    """The elements whose κ-class fixes some class, in input order; the rest have no witness.
-
-    The adjoined identity is not in S/κ; it is always kept.
+    In S¹, a = b*g*c is ()*1*a = b*g*c, so a witness (a, b, c) of g is the
+    witness ((), a, b, c) of (1, g). A witness (a', b', c, d) of (1, g) gives
+    the witness ((), a' + b', c, d) of the same size, no larger in word order
+    since () comes first. So the canonical witness of (1, g) starts with (),
+    and the rest is the canonical (a, b, c). Every element given is searched.
     """
-    cls, reps = _kappa(m)
-    t, e = m.table, m.identity_index
-    keep = []
-    for g in elements:
-        _check_index(m, g)
-        if g == e or any(cls[t[g][r]] == w for w, r in enumerate(reps)):
-            keep.append(g)
-    return keep
+    e = m.identity_index
+    found = unfiltered_two_var_search(m, [(e, g) for g in elements], bound)
+    return {g: None if w is None else OneVarWitness(*w[1:]) for (_, g), w in found.items()}
 
 
 def _two_var_candidates(
@@ -200,18 +156,27 @@ def _two_var_candidates(
 ) -> list[tuple[int, int]]:
     """The pairs (u, v) with [u]w = [v]w for some κ-class w, in input order.
 
-    The rest have no witness. A pair holding the adjoined identity, which is
-    not in S/κ, is always kept.
+    The rest have no witness: both sides of a*u*b = c*v*d carry one factor
+    multiset, whose product has some class w in the commutative S/κ. The row
+    of the adjoined identity 1 maps each r to r, so 1 acts as the identity of
+    S/κ and the test is sound for pairs that hold 1 too.
     """
-    cls, reps = _kappa(m)
-    t, e = m.table, m.identity_index
+    kappa = commutative_congruence(m.base)
+    cls, t = kappa.class_of, m.table
+    reps = [members[0] for members in kappa.classes()]
     keep = []
     for u, v in pairs:
         _check_index(m, u)
         _check_index(m, v)
-        if e in (u, v) or any(cls[t[u][r]] == cls[t[v][r]] for r in reps):
+        if any(cls[t[u][r]] == cls[t[v][r]] for r in reps):
             keep.append((u, v))
     return keep
+
+
+def _one_var_candidates(m: Monoid1, elements: Sequence[int]) -> list[int]:
+    """The elements g whose pair (1, g) passes, in input order: g's κ-class fixes some class."""
+    e = m.identity_index
+    return [g for _, g in _two_var_candidates(m, [(e, g) for g in elements])]
 
 
 def search_one_var(

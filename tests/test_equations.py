@@ -42,6 +42,7 @@ from semorient.theorems import exact_sigma_report
 
 from oracles import (
     all_associative_tables,
+    all_pairs_kappa,
     fixed_size_search_one_var,
     naive_search_one_var,
     naive_search_two_var,
@@ -392,9 +393,9 @@ def _assert_filter_keeps_search_results(s):
     kept_pairs = set(_two_var_candidates(m, pairs))
     assert all(two[pair] is None for pair in pairs if pair not in kept_pairs)
 
-    # the adjoined identity is outside S/κ: it always reaches the search
+    # the adjoined identity acts as the identity of S/κ, so (1, 1) always passes
     assert _one_var_candidates(m, [e]) == [e]
-    assert _two_var_candidates(m, [(e, 0), (0, e)]) == [(e, 0), (0, e)]
+    assert _two_var_candidates(m, [(e, e)]) == [(e, e)]
     assert search_one_var(m, e, 2) == unfiltered_one_var_search(m, [e], 2)[e]
     assert search_two_var(m, e, 0, 2) == unfiltered_two_var_search(m, [(e, 0)], 2)[(e, 0)]
 
@@ -408,6 +409,20 @@ def test_filter_keeps_search_results_on_every_small_table():
 def test_filter_keeps_search_results_on_catalog(catalog_family):
     spec, s = catalog_family
     _assert_filter_keeps_search_results(s)
+
+
+def test_pair_filter_decides_identity_pairs_by_the_one_var_test():
+    # 1 acts as the identity of S/κ: (1, g) passes iff g's κ-class fixes some class
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    rees = make_semigroup(
+        [f"r{k}" for k in range(12)], rees_matrix_table(z3, 2, 2, ((0, 0), (0, 1)))
+    )
+    for s in [*SMALL_TABLES, *map(make_family, CATALOG_FAMILIES), rees]:
+        m = adjoin_identity(s)
+        e, t, cls = m.identity_index, s.table, all_pairs_kappa(s.table)
+        for g in range(s.order):
+            fixes = any(cls[t[g][r]] == cls[r] for r in range(s.order))
+            assert (_two_var_candidates(m, [(e, g)]) == [(e, g)]) == fixes, (t, g)
 
 
 def test_filtered_searches_still_reject_bad_input():
@@ -527,3 +542,28 @@ def test_witness_from_json_rejects_unknown(s3):
     two = {"kind": "two-var", "a": ["120"], "b": [], "c": ["120"], "d": []}
     with pytest.raises(ValueError, match=r"unknown element name in pair \['012', 'zz'\]"):
         witness_from_json(s3.names, {**two, "pair": ["012", "zz"]})
+
+
+_ONE = {"kind": "one-var", "a": ["120"], "b": [], "c": ["120"], "element": "012"}
+_TWO = {"kind": "two-var", "a": ["120"], "b": [], "c": ["120"], "d": [], "pair": ["012", "120"]}
+
+
+@pytest.mark.parametrize(
+    "obj, reason",
+    [
+        ({k: v for k, v in _ONE.items() if k != "a"}, "missing field 'a'"),
+        ({k: v for k, v in _TWO.items() if k != "d"}, "missing field 'd'"),
+        ({k: v for k, v in _ONE.items() if k != "element"}, "missing field 'element'"),
+        ({k: v for k, v in _TWO.items() if k != "pair"}, "missing field 'pair'"),
+        ({**_ONE, "a": "120"}, "field 'a' must be a list of element names, got '120'"),
+        ({**_TWO, "pair": ["012"]}, r"field 'pair' must name two elements, got \['012'\]"),
+        ([_ONE], r"a witness must be a JSON object, got \[\{"),
+    ],
+    ids=["missing-word", "missing-two-var-word", "missing-element", "missing-pair",
+         "string-word", "one-name-pair", "not-an-object"],
+)
+def test_witness_from_json_names_what_is_malformed(s3, obj, reason):
+    assert witness_from_json(s3.names, _ONE)[0] == s3.index_of("012")
+    assert witness_from_json(s3.names, _TWO)[0] == (s3.index_of("012"), s3.index_of("120"))
+    with pytest.raises(ValueError, match=f"^{reason}"):
+        witness_from_json(s3.names, obj)
