@@ -71,28 +71,16 @@ def _factor_problem(m: Monoid1, *words: Word) -> Optional[str]:
 
 
 def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
-    """Return None if the witness is valid for g, else the first failed clause."""
-    _check_index(m, g)
-    if len(w.a) < 1:
-        return "a_word must be non-empty"
-    if len(w.b) + len(w.c) < 1:
-        return "b_word and c_word may not both be empty"
-    if len(w.a) != len(w.b) + len(w.c):
-        return f"unbalanced lengths: |a| = {len(w.a)} but |b| + |c| = {len(w.b) + len(w.c)}"
-    problem = _factor_problem(m, w.a, w.b, w.c)
-    if problem:
-        return problem
-    if sorted(w.a) != sorted(w.b + w.c):
-        return "factor multisets differ between the two sides"
-    t = m.table
-    left = eval_word(m, w.a)
-    right = t[t[eval_word(m, w.b)][g]][eval_word(m, w.c)]
-    if left != right:
-        return (
-            f"substitution fails: a evaluates to {m.names[left]} "
-            f"but b*g*c evaluates to {m.names[right]}"
-        )
-    return None
+    """Return None if the witness is valid for g, else the first failed clause.
+
+    In S¹ the equation a = b*t*c is ()*t1*a = b*t2*c at (t1, t2) = (1, g):
+    ()*1*a = a, and the two sides carry the factors of a and of b, c. So the
+    pair check accepts exactly the witnesses with |a| = |b| + |c| >= 1, no
+    adjoined identity among the factors, the same factor multiset on both
+    sides, and a = b*g*c. "a non-empty" and "b, c not both empty" are cases
+    of its balance clause.
+    """
+    return validate_two_var(m, m.identity_index, g, TwoVarWitness((), w.a, w.b, w.c))
 
 
 def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
@@ -104,7 +92,10 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
     if left_len == 0 and right_len == 0:
         return "at least one factor is required"
     if left_len != right_len:
-        return f"unbalanced lengths: |a| + |b| = {left_len} but |c| + |d| = {right_len}"
+        return (
+            f"unbalanced lengths: the left side has {left_len} factors "
+            f"but the right side has {right_len}"
+        )
     problem = _factor_problem(m, w.a, w.b, w.c, w.d)
     if problem:
         return problem
@@ -115,8 +106,8 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
     right = t[t[eval_word(m, w.c)][v]][eval_word(m, w.d)]
     if left != right:
         return (
-            f"substitution fails: a*u*b evaluates to {m.names[left]} "
-            f"but c*v*d evaluates to {m.names[right]}"
+            f"substitution fails: the left side evaluates to {m.names[left]} "
+            f"but the right side evaluates to {m.names[right]}"
         )
     return None
 

@@ -109,13 +109,6 @@ def build_orientable_witness(
     result has |a| = 2 + 4(k - 1) for k pairs; the identity (k = 0) gets the
     canonical witness x x^-1 = x * t * x^-1 over the smallest element.
     """
-    return _orientable_witness(group, adjoin_identity(group.base), d)
-
-
-def _orientable_witness(
-    group: GroupStructure, m: Monoid1, d: CommutatorDecomposition
-) -> OneVarWitness:
-    """``build_orientable_witness``, validated on ``m``, the group's ``adjoin_identity``."""
     if decomposition_product(group, d.pairs) != d.element:
         raise InvalidDecompositionError("pairs do not multiply to the element")
     inv = group.inverse
@@ -131,7 +124,7 @@ def _orientable_witness(
             a = a + (x, inv[x], y, inv[y])
             c = (y, x, inv[y], inv[x]) + c
         witness = OneVarWitness(a, b, c)
-    problem = validate_one_var(m, d.element, witness)
+    problem = validate_one_var(adjoin_identity(group.base), d.element, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
     return witness
@@ -154,8 +147,8 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
         raise NotRelatedError(
             f"{names[g]!r} and {names[h]!r} lie in different cosets"
         ) from None
-    m = adjoin_identity(group.base)
-    return _two_var_witness(m, inv, _orientable_witness(group, m, d), h, g)
+    one = build_orientable_witness(group, d)
+    return _two_var_witness(adjoin_identity(group.base), inv, one, h, g)
 
 
 def _two_var_witness(
@@ -191,6 +184,6 @@ def exact_sigma_report(group: GroupStructure) -> SigmaReport:
                 one = ones.get(gh)
                 if one is None:
                     d = commutator_decomposition(group, gh)
-                    one = ones[gh] = _orientable_witness(group, m, d)
+                    one = ones[gh] = build_orientable_witness(group, d)
                 pairs[(u, v)] = _two_var_witness(m, inv, one, u, v)
     return SigmaReport(None, pairs, cong, "exact-group")

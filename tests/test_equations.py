@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations_with_replacement, permutations, zip_longest
+from itertools import combinations_with_replacement, permutations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,7 @@ from oracles import (
     all_associative_tables,
     all_pairs_kappa,
     fixed_size_search_one_var,
+    mul_word,
     naive_search_one_var,
     naive_search_two_var,
     rees_matrix_table,
@@ -92,8 +93,8 @@ def test_one_var_z2_substitution_failure():
 @pytest.mark.parametrize(
     "witness, fragment",
     [
-        (OneVarWitness((), (0,), ()), "a_word must be non-empty"),
-        (OneVarWitness((0,), (), ()), "may not both be empty"),
+        (OneVarWitness((), (0,), ()), "unbalanced lengths"),
+        (OneVarWitness((0,), (), ()), "unbalanced lengths"),
         (OneVarWitness((0, 0), (0,), ()), "unbalanced lengths"),
         (OneVarWitness((0,), (1,), ()), "multisets differ"),
     ],
@@ -102,6 +103,32 @@ def test_one_var_structural_reasons(witness, fragment):
     m = monoid("cyclic:2")
     reason = validate_one_var(m, 0, witness)
     assert reason is not None and fragment in reason
+
+
+def test_one_var_validator_agrees_with_the_definition_on_small_witnesses():
+    # every g in S¹ and every (a, b, c) of words of length <= 2 over S¹, on every
+    # table of order <= 2: the pair check on (1, g) accepts exactly these
+    checked = accepted = 0
+    for n in (1, 2):
+        for raw in all_associative_tables(n):
+            m = adjoin_identity(make_semigroup([f"x{i}" for i in range(n)], raw))
+            e = m.identity_index
+            letters = range(e + 1)
+            words = [w for k in range(3) for w in product(letters, repeat=k)]
+            for g in letters:
+                for a, b, c in product(words, repeat=3):
+                    valid = (
+                        len(a) >= 1
+                        and len(a) == len(b) + len(c)
+                        and e not in a + b + c
+                        and sorted(a) == sorted(b + c)
+                        and mul_word(m, a) == mul_word(m, b + (g,) + c)
+                    )
+                    reason = validate_one_var(m, g, OneVarWitness(a, b, c))
+                    assert (reason is None) == valid, (raw, g, a, b, c, reason)
+                    checked += 1
+                    accepted += valid
+    assert checked == 53_414 and 0 < accepted < checked
 
 
 def test_one_var_rejects_adjoined_identity_as_factor():
@@ -158,7 +185,9 @@ def test_two_var_structural_reasons():
     assert "adjoined identity" in validate_two_var(m, 0, 0, TwoVarWitness((e,), (), (e,), ()))
     # in Z2, 1*0 = 1 but 1*1 = 0
     reason = validate_two_var(m, 0, 1, TwoVarWitness((1,), (), (1,), ()))
-    assert reason == "substitution fails: a*u*b evaluates to 1 but c*v*d evaluates to 0"
+    assert reason == (
+        "substitution fails: the left side evaluates to 1 but the right side evaluates to 0"
+    )
     assert TwoVarWitness((1,), (0, 1), (), (1, 0, 1)).size == 3
 
 

@@ -597,7 +597,7 @@ PLANTED = [
     ("orientable", "build_orientable_witness", _padded, "constructed-witnesses",
      "witness size 3, expected 2", False),
     ("orientable", "unfiltered_one_var_search", _bogus_one_var, "bounded-search-sound",
-     "b_word and c_word may not both be empty", False),
+     "unbalanced lengths", False),
     ("orientable", "commutator_subgroup", _shrunk, "bounded-search-sound",
      "outside the commutator subgroup", False),
     ("orientable", "commutator_subgroup", _shrunk, "orientable-set-equals-commutator-subgroup",
