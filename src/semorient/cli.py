@@ -90,12 +90,11 @@ _VERBS = {
 }
 
 
-def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or with ``verb`` given, of that verb alone.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb: it alone prints help and usage errors.
 
-    A call naming a verb never reaches another verb's subparser, and the
-    verb list appears only in the top-level help and in the errors for a
-    missing or unknown verb, which are parsed with every verb.
+    ``run`` builds it only for argv that ``_plain_args`` declines, so a plain
+    call never imports argparse.
     """
     import argparse
 
@@ -112,8 +111,6 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
     for name, (help_, extra) in _VERBS.items():
-        if verb is not None and name != verb:
-            continue
         p = sub.add_parser(name, help=help_)
         for flag, options in _COMMON + extra:
             p.add_argument(flag, **options)
@@ -187,11 +184,10 @@ def run(argv, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int
     try:
         args = _plain_args(argv)
         if args is None:
-            verb = argv[0] if argv and argv[0] in _VERBS else None
             # --help prints its text here, to be written as any other output
             with contextlib.redirect_stdout(io.StringIO()) as help_text:
                 try:
-                    args = build_parser(verb).parse_args(argv)
+                    args = build_parser().parse_args(argv)
                 except SystemExit as exc:
                     return _write(out, err, help_text.getvalue(), exc.code)
         # __import__, unlike importlib.import_module, shows under ``-X importtime``

@@ -40,10 +40,12 @@ def test_check_table_fixture():
 
 
 def test_check_invalid_table_exit_1():
-    code, out, err = invoke("check", "--table", str(FIXTURES / "bad_assoc.tbl"))
-    assert code == 1
-    assert err.startswith("error: invalid-table:")
-    assert "triple" in err
+    for verb in ("check", "orientable"):
+        code, out, err = invoke(verb, "--table", str(FIXTURES / "bad_assoc.tbl"))
+        assert (code, out) == (1, ""), verb
+        assert err.startswith("error: invalid-table:"), verb
+        assert err.count("\n") == 1 and err.endswith("\n"), verb
+        assert "triple" in err, verb
 
 
 def test_non_utf8_table_exit_1(tmp_path):
@@ -69,9 +71,12 @@ def test_usage_errors_exit_2():
         ("orientable", "--family", "cyclic:2", "--bound", "x"),
         ("witness", "--family", "quaternion8", "--pair", "-1,i"),
         ("witness", "--family", "cyclic:2", "--element", "zz"),
+        # a bound below 1 is refused by the verb, not by argparse, before the exact path runs
+        ("orientable", "--family", "cyclic:3", "--bound", "0"),
+        ("quotient", "--family", "symmetric:3", "--exact", "--bound", "0"),
     ):
-        code, _, err = invoke(*argv)
-        assert code == 2, argv
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, ""), argv
         assert err.startswith("error: usage:"), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
 
@@ -183,7 +188,7 @@ def test_table_order_cap_rejects_elements_line(tmp_path):
 
 _BOUNDED_VERBS = (
     "orientable", "witness --element i", "witness --pair i,j", "sigma", "quotient",
-    "verify --suite theorems", "verify --suite propositions",
+    "verify --suite theorems", "verify --suite propositions", "verify",
 )
 
 
@@ -214,6 +219,9 @@ def test_bound_cap_accepts_the_cap():
     code, out, err = invoke("witness", "--family", "cyclic:3", "--element", "0", "--bound", "8")
     assert (code, err) == (0, "")
     assert out == "element: 0\nwitness: [0] = [] * t * [0]\nvalid: true\n"
+    code, out, err = invoke("orientable", "--family", "cyclic:3", "--bound", "8")
+    assert (code, err) == (0, "")
+    assert out.endswith("1: no witness with n <= 8\n2: no witness with n <= 8\n")
     # the cap is the smallest value above every bound the docs, CI and benchmark use
     assert MAX_BOUND == 8
 
@@ -224,10 +232,12 @@ def test_group_only_verbs_exit_3():
         ("abelianization", "--family", "leftzero:3"),
         ("verify", "--family", "leftzero:3", "--suite", "theorems"),
         ("verify", "--family", "leftzero:3", "--suite", "all"),
+        ("abelianization", "--family", "null:3"),
     ):
-        code, _, err = invoke(*argv)
-        assert code == 3, argv
+        code, out, err = invoke(*argv)
+        assert (code, out) == (3, ""), argv
         assert err.startswith("error: not-a-group:"), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
 
 
 def test_exact_outside_group_exit_4():
@@ -236,10 +246,14 @@ def test_exact_outside_group_exit_4():
         ("sigma", "--family", "null:3", "--exact"),
         ("quotient", "--family", "fulltransformation:2", "--exact"),
         ("witness", "--family", "leftzero:3", "--element", "x0", "--exact"),
+        ("sigma", "--family", "leftzero:3", "--exact"),
+        ("orientable", "--family", "fulltransformation:2", "--exact"),
+        ("quotient", "--family", "null:3", "--exact"),
     ):
-        code, _, err = invoke(*argv)
-        assert code == 4, argv
+        code, out, err = invoke(*argv)
+        assert (code, out) == (4, ""), argv
         assert err.startswith("error: exact-requires-group:"), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
     # the bounds are read before the table is asked to be a group
     code, _, err = invoke("sigma", "--family", "null:3", "--exact", "--bound", "9")
     assert (code, err) == (2, f"error: usage: --bound must be at most {MAX_BOUND}\n")
@@ -307,6 +321,10 @@ def test_witness_none_states_bound():
     )
     assert code == 0
     assert "no witness with n <= 2" in out
+    # outside [G, G]: answered by the commutative-image filter, not a bound-7 search
+    code, out, _ = invoke("witness", "--family", "cyclic:12", "--element", "1", "--bound", "7")
+    assert code == 0
+    assert "no witness with n <= 7" in out
 
 
 def test_witness_exact_not_related():
@@ -315,6 +333,9 @@ def test_witness_exact_not_related():
     )
     assert code == 0
     assert "not related (exact)" in out
+    code, out, _ = invoke("witness", "--family", "cyclic:4", "--element", "1", "--exact")
+    assert code == 0
+    assert "not orientable (exact)" in out
 
 
 def test_witness_exact_constructed_validates():
@@ -389,9 +410,10 @@ def test_family_prints_canonical_table():
 
 
 def test_verify_quaternion8_theorems_pass():
-    code, out, _ = invoke("verify", "--family", "quaternion8", "--suite", "theorems")
-    assert code == 0
-    assert "all checks passed" in out
+    for suite in ("theorems", "all"):
+        code, out, _ = invoke("verify", "--family", "quaternion8", "--suite", suite)
+        assert code == 0, suite
+        assert "all checks passed" in out, suite
 
 
 def test_verify_propositions_on_nongroup():
@@ -635,16 +657,17 @@ _BAD_ARGUMENTS = (
 
 @pytest.mark.parametrize("verb", cli._VERBS)
 def test_a_verbs_own_parser_matches_the_full_parser(verb):
-    full, own = cli.build_parser(), cli.build_parser(verb)
-    assert _parse(own, [verb, "--help"]) == _parse(full, [verb, "--help"])
-    assert _parse(own, [verb, "--help"])[0].startswith(f"usage: semorient {verb} ")
+    # the verb's own subparser is the one in the full parser: its help and its usage
+    # errors are what run() prints
+    parser = cli.build_parser()
+    help_text, error = _parse(parser, [verb, "--help"])
+    assert help_text.startswith(f"usage: semorient {verb} ") and error is None
+    assert invoke(verb, "--help") == (0, help_text, "")
     for bad in _BAD_ARGUMENTS:
         argv = [verb, *bad]
-        got, expected = _parse(own, argv), _parse(full, argv)
-        assert got == expected, argv
-        if expected[1] is not None:
-            # run() builds the verb's own parser and prints the full parser's error
-            assert invoke(*argv) == (2, "", f"error: usage: {expected[1]}\n"), argv
+        out, error = _parse(parser, argv)
+        assert out == "" and error is not None, argv
+        assert invoke(*argv) == (2, "", f"error: usage: {error}\n"), argv
 
 
 def test_top_level_help_and_errors_use_every_verb():
@@ -811,9 +834,10 @@ def _env(buffered):
     return env
 
 
-def _semorient(argv, buffered, **kwargs):
+def _semorient(argv, buffered, module="semorient", env=None, **kwargs):
+    """Run ``python -m module`` on argv, with the variables of ``env`` added to the environment."""
     return subprocess.run(
-        [sys.executable, "-m", "semorient", *argv], env=_env(buffered), **kwargs
+        [sys.executable, "-m", module, *argv], env={**_env(buffered), **(env or {})}, **kwargs
     )
 
 
@@ -832,6 +856,14 @@ def test_output_stdout_cannot_encode_exits_120(tmp_path, encoding, name):
     assert err.getvalue().startswith(f"error: output: '{encoding}' codec can't encode")
     assert err.getvalue().count("\n") == 1
     assert raw.getvalue() == b""
+    # a fresh process whose stdout has that encoding
+    proc = _semorient(
+        ["info", "--table", str(path)], True, env={"PYTHONIOENCODING": encoding},
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (120, "")
+    assert proc.stderr.startswith(f"error: output: '{encoding}' codec can't encode")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -911,8 +943,43 @@ def test_stdout_that_fails_in_a_fresh_process_exits_120(buffered):
         argv, buffered, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
     )
     assert (proc.returncode, proc.stderr) == (120, "error: output: stdout is closed\n")
+    # help is output like any other; an error writes no output, so it keeps its own code
+    for other, code, category in (
+        (["check", "--help"], 120, "output"),
+        (["check", "--table", str(FIXTURES / "bad_assoc.tbl")], 1, "invalid-table"),
+    ):
+        proc = _semorient(
+            other, buffered, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
+        )
+        assert proc.returncode == code, other
+        assert proc.stderr.startswith(f"error: {category}: "), other
+        assert proc.stderr.count("\n") == 1, other
     if os.path.exists("/dev/full"):  # a failed final flush, or a failed write when unbuffered
         with open("/dev/full", "w") as full:
             proc = _semorient(argv, buffered, stdout=full, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 120
         assert proc.stderr == "error: output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("check --family cyclic:3", 0),
+        ("witness --family cyclic:3 --element zz", 2),
+        ("nosuchverb", 2),
+    ],
+    ids=["success", "verb-usage-error", "unknown-verb"],
+)
+def test_cli_module_runs_as_the_package(argv, code):
+    # run as __main__, cli must still catch the one UsageError class the verbs raise
+    package, module = (
+        _semorient(argv.split(), True, module=name, capture_output=True, text=True)
+        for name in ("semorient", "semorient.cli")
+    )
+    assert (module.returncode, module.stdout, module.stderr) == (
+        package.returncode, package.stdout, package.stderr
+    )
+    assert package.returncode == code
+    if code:
+        assert package.stdout == ""
+        assert package.stderr.startswith("error: usage: ") and package.stderr.count("\n") == 1

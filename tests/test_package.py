@@ -245,6 +245,9 @@ def test_each_verb_loads_only_its_layers(bare, argv, code, layers):
         ("witness --table s3.tbl --element=120 --exact", 0,
          {"equations", "groups", "theorems", "verbs.witness"}),
         ("orientable --table z2.tbl --bound -1", 2, {"equations", "verbs.orientable"}),
+        ("check -h", 0, set()),
+        # a repeated option
+        ("check --family cyclic:3 --format text --format json", 0, {"catalog", "verbs.check"}),
     ],
 )
 def test_argv_the_plain_path_declines_loads_argparse(bare, argv, code, layers):
