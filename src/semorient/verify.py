@@ -3,31 +3,33 @@
 Each suite returns a ``VerificationReport`` of named checks. Hard checks
 fail the report; soft reports record what a bounded search cannot refute.
 The bounded searches are called unfiltered, so a soundness check tests the
-search itself rather than the commutative-image filter in front of it.
+search itself rather than the commutative-image filter in front of it. The
+exact group path is checked against κ, which is built from the pairs
+(xy, yx) without [G, G]. The suites share one unfiltered one-variable search
+of every element per table and bound, so a ``verify`` call searches each
+bound once.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .core import (
+    CACHE_SIZE,
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
+    Congruence,
     Semigroup,
     adjoin_identity,
-    compatibility_violation,
+    commutative_congruence,
     idempotents,
     is_commutative,
     quotient,
 )
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
-from .groups import (
-    GroupStructure,
-    NotAGroupError,
-    commutator_subgroup,
-    coset_congruence,
-    group_structure,
-)
+from .groups import GroupStructure, commutator_subgroup, coset_congruence
 from .search import sigma_report, unfiltered_one_var_search, unfiltered_two_var_search
 from .theorems import (
     build_orientable_witness,
@@ -107,6 +109,33 @@ def _one_var_key(w: OneVarWitness):
     return (len(w.a), w.a, w.b, w.c)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVarWitness]]:
+    """Every element's canonical one-variable witness (or None) at ``bound``, unfiltered.
+
+    The suites share it, so a ``verify`` call searches each bound once. The
+    cached mapping is shared by every caller, so it is read-only.
+    """
+    found = unfiltered_one_var_search(adjoin_identity(s), range(s.order), bound)
+    return MappingProxyType(found)
+
+
+def _within(
+    found: Mapping[int, Optional[OneVarWitness]], bound: int
+) -> dict[int, Optional[OneVarWitness]]:
+    """A search result read at a bound no larger than its own.
+
+    The canonical witness is the least by size first, so one of size <= bound
+    is the same at both bounds, and a larger one reads as None.
+    """
+    return {g: w if w is not None and w.size <= bound else None for g, w in found.items()}
+
+
+def _pairs_in_one_class(c: Congruence) -> set[tuple[int, int]]:
+    """The ordered pairs (u, v) with u and v in one class of ``c``."""
+    return {(u, v) for members in c.classes() for u in members for v in members}
+
+
 def verify_orientable_is_commutator_subgroup(
     group: GroupStructure,
     bound: int = ONE_VAR_DEFAULT_BOUND,
@@ -118,7 +147,8 @@ def verify_orientable_is_commutator_subgroup(
     witness of the lawful size, which the builder has validated; (ii) every
     witness found by bounded search validates and its element is in the
     subgroup; (iii) at a bound covering the largest construction, the
-    searched set equals the subgroup.
+    searched set equals the subgroup. The search runs once, at that bound,
+    and (ii) reads it at ``bound``.
     """
     s = group.base
     m = adjoin_identity(s)
@@ -151,9 +181,9 @@ def verify_orientable_is_commutator_subgroup(
 
     failures = []
     # unfiltered: the commutative-image filter would make soundness hold by construction
-    everything = range(s.order)
-    found = unfiltered_one_var_search(m, everything, bound)
-    for g, w in found.items():
+    big = max(bound, 2 + 4 * (max(k_max, 1) - 1))
+    full = _one_var_witnesses(s, big)
+    for g, w in _within(full, bound).items():
         if w is None:
             continue
         problem = validate_one_var(m, g, w)
@@ -170,8 +200,6 @@ def verify_orientable_is_commutator_subgroup(
         failures,
     )
 
-    big = max(bound, 2 + 4 * (max(k_max, 1) - 1))
-    full = found if big == bound else unfiltered_one_var_search(m, everything, big)
     got = {g for g, w in full.items() if w is not None}
     failures = (
         []
@@ -193,14 +221,14 @@ def verify_sigma_is_abelianization(
 ) -> VerificationReport:
     """Check that pair-relating equations reproduce the abelianization of a group.
 
-    Hard checks: (i) every same-coset ordered pair gets a constructed
-    witness, which ``exact_sigma_report`` has validated; (ii) every pair
-    found by bounded search lives in one coset; (iii) the exact classes are
-    the cosets; (iv) the quotient by them, which is the abelianization, is
-    commutative. Checks (i) and (iii) hold by construction:
-    ``exact_sigma_report`` raises on a witness that fails validation and
-    returns ``coset_congruence(group)`` itself as its classes. The quotient
-    of a group is a group, so only commutativity is left to check.
+    Hard checks: (i) the pairs with a constructed witness, which
+    ``exact_sigma_report`` has validated, are exactly the pairs inside one
+    κ-class; (ii) every pair found by bounded search lives in one coset;
+    (iii) the κ-classes are the cosets; (iv) the quotient by the exact
+    classes, which is the abelianization, is commutative. κ is built from
+    the pairs (xy, yx) alone, so (i) and (iii) test the coset path against
+    a partition made without [G, G]. The quotient of a group is a group, so
+    only commutativity is left to check in (iv).
     """
     s = group.base
     m = adjoin_identity(s)
@@ -210,12 +238,18 @@ def verify_sigma_is_abelianization(
     )
     cosets = coset_congruence(group)
     exact = exact_sigma_report(group)
+    same_kappa = _pairs_in_one_class(commutative_congruence(s))
 
     # exact_sigma_report validated every pair's witness, and raises on a failure
     report._add(
         "constructed-pair-witnesses",
         f"built witnesses for all {len(exact.pairs)} same-coset ordered pairs",
-        [],
+        [
+            f"({names[u]}, {names[v]}): "
+            + ("no witness built in one kappa-class" if (u, v) in same_kappa
+               else "witness built across kappa-classes")
+            for u, v in sorted(same_kappa ^ exact.pairs.keys())
+        ],
     )
 
     failures = []
@@ -240,11 +274,15 @@ def verify_sigma_is_abelianization(
         failures,
     )
 
-    # exact_sigma_report's classes are coset_congruence(group) itself
     report._add(
         "sigma-classes-equal-cosets",
         f"{exact.congruence.num_classes} exact classes, all attached witnesses validate",
-        [],
+        [
+            f"({names[u]}, {names[v]}): "
+            + ("one kappa-class, two cosets" if (u, v) in same_kappa
+               else "one coset, two kappa-classes")
+            for u, v in sorted(same_kappa ^ _pairs_in_one_class(cosets))
+        ],
     )
 
     q_sigma = quotient(s, exact.congruence)
@@ -267,8 +305,8 @@ def verify_semigroup_properties(
     Hard checks cover reflexivity, commutation, idempotent witnesses, and
     search monotonicity. Claims a bounded search cannot refute (closure of
     the searched orientable set, relation laws for found pairs, identity-like
-    behavior) are soft reports; on groups they are re-run through the exact
-    coset path and become hard.
+    behavior) are soft reports. Groups get the same checks: the σ suite
+    tests their exact classes.
     """
     m = adjoin_identity(s)
     names = s.names
@@ -317,7 +355,7 @@ def verify_semigroup_properties(
 
     failures = []
     # unfiltered at both bounds: the check tests the search itself
-    at_bound = unfiltered_one_var_search(m, range(n), one_var_bound)
+    at_bound = _one_var_witnesses(s, one_var_bound)
     found = [g for g, w in at_bound.items() if w is not None]
     # only elements found at the bound: the others would need the whole next size
     at_next = unfiltered_one_var_search(m, found, one_var_bound + 1)
@@ -394,44 +432,4 @@ def verify_semigroup_properties(
         f"products of {len(found)} witnessed elements against all elements",
         observations,
     )
-
-    try:
-        group = group_structure(s)
-    except NotAGroupError:
-        group = None
-    if group is not None:
-        derived = commutator_subgroup(group)
-        derived_set = set(derived)
-        cosets = coset_congruence(group)
-        t = s.table
-
-        failures = [
-            f"{names[u]}*{names[v]}"
-            for u in derived
-            for v in derived
-            if t[u][v] not in derived_set
-        ]
-        report._add(
-            "orientable-product-closure-exact",
-            "the commutator subgroup is product-closed",
-            failures,
-        )
-
-        failures = []
-        for u in derived:
-            for x in range(n):
-                if cosets.class_of[t[u][x]] != cosets.class_of[x]:
-                    failures.append(f"({names[u]}, {names[x]})")
-        report._add(
-            "orientable-identity-class-exact",
-            "commutator-subgroup elements act as the identity on cosets",
-            failures,
-        )
-
-        bad = compatibility_violation(s, cosets)
-        report._add(
-            "sigma-congruence-exact",
-            "the exact class partition is compatible with multiplication",
-            [] if bad is None else [str(bad)],
-        )
     return report

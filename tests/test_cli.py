@@ -528,9 +528,9 @@ GOLDEN = {
     "abelianization --family symmetric:3 --format json":
         "d5ebfe22d882913160710bc556c4baa5f4c35e65aae63d9485ecd15c050206cd",
     "verify --family symmetric:3 --format text":
-        "0f953913a39713de741af3bfba4ea48241142d00d96e2519472faaaa5edf436d",
+        "03fc3c71526fe5185d4ca0d667329fe43f9eecc12c6b97e83b21685685188833",
     "verify --family symmetric:3 --format json":
-        "a960c8b97939286a0823e12d7a4e6b9227b16ef0c4dd701a7c82badda9a2ccaf",
+        "d759287de31e40456e07eb702b3dbc716905c2ce41a4f8795e849ddb765f5e88",
     "witness --family symmetric:3 --element 102 --format text":
         "dba7e628a1b96cd8a1b93ad7e71bdeb55548060b2ed9b8bfa7d07e7f56dfe239",
     "witness --family symmetric:3 --element 102 --format json":

@@ -419,12 +419,70 @@ def test_properties_suite_soft_reports_on_nongroups(spec):
     assert "orientable-product-closure-exact" not in statuses
 
 
-def test_properties_suite_exact_checks_on_groups(s3):
-    report = verify_semigroup_properties(s3, 3, 2, subject="symmetric:3")
-    statuses = {c.check_id: c.status for c in report.checks}
-    assert statuses["orientable-product-closure-exact"] == "pass"
-    assert statuses["orientable-identity-class-exact"] == "pass"
-    assert statuses["sigma-congruence-exact"] == "pass"
+def test_properties_suite_runs_the_same_checks_on_groups(s3):
+    # the σ suite tests a group's exact classes; the propositions have no group branch
+    def ids(s):
+        return [c.check_id for c in verify_semigroup_properties(s, 3, 2).checks]
+
+    assert ids(s3) == ids(make_family("leftzero:3"))
+
+
+@pytest.fixture
+def fresh_searches():
+    """The suites' shared one-variable search cache, empty before and after the test.
+
+    A test that patches or counts the search must not read a result cached
+    before it, nor leave a patched one behind.
+    """
+    import semorient.verify as vf
+
+    vf._one_var_witnesses.cache_clear()
+    yield
+    vf._one_var_witnesses.cache_clear()
+
+
+def _spy_on_one_var_search(monkeypatch):
+    """Record (elements, bound) of each unfiltered one-variable search ``verify`` runs."""
+    import semorient.verify as vf
+
+    calls = []
+    search = vf.unfiltered_one_var_search
+
+    def spy(m, elements, bound):
+        calls.append((len(elements), bound))
+        return search(m, elements, bound)
+
+    monkeypatch.setattr(vf, "unfiltered_one_var_search", spy)
+    return calls
+
+
+def test_verify_searches_every_element_once_per_call(monkeypatch, fresh_searches):
+    # the orientable suite and the propositions share the bound-4 search of all 24 elements;
+    # search-monotonicity then searches the 12 elements found there at bound 5
+    calls = _spy_on_one_var_search(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify", "--family", "symmetric:4"], out=out, err=err) == 0
+    assert calls == [(24, 4), (12, 5)]
+
+
+def test_orientable_suite_searches_once_at_the_construction_bound(monkeypatch, fresh_searches):
+    # S3's constructions have size 2, so --bound 1 is read off the bound-2 search
+    calls = _spy_on_one_var_search(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--family", "symmetric:3", "--suite", "theorems", "--bound", "1"]
+    assert run(argv, out=out, err=err) == 0
+    assert calls == [(6, 2)]
+
+
+@pytest.mark.parametrize("spec", GROUP_FAMILIES)
+def test_search_read_at_a_smaller_bound_is_the_search_at_that_bound(spec):
+    from semorient.verify import _one_var_witnesses, _within
+
+    s = make_family(spec)
+    m = adjoin_identity(s)
+    full = _one_var_witnesses(s, 4)
+    for b in (1, 2, 3):
+        assert _within(full, b) == unfiltered_one_var_search(m, range(s.order), b)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -516,6 +574,11 @@ def _finest(coset_congruence):
     return _singletons
 
 
+def _coarsest(coset_congruence):
+    # one class: every pair the search relates still lies in it
+    return lambda g: Congruence((0,) * g.order, 1)
+
+
 def _non_compatible(coset_congruence):
     # the identity and one transposition, a subgroup that is not normal, as one class
     return lambda g: Congruence((0, 0, 1, 2, 3, 4), 5)
@@ -592,6 +655,15 @@ def _wrong_quotient_classes(exact_sigma_report):
     return lambda g: exact_sigma_report(g)._replace(congruence=_singletons(g))
 
 
+def _pair_dropped(exact_sigma_report):
+    # the first same-coset pair, (identity, identity), loses its witness
+    def dropped(g):
+        rep = exact_sigma_report(g)
+        return rep._replace(pairs=dict(list(rep.pairs.items())[1:]))
+
+    return dropped
+
+
 PLANTED = [
     # (suite, name in semorient.verify, defect, check id, text it reports, soft)
     ("orientable", "build_orientable_witness", _padded, "constructed-witnesses",
@@ -608,6 +680,18 @@ PLANTED = [
      "related by search but in different cosets", False),
     ("sigma", "exact_sigma_report", _wrong_quotient_classes, "sigma-quotient-is-abelianization",
      "quotient is not commutative", False),
+    ("sigma", "exact_sigma_report", _pair_dropped, "constructed-pair-witnesses",
+     "(012, 012): no witness built in one kappa-class", False),
+    ("sigma", "commutative_congruence", _finest, "constructed-pair-witnesses",
+     "(012, 120): witness built across kappa-classes", False),
+    ("sigma", "commutative_congruence", _finest, "sigma-classes-equal-cosets",
+     "(012, 120): one coset, two kappa-classes", False),
+    ("sigma", "coset_congruence", _finest, "sigma-classes-equal-cosets",
+     "(012, 120): one kappa-class, two cosets", False),
+    ("sigma", "coset_congruence", _coarsest, "sigma-classes-equal-cosets",
+     "(012, 021): one coset, two kappa-classes", False),
+    ("sigma", "coset_congruence", _non_compatible, "sigma-classes-equal-cosets",
+     "(012, 021): one coset, two kappa-classes", False),
     ("properties", "validate_two_var", _always_fails, "reflexivity-witnesses",
      "(012, 012)", False),
     ("properties", "validate_two_var", _always_fails, "commutation-witnesses",
@@ -627,12 +711,6 @@ PLANTED = [
      "sigma-relation-compatibility", "translate of", True),
     ("properties", "sigma_report", _relation("empty", lambda u, v: False),
      "orientable-identity-class", "possible violation(s)", True),
-    ("properties", "commutator_subgroup", _shrunk, "orientable-product-closure-exact",
-     "120*120", False),
-    ("properties", "coset_congruence", _finest, "orientable-identity-class-exact",
-     "(120, 012)", False),
-    ("properties", "coset_congruence", _non_compatible, "sigma-congruence-exact",
-     "(0, 1, ", False),
 ]
 
 
@@ -649,7 +727,9 @@ def _suite(name, s3):
     PLANTED,
     ids=[f"{check_id}-{name}-{defect.__name__}" for _, name, defect, check_id, *_ in PLANTED],
 )
-def test_planted_defect_is_reported(monkeypatch, s3, suite, name, defect, check_id, text, soft):
+def test_planted_defect_is_reported(
+    monkeypatch, fresh_searches, s3, suite, name, defect, check_id, text, soft
+):
     import semorient.verify as vf
 
     assert s3.names[:5] == ("012", "021", "102", "120", "201")
@@ -666,7 +746,13 @@ def test_planted_defect_is_reported(monkeypatch, s3, suite, name, defect, check_
         assert "result: FAIL" in report.to_text()
 
 
-def test_planted_defect_fails_the_verify_verb(monkeypatch):
+def test_every_theorem_check_has_a_planted_defect(s3):
+    planted = {(suite, check_id) for suite, _, _, check_id, *_ in PLANTED}
+    for suite in ("orientable", "sigma"):
+        assert {(suite, c.check_id) for c in _suite(suite, s3).checks} <= planted
+
+
+def test_planted_defect_fails_the_verify_verb(monkeypatch, fresh_searches):
     import semorient.verify as vf
 
     search = vf.unfiltered_one_var_search
