@@ -593,17 +593,10 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
 def commutative_congruence(s: Semigroup) -> Congruence:
     """κ, the least congruence with a commutative quotient: generated by every (xy, yx).
 
-    It bounds every equation search from above. Let φ: S → S/κ. A witness
-    a = b*g*c carries one factor multiset on both sides and S/κ is
-    commutative, so φ(a) = φ(b)φ(c) and φ(a) = φ(g)φ(b)φ(c) = φ(g)φ(a): the
-    class of g fixes the class w = φ(a). Likewise a*u*b = c*v*d forces
-    [u]w = [v]w for w the class of the whole multiset. So an element whose
-    class fixes no class, or a pair with [u]w != [v]w for every class w, has
-    no witness at any bound. On a group S/κ = G/[G, G].
-
-    The pairs (ab, ba) of generators a, b give the same congruence ρ: S/ρ is
-    generated by the images of the generators, which commute, so S/ρ is
-    commutative and κ ⊆ ρ; every seed pair lies in κ, so ρ ⊆ κ.
+    On a group S/κ = G/[G, G]; ``_abelian_keys`` reads the search filter off
+    it. The pairs (ab, ba) of generators a, b give the same congruence ρ:
+    S/ρ is generated by the images of the generators, which commute, so S/ρ
+    is commutative and κ ⊆ ρ; every seed pair lies in κ, so ρ ⊆ κ.
     """
     t = s.table
     generators = _generators(s)
@@ -613,6 +606,44 @@ def commutative_congruence(s: Semigroup) -> Congruence:
         ba = list(map(itemgetter(a), map(t.__getitem__, generators[:i])))
         seeds += compress(zip(ab, ba), map(ne, ab, ba))  # a pair ab = ba adds nothing
     return generated_congruence(s, seeds)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _abelian_keys(s: Semigroup) -> tuple[int, tuple[int, ...]]:
+    """ε and the key φ(x) = [x·ε] of every element: the largest abelian-group image of S.
+
+    ε is the idempotent power of z, the product of all elements, and [y] is
+    the κ-class of y. z lies in the minimal ideal K of S, because one of its
+    factors does, and so does its power ε. The minimal ideal of the finite
+    commutative S/κ is a group (Clifford & Preston I); it is the image of K,
+    so its identity is [ε]. Hence φ is a homomorphism onto the abelian group
+    (S/κ)[ε]. Every homomorphism ψ onto an abelian group factors through φ:
+    ψ kills κ, and ψ(ε) is an idempotent of a group, so ψ(x) = ψ(xε). So
+    S/ker φ is the largest abelian-group image of S.
+
+    σ_orient = ker φ, and witnesses of size 1 generate it:
+
+    - ⊆: a witness (a, b, c, d) of (u, v) carries one factor multiset on both
+      sides, so ψ(ab) = ψ(cd) in any abelian-group image ψ, and ψ(u) = ψ(v).
+      So the congruence ker φ holds every witnessed pair and what they generate.
+    - ⊇: (xy, yx) has the witness ((y), (), (), (y)), since y·xy = yx·y, so
+      κ ⊆ σ_orient; and (u, uε) has the witness ((), (ε), (), (ε)). If
+      [uε] = [vε], then u σ uε κ vε σ v.
+
+    The adjoined 1 of S¹ maps to [ε], the identity of the image, so the
+    same argument shows that a pair over S¹ with two keys, or an element g
+    keyed apart from 1, has no witness at any bound. On a group ε = 1 and
+    the keys are the cosets of [G, G].
+    """
+    t = s.table
+    z = 0
+    for x in range(1, s.order):
+        z = t[z][x]
+    eps = z
+    while t[eps][eps] != eps:  # the powers of z reach their idempotent by z**n
+        eps = t[eps][z]
+    cls = commutative_congruence(s).class_of
+    return eps, tuple(cls[row[eps]] for row in t)
 
 
 def quotient(s: Semigroup, c: Congruence) -> Semigroup:

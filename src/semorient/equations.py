@@ -117,7 +117,9 @@ class SigmaReport(NamedTuple):
 
     exactness "exact-group" means the classes are complete (group path) and
     bound is None; "lower-bound" means only pairs with witnesses of size <=
-    bound were related, so classes may merge further at larger bounds.
+    bound were listed, so more pairs may have larger witnesses. The classes
+    are σ_orient from bound 1 on (see ``core._abelian_keys``): a larger bound
+    adds witnessed pairs but never merges classes.
     """
 
     bound: Optional[int]

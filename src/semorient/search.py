@@ -3,9 +3,9 @@
 Searches are exhaustive up to a factor-count bound and return the canonical
 minimal witness: smallest factor count first, then the lexicographically
 smallest word tuple (a, b, c[, d]). The public entry points search only the
-elements and pairs that pass the commutative-image test of
-``core.commutative_congruence``; the others have no witness at any bound and
-get None without a search. The exact group path never loads this module.
+elements and pairs whose keys in the largest abelian-group image agree
+(``core._abelian_keys``); the others have no witness at any bound and get
+None without a search. The exact group path never loads this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .core import (
     TWO_VAR_DEFAULT_BOUND,
     Monoid1,
     Word,
-    commutative_congruence,
+    _abelian_keys,
     generated_congruence,
 )
 from .equations import OneVarWitness, SigmaReport, TwoVarWitness, _check_index
@@ -154,27 +154,24 @@ def unfiltered_one_var_search(
 def _two_var_candidates(
     m: Monoid1, pairs: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """The pairs (u, v) with [u]w = [v]w for some κ-class w, in input order.
+    """The pairs (u, v) whose keys (``core._abelian_keys``) agree, in input order.
 
-    The rest have no witness: both sides of a*u*b = c*v*d carry one factor
-    multiset, whose product has some class w in the commutative S/κ. The row
-    of the adjoined identity 1 maps each r to r, so 1 acts as the identity of
-    S/κ and the test is sound for pairs that hold 1 too.
+    The rest have no witness at any bound. The adjoined identity 1 is keyed
+    [ε], the identity of the abelian image.
     """
-    kappa = commutative_congruence(m.base)
-    cls, t = kappa.class_of, m.table
-    reps = [members[0] for members in kappa.classes()]
+    eps, keys = _abelian_keys(m.base)
+    key = keys + (keys[eps],)
     keep = []
     for u, v in pairs:
         _check_index(m, u)
         _check_index(m, v)
-        if any(cls[t[u][r]] == cls[t[v][r]] for r in reps):
+        if key[u] == key[v]:
             keep.append((u, v))
     return keep
 
 
 def _one_var_candidates(m: Monoid1, elements: Sequence[int]) -> list[int]:
-    """The elements g whose pair (1, g) passes, in input order: g's κ-class fixes some class."""
+    """The elements g whose pair (1, g) passes, in input order: g is keyed [ε]."""
     e = m.identity_index
     return [g for _, g in _two_var_candidates(m, [(e, g) for g in elements])]
 

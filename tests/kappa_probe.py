@@ -4,8 +4,9 @@
         [--bound 4] [--pair-bound 3]
 
 On groups and commutative tables every element or pair that passes the
-commutative-image test of ``core.commutative_congruence`` has a witness. On
-other semigroups that is an open question. This draws random sets of maps on
+abelian-image key test of ``core._abelian_keys`` has a witness. On other
+semigroups a passing pair lies in σ_orient, but whether it has a witness of
+its own, and whether a passing element does, is an open question. This draws random sets of maps on
 3 or 4 points, closes each under composition, and counts the candidates that
 have no witness at the bound. A nonzero count is not a counterexample: the
 witness may need a larger bound. The probe measures and asserts nothing.

@@ -153,6 +153,20 @@ def rees_matrix_table(group, rows, cols, sandwich):
     ]
 
 
+def class_scan_candidates(m, pairs):
+    """The pairs (u, v) over S¹ with [u·r] = [v·r] in S/κ for some r in S, in input order.
+
+    The commutative-image test by its definition, scanning every r: both
+    sides of a*u*b = c*v*d carry one factor multiset, with product r, so
+    [r][u] = [r][v] in the commutative S/κ, and the other pairs have no
+    witness. κ is ``all_pairs_kappa``; the adjoined identity maps each r to r.
+    """
+    cls = all_pairs_kappa(m.base.table)
+    t = m.table
+    scan = range(m.base.order)
+    return [(u, v) for u, v in pairs if any(cls[t[u][r]] == cls[t[v][r]] for r in scan)]
+
+
 def subgroup_closure(table, generators):
     """Closure of a generating set under products, by plain set fixpoint."""
     members = frozenset(generators)

@@ -685,18 +685,18 @@ def test_compatibility_violation_matches_the_loop_on_one_sided_cosets(spec, subg
 
 
 def test_module_caches_stay_bounded():
-    from semorient.core import _generators
+    from semorient.core import _abelian_keys, _generators
     from semorient.groups import derived_subgroup_tree
 
     caches = (
-        adjoin_identity, _generators, commutative_congruence, derived_subgroup_tree,
-        commutator_subgroup, coset_congruence, make_family,
+        adjoin_identity, _generators, commutative_congruence, _abelian_keys,
+        derived_subgroup_tree, commutator_subgroup, coset_congruence, make_family,
     )
     for k in range(CACHE_SIZE + 5):
         # a new Z3 table each time: the same group under fresh names
         s = make_semigroup([f"e{k}", f"a{k}", f"b{k}"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         adjoin_identity(s)
-        commutative_congruence(s)  # and _generators
+        _abelian_keys(s)  # and commutative_congruence, _generators
         coset_congruence(group_structure(s))  # and commutator_subgroup, derived_subgroup_tree
         make_family(f"cyclic:{k + 1}")
         assert all(f.cache_info().currsize <= CACHE_SIZE for f in caches)

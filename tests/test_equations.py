@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semorient import search
 from semorient.catalog import CATALOG_FAMILIES, make_family
+from semorient.core import _abelian_keys  # private: the key the filter compares
 from semorient.core import (
     adjoin_identity,
     commutative_congruence,
@@ -42,7 +44,7 @@ from semorient.theorems import exact_sigma_report
 
 from oracles import (
     all_associative_tables,
-    all_pairs_kappa,
+    class_scan_candidates,
     fixed_size_search_one_var,
     mul_word,
     naive_search_one_var,
@@ -401,6 +403,25 @@ SMALL_TABLES = [
 ]
 
 
+def _rees(spec, rows, cols):
+    """M[G; I, Λ; P] with p_{λi} = g**(λ·i) for g = element 1: row and column 0 of P are 1_G."""
+    group = make_family(spec).table  # the identity is element 0
+    powers = [0]
+    for _ in range((rows - 1) * (cols - 1)):
+        powers.append(group[powers[-1]][1])
+    sandwich = [[powers[lam * i] for i in range(rows)] for lam in range(cols)]
+    table = rees_matrix_table(group, rows, cols, sandwich)
+    return make_semigroup([f"r{k}" for k in range(len(table))], table)
+
+
+REES_TABLES = [
+    _rees(spec, rows, cols)
+    for spec in ("cyclic:3", "symmetric:3")
+    for rows, cols in product((1, 2, 3), repeat=2)
+]
+KEY_CORPUS = [*SMALL_TABLES, *map(make_family, CATALOG_FAMILIES), *REES_TABLES]
+
+
 def _assert_filter_keeps_search_results(s):
     """The filtered entry points equal the unfiltered search; rejects have no witness."""
     m = adjoin_identity(s)
@@ -431,7 +452,7 @@ def _assert_filter_keeps_search_results(s):
 
 def test_filter_keeps_search_results_on_every_small_table():
     assert len(SMALL_TABLES) == 1 + 8 + 113
-    for s in SMALL_TABLES:
+    for s in [*SMALL_TABLES, *(s for s in REES_TABLES if s.order <= 12)]:
         _assert_filter_keeps_search_results(s)
 
 
@@ -440,18 +461,48 @@ def test_filter_keeps_search_results_on_catalog(catalog_family):
     _assert_filter_keeps_search_results(s)
 
 
-def test_pair_filter_decides_identity_pairs_by_the_one_var_test():
-    # 1 acts as the identity of S/κ: (1, g) passes iff g's κ-class fixes some class
-    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
-    rees = make_semigroup(
-        [f"r{k}" for k in range(12)], rees_matrix_table(z3, 2, 2, ((0, 0), (0, 1)))
-    )
-    for s in [*SMALL_TABLES, *map(make_family, CATALOG_FAMILIES), rees]:
+def _assert_filter_is_the_class_scan(m):
+    """Both filters keep what the oracle's κ-class scan keeps, on every pair over S¹."""
+    elements = range(m.order)
+    pairs = [(u, v) for u in elements for v in elements]
+    assert _two_var_candidates(m, pairs) == class_scan_candidates(m, pairs), m.base.table
+    e = m.identity_index
+    kept = [g for _, g in class_scan_candidates(m, [(e, g) for g in elements])]
+    assert _one_var_candidates(m, elements) == kept, m.base.table
+
+
+def test_pair_filter_is_the_class_scan_on_every_pair_over_s1():
+    assert len(REES_TABLES) == 18 and max(s.order for s in REES_TABLES) == 54
+    for s in KEY_CORPUS:
+        _assert_filter_is_the_class_scan(adjoin_identity(s))
+
+
+def test_key_from_an_idempotent_outside_the_minimal_ideal_is_not_the_class_scan(monkeypatch):
+    # the identity of T2 is idempotent, but the minimal ideal holds only the two
+    # constants: keyed by it, φ is κ itself, which splits the identity from the swap
+    s = make_family("fulltransformation:2")
+    eps = s.names.index("01")
+    cls = commutative_congruence(s).class_of
+    keys = tuple(cls[row[eps]] for row in s.table)
+    monkeypatch.setattr(search, "_abelian_keys", lambda _: (eps, keys))
+    with pytest.raises(AssertionError):
+        _assert_filter_is_the_class_scan(adjoin_identity(s))
+
+
+def test_sigma_classes_are_the_kernel_of_the_abelian_image():
+    # σ_orient = ker φ: the classes are exact from bound 1 on, and a larger bound adds
+    # witnessed pairs only; ε is an idempotent in every principal ideal
+    for s in KEY_CORPUS:
         m = adjoin_identity(s)
-        e, t, cls = m.identity_index, s.table, all_pairs_kappa(s.table)
-        for g in range(s.order):
-            fixes = any(cls[t[g][r]] == cls[r] for r in range(s.order))
-            assert (_two_var_candidates(m, [(e, g)]) == [(e, g)]) == fixes, (t, g)
+        eps, keys = _abelian_keys(s)
+        t, letters = m.table, range(m.order)
+        assert t[eps][eps] == eps
+        for x in range(s.order):
+            assert eps in {t[t[a][x]][b] for a in letters for b in letters}
+        ids = {}
+        partition = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        for bound in (1, 3) if s.order <= 27 else (1,):
+            assert sigma_report(m, bound).congruence.class_of == partition, (s.table, bound)
 
 
 def test_filtered_searches_still_reject_bad_input():
