@@ -531,6 +531,13 @@ def _generators(s: Semigroup) -> list[int]:
     return _magma_generators(s.table)
 
 
+def _by_first_appearance(labels: Iterable[int]) -> Congruence:
+    """The partition of element indices by label, with class ids in order of first appearance."""
+    ids: dict[int, int] = {}
+    class_of = tuple(ids.setdefault(label, len(ids)) for label in labels)
+    return Congruence(class_of, len(ids))
+
+
 def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing ``pairs``.
 
@@ -578,15 +585,7 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
         right = [*map(itemgetter(v), generator_rows), *map(row_v.__getitem__, generators)]
         for a, b in set(compress(zip(left, right), map(ne, left, right))):
             union(a, b)
-
-    ids: dict[int, int] = {}
-    class_of = []
-    for x in range(n):
-        r = find(x)
-        if r not in ids:
-            ids[r] = len(ids)
-        class_of.append(ids[r])
-    return Congruence(tuple(class_of), len(ids))
+    return _by_first_appearance(map(find, range(n)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -609,8 +608,8 @@ def commutative_congruence(s: Semigroup) -> Congruence:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _abelian_keys(s: Semigroup) -> tuple[int, tuple[int, ...]]:
-    """ε and the key φ(x) = [x·ε] of every element: the largest abelian-group image of S.
+def _abelian_keys(s: Semigroup) -> tuple[int, Congruence]:
+    """ε and ker φ, where φ(x) = [x·ε]: S/ker φ is the largest abelian-group image of S.
 
     ε is the idempotent power of z, the product of all elements, and [y] is
     the κ-class of y. z lies in the minimal ideal K of S, because one of its
@@ -633,7 +632,8 @@ def _abelian_keys(s: Semigroup) -> tuple[int, tuple[int, ...]]:
     The adjoined 1 of S¹ maps to [ε], the identity of the image, so the
     same argument shows that a pair over S¹ with two keys, or an element g
     keyed apart from 1, has no witness at any bound. On a group ε = 1 and
-    the keys are the cosets of [G, G].
+    the keys are the cosets of [G, G]. The key of x is ``class_of[x]`` of the
+    ker φ returned, whose class ids run in order of first appearance.
     """
     t = s.table
     z = 0
@@ -643,7 +643,7 @@ def _abelian_keys(s: Semigroup) -> tuple[int, tuple[int, ...]]:
     while t[eps][eps] != eps:  # the powers of z reach their idempotent by z**n
         eps = t[eps][z]
     cls = commutative_congruence(s).class_of
-    return eps, tuple(cls[row[eps]] for row in t)
+    return eps, _by_first_appearance(cls[row[eps]] for row in t)
 
 
 def quotient(s: Semigroup, c: Congruence) -> Semigroup:

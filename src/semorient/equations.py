@@ -56,9 +56,10 @@ class TwoVarWitness(NamedTuple):
         return len(self.a) + len(self.b)
 
 
-def _check_index(m: Monoid1, x: int) -> None:
-    if not 0 <= x <= m.identity_index:
-        raise ValueError(f"element {x} out of range")
+def _check_index(m: Monoid1, *indices: int) -> None:
+    for x in indices:
+        if not 0 <= x <= m.identity_index:
+            raise ValueError(f"element {x} out of range")
 
 
 def _factor_problem(m: Monoid1, *words: Word) -> Optional[str]:
@@ -85,8 +86,7 @@ def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
 
 def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
     """Return None if the witness is valid for the ordered pair (u, v), else a reason."""
-    _check_index(m, u)
-    _check_index(m, v)
+    _check_index(m, u, v)
     left_len = len(w.a) + len(w.b)
     right_len = len(w.c) + len(w.d)
     if left_len == 0 and right_len == 0:
@@ -115,11 +115,11 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
 class SigmaReport(NamedTuple):
     """Result of relating element pairs through two-variable equations.
 
-    exactness "exact-group" means the classes are complete (group path) and
-    bound is None; "lower-bound" means only pairs with witnesses of size <=
-    bound were listed, so more pairs may have larger witnesses. The classes
-    are σ_orient from bound 1 on (see ``core._abelian_keys``): a larger bound
-    adds witnessed pairs but never merges classes.
+    ``pairs`` are the pairs witnessed at ``bound``; exactness "lower-bound"
+    means more pairs may have larger witnesses. ``congruence`` is σ_orient =
+    ker φ (``core._abelian_keys``) at every bound. Exactness "exact-group" is
+    the group path: the classes are the cosets of [G, G], every same-coset
+    pair carries a constructed witness, and bound is None.
     """
 
     bound: Optional[int]

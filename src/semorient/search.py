@@ -10,7 +10,7 @@ None without a search. The exact group path never loads this module.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -19,14 +19,8 @@ from .core import (
     Monoid1,
     Word,
     _abelian_keys,
-    generated_congruence,
 )
 from .equations import OneVarWitness, SigmaReport, TwoVarWitness, _check_index
-
-
-def _check_bound(bound: int) -> None:
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
 
 
 def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[tuple[dict, dict]]]:
@@ -83,13 +77,13 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[tuple[dict, dict]]]:
         below = kept
 
 
-def unfiltered_two_var_search(
+def _pair_search(
     m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
 ) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
     """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
 
-    Every pair given is searched, with no commutative-image filter, so a
-    check that must not hold by construction can call it. For each multiset
+    No index is checked: the entry points check each index a caller passes
+    once, and build the others in range. For each multiset
     each element x gives each split (b, c) the value b*x*c. A left element u
     maps each value to the position of the smallest split reaching it; a
     right element v needs only the set of its values. The shared value of
@@ -98,10 +92,8 @@ def unfiltered_two_var_search(
     different multisets never coincide, so across multisets (a, b) alone
     decides. Pairs found at one size drop out before the next.
     """
-    _check_bound(bound)
-    for u, v in pairs:
-        _check_index(m, u)
-        _check_index(m, v)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     t = m.table
     found: dict[tuple[int, int], TwoVarWitness] = {}
     todo = list(pairs)
@@ -135,7 +127,15 @@ def unfiltered_two_var_search(
     return {pair: found.get(pair) for pair in pairs}
 
 
-def unfiltered_one_var_search(
+def unfiltered_two_var_search(
+    m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
+) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
+    """Unfiltered ``_pair_search`` on every pair given, so checks built on it can fail."""
+    _check_index(m, *chain.from_iterable(pairs))
+    return _pair_search(m, pairs, bound)
+
+
+def _one_var_search(
     m: Monoid1, elements: Sequence[int], bound: int
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical minimal witness (or None) for each element: the pair search on (1, g).
@@ -144,30 +144,32 @@ def unfiltered_one_var_search(
     witness ((), a, b, c) of (1, g). A witness (a', b', c, d) of (1, g) gives
     the witness ((), a' + b', c, d) of the same size, no larger in word order
     since () comes first. So the canonical witness of (1, g) starts with (),
-    and the rest is the canonical (a, b, c). Every element given is searched.
+    and the rest is the canonical (a, b, c). The indices are not checked.
     """
     e = m.identity_index
-    found = unfiltered_two_var_search(m, [(e, g) for g in elements], bound)
+    found = _pair_search(m, [(e, g) for g in elements], bound)
     return {g: None if w is None else OneVarWitness(*w[1:]) for (_, g), w in found.items()}
+
+
+def unfiltered_one_var_search(
+    m: Monoid1, elements: Sequence[int], bound: int
+) -> dict[int, Optional[OneVarWitness]]:
+    """Unfiltered ``_one_var_search`` on every element given, so checks built on it can fail."""
+    _check_index(m, *elements)
+    return _one_var_search(m, elements, bound)
 
 
 def _two_var_candidates(
     m: Monoid1, pairs: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """The pairs (u, v) whose keys (``core._abelian_keys``) agree, in input order.
+    """The pairs (u, v) in one class of ker φ (``core._abelian_keys``), in input order.
 
     The rest have no witness at any bound. The adjoined identity 1 is keyed
-    [ε], the identity of the abelian image.
+    [ε], the identity of the abelian image. The indices are not checked.
     """
-    eps, keys = _abelian_keys(m.base)
-    key = keys + (keys[eps],)
-    keep = []
-    for u, v in pairs:
-        _check_index(m, u)
-        _check_index(m, v)
-        if key[u] == key[v]:
-            keep.append((u, v))
-    return keep
+    eps, kernel = _abelian_keys(m.base)
+    key = kernel.class_of + (kernel.class_of[eps],)
+    return [(u, v) for u, v in pairs if key[u] == key[v]]
 
 
 def _one_var_candidates(m: Monoid1, elements: Sequence[int]) -> list[int]:
@@ -189,7 +191,8 @@ def search_one_var(
     no witness of that size exists, which is not a proof that g satisfies no
     equation at all.
     """
-    return unfiltered_one_var_search(m, _one_var_candidates(m, [g]), bound).get(g)
+    _check_index(m, g)
+    return _one_var_search(m, _one_var_candidates(m, [g]), bound).get(g)
 
 
 def orientable_set(
@@ -197,7 +200,7 @@ def orientable_set(
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical witness (or None) for every base element, in index order."""
     everything = range(m.base.order)
-    found = unfiltered_one_var_search(m, _one_var_candidates(m, everything), bound)
+    found = _one_var_search(m, _one_var_candidates(m, everything), bound)
     return {g: found.get(g) for g in everything}
 
 
@@ -211,16 +214,16 @@ def search_two_var(
     points. A pair that fails the commutative-image test gets None without a
     search. Otherwise None means no witness that small, not unrelatedness.
     """
-    return unfiltered_two_var_search(m, _two_var_candidates(m, [(u, v)]), bound).get((u, v))
+    _check_index(m, u, v)
+    return _pair_search(m, _two_var_candidates(m, [(u, v)]), bound).get((u, v))
 
 
 def sigma_report(m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND) -> SigmaReport:
-    """Relate all ordered pairs that have a witness of size <= bound, by bounded search."""
+    """The ordered pairs with a witness of size <= bound, by bounded search, and ker φ."""
     everything = [(u, v) for u in range(m.base.order) for v in range(m.base.order)]
-    found = unfiltered_two_var_search(m, _two_var_candidates(m, everything), bound)
+    found = _pair_search(m, _two_var_candidates(m, everything), bound)
     # candidates keep their ascending (u, v) order
     pairs = {pair: w for pair, w in found.items() if w is not None}
-    cong = generated_congruence(m.base, list(pairs))
-    return SigmaReport(bound, pairs, cong, "lower-bound")
+    return SigmaReport(bound, pairs, _abelian_keys(m.base)[1], "lower-bound")
 
 

@@ -13,9 +13,17 @@ from hypothesis import strategies as st
 
 from semorient import catalog, cli, equations, verbs
 from semorient.cli import run
-from semorient.core import MAX_BOUND, adjoin_identity, parse_table, serialize_table
+from semorient.core import (
+    MAX_BOUND,
+    adjoin_identity,
+    generated_congruence,
+    parse_table,
+    quotient,
+    serialize_table,
+)
 from semorient.equations import validate_one_var, validate_two_var, witness_from_json
 from semorient.catalog import make_family
+from semorient.search import sigma_report
 
 from conftest import FIXTURES
 
@@ -369,6 +377,16 @@ def test_quotient_text_reparses():
     assert code == 0
     q = parse_table(out)
     assert q.order == 2
+
+
+def test_bounded_quotient_is_the_quotient_by_the_witnessed_pairs(catalog_family):
+    # the verb reads ker φ with no search; the pairs a search witnesses generate the same classes
+    spec, s = catalog_family
+    for bound in (1, 3):
+        pairs = sigma_report(adjoin_identity(s), bound).pairs
+        table = serialize_table(quotient(s, generated_congruence(s, pairs)))
+        got = invoke("quotient", "--family", spec, "--bound", str(bound))
+        assert got == (0, f"# sigma-quotient of {spec} (lower-bound)\n" + table, ""), bound
 
 
 def test_commutator_verbs():

@@ -9,9 +9,11 @@ from semorient import search
 from semorient.catalog import CATALOG_FAMILIES, make_family
 from semorient.core import _abelian_keys  # private: the key the filter compares
 from semorient.core import (
+    Congruence,
     adjoin_identity,
     commutative_congruence,
     eval_word,
+    generated_congruence,
     is_commutative,
     make_semigroup,
 )
@@ -484,25 +486,25 @@ def test_key_from_an_idempotent_outside_the_minimal_ideal_is_not_the_class_scan(
     eps = s.names.index("01")
     cls = commutative_congruence(s).class_of
     keys = tuple(cls[row[eps]] for row in s.table)
-    monkeypatch.setattr(search, "_abelian_keys", lambda _: (eps, keys))
+    kernel = Congruence(keys, len(set(keys)))  # κ's ids, already in first-appearance order
+    monkeypatch.setattr(search, "_abelian_keys", lambda _: (eps, kernel))
     with pytest.raises(AssertionError):
         _assert_filter_is_the_class_scan(adjoin_identity(s))
 
 
 def test_sigma_classes_are_the_kernel_of_the_abelian_image():
-    # σ_orient = ker φ: the classes are exact from bound 1 on, and a larger bound adds
-    # witnessed pairs only; ε is an idempotent in every principal ideal
+    # σ_orient = ker φ: the pairs the search witnesses generate ker φ from bound 1 on,
+    # and a larger bound adds witnessed pairs only; ε is an idempotent in every principal ideal
     for s in KEY_CORPUS:
         m = adjoin_identity(s)
-        eps, keys = _abelian_keys(s)
+        eps, kernel = _abelian_keys(s)
         t, letters = m.table, range(m.order)
         assert t[eps][eps] == eps
         for x in range(s.order):
             assert eps in {t[t[a][x]][b] for a in letters for b in letters}
-        ids = {}
-        partition = tuple(ids.setdefault(k, len(ids)) for k in keys)
         for bound in (1, 3) if s.order <= 27 else (1,):
-            assert sigma_report(m, bound).congruence.class_of == partition, (s.table, bound)
+            pairs = sigma_report(m, bound).pairs
+            assert generated_congruence(s, pairs) == kernel, (s.table, bound)
 
 
 def test_filtered_searches_still_reject_bad_input():
@@ -513,6 +515,20 @@ def test_filtered_searches_still_reject_bad_input():
         search_two_var(m, 0, 9, 2)
     with pytest.raises(ValueError):
         search_one_var(m, 1, 0)  # rejected by the filter, but the bound is still checked
+    # a negative index would read key[-1], the adjoined identity's key, if it were not checked
+    with pytest.raises(ValueError):
+        search_one_var(m, -1, 2)
+    with pytest.raises(ValueError):
+        search_two_var(m, -1, 3, 2)
+
+
+def test_unfiltered_searches_reject_bad_input():
+    m = monoid("cyclic:3")
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            unfiltered_one_var_search(m, [0, bad], 2)
+        with pytest.raises(ValueError):
+            unfiltered_two_var_search(m, [(0, 1), (3, bad)], 2)
 
 
 COMMUTATIVE_FAMILIES = [spec for spec in CATALOG_FAMILIES if is_commutative(make_family(spec))]

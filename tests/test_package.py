@@ -209,7 +209,7 @@ def _cli_loads(argv, code, layers):
         ("witness --table z2.tbl --element 0", 0, {"equations", "search", "verbs.witness"}),
         ("witness --table z2.tbl --pair 0,1", 0, {"equations", "search", "verbs.witness"}),
         ("sigma --table z2.tbl", 0, {"equations", "search", "verbs.sigma"}),
-        ("quotient --table z2.tbl", 0, {"equations", "search", "verbs.quotient"}),
+        ("quotient --table z2.tbl", 0, {"verbs.quotient"}),
         ("info --table s3.tbl", 0, {"groups", "verbs.info"}),
         ("commutator --table s3.tbl --pair 021,102", 0, {"groups", "verbs.commutator"}),
         ("abelianization --table s3.tbl", 0, {"groups", "verbs.abelianization"}),
