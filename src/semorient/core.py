@@ -452,7 +452,8 @@ class Congruence:
     __slots__ = ("class_of", "num_classes")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, class_of: tuple[int, ...], num_classes: int):
+    def __init__(self, class_of: Sequence[int], num_classes: int):
+        class_of = tuple(class_of)
         next_fresh = 0
         for x, c in enumerate(class_of):
             if not 0 <= c < num_classes:

@@ -23,53 +23,57 @@ from .core import (
 from .equations import OneVarWitness, SigmaReport, TwoVarWitness, _check_index
 
 
-def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[tuple[dict, dict]]]:
-    """The search data of every multiset of base elements, one size n = 1..bound at a time.
+def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
+    """The splits of every multiset of base elements, one size n = 1..bound at a time.
 
     Each size is an iterator over its multisets M in
-    ``combinations_with_replacement`` order, giving ``(first, splits)``:
-    ``first`` maps each product value to the smallest ordering of M reaching
-    it, and ``splits`` maps each (prefix product, suffix product) key to the
-    smallest split (b, c) of an ordering of M reaching it. Both are in
-    ascending order of their words.
+    ``combinations_with_replacement`` order, giving one dict ``splits`` per
+    M: it maps each (prefix product, suffix product) key to the smallest
+    split (b, c) of an ordering of M reaching it, in ascending order of the
+    words. A base element times anything is never the adjoined 1, so the keys
+    (1, v) are exactly the splits ((), c): c is the smallest ordering of M
+    with product v. They come first, so the orderings of M are a prefix of
+    the dict.
 
-    Both come from the data of the multisets one letter smaller. An ordering
-    of M is a letter y of M followed by an ordering of M - y, and a split is
-    ((), c) for an ordering c of M, or ((y,) + b, c) for a split (b, c) of
-    M - y. Trying y in ascending order and reading each smaller dict in its
-    own ascending order meets the candidates in ascending word order, so the
-    first entry kept per key (``setdefault``) is the smallest, and dict order
-    is ascending again.
+    Each dict comes from those of the multisets one letter smaller. An
+    ordering of M is a letter y of M followed by an ordering of M - y, and a
+    split is ((), c) for an ordering c of M, or ((y,) + b, c) for a split
+    (b, c) of M - y. Trying y in ascending order and reading each smaller
+    dict in its own ascending order meets the candidates in ascending word
+    order, so the first entry kept per key (``setdefault``) is the smallest,
+    and dict order is ascending again. The orderings are built first, from
+    the (1, v) prefix of each smaller dict, which ends at its first other key.
 
     A size must be read in full before the next is asked for. Only the size
     that the next one reads is kept, and the last size is never stored. On k
     base elements the kept size n - 1 holds C(n + k - 2, k - 1) multisets,
-    each with at most k values in ``first`` and (k + 1)**2 keys in
-    ``splits``: 17 550 multisets on ``symmetric:4`` at bound 5.
+    each with at most (k + 1)**2 keys, at most k of them orderings: 17 550
+    multisets on ``symmetric:4`` at bound 5.
     """
     t, e = m.table, m.identity_index
-    below: dict[Word, tuple[dict, dict]] = {(): ({e: ()}, {(e, e): ((), ())})}
+    below: dict[Word, dict] = {(): {(e, e): ((), ())}}
 
-    def level(n: int, below: dict, kept: Optional[dict]) -> Iterator[tuple[dict, dict]]:
+    def level(n: int, below: dict, kept: Optional[dict]) -> Iterator[dict]:
         for multiset in combinations_with_replacement(range(m.base.order), n):
             parts = [
                 (y, below[multiset[:i] + multiset[i + 1 :]])
                 for i, y in enumerate(multiset)
                 if not i or y != multiset[i - 1]
             ]
-            first: dict[int, Word] = {}
-            for y, (sub_first, _) in parts:
+            splits: dict[tuple[int, int], tuple[Word, Word]] = {}
+            for y, sub in parts:
                 row = t[y]
-                for v, w in sub_first.items():
-                    first.setdefault(row[v], (y, *w))
-            splits = {(e, v): ((), c) for v, c in first.items()}
-            for y, (_, sub_splits) in parts:
+                for (p, s), (_, c) in sub.items():
+                    if p != e:
+                        break
+                    splits.setdefault((e, row[s]), ((), (y, *c)))
+            for y, sub in parts:
                 row = t[y]
-                for (p, s), (b, c) in sub_splits.items():
+                for (p, s), (b, c) in sub.items():
                     splits.setdefault((row[p], s), ((y, *b), c))
             if kept is not None:
-                kept[multiset] = first, splits
-            yield first, splits
+                kept[multiset] = splits
+            yield splits
 
     for n in range(1, bound + 1):
         kept = {} if n < bound else None
@@ -103,7 +107,7 @@ def _pair_search(
         lefts = {u for u, _ in todo}
         cols = [(x, x in lefts, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
         best: dict[tuple[int, int], tuple[tuple[Word, Word], tuple[Word, Word]]] = {}
-        for _, splits in level:
+        for splits in level:
             bcs = list(splits.values())
             down = range(len(bcs) - 1, -1, -1)
             values, seen = {}, {}

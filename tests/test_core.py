@@ -461,6 +461,17 @@ def test_congruence_constructor_validation():
         Congruence((0, 5), 2)
 
 
+def test_congruence_from_a_list_is_an_immutable_value():
+    class_of = [0, 1, 0]
+    c = Congruence(class_of, 2)
+    assert c == Congruence((0, 1, 0), 2)
+    assert hash(c) == hash(Congruence((0, 1, 0), 2))
+    class_of[1] = 0  # the checks ran on the list; a later change must not reach the value
+    assert c.class_of == (0, 1, 0)
+    with pytest.raises(TypeError):
+        c.class_of[1] = 1
+
+
 def test_commutative_and_cancellative():
     z6 = make_family("cyclic:6")
     assert is_commutative(z6) and is_cancellative(z6)

@@ -346,9 +346,10 @@ def test_batched_searches_match_single_searches(catalog_family):
 @pytest.mark.parametrize("spec", ["null:3", "leftzero:2", "symmetric:3", "fulltransformation:2"])
 def test_level_data_is_smallest_and_sorted(spec):
     m = monoid(spec)
+    e = m.identity_index
     for n, level in enumerate(_levels(m, 5), start=1):
         multisets = combinations_with_replacement(range(m.base.order), n)
-        for multiset, (first, splits) in zip_longest(multisets, level):
+        for multiset, splits in zip_longest(multisets, level):
             words = sorted(set(permutations(multiset)))
             smallest_a = {}
             smallest_bc = {}
@@ -358,9 +359,13 @@ def test_level_data_is_smallest_and_sorted(spec):
                     key = (eval_word(m, word[:k]), eval_word(m, word[k:]))
                     bc = (word[:k], word[k:])
                     smallest_bc[key] = min(smallest_bc.get(key, bc), bc)
+            # the orderings come first, keyed (1, v), in ascending words
+            items = list(splits.items())
+            orderings = sorted(smallest_a.items(), key=lambda kv: kv[1])
+            assert items[: len(orderings)] == [((e, v), ((), a)) for v, a in orderings]
+            assert all(p != e for p, _ in list(splits)[len(orderings) :])
             # the entries and their order: ascending words
-            assert list(first.items()) == sorted(smallest_a.items(), key=lambda kv: kv[1])
-            assert list(splits.items()) == sorted(smallest_bc.items(), key=lambda kv: kv[1])
+            assert items == sorted(smallest_bc.items(), key=lambda kv: kv[1])
 
 
 @settings(max_examples=30, deadline=None)
