@@ -233,13 +233,16 @@ class Semigroup:
     ``table[i][j]`` is the index of ``names[i] * names[j]``. Associativity and
     entry ranges are verified on construction, so holding a Semigroup value is
     proof of validity. The value is immutable, and its hash is computed once
-    there too: semigroups key caches.
+    there too: semigroups key caches. The names and rows are stored as
+    tuples, so a value built from lists is hashable and owns its table.
     """
 
     __slots__ = ("names", "table", "_hash")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+    def __init__(self, names: Iterable[str], table: Iterable[Iterable[int]]):
+        names = tuple(names)
+        table = tuple(map(tuple, table))
         n = len(names)
         if n == 0:
             raise TableFormatError("a semigroup needs at least one element")
@@ -296,8 +299,8 @@ class Semigroup:
 
 
 def make_semigroup(names: Iterable[str], table: Iterable[Iterable[int]]) -> Semigroup:
-    """Normalize nested sequences into a validated Semigroup."""
-    return Semigroup(tuple(names), tuple(tuple(row) for row in table))
+    """A validated Semigroup from nested sequences; the constructor normalizes them."""
+    return Semigroup(names, table)
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:

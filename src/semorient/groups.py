@@ -8,7 +8,7 @@ from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .core import CACHE_SIZE, Congruence, NotAGroupError, Semigroup, quotient
+from .core import CACHE_SIZE, Congruence, NotAGroupError, Semigroup, _abelian_keys, quotient
 
 
 class GroupStructure(NamedTuple):
@@ -111,7 +111,12 @@ def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def coset_congruence(g: GroupStructure) -> Congruence:
-    """Partition into cosets of the commutator subgroup: u ~ v iff u * v^-1 is in it."""
+    """Partition into cosets of the commutator subgroup: u ~ v iff u * v^-1 is in it.
+
+    It equals ker φ of ``core._abelian_keys``, which the quotients read. It is
+    kept for the exact σ report, whose witnesses need [G, G], and for the
+    ``verify`` σ suite, which compares it with κ, a partition made without [G, G].
+    """
     n = g.order
     t = g.base.table
     derived = commutator_subgroup(g)
@@ -127,9 +132,11 @@ def coset_congruence(g: GroupStructure) -> Congruence:
 
 
 def abelianization(g: GroupStructure) -> Semigroup:
-    """The commutative quotient group by the coset congruence.
+    """G/[G, G]: the quotient by ker φ of ``core._abelian_keys``, the largest abelian image.
 
-    The cosets of the normal subgroup [G, G] form a group of order
-    |G| / |[G, G]|, commutative because every commutator lies in [G, G].
+    On a group ε is the identity, so ker φ is κ, whose classes are the cosets
+    of [G, G], and the quotient needs no derived-subgroup tree.
+    ``coset_congruence`` builds the same partition from [G, G] for the checks
+    that must not read ker φ.
     """
-    return quotient(g.base, coset_congruence(g))
+    return quotient(g.base, _abelian_keys(g.base)[1])

@@ -65,6 +65,12 @@ class CommutatorDecomposition(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
+def _check_elements(group: GroupStructure, *indices: int) -> None:
+    for x in indices:
+        if not 0 <= x < group.order:
+            raise ValueError(f"element {x} out of range")
+
+
 def decomposition_product(group: GroupStructure, pairs) -> int:
     t = group.base.table
     acc = group.identity
@@ -80,8 +86,7 @@ def commutator_decomposition(group: GroupStructure, g: int) -> CommutatorDecompo
     breadth-first shortest path with reproducible edge choices; the identity
     gets the empty decomposition.
     """
-    if not 0 <= g < group.order:
-        raise ValueError(f"element {g} out of range")
+    _check_elements(group, g)
     tree = derived_subgroup_tree(group)
     if g not in tree:
         raise NotInDerivedSubgroupError(
@@ -109,6 +114,7 @@ def build_orientable_witness(
     result has |a| = 2 + 4(k - 1) for k pairs; the identity (k = 0) gets the
     canonical witness x x^-1 = x * t * x^-1 over the smallest element.
     """
+    _check_elements(group, *(x for pair in d.pairs for x in pair))
     if decomposition_product(group, d.pairs) != d.element:
         raise InvalidDecompositionError("pairs do not multiply to the element")
     inv = group.inverse
@@ -135,8 +141,10 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
 
     If g * h^-1 has one-variable witness (a, b, c), then a * t1 * h^-1 and
     b * t2 * h^-1 c agree under t1 = h, t2 = g and stay balanced. Raises
-    NotRelatedError when g * h^-1 is outside the commutator subgroup.
+    ValueError when g or h is not an element index, and NotRelatedError when
+    g * h^-1 is outside the commutator subgroup.
     """
+    _check_elements(group, g, h)
     t = group.base.table
     inv = group.inverse
     gh = t[g][inv[h]]

@@ -1,4 +1,9 @@
-"""``quotient``: the quotient table by the sigma classes."""
+"""``quotient``: the quotient table by the sigma classes.
+
+The classes are ker φ (``core._abelian_keys``) in both modes: σ_orient = ker φ
+on every finite semigroup, and on a group ker φ is the coset partition of
+[G, G]. ``--exact`` only requires a group and labels the table ``exact-group``.
+"""
 
 from . import Result, _bounds, _load, _table_result
 from ..core import _abelian_keys, quotient
@@ -7,15 +12,14 @@ from ..core import _abelian_keys, quotient
 def run(args) -> Result:
     s, subject = _load(args)
     _bounds(args)  # checked, though σ_orient = ker φ at every bound: no search needed
+    exactness = "lower-bound"
     if args.exact:
-        # the exact classes are the cosets of [G, G]; the quotient needs no pair witness
-        from ..groups import coset_congruence, group_structure
+        from ..groups import group_structure
 
-        cong, exactness = coset_congruence(group_structure(s)), "exact-group"
-    else:
-        cong, exactness = _abelian_keys(s)[1], "lower-bound"
+        group_structure(s)  # raises NotAGroupError off a group
+        exactness = "exact-group"
     return _table_result(
-        quotient(s, cong),
+        quotient(s, _abelian_keys(s)[1]),
         {"subject": subject, "exactness": exactness},
         f"# sigma-quotient of {subject} ({exactness})\n",
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semorient import catalog, cli, equations, verbs
+from semorient import catalog, cli, equations, groups, verbs
 from semorient.cli import run
 from semorient.core import (
     MAX_BOUND,
@@ -387,6 +387,21 @@ def test_bounded_quotient_is_the_quotient_by_the_witnessed_pairs(catalog_family)
         table = serialize_table(quotient(s, generated_congruence(s, pairs)))
         got = invoke("quotient", "--family", spec, "--bound", str(bound))
         assert got == (0, f"# sigma-quotient of {spec} (lower-bound)\n" + table, ""), bound
+
+
+def test_exact_quotients_build_no_derived_subgroup(monkeypatch):
+    # both read ker φ; [G, G] is built only for the exact σ report and the verify σ suite
+    calls = []
+    for name in ("derived_subgroup_tree", "coset_congruence"):
+        real = getattr(groups, name)
+        monkeypatch.setattr(
+            groups, name, lambda g, name=name, real=real: calls.append(name) or real(g)
+        )
+    for verb in (("quotient", "--exact"), ("abelianization",)):
+        code, out, err = invoke(*verb, "--family", "symmetric:4")
+        assert (code, err) == (0, ""), verb
+        assert out.count("\n") == 5, verb  # a comment, two header lines, two rows: S4/A4
+    assert calls == []
 
 
 def test_commutator_verbs():

@@ -12,6 +12,7 @@ from semorient.core import (
     AssociativityError,
     CompatibilityError,
     Congruence,
+    Semigroup,
     SemigroupError,
     TableFormatError,
     adjoin_identity,
@@ -470,6 +471,22 @@ def test_congruence_from_a_list_is_an_immutable_value():
     assert c.class_of == (0, 1, 0)
     with pytest.raises(TypeError):
         c.class_of[1] = 1
+
+
+@pytest.mark.parametrize("build", [Semigroup, make_semigroup])
+def test_semigroup_from_lists_is_an_immutable_value(build):
+    names, rows = ["a", "b"], [[0, 1], [1, 0]]
+    s = build(names, rows)
+    expected = Semigroup(("a", "b"), ((0, 1), (1, 0)))
+    assert s == expected
+    assert hash(s) == hash(expected)
+    # the checks ran on the lists; a later change must not reach the value
+    names[0] = "c"
+    rows[0][0] = 1
+    rows.append([0, 0])
+    assert s.names == ("a", "b")
+    assert s.table == ((0, 1), (1, 0))
+    assert s == expected
 
 
 def test_commutative_and_cancellative():

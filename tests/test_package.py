@@ -218,7 +218,7 @@ def _cli_loads(argv, code, layers):
          {"equations", "groups", "theorems", "verbs.witness"}),
         ("verify --table s3.tbl", 0,
          {"equations", "groups", "search", "theorems", "verify", "verbs.verify"}),
-        # the exact quotient reads the coset congruence and builds no witness
+        # the exact quotient reads ker φ; `groups` only checks that the table is a group
         ("quotient --table s3.tbl --exact", 0, {"groups", "verbs.quotient"}),
         ("orientable --table s3.tbl --exact", 0,
          {"equations", "groups", "theorems", "verbs.orientable"}),

@@ -21,6 +21,7 @@ from semorient.core import (
     adjoin_identity,
     commutative_congruence,
     make_semigroup,
+    quotient,
     serialize_table,
 )
 from semorient.equations import (
@@ -30,7 +31,12 @@ from semorient.equations import (
     validate_one_var,
     validate_two_var,
 )
-from semorient.groups import commutator_subgroup, coset_congruence, group_structure
+from semorient.groups import (
+    abelianization,
+    commutator_subgroup,
+    coset_congruence,
+    group_structure,
+)
 from semorient.search import (
     _one_var_candidates,  # private: the filter
     _two_var_candidates,
@@ -155,6 +161,26 @@ def test_three_pair_witness_size_law(s3):
     assert validate_one_var(adjoin_identity(s3), r, w) is None
 
 
+@pytest.mark.parametrize("g_index, h_index", [(-1, 0), (6, 0), (0, -1), (0, 6)])
+def test_two_var_witness_rejects_indices_outside_the_group(s3, g_index, h_index):
+    # -1 is not read as the last element, nor 6 as a bare IndexError
+    bad = g_index if h_index == 0 else h_index
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        build_two_var_witness(group_structure(s3), g_index, h_index)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_orientable_witness_rejects_pair_entries_outside_the_group(s3, bad, side):
+    g = group_structure(s3)
+    # "210" (index 5, what -1 would read) and "021" do not commute, so a
+    # wrapped index would fail the product check instead of the range check
+    other = s3.index_of("021")
+    pair = (bad, other) if side == "x" else (other, bad)
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        build_orientable_witness(g, CommutatorDecomposition(g.identity, (pair,)))
+
+
 WIDTH_TWO = "width-two-96"
 
 
@@ -208,6 +234,35 @@ def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
     cosets = coset_congruence(g).class_of
     pairs = [(u, v) for u in elements for v in elements]
     assert _two_var_candidates(m, pairs) == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *GROUP_FAMILIES,
+        "dihedral:36",
+        WIDTH_TWO,
+        "directproduct:alternating:4,alternating:4",
+        "directproduct:quaternion8,symmetric:3",
+        "directproduct:symmetric:3,cyclic:8",
+    ],
+)
+def test_quotients_are_the_quotient_by_the_derived_subgroup_cosets(spec, tmp_path):
+    # the quotients read ker φ; the reference is the definition, G mod [G, G]
+    s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
+    g = group_structure(s)
+    expected = quotient(s, coset_congruence(g))
+    assert abelianization(g) == expected
+    path = tmp_path / "group.tbl"
+    path.write_text(serialize_table(s))
+    for argv, head in (
+        (["quotient"], f"# sigma-quotient of {path} (lower-bound)\n"),
+        (["quotient", "--exact"], f"# sigma-quotient of {path} (exact-group)\n"),
+        (["abelianization"], f"# abelianization of {path}\n"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        assert run([*argv, "--table", str(path)], out=out, err=err) == 0
+        assert (out.getvalue(), err.getvalue()) == (head + serialize_table(expected), ""), argv
 
 
 def test_width_two_group_on_the_exact_path(tmp_path):
