@@ -227,6 +227,16 @@ def _read_only(self, name, *value):
     raise AttributeError(f"cannot assign or delete {type(self).__name__}.{name}")
 
 
+def _check_elements(order: int, *indices: int) -> None:
+    """Raise ValueError for the first index that is not in range(order).
+
+    A negative index would otherwise read as an element counted from the end.
+    """
+    for x in indices:
+        if not 0 <= x < order:
+            raise ValueError(f"element {x} out of range")
+
+
 class Semigroup:
     """A finite semigroup: distinct element names plus an associative Cayley table.
 
@@ -295,6 +305,7 @@ class Semigroup:
             raise KeyError(f"unknown element name {name!r}") from None
 
     def mul(self, i: int, j: int) -> int:
+        _check_elements(self.order, i, j)
         return self.table[i][j]
 
 
@@ -491,6 +502,7 @@ class Congruence:
         return out
 
     def relates(self, u: int, v: int) -> bool:
+        _check_elements(len(self.class_of), u, v)
         return self.class_of[u] == self.class_of[v]
 
 

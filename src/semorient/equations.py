@@ -20,6 +20,7 @@ from .core import (  # the bounds stay importable from here, where they first li
     Congruence,
     Monoid1,
     Word,
+    _check_elements,
     eval_word,
 )
 
@@ -56,16 +57,10 @@ class TwoVarWitness(NamedTuple):
         return len(self.a) + len(self.b)
 
 
-def _check_index(m: Monoid1, *indices: int) -> None:
-    for x in indices:
-        if not 0 <= x <= m.identity_index:
-            raise ValueError(f"element {x} out of range")
-
-
 def _factor_problem(m: Monoid1, *words: Word) -> Optional[str]:
     for w in words:
         for x in w:
-            _check_index(m, x)
+            _check_elements(m.order, x)
             if x == m.identity_index:
                 return "the adjoined identity may not appear as a factor"
     return None
@@ -86,7 +81,7 @@ def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
 
 def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
     """Return None if the witness is valid for the ordered pair (u, v), else a reason."""
-    _check_index(m, u, v)
+    _check_elements(m.order, u, v)
     left_len = len(w.a) + len(w.b)
     right_len = len(w.c) + len(w.d)
     if left_len == 0 and right_len == 0:

@@ -8,7 +8,15 @@ from operator import getitem, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .core import CACHE_SIZE, Congruence, NotAGroupError, Semigroup, _abelian_keys, quotient
+from .core import (
+    CACHE_SIZE,
+    Congruence,
+    NotAGroupError,
+    Semigroup,
+    _abelian_keys,
+    _check_elements,
+    quotient,
+)
 
 
 class GroupStructure(NamedTuple):
@@ -56,6 +64,7 @@ def group_structure(s: Semigroup) -> GroupStructure:
 
 def commutator(g: GroupStructure, x: int, y: int) -> int:
     """x * y * x^-1 * y^-1."""
+    _check_elements(g.order, x, y)
     t = g.base.table
     return t[t[t[x][y]][g.inverse[x]]][g.inverse[y]]
 

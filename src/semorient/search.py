@@ -19,8 +19,9 @@ from .core import (
     Monoid1,
     Word,
     _abelian_keys,
+    _check_elements,
 )
-from .equations import OneVarWitness, SigmaReport, TwoVarWitness, _check_index
+from .equations import OneVarWitness, SigmaReport, TwoVarWitness
 
 
 def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
@@ -135,7 +136,7 @@ def unfiltered_two_var_search(
     m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
 ) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
     """Unfiltered ``_pair_search`` on every pair given, so checks built on it can fail."""
-    _check_index(m, *chain.from_iterable(pairs))
+    _check_elements(m.order, *chain.from_iterable(pairs))
     return _pair_search(m, pairs, bound)
 
 
@@ -159,7 +160,7 @@ def unfiltered_one_var_search(
     m: Monoid1, elements: Sequence[int], bound: int
 ) -> dict[int, Optional[OneVarWitness]]:
     """Unfiltered ``_one_var_search`` on every element given, so checks built on it can fail."""
-    _check_index(m, *elements)
+    _check_elements(m.order, *elements)
     return _one_var_search(m, elements, bound)
 
 
@@ -195,7 +196,7 @@ def search_one_var(
     no witness of that size exists, which is not a proof that g satisfies no
     equation at all.
     """
-    _check_index(m, g)
+    _check_elements(m.order, g)
     return _one_var_search(m, _one_var_candidates(m, [g]), bound).get(g)
 
 
@@ -218,7 +219,7 @@ def search_two_var(
     points. A pair that fails the commutative-image test gets None without a
     search. Otherwise None means no witness that small, not unrelatedness.
     """
-    _check_index(m, u, v)
+    _check_elements(m.order, u, v)
     return _pair_search(m, _two_var_candidates(m, [(u, v)]), bound).get((u, v))
 
 

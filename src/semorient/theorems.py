@@ -15,11 +15,13 @@ that test these facts against the bounded search live in ``verify``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from importlib import import_module
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import _HOMES
-from .core import Monoid1, SemigroupError, adjoin_identity
+from .core import CACHE_SIZE, Monoid1, SemigroupError, _check_elements, adjoin_identity
 from .equations import (
     OneVarWitness,
     SigmaReport,
@@ -30,6 +32,7 @@ from .equations import (
 from .groups import (
     GroupStructure,
     commutator,
+    commutator_subgroup,
     coset_congruence,
     derived_subgroup_tree,
 )
@@ -65,13 +68,9 @@ class CommutatorDecomposition(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-def _check_elements(group: GroupStructure, *indices: int) -> None:
-    for x in indices:
-        if not 0 <= x < group.order:
-            raise ValueError(f"element {x} out of range")
-
-
 def decomposition_product(group: GroupStructure, pairs) -> int:
+    pairs = tuple(pairs)
+    _check_elements(group.order, *(x for pair in pairs for x in pair))
     t = group.base.table
     acc = group.identity
     for x, y in pairs:
@@ -86,7 +85,7 @@ def commutator_decomposition(group: GroupStructure, g: int) -> CommutatorDecompo
     breadth-first shortest path with reproducible edge choices; the identity
     gets the empty decomposition.
     """
-    _check_elements(group, g)
+    _check_elements(group.order, g)
     tree = derived_subgroup_tree(group)
     if g not in tree:
         raise NotInDerivedSubgroupError(
@@ -114,7 +113,6 @@ def build_orientable_witness(
     result has |a| = 2 + 4(k - 1) for k pairs; the identity (k = 0) gets the
     canonical witness x x^-1 = x * t * x^-1 over the smallest element.
     """
-    _check_elements(group, *(x for pair in d.pairs for x in pair))
     if decomposition_product(group, d.pairs) != d.element:
         raise InvalidDecompositionError("pairs do not multiply to the element")
     inv = group.inverse
@@ -136,6 +134,23 @@ def build_orientable_witness(
     return witness
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _orientable_witnesses(group: GroupStructure) -> Mapping[int, OneVarWitness]:
+    """Each element of [G, G], ascending, mapped to its constructed witness.
+
+    The only place a decomposition meets the builder: the exact verbs, the
+    two-variable builders and the ``verify`` suites read this map, so each
+    witness is built and validated once per group. The cached mapping is
+    shared by every caller, so it is read-only.
+    """
+    return MappingProxyType(
+        {
+            g: build_orientable_witness(group, commutator_decomposition(group, g))
+            for g in commutator_subgroup(group)
+        }
+    )
+
+
 def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitness:
     """Construct a witness for the ordered pair (h, g) from one for g * h^-1.
 
@@ -144,18 +159,12 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
     ValueError when g or h is not an element index, and NotRelatedError when
     g * h^-1 is outside the commutator subgroup.
     """
-    _check_elements(group, g, h)
-    t = group.base.table
+    _check_elements(group.order, g, h)
     inv = group.inverse
-    gh = t[g][inv[h]]
-    try:
-        d = commutator_decomposition(group, gh)
-    except NotInDerivedSubgroupError:
+    one = _orientable_witnesses(group).get(group.base.table[g][inv[h]])
+    if one is None:
         names = group.base.names
-        raise NotRelatedError(
-            f"{names[g]!r} and {names[h]!r} lie in different cosets"
-        ) from None
-    one = build_orientable_witness(group, d)
+        raise NotRelatedError(f"{names[g]!r} and {names[h]!r} lie in different cosets")
     return _two_var_witness(adjoin_identity(group.base), inv, one, h, g)
 
 
@@ -174,24 +183,19 @@ def exact_sigma_report(group: GroupStructure) -> SigmaReport:
     """Relate all ordered pairs exactly: the classes are the commutator-subgroup cosets.
 
     Every related pair carries the witness ``build_two_var_witness(group, v, u)``
-    gives. It depends on (u, v) only through v * u^-1 in [G, G], so each of
-    those |[G, G]| one-variable witnesses is built and validated once; every
-    two-variable witness is still validated. The classes are complete rather
-    than bounded, so the report's ``bound`` is None.
+    gives. It depends on (u, v) only through v * u^-1 in [G, G], whose
+    one-variable witness comes from the per-group map ``_orientable_witnesses``;
+    every two-variable witness is still validated. The classes are complete
+    rather than bounded, so the report's ``bound`` is None.
     """
     cong = coset_congruence(group)
+    ones = _orientable_witnesses(group)
     m = adjoin_identity(group.base)
     t = group.base.table
     inv = group.inverse
-    ones: dict[int, OneVarWitness] = {}  # v * u^-1 -> its one-variable witness
+    classes = cong.classes()
     pairs: dict[tuple[int, int], TwoVarWitness] = {}
     for u in range(group.order):
-        for v in range(group.order):
-            if cong.class_of[u] == cong.class_of[v]:
-                gh = t[v][inv[u]]
-                one = ones.get(gh)
-                if one is None:
-                    d = commutator_decomposition(group, gh)
-                    one = ones[gh] = build_orientable_witness(group, d)
-                pairs[(u, v)] = _two_var_witness(m, inv, one, u, v)
+        for v in classes[cong.class_of[u]]:  # u's coset, ascending
+            pairs[(u, v)] = _two_var_witness(m, inv, ones[t[v][inv[u]]], u, v)
     return SigmaReport(None, pairs, cong, "exact-group")

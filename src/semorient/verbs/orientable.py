@@ -10,13 +10,11 @@ def run(args) -> Result:
     s, subject = _load(args)
     one_var_bound, _ = _bounds(args)
     if args.exact:
-        from ..groups import commutator_subgroup, group_structure
-        from ..theorems import build_orientable_witness, commutator_decomposition
+        from ..groups import group_structure
+        from ..theorems import _orientable_witnesses
 
-        group = group_structure(s)
-        found = dict.fromkeys(range(s.order))
-        for g in commutator_subgroup(group):
-            found[g] = build_orientable_witness(group, commutator_decomposition(group, g))
+        ws = _orientable_witnesses(group_structure(s))
+        found = {g: ws.get(g) for g in range(s.order)}
         bound = None
     else:
         from ..search import orientable_set

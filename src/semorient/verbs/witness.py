@@ -44,23 +44,17 @@ def run(args) -> Result:
         w = (search_one_var if one else search_two_var)(m, *target, bound)
     else:
         from ..groups import group_structure
-        from ..theorems import (
-            NotInDerivedSubgroupError,
-            NotRelatedError,
-            build_orientable_witness,
-            build_two_var_witness,
-            commutator_decomposition,
-        )
+        from ..theorems import NotRelatedError, _orientable_witnesses, build_two_var_witness
 
         bound, group = None, group_structure(s)
-        try:
-            if one:
-                w = build_orientable_witness(group, commutator_decomposition(group, target[0]))
-            else:
+        if one:
+            w = _orientable_witnesses(group).get(target[0])
+        else:
+            try:
                 # build_two_var_witness(group, g, h) validates for (h, g)
                 w = build_two_var_witness(group, target[1], target[0])
-        except (NotInDerivedSubgroupError, NotRelatedError):
-            w = None
+            except NotRelatedError:
+                w = None
     note = _no_witness(bound, "not orientable (exact)" if one else "not related (exact)")
 
     def to_json() -> dict:

@@ -31,11 +31,7 @@ from .core import (
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
 from .groups import GroupStructure, commutator_subgroup, coset_congruence
 from .search import sigma_report, unfiltered_one_var_search, unfiltered_two_var_search
-from .theorems import (
-    build_orientable_witness,
-    commutator_decomposition,
-    exact_sigma_report,
-)
+from .theorems import _orientable_witnesses, commutator_decomposition, exact_sigma_report
 
 
 class CheckResult(NamedTuple):
@@ -144,9 +140,9 @@ def verify_orientable_is_commutator_subgroup(
     """Check that one-variable witnesses characterize exactly the commutator subgroup.
 
     Hard checks: (i) every commutator-subgroup element gets a constructed
-    witness of the lawful size, which the builder has validated; (ii) every
-    witness found by bounded search validates and its element is in the
-    subgroup; (iii) at a bound covering the largest construction, the
+    witness of the lawful size, which the map's builder has validated;
+    (ii) every witness found by bounded search validates and its element is
+    in the subgroup; (iii) at a bound covering the largest construction, the
     searched set equals the subgroup. The search runs once, at that bound,
     and (ii) reads it at ``bound``.
     """
@@ -159,14 +155,14 @@ def verify_orientable_is_commutator_subgroup(
     derived = commutator_subgroup(group)
     derived_set = set(derived)
 
+    # the map's builder validated each witness it built, and raises on a failure
+    witnesses = _orientable_witnesses(group)
     failures = []
     k_max = 0
     for g in derived:
-        d = commutator_decomposition(group, g)
-        k = len(d.pairs)
+        k = len(commutator_decomposition(group, g).pairs)
         k_max = max(k_max, k)
-        # the builder validates what it builds, and raises on a failure
-        w = build_orientable_witness(group, d)
+        w = witnesses[g]
         expected_size = 2 + 4 * (max(k, 1) - 1)
         if w.size != expected_size:
             failures.append(

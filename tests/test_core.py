@@ -305,6 +305,22 @@ def test_eval_word_z4(z4):
         eval_word(m, (9,))
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (6, 0), (0, -1), (0, 6)])
+def test_mul_rejects_indices_outside_the_table(s3, i, j):
+    # -1 is not read as the last element ("210"), nor 6 as a bare IndexError
+    bad = i if j == 0 else j
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        s3.mul(i, j)
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+def test_relates_rejects_indices_outside_the_partition(u, v):
+    # -1 would read element 2, which shares element 0's class
+    bad = u if v == 0 else v
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        Congruence((0, 1, 0), 2).relates(u, v)
+
+
 def test_eval_word_s3_conjugation(s3):
     # s r s = r^2 for a transposition s and 3-cycle r, per the permutation oracle
     from oracles import compose
@@ -715,10 +731,12 @@ def test_compatibility_violation_matches_the_loop_on_one_sided_cosets(spec, subg
 def test_module_caches_stay_bounded():
     from semorient.core import _abelian_keys, _generators
     from semorient.groups import derived_subgroup_tree
+    from semorient.theorems import _orientable_witnesses
 
     caches = (
         adjoin_identity, _generators, commutative_congruence, _abelian_keys,
-        derived_subgroup_tree, commutator_subgroup, coset_congruence, make_family,
+        derived_subgroup_tree, commutator_subgroup, coset_congruence, _orientable_witnesses,
+        make_family,
     )
     for k in range(CACHE_SIZE + 5):
         # a new Z3 table each time: the same group under fresh names
@@ -726,6 +744,7 @@ def test_module_caches_stay_bounded():
         adjoin_identity(s)
         _abelian_keys(s)  # and commutative_congruence, _generators
         coset_congruence(group_structure(s))  # and commutator_subgroup, derived_subgroup_tree
+        _orientable_witnesses(group_structure(s))
         make_family(f"cyclic:{k + 1}")
         assert all(f.cache_info().currsize <= CACHE_SIZE for f in caches)
     assert all(f.cache_info().currsize == CACHE_SIZE for f in caches)

@@ -57,6 +57,14 @@ def test_commutator_basics(s3):
     assert s3.names[c] in {"120", "201"}
 
 
+@pytest.mark.parametrize("x, y", [(-1, 1), (6, 0), (1, -1), (0, 6)])
+def test_commutator_rejects_indices_outside_the_group(s3, x, y):
+    # with "021" (index 1), -1 would read "210" and give "120"; 6 would be a bare IndexError
+    bad = x if x in (-1, 6) else y
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        commutator(group_structure(s3), x, y)
+
+
 def test_commutator_abelian_groups_trivial():
     for spec in ("cyclic:6", "klein4"):
         s = make_family(spec)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,16 @@ def test_s3_three_cycle_single_commutator(s3):
     d = commutator_decomposition(g, s3.index_of("120"))
     assert len(d.pairs) == 1
     assert decomposition_product(g, d.pairs) == s3.index_of("120")
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_decomposition_product_rejects_pair_entries_outside_the_group(s3, bad, side):
+    # with "021", -1 would read "210" and give "120"; 6 would be a bare IndexError
+    other = s3.index_of("021")
+    pair = (bad, other) if side == "x" else (other, bad)
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        decomposition_product(group_structure(s3), (pair,))
 
 
 def test_outside_subgroup_raises(z4):
@@ -483,17 +494,22 @@ def test_properties_suite_runs_the_same_checks_on_groups(s3):
 
 
 @pytest.fixture
-def fresh_searches():
-    """The suites' shared one-variable search cache, empty before and after the test.
+def fresh_caches():
+    """The suites' shared caches, empty before and after the test.
 
-    A test that patches or counts the search must not read a result cached
-    before it, nor leave a patched one behind.
+    They are the one-variable searches and the map of constructed witnesses.
+    A test that patches or counts a search or a builder must not read a
+    result cached before it, nor leave a patched one behind.
     """
+    import semorient.theorems as th
     import semorient.verify as vf
 
-    vf._one_var_witnesses.cache_clear()
+    caches = (vf._one_var_witnesses, th._orientable_witnesses)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    vf._one_var_witnesses.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def _spy_on_one_var_search(monkeypatch):
@@ -511,7 +527,7 @@ def _spy_on_one_var_search(monkeypatch):
     return calls
 
 
-def test_verify_searches_every_element_once_per_call(monkeypatch, fresh_searches):
+def test_verify_searches_every_element_once_per_call(monkeypatch, fresh_caches):
     # the orientable suite and the propositions share the bound-4 search of all 24 elements;
     # search-monotonicity then searches the 12 elements found there at bound 5
     calls = _spy_on_one_var_search(monkeypatch)
@@ -520,7 +536,7 @@ def test_verify_searches_every_element_once_per_call(monkeypatch, fresh_searches
     assert calls == [(24, 4), (12, 5)]
 
 
-def test_orientable_suite_searches_once_at_the_construction_bound(monkeypatch, fresh_searches):
+def test_orientable_suite_searches_once_at_the_construction_bound(monkeypatch, fresh_caches):
     # S3's constructions have size 2, so --bound 1 is read off the bound-2 search
     calls = _spy_on_one_var_search(monkeypatch)
     out, err = io.StringIO(), io.StringIO()
@@ -555,14 +571,15 @@ def _count_calls(monkeypatch, name, modules):
 
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "quaternion8", "dihedral:6"])
-def test_suites_validate_each_constructed_witness_once(monkeypatch, spec):
+def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches, spec):
     import semorient.theorems as th
     import semorient.verify as vf
 
     g = group_structure(make_family(spec))
     m = adjoin_identity(g.base)
     everything = range(g.order)
-    # the builders validate what they build; the suites validate what the searches find
+    # the builders validate what they build; the suites validate what the searches find.
+    # Building here leaves the map of constructed witnesses empty: the suite fills it
     built = Counter(
         (x, build_orientable_witness(g, commutator_decomposition(g, x)))
         for x in commutator_subgroup(g)
@@ -580,6 +597,20 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, spec):
     calls = _count_calls(monkeypatch, "validate_two_var", (th, vf))
     assert verify_sigma_is_abelianization(g, 2).passed
     assert calls == built + searched
+
+
+@pytest.mark.parametrize("spec, size", [("symmetric:4", 12), ("dihedral:6", 3)])
+def test_verify_validates_each_constructed_witness_once(monkeypatch, fresh_caches, spec, size):
+    # both theorem suites read one map of constructed witnesses, built once per group
+    import semorient.theorems as th
+
+    calls = _count_calls(monkeypatch, "validate_one_var", (th,))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--family", spec, "--suite", "theorems"]
+    assert run(argv, out=out, err=err) == 0
+    g = group_structure(make_family(spec))
+    assert len(commutator_subgroup(g)) == size
+    assert calls == Counter(th._orientable_witnesses(g).items())
 
 
 def test_report_serialization(s3):
@@ -608,11 +639,12 @@ def test_report_records_failures():
 
 # ------------------------------------------------------------ planted defects
 #
-# Each case replaces one name in ``semorient.verify`` by a broken version and
-# runs one suite on S3 at bound 2, where the identity is element 0, A3 is
-# {0, 3, 4} and element 1 is a transposition. The named check must report the
-# defect: a hard check fails with a counterexample and fails the report; a soft
-# report records possible violations and leaves the report passing.
+# Each case replaces one name in ``semorient.verify``, or a dotted ``layer.name``
+# in another layer, by a broken version and runs one suite on S3 at bound 2,
+# where the identity is element 0, A3 is {0, 3, 4} and element 1 is a
+# transposition. The named check must report the defect: a hard check fails
+# with a counterexample and fails the report; a soft report records possible
+# violations and leaves the report passing.
 
 
 def _singletons(g):
@@ -720,8 +752,9 @@ def _pair_dropped(exact_sigma_report):
 
 
 PLANTED = [
-    # (suite, name in semorient.verify, defect, check id, text it reports, soft)
-    ("orientable", "build_orientable_witness", _padded, "constructed-witnesses",
+    # (suite, name in semorient.verify or layer.name, defect, check id, text it reports, soft)
+    # the builder of the map of constructed witnesses, which the suite reads
+    ("orientable", "theorems.build_orientable_witness", _padded, "constructed-witnesses",
      "witness size 3, expected 2", False),
     ("orientable", "unfiltered_one_var_search", _bogus_one_var, "bounded-search-sound",
      "unbalanced lengths", False),
@@ -780,15 +813,19 @@ def _suite(name, s3):
 @pytest.mark.parametrize(
     "suite, name, defect, check_id, text, soft",
     PLANTED,
-    ids=[f"{check_id}-{name}-{defect.__name__}" for _, name, defect, check_id, *_ in PLANTED],
+    ids=[
+        f"{check_id}-{name.rpartition('.')[2]}-{defect.__name__}"
+        for _, name, defect, check_id, *_ in PLANTED
+    ],
 )
 def test_planted_defect_is_reported(
-    monkeypatch, fresh_searches, s3, suite, name, defect, check_id, text, soft
+    monkeypatch, fresh_caches, s3, suite, name, defect, check_id, text, soft
 ):
-    import semorient.verify as vf
+    layer, _, name = name.rpartition(".")
+    module = import_module(f"semorient.{layer or 'verify'}")
 
     assert s3.names[:5] == ("012", "021", "102", "120", "201")
-    monkeypatch.setattr(vf, name, defect(getattr(vf, name)))
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
     report = _suite(suite, s3)
     check = next(c for c in report.checks if c.check_id == check_id)
     if soft:
@@ -807,7 +844,7 @@ def test_every_theorem_check_has_a_planted_defect(s3):
         assert {(suite, c.check_id) for c in _suite(suite, s3).checks} <= planted
 
 
-def test_planted_defect_fails_the_verify_verb(monkeypatch, fresh_searches):
+def test_planted_defect_fails_the_verify_verb(monkeypatch, fresh_caches):
     import semorient.verify as vf
 
     search = vf.unfiltered_one_var_search
