@@ -68,7 +68,7 @@ def _element(s: Semigroup, name: str) -> int:
 
 def _pair(s: Semigroup, spec: str) -> tuple[int, int]:
     left, sep, right = spec.partition(",")
-    if not sep or not left or not right:
+    if not sep or not left or not right or "," in right:
         raise UsageError("--pair needs two comma-separated element names")
     return _element(s, left), _element(s, right)
 

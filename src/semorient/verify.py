@@ -5,9 +5,10 @@ fail the report; soft reports record what a bounded search cannot refute.
 The bounded searches are called unfiltered, so a soundness check tests the
 search itself rather than the commutative-image filter in front of it. The
 exact group path is checked against κ, which is built from the pairs
-(xy, yx) without [G, G]. The suites share one unfiltered one-variable search
-of every element per table and bound, so a ``verify`` call searches each
-bound once.
+(xy, yx) without [G, G]. No suite searches past its bound: a construction
+that fits it is a witness, so the search, least by size first, finds one no
+larger. The suites share one unfiltered one-variable search per table and
+bound, so a ``verify`` call searches each bound once.
 """
 
 from __future__ import annotations
@@ -101,10 +102,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _one_var_key(w: OneVarWitness):
-    return (len(w.a), w.a, w.b, w.c)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVarWitness]]:
     """Every element's canonical one-variable witness (or None) at ``bound``, unfiltered.
@@ -116,15 +113,12 @@ def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVar
     return MappingProxyType(found)
 
 
-def _within(
-    found: Mapping[int, Optional[OneVarWitness]], bound: int
-) -> dict[int, Optional[OneVarWitness]]:
-    """A search result read at a bound no larger than its own.
-
-    The canonical witness is the least by size first, so one of size <= bound
-    is the same at both bounds, and a larger one reads as None.
-    """
-    return {g: w if w is not None and w.size <= bound else None for g, w in found.items()}
+def _missed(built, found, bound: int) -> Optional[str]:
+    """Why the search result ``found`` misses the construction ``built``, or None."""
+    if built.size > bound or (found is not None and found.size <= built.size):
+        return None
+    got = "none found" if found is None else f"search found size {found.size}"
+    return f"construction of size {built.size} fits bound {bound}, {got}"
 
 
 def _pairs_in_one_class(c: Congruence) -> set[tuple[int, int]]:
@@ -142,9 +136,10 @@ def verify_orientable_is_commutator_subgroup(
     Hard checks: (i) every commutator-subgroup element gets a constructed
     witness of the lawful size, which the map's builder has validated;
     (ii) every witness found by bounded search validates and its element is
-    in the subgroup; (iii) at a bound covering the largest construction, the
-    searched set equals the subgroup. The search runs once, at that bound,
-    and (ii) reads it at ``bound``.
+    in the subgroup; (iii) the searched set lies in the subgroup and holds
+    every element whose construction fits ``bound``, with a witness no
+    larger. The search runs once, at ``bound``, and (ii) and (iii) read it.
+    At a bound that covers every construction, (iii) is set equality.
     """
     s = group.base
     m = adjoin_identity(s)
@@ -177,9 +172,8 @@ def verify_orientable_is_commutator_subgroup(
 
     failures = []
     # unfiltered: the commutative-image filter would make soundness hold by construction
-    big = max(bound, 2 + 4 * (max(k_max, 1) - 1))
-    full = _one_var_witnesses(s, big)
-    for g, w in _within(full, bound).items():
+    found = _one_var_witnesses(s, bound)
+    for g, w in found.items():
         if w is None:
             continue
         problem = validate_one_var(m, g, w)
@@ -196,15 +190,14 @@ def verify_orientable_is_commutator_subgroup(
         failures,
     )
 
-    got = {g for g, w in full.items() if w is not None}
-    failures = (
-        []
-        if got == derived_set
-        else [f"sets differ on elements {sorted(names[x] for x in got ^ derived_set)}"]
-    )
+    got = {g for g, w in found.items() if w is not None}
+    failures = [f"{names[g]}: found, but outside the subgroup" for g in sorted(got - derived_set)]
+    failures += [
+        f"{names[g]}: {why}" for g in derived if (why := _missed(witnesses[g], found[g], bound))
+    ]
     report._add(
         "orientable-set-equals-commutator-subgroup",
-        f"searched set at bound {big} has {len(got)} elements, subgroup has {len(derived)}",
+        f"searched set at bound {bound} has {len(got)} elements, subgroup has {len(derived)}",
         failures,
     )
     return report
@@ -218,13 +211,15 @@ def verify_sigma_is_abelianization(
     """Check that pair-relating equations reproduce the abelianization of a group.
 
     Hard checks: (i) the pairs with a constructed witness, which
-    ``exact_sigma_report`` has validated, are exactly the pairs inside one
-    κ-class; (ii) every pair found by bounded search lives in one coset;
-    (iii) the κ-classes are the cosets; (iv) the quotient by the exact
-    classes, which is the abelianization, is commutative. κ is built from
-    the pairs (xy, yx) alone, so (i) and (iii) test the coset path against
-    a partition made without [G, G]. The quotient of a group is a group, so
-    only commutativity is left to check in (iv).
+    ``exact_sigma_report`` has validated, are exactly the same-coset pairs,
+    and the search finds every pair whose construction fits ``bound``, with
+    a witness no larger; (ii) every pair found by bounded search lives in
+    one coset; (iii) the κ-classes are the cosets; (iv) the quotient by the
+    exact classes, which is the abelianization, is commutative. The search
+    runs once, at ``bound``, and (i) and (ii) read it. κ is built from the
+    pairs (xy, yx) alone, so (iii) tests the coset path against a partition
+    made without [G, G]. The quotient of a group is a group, so only
+    commutativity is left to check in (iv).
     """
     s = group.base
     m = adjoin_identity(s)
@@ -234,28 +229,31 @@ def verify_sigma_is_abelianization(
     )
     cosets = coset_congruence(group)
     exact = exact_sigma_report(group)
-    same_kappa = _pairs_in_one_class(commutative_congruence(s))
+    same_coset = _pairs_in_one_class(cosets)
+    # unfiltered, as in bounded-search-sound
+    everything = [(u, v) for u in range(s.order) for v in range(s.order)]
+    searched = unfiltered_two_var_search(m, everything, bound)
 
     # exact_sigma_report validated every pair's witness, and raises on a failure
+    failures = [
+        f"({names[u]}, {names[v]}): "
+        + ("no witness built in one coset" if (u, v) in same_coset
+           else "witness built across cosets")
+        for u, v in sorted(same_coset ^ exact.pairs.keys())
+    ]
+    failures += [
+        f"({names[u]}, {names[v]}): {why}"
+        for (u, v), w in exact.pairs.items()
+        if (why := _missed(w, searched[(u, v)], bound))
+    ]
     report._add(
         "constructed-pair-witnesses",
         f"built witnesses for all {len(exact.pairs)} same-coset ordered pairs",
-        [
-            f"({names[u]}, {names[v]}): "
-            + ("no witness built in one kappa-class" if (u, v) in same_kappa
-               else "witness built across kappa-classes")
-            for u, v in sorted(same_kappa ^ exact.pairs.keys())
-        ],
+        failures,
     )
 
     failures = []
-    # unfiltered, as in bounded-search-sound
-    everything = [(u, v) for u in range(s.order) for v in range(s.order)]
-    found = {
-        pair: w
-        for pair, w in unfiltered_two_var_search(m, everything, bound).items()
-        if w is not None
-    }
+    found = {pair: w for pair, w in searched.items() if w is not None}
     for (u, v), w in found.items():
         problem = validate_two_var(m, u, v, w)
         if problem is not None:
@@ -270,6 +268,7 @@ def verify_sigma_is_abelianization(
         failures,
     )
 
+    same_kappa = _pairs_in_one_class(commutative_congruence(s))
     report._add(
         "sigma-classes-equal-cosets",
         f"{exact.congruence.num_classes} exact classes, all attached witnesses validate",
@@ -277,7 +276,7 @@ def verify_sigma_is_abelianization(
             f"({names[u]}, {names[v]}): "
             + ("one kappa-class, two cosets" if (u, v) in same_kappa
                else "one coset, two kappa-classes")
-            for u, v in sorted(same_kappa ^ _pairs_in_one_class(cosets))
+            for u, v in sorted(same_kappa ^ same_coset)
         ],
     )
 
@@ -359,7 +358,7 @@ def verify_semigroup_properties(
         w1, w2 = at_bound[g], at_next[g]
         if w2 is None:
             failures.append(f"{names[g]}: witness lost at bound {one_var_bound + 1}")
-        elif _one_var_key(w2) > _one_var_key(w1):
+        elif (w2.size, *w2) > (w1.size, *w1):  # size first, then (a, b, c)
             failures.append(f"{names[g]}: canonical witness grew at a larger bound")
     report._add(
         "search-monotonicity",

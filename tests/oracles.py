@@ -47,11 +47,63 @@ def magma_closure(table, generators):
 
 
 def all_associative_tables(n):
-    """Every associative Cayley table on {0..n-1}; feasible for n <= 3."""
-    cells = n * n
-    for flat in product(range(n), repeat=cells):
-        table = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        if first_assoc_violation(table) is None:
+    """Every associative Cayley table on {0..n-1}, in ascending row-major order.
+
+    Backtracking fills the cells row by row, trying each value in ascending
+    order, and keeps a value only if no triple with all four of its products
+    (xy, yz, (xy)z and x(yz)) filled breaks associativity. A triple has them
+    all first when the cell just filled is one of them, so only those triples
+    are checked: the cell (i, j) = v as xy, as yz, as (xy)z and as x(yz).
+    3492 tables at n = 4 (OEIS A023814).
+    """
+    t = [[None] * n for _ in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    r = range(n)
+
+    def at(x, y):
+        return None if x is None or y is None else t[x][y]
+
+    def clash(left, right):
+        return left is not None and right is not None and left != right
+
+    def fits(i, j):
+        v = t[i][j]
+        return not (
+            any(clash(at(v, z), at(i, t[j][z])) for z in r)
+            or any(clash(at(t[x][i], j), at(x, v)) for x in r)
+            or any(clash(v, at(x, t[y][j])) for x in r for y in r if t[x][y] == i)
+            or any(clash(at(t[i][x], y), v) for x in r for y in r if t[x][y] == j)
+        )
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in t]
+            return
+        i, j = cells[k]
+        for v in r:
+            t[i][j] = v
+            if fits(i, j):
+                yield from fill(k + 1)
+        t[i][j] = None
+
+    yield from fill(0)
+
+
+def semigroup_classes(n):
+    """One table per isomorphism class of semigroups of order n: 188 at n = 4 (OEIS A027851).
+
+    A relabelling p of a table T is the table T' with T'[p(x)][p(y)] = p(T[x][y]).
+    Each class is represented by its least table in row-major order.
+    """
+    perms = list(permutations(range(n)))
+
+    def relabelled(table, p):
+        inv = sorted(range(n), key=p.__getitem__)
+        return [p[table[inv[i]][inv[j]]] for i in range(n) for j in range(n)]
+
+    for table in all_associative_tables(n):
+        flat = [x for row in table for x in row]
+        if all(flat <= relabelled(table, p) for p in perms):
             yield table
 
 

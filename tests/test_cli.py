@@ -89,6 +89,14 @@ def test_usage_errors_exit_2():
         assert err.count("\n") == 1 and err.endswith("\n"), argv
 
 
+@pytest.mark.parametrize("verb", ["witness", "commutator"])
+@pytest.mark.parametrize("spec", ["0,0,1", "0,,1", "0,1,"])
+def test_pair_with_more_than_one_comma_is_a_malformed_pair(verb, spec):
+    code, out, err = invoke(verb, "--family", "cyclic:3", "--pair", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: usage: --pair needs two comma-separated element names\n"
+
+
 def test_help_exits_0(capsys):
     code, out, err = invoke("--help")
     assert (code, err) == (0, "")

@@ -536,24 +536,41 @@ def test_verify_searches_every_element_once_per_call(monkeypatch, fresh_caches):
     assert calls == [(24, 4), (12, 5)]
 
 
-def test_orientable_suite_searches_once_at_the_construction_bound(monkeypatch, fresh_caches):
-    # S3's constructions have size 2, so --bound 1 is read off the bound-2 search
+def test_orientable_suite_searches_once_at_the_declared_bound(monkeypatch, fresh_caches):
+    # S3's constructions have size 2, yet --bound 1 searches at bound 1 and no further
     calls = _spy_on_one_var_search(monkeypatch)
     out, err = io.StringIO(), io.StringIO()
     argv = ["verify", "--family", "symmetric:3", "--suite", "theorems", "--bound", "1"]
     assert run(argv, out=out, err=err) == 0
-    assert calls == [(6, 2)]
+    assert calls == [(6, 1)]
+    assert "searched set at bound 1 has 1 elements, subgroup has 3" in out.getvalue()
+
+
+def test_theorems_suites_stop_at_the_declared_bound_on_a_width_two_group(
+    monkeypatch, fresh_caches, tmp_path
+):
+    # three constructions there have size 6; a search at size 6 over all 96 elements
+    # does not finish in a minute, so the suites must not search past --bound
+    calls = _spy_on_one_var_search(monkeypatch)
+    path = tmp_path / "width-two.txt"
+    path.write_text(serialize_table(width_two_group()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--table", str(path), "--suite", "theorems", "--bound", "1"]
+    assert run(argv, out=out, err=err) == 0, out.getvalue()
+    assert calls == [(96, 1)]
 
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_search_read_at_a_smaller_bound_is_the_search_at_that_bound(spec):
-    from semorient.verify import _one_var_witnesses, _within
-
+    # the canonical witness is the least by size first: one of size <= b is the same at
+    # both bounds, and a larger one is none at b. So a search at --bound misses only the
+    # constructions too large for it, which the set check allows
     s = make_family(spec)
     m = adjoin_identity(s)
-    full = _one_var_witnesses(s, 4)
+    full = unfiltered_one_var_search(m, range(s.order), 4)
     for b in (1, 2, 3):
-        assert _within(full, b) == unfiltered_one_var_search(m, range(s.order), b)
+        within = {g: w if w is not None and w.size <= b else None for g, w in full.items()}
+        assert within == unfiltered_one_var_search(m, range(s.order), b)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -640,11 +657,12 @@ def test_report_records_failures():
 # ------------------------------------------------------------ planted defects
 #
 # Each case replaces one name in ``semorient.verify``, or a dotted ``layer.name``
-# in another layer, by a broken version and runs one suite on S3 at bound 2,
-# where the identity is element 0, A3 is {0, 3, 4} and element 1 is a
-# transposition. The named check must report the defect: a hard check fails
-# with a counterexample and fails the report; a soft report records possible
-# violations and leaves the report passing.
+# in another layer, by a broken version and runs one suite on S3: a theorem
+# suite at bound 3, which every construction fits (size 2 for elements, 3 for
+# pairs), the propositions at bound 2. The identity is element 0, A3 is
+# {0, 3, 4} and element 1 is a transposition. The named check must report the
+# defect: a hard check fails with a counterexample and fails the report; a
+# soft report records possible violations and leaves the report passing.
 
 
 def _singletons(g):
@@ -704,6 +722,26 @@ def _grown_at_next_bound(search):
     return grown
 
 
+def _padded_below_bound(search):
+    # each witness below the bound gets the identity, element 0, on each side: still valid
+    def padded(m, elements, bound):
+        found = search(m, elements, bound)
+        return {
+            g: OneVarWitness(w.a + (0,), w.b, w.c + (0,)) if w and w.size < bound else w
+            for g, w in found.items()
+        }
+
+    return padded
+
+
+def _pair_unfound(search):
+    # the same-coset pair (identity, 3-cycle) is not found, though its construction fits
+    def unfound(m, pairs, bound):
+        return {p: None if p == (0, 3) else w for p, w in search(m, pairs, bound).items()}
+
+    return unfound
+
+
 def _identity_unwitnessed(search):
     # the identity's witness dropped: the product of a 3-cycle and its inverse has none
     def dropped(m, elements, bound):
@@ -761,7 +799,10 @@ PLANTED = [
     ("orientable", "commutator_subgroup", _shrunk, "bounded-search-sound",
      "outside the commutator subgroup", False),
     ("orientable", "commutator_subgroup", _shrunk, "orientable-set-equals-commutator-subgroup",
-     "sets differ on elements ['201']", False),
+     "201: found, but outside the subgroup", False),
+    ("orientable", "unfiltered_one_var_search", _padded_below_bound,
+     "orientable-set-equals-commutator-subgroup",
+     "120: construction of size 2 fits bound 3, search found size 3", False),
     ("sigma", "unfiltered_two_var_search", _bogus_two_var, "bounded-pair-search-sound",
      "unbalanced lengths", False),
     ("sigma", "coset_congruence", _finest, "bounded-pair-search-sound",
@@ -769,9 +810,9 @@ PLANTED = [
     ("sigma", "exact_sigma_report", _wrong_quotient_classes, "sigma-quotient-is-abelianization",
      "quotient is not commutative", False),
     ("sigma", "exact_sigma_report", _pair_dropped, "constructed-pair-witnesses",
-     "(012, 012): no witness built in one kappa-class", False),
-    ("sigma", "commutative_congruence", _finest, "constructed-pair-witnesses",
-     "(012, 120): witness built across kappa-classes", False),
+     "(012, 012): no witness built in one coset", False),
+    ("sigma", "unfiltered_two_var_search", _pair_unfound, "constructed-pair-witnesses",
+     "(012, 120): construction of size 3 fits bound 3, none found", False),
     ("sigma", "commutative_congruence", _finest, "sigma-classes-equal-cosets",
      "(012, 120): one coset, two kappa-classes", False),
     ("sigma", "coset_congruence", _finest, "sigma-classes-equal-cosets",
@@ -804,9 +845,9 @@ PLANTED = [
 
 def _suite(name, s3):
     if name == "orientable":
-        return verify_orientable_is_commutator_subgroup(group_structure(s3), 2)
+        return verify_orientable_is_commutator_subgroup(group_structure(s3), 3)
     if name == "sigma":
-        return verify_sigma_is_abelianization(group_structure(s3), 2)
+        return verify_sigma_is_abelianization(group_structure(s3), 3)
     return verify_semigroup_properties(s3, 2, 2)
 
 
