@@ -22,6 +22,11 @@ _RESERVED_NAME_CHARS = "#,:"
 # largest order accepted from a table file or a family spec, checked before any table is built
 MAX_ORDER = 1000
 
+# largest table file accepted, in bytes, checked before the file is decoded: above the
+# 29 670 737 bytes of the longest catalog table within MAX_ORDER, leftzero:83 times
+# alternating:4 (order 996) with each name padded by seven products with leftzero:1
+MAX_TABLE_BYTES = 32 * 2**20
+
 # largest search bound the CLI accepts, checked before any search: a search of
 # size n on k elements keeps the maps of all C(n + k - 2, k - 1) multisets of
 # n - 1 factors, each with at most (k + 1)**2 split keys

@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 from ..core import (
     MAX_BOUND,
+    MAX_TABLE_BYTES,
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
     Semigroup,
@@ -36,10 +37,14 @@ def _load(args) -> tuple[Semigroup, str]:
         raise UsageError("exactly one of --table or --family is required")
     if args.table:
         try:
-            with open(args.table, encoding="utf-8") as f:
-                text = f.read()
+            with open(args.table, "rb") as f:
+                data = f.read(MAX_TABLE_BYTES + 1)
         except OSError as exc:
             raise UsageError(f"cannot read table file: {exc}") from None
+        if len(data) > MAX_TABLE_BYTES:
+            raise TableFormatError(f"table file exceeds the maximum of {MAX_TABLE_BYTES} bytes")
+        try:
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TableFormatError(f"not valid UTF-8 at byte offset {exc.start}") from None
         return parse_table(text), args.table

@@ -1,12 +1,18 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the tests' table corpus.
 
-Everything here is deliberate brute force, written without reusing the
+Every oracle is deliberate brute force, written without reusing the
 package's search, closure, or quotient machinery, so agreement is meaningful.
+
+The corpus at the end gives each family of tables the tests share one cached
+builder: the labelled tables of each small order, random transformation
+semigroups, Rees matrix semigroups and an order-96 group of commutator width two.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
+from functools import lru_cache
 from itertools import permutations, product
 
 
@@ -374,3 +380,89 @@ def all_pairs_kappa(table):
     """κ from every pair (xy, yx), by ``least_congruence``."""
     n = len(table)
     return least_congruence(table, [(table[x][y], table[y][x]) for x in range(n) for y in range(n)])
+
+
+# ------------------------------------------------------------------ the corpus
+
+
+def _semigroup(prefix, table):
+    # imported here so the oracles above load without semorient on the path,
+    # as the benchmark harness loads them
+    from semorient.core import make_semigroup
+
+    return make_semigroup([f"{prefix}{i}" for i in range(len(table))], table)
+
+
+@lru_cache(maxsize=None)
+def labelled_semigroups(*orders):
+    """Every semigroup on x0..x(n-1) for each n in ``orders``, in ``all_associative_tables`` order.
+
+    1, 8 and 113 of them for n = 1, 2 and 3.
+    """
+    return tuple(_semigroup("x", table) for n in orders for table in all_associative_tables(n))
+
+
+def composition_closure(generators, max_order=None):
+    """The sorted maps composed of ``generators``, or None if they number over ``max_order``."""
+    maps = list(dict.fromkeys(generators))
+    seen = set(maps)
+    for f in maps:
+        for g in generators:
+            h = compose(f, g)
+            if h not in seen:
+                if len(seen) == max_order:
+                    return None
+                seen.add(h)
+                maps.append(h)
+    return sorted(maps)
+
+
+@lru_cache(maxsize=None)
+def random_transformation_semigroups(count, seed=1, max_order=16):
+    """The first ``count`` closures of 1-3 random maps on 3 or 4 points, named m0...
+
+    The maps are drawn from ``random.Random(seed)``; a closure of more than
+    ``max_order`` maps is skipped.
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        points = rng.choice((3, 4))
+        gens = rng.randint(1, 3)
+        maps = composition_closure(
+            {tuple(rng.randrange(points) for _ in range(points)) for _ in range(gens)}, max_order
+        )
+        if maps is not None:
+            found.append(_semigroup("m", transformation_table(maps)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def rees_tables():
+    """M[G; I, Λ; P] for G in Z3 and S3 and |I|, |Λ| in 1-3, named r0..: 18 tables of order 3-54.
+
+    p_{λi} = g**(λ·i) for g = element 1, so row and column 0 of P are 1_G.
+    """
+    from semorient.catalog import make_family
+
+    found = []
+    for spec in ("cyclic:3", "symmetric:3"):
+        group = make_family(spec).table  # the identity is element 0
+        for rows, cols in product((1, 2, 3), repeat=2):
+            powers = [0]
+            for _ in range((rows - 1) * (cols - 1)):
+                powers.append(group[powers[-1]][1])
+            sandwich = [[powers[lam * i] for i in range(rows)] for lam in range(cols)]
+            found.append(_semigroup("r", rees_matrix_table(group, rows, cols, sandwich)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def width_two_group():
+    """Order-96 permutation group of 12 points with commutator width 2, named g0...
+
+    Its [G, G] has order 32 but only 29 of its elements are commutators, so
+    three decompositions need two pairs. Composition is (p*q)(x) = p(q(x)).
+    """
+    gens = ((3, 0, 10, 1, 8, 7, 2, 11, 9, 4, 6, 5), (11, 10, 6, 2, 0, 1, 3, 9, 7, 8, 5, 4))
+    return _semigroup("g", transformation_table(composition_closure(gens)))

@@ -202,6 +202,49 @@ def test_table_order_cap_rejects_elements_line(tmp_path):
     )
 
 
+def test_table_byte_cap_admits_a_file_at_the_cap_and_refuses_one_byte_more(monkeypatch, tmp_path):
+    text = serialize_table(make_family("cyclic:2"))
+    monkeypatch.setattr(verbs, "MAX_TABLE_BYTES", len(text))
+    path = tmp_path / "z2.tbl"
+    path.write_text(text)
+    assert invoke("check", "--table", str(path)) == (0, "ok: associative table of order 2\n", "")
+    path.write_text(text + "\n")
+    assert invoke("check", "--table", str(path)) == (
+        1, "", f"error: invalid-table: table file exceeds the maximum of {len(text)} bytes\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_table_file_is_an_invalid_table_under_a_memory_limit():
+    # an unbounded read fills the 1 GiB address space and ends in a MemoryError traceback
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = _semorient(
+        ["check", "--table", "/dev/zero"], True, capture_output=True, text=True,
+        preexec_fn=limit, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: invalid-table: table file exceeds the maximum of {verbs.MAX_TABLE_BYTES} bytes\n"
+    )
+
+
+# the longest catalog table within the order cap: leftzero:83 times alternating:4,
+# order 996, each name padded by seven products with leftzero:1
+LONGEST_SPEC = "directproduct:leftzero:83," + "directproduct:leftzero:1," * 7 + "alternating:4"
+
+
+def test_longest_catalog_table_round_trips_under_the_byte_cap(tmp_path):
+    path = tmp_path / "longest.tbl"
+    with open(path, "wb") as f:
+        _semorient(["family", "--family", LONGEST_SPEC], True, stdout=f, check=True)
+    assert path.stat().st_size == 29_670_737 < verbs.MAX_TABLE_BYTES
+    assert invoke("check", "--table", str(path)) == (0, "ok: associative table of order 996\n", "")
+
+
 _BOUNDED_VERBS = (
     "orientable", "witness --element i", "witness --pair i,j", "sigma", "quotient",
     "verify --suite theorems", "verify --suite propositions", "verify",

@@ -34,14 +34,14 @@ from semorient.core import _tokenize  # private: columns are checked against str
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
 
 from conftest import FIXTURES
-from kappa_probe import random_transformation_semigroup
 from oracles import (
-    all_associative_tables,
     all_pairs_kappa,
     commutative_congruences,
     first_assoc_violation,
+    labelled_semigroups,
     least_congruence,
     magma_closure,
+    random_transformation_semigroups,
     transformation_table,
 )
 
@@ -417,11 +417,8 @@ def test_generated_congruence_commutation_pairs_equal_cosets(group_family):
 
 def test_commutative_congruence_is_the_least_one():
     # brute force over every partition: κ is a commutative congruence and refines all others
-    tables = [raw for n in (1, 2, 3) for raw in all_associative_tables(n)]
     specs = ("fulltransformation:2", "klein4", "dihedral:3")
-    tables += [make_family(spec).table for spec in specs]
-    for raw in tables:
-        s = make_semigroup([f"x{i}" for i in range(len(raw))], raw)
+    for s in (*labelled_semigroups(1, 2, 3), *map(make_family, specs)):
         kappa = commutative_congruence(s).class_of
         found = list(commutative_congruences(s.table))
         assert kappa in found
@@ -620,24 +617,12 @@ def test_quotient_rejects_a_congruence_of_another_order(z4):
 
 
 def test_commutative_and_cancellative_match_naive_loops():
-    for n in (1, 2, 3):
-        for raw in all_associative_tables(n):
-            s = make_semigroup([f"x{i}" for i in range(n)], raw)
-            t = s.table
-            assert is_commutative(s) == all(t[i][j] == t[j][i] for i in range(n) for j in range(n))
-            rows_injective = all(len({t[i][j] for j in range(n)}) == n for i in range(n))
-            columns_injective = all(len({t[i][j] for i in range(n)}) == n for j in range(n))
-            assert is_cancellative(s) == (rows_injective and columns_injective)
-
-
-def _random_semigroups(count, seed=1, max_order=16):
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        s = random_transformation_semigroup(rng, max_order)
-        if s is not None:
-            found.append(s)
-    return found
+    for s in labelled_semigroups(1, 2, 3):
+        n, t = s.order, s.table
+        assert is_commutative(s) == all(t[i][j] == t[j][i] for i in range(n) for j in range(n))
+        rows_injective = all(len({t[i][j] for j in range(n)}) == n for i in range(n))
+        columns_injective = all(len({t[i][j] for i in range(n)}) == n for j in range(n))
+        assert is_cancellative(s) == (rows_injective and columns_injective)
 
 
 _KAPPA_SPECS = CATALOG_FAMILIES + (
@@ -653,12 +638,7 @@ def test_kappa_from_generators_equals_all_pairs_kappa_on_the_catalog(spec):
 
 
 def test_kappa_from_generators_equals_all_pairs_kappa_on_small_and_random_tables():
-    semigroups = [
-        make_semigroup([f"x{i}" for i in range(n)], raw)
-        for n in (1, 2, 3)
-        for raw in all_associative_tables(n)
-    ] + _random_semigroups(60)
-    for s in semigroups:
+    for s in (*labelled_semigroups(1, 2, 3), *random_transformation_semigroups(60)):
         assert commutative_congruence(s).class_of == all_pairs_kappa(s.table), s.table
 
 

@@ -48,10 +48,12 @@ from oracles import (
     all_associative_tables,
     class_scan_candidates,
     fixed_size_search_one_var,
+    labelled_semigroups,
     mul_word,
     naive_search_one_var,
     naive_search_two_var,
     rees_matrix_table,
+    rees_tables,
 )
 
 
@@ -113,25 +115,24 @@ def test_one_var_validator_agrees_with_the_definition_on_small_witnesses():
     # every g in S¹ and every (a, b, c) of words of length <= 2 over S¹, on every
     # table of order <= 2: the pair check on (1, g) accepts exactly these
     checked = accepted = 0
-    for n in (1, 2):
-        for raw in all_associative_tables(n):
-            m = adjoin_identity(make_semigroup([f"x{i}" for i in range(n)], raw))
-            e = m.identity_index
-            letters = range(e + 1)
-            words = [w for k in range(3) for w in product(letters, repeat=k)]
-            for g in letters:
-                for a, b, c in product(words, repeat=3):
-                    valid = (
-                        len(a) >= 1
-                        and len(a) == len(b) + len(c)
-                        and e not in a + b + c
-                        and sorted(a) == sorted(b + c)
-                        and mul_word(m, a) == mul_word(m, b + (g,) + c)
-                    )
-                    reason = validate_one_var(m, g, OneVarWitness(a, b, c))
-                    assert (reason is None) == valid, (raw, g, a, b, c, reason)
-                    checked += 1
-                    accepted += valid
+    for s in labelled_semigroups(1, 2):
+        m = adjoin_identity(s)
+        e = m.identity_index
+        letters = range(e + 1)
+        words = [w for k in range(3) for w in product(letters, repeat=k)]
+        for g in letters:
+            for a, b, c in product(words, repeat=3):
+                valid = (
+                    len(a) >= 1
+                    and len(a) == len(b) + len(c)
+                    and e not in a + b + c
+                    and sorted(a) == sorted(b + c)
+                    and mul_word(m, a) == mul_word(m, b + (g,) + c)
+                )
+                reason = validate_one_var(m, g, OneVarWitness(a, b, c))
+                assert (reason is None) == valid, (s.table, g, a, b, c, reason)
+                checked += 1
+                accepted += valid
     assert checked == 53_414 and 0 < accepted < checked
 
 
@@ -403,29 +404,8 @@ def test_idempotent_canonical_witness(catalog_family):
 # ------------------------------------------------------- commutative image
 
 
-SMALL_TABLES = [
-    make_semigroup([f"x{i}" for i in range(n)], raw)
-    for n in (1, 2, 3)
-    for raw in all_associative_tables(n)
-]
-
-
-def _rees(spec, rows, cols):
-    """M[G; I, Λ; P] with p_{λi} = g**(λ·i) for g = element 1: row and column 0 of P are 1_G."""
-    group = make_family(spec).table  # the identity is element 0
-    powers = [0]
-    for _ in range((rows - 1) * (cols - 1)):
-        powers.append(group[powers[-1]][1])
-    sandwich = [[powers[lam * i] for i in range(rows)] for lam in range(cols)]
-    table = rees_matrix_table(group, rows, cols, sandwich)
-    return make_semigroup([f"r{k}" for k in range(len(table))], table)
-
-
-REES_TABLES = [
-    _rees(spec, rows, cols)
-    for spec in ("cyclic:3", "symmetric:3")
-    for rows, cols in product((1, 2, 3), repeat=2)
-]
+SMALL_TABLES = labelled_semigroups(1, 2, 3)
+REES_TABLES = rees_tables()
 KEY_CORPUS = [*SMALL_TABLES, *map(make_family, CATALOG_FAMILIES), *REES_TABLES]
 
 

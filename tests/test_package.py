@@ -131,6 +131,21 @@ def test_only_main_imports_the_cli():
     assert "semorient.cli.main" in set(_imported_modules(main))
 
 
+def test_test_modules_import_no_other_test_module():
+    # the tables the tests share are built in oracles.py, next to the oracles
+    tests = Path(__file__).resolve().parent
+    local = {path.stem for path in tests.glob("*.py")} - {"conftest", "oracles"}
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(tests.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
+        if name in local
+    ]
+    assert found == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         semorient.no_such_name

@@ -3,7 +3,9 @@
 ``oracles.semigroup_classes`` gives the 218 classes of orders 1-4. On each,
 κ must be ``all_pairs_kappa``, both searches at bound 1 must give the naive
 enumerators' witnesses, and every element of φ⁻¹(1) and every pair of ker φ
-(``core._abelian_keys``) must have a witness of size 1.
+(``core._abelian_keys``) must have a witness of size 1. The searches at bound 1
+also meet the naive enumerators on the 60 random transformation semigroups of
+``oracles.random_transformation_semigroups``, of orders 1-15.
 """
 
 from functools import lru_cache
@@ -20,6 +22,7 @@ from oracles import (
     first_assoc_violation,
     naive_search_one_var,
     naive_search_two_var,
+    random_transformation_semigroups,
     semigroup_classes,
 )
 
@@ -47,18 +50,19 @@ def test_kappa_is_the_all_pairs_kappa(n):
         assert commutative_congruence(s).class_of == all_pairs_kappa(s.table), s.table
 
 
-@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("n", [*ORDERS, "random"])
 def test_searches_at_bound_one_are_the_naive_enumerators(n):
-    for s in _classes(n):
+    for s in random_transformation_semigroups(60) if n == "random" else _classes(n):
         m = adjoin_identity(s)
+        elements = range(s.order)
         expected = {}
-        for g in range(n):
+        for g in elements:
             w = naive_search_one_var(m, g, 1)
             expected[g] = w and OneVarWitness(*w)
         assert orientable_set(m, 1) == expected, s.table
         expected = {}
-        for u in range(n):
-            for v in range(n):
+        for u in elements:
+            for v in elements:
                 w = naive_search_two_var(m, u, v, 1)
                 if w is not None:
                     expected[(u, v)] = TwoVarWitness(*w)

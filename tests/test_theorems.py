@@ -21,7 +21,6 @@ from semorient.core import (
     Congruence,
     adjoin_identity,
     commutative_congruence,
-    make_semigroup,
     quotient,
     serialize_table,
 )
@@ -62,12 +61,7 @@ from semorient.verify import (
     verify_sigma_is_abelianization,
 )
 
-from oracles import (
-    bfs_commutator_decomposition,
-    compose,
-    min_commutator_product_length,
-    transformation_table,
-)
+from oracles import bfs_commutator_decomposition, min_commutator_product_length, width_two_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -193,25 +187,6 @@ def test_orientable_witness_rejects_pair_entries_outside_the_group(s3, bad, side
 
 
 WIDTH_TWO = "width-two-96"
-
-
-def width_two_group():
-    """Order-96 permutation group of 12 points with commutator width 2.
-
-    Its [G, G] has order 32 but only 29 of its elements are commutators, so
-    three decompositions need two pairs. Composition is (p*q)(x) = p(q(x)).
-    """
-    gens = [(3, 0, 10, 1, 8, 7, 2, 11, 9, 4, 6, 5), (11, 10, 6, 2, 0, 1, 3, 9, 7, 8, 5, 4)]
-    maps = [tuple(range(12))]
-    seen = set(maps)
-    for f in maps:
-        for h in gens:
-            fh = compose(f, h)
-            if fh not in seen:
-                seen.add(fh)
-                maps.append(fh)
-    maps.sort()
-    return make_semigroup([f"g{i}" for i in range(len(maps))], transformation_table(maps))
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
