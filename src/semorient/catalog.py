@@ -184,8 +184,10 @@ def _product(a: Semigroup, b: Semigroup) -> Semigroup:
     """(i, j) at index i * |b| + j, with (i, j)(k, l) = (ik, jl)."""
     nb = b.order
     names = tuple(f"{x}|{y}" for x in a.names for y in b.names)
-    # blocks[v][j] is row j of b shifted into the block of a-element v
-    blocks = [[tuple(map((v * nb).__add__, row)) for row in b.table] for v in range(a.order)]
+    # blocks[v][j] is row j of b shifted into the block of a-element v, read off one range
+    everything = tuple(range(a.order * nb))  # so that each entry value is one int object
+    shifts = [everything[v * nb : (v + 1) * nb] for v in range(a.order)]
+    blocks = [[tuple(map(shift.__getitem__, row)) for row in b.table] for shift in shifts]
     table = tuple(
         tuple(chain.from_iterable(blocks[v][j] for v in row_a))
         for row_a in a.table

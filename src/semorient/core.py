@@ -12,7 +12,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import chain, compress
 from operator import eq, itemgetter, ne
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -505,6 +505,11 @@ class Congruence:
         for x, c in enumerate(self.class_of):
             out[c].append(x)
         return out
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The ordered pairs (u, v) with u and v in one class, ascending."""
+        classes = self.classes()
+        return ((u, v) for u, c in enumerate(self.class_of) for v in classes[c])
 
     def relates(self, u: int, v: int) -> bool:
         _check_elements(len(self.class_of), u, v)

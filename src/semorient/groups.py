@@ -14,6 +14,7 @@ from .core import (
     NotAGroupError,
     Semigroup,
     _abelian_keys,
+    _by_first_appearance,
     _check_elements,
     quotient,
 )
@@ -122,22 +123,18 @@ def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
 def coset_congruence(g: GroupStructure) -> Congruence:
     """Partition into cosets of the commutator subgroup: u ~ v iff u * v^-1 is in it.
 
-    It equals ker φ of ``core._abelian_keys``, which the quotients read. It is
-    kept for the exact σ report, whose witnesses need [G, G], and for the
-    ``verify`` σ suite, which compares it with κ, a partition made without [G, G].
+    It equals ker φ of ``core._abelian_keys``, which the quotients and σ reports
+    read. Its one reader is the ``verify`` σ suite: it compares this partition,
+    built from [G, G], with ker φ and with κ, which are made without [G, G].
     """
-    n = g.order
     t = g.base.table
     derived = commutator_subgroup(g)
-    class_of = [-1] * n
-    next_id = 0
-    for x in range(n):
-        if class_of[x] != -1:
-            continue
-        for k in derived:
-            class_of[t[k][x]] = next_id
-        next_id += 1
-    return Congruence(tuple(class_of), next_id)
+    first = [-1] * g.order  # the smallest member of each element's coset
+    for x in range(g.order):
+        if first[x] == -1:
+            for k in derived:
+                first[t[k][x]] = x
+    return _by_first_appearance(first)
 
 
 def abelianization(g: GroupStructure) -> Semigroup:
@@ -145,7 +142,5 @@ def abelianization(g: GroupStructure) -> Semigroup:
 
     On a group ε is the identity, so ker φ is κ, whose classes are the cosets
     of [G, G], and the quotient needs no derived-subgroup tree.
-    ``coset_congruence`` builds the same partition from [G, G] for the checks
-    that must not read ker φ.
     """
     return quotient(g.base, _abelian_keys(g.base)[1])

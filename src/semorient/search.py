@@ -11,7 +11,7 @@ None without a search. The exact group path never loads this module.
 from __future__ import annotations
 
 from itertools import chain, combinations_with_replacement
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ONE_VAR_DEFAULT_BOUND,
@@ -83,7 +83,7 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
 
 
 def _pair_search(
-    m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
+    m: Monoid1, pairs: Iterable[tuple[int, int]], bound: int
 ) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
     """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
 
@@ -100,8 +100,8 @@ def _pair_search(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     t = m.table
-    found: dict[tuple[int, int], TwoVarWitness] = {}
     todo = list(pairs)
+    found: dict[tuple[int, int], Optional[TwoVarWitness]] = dict.fromkeys(todo)
     for level in _levels(m, bound):
         if not todo:
             break
@@ -129,7 +129,7 @@ def _pair_search(
         for pair, (ab, cd) in best.items():
             found[pair] = TwoVarWitness(*ab, *cd)
         todo = [pair for pair in todo if pair not in best]
-    return {pair: found.get(pair) for pair in pairs}
+    return found
 
 
 def unfiltered_two_var_search(
@@ -203,10 +203,10 @@ def search_one_var(
 def orientable_set(
     m: Monoid1, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> dict[int, Optional[OneVarWitness]]:
-    """Canonical witness (or None) for every base element, in index order."""
-    everything = range(m.base.order)
-    found = _one_var_search(m, _one_var_candidates(m, everything), bound)
-    return {g: found.get(g) for g in everything}
+    """Canonical witness (or None) for every base element, searched in φ⁻¹(1), ε's class."""
+    eps, kernel = _abelian_keys(m.base)
+    found = _one_var_search(m, kernel.classes()[kernel.class_of[eps]], bound)
+    return {g: found.get(g) for g in range(m.base.order)}
 
 
 def search_two_var(
@@ -224,11 +224,10 @@ def search_two_var(
 
 
 def sigma_report(m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND) -> SigmaReport:
-    """The ordered pairs with a witness of size <= bound, by bounded search, and ker φ."""
-    everything = [(u, v) for u in range(m.base.order) for v in range(m.base.order)]
-    found = _pair_search(m, _two_var_candidates(m, everything), bound)
-    # candidates keep their ascending (u, v) order
+    """ker φ and the pairs in its classes (``Congruence.pairs``) with a witness of size <= bound."""
+    kernel = _abelian_keys(m.base)[1]
+    found = _pair_search(m, kernel.pairs(), bound)
     pairs = {pair: w for pair, w in found.items() if w is not None}
-    return SigmaReport(bound, pairs, _abelian_keys(m.base)[1], "lower-bound")
+    return SigmaReport(bound, pairs, kernel, "lower-bound")
 
 

@@ -21,7 +21,14 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import _HOMES
-from .core import CACHE_SIZE, Monoid1, SemigroupError, _check_elements, adjoin_identity
+from .core import (
+    CACHE_SIZE,
+    Monoid1,
+    SemigroupError,
+    _abelian_keys,
+    _check_elements,
+    adjoin_identity,
+)
 from .equations import (
     OneVarWitness,
     SigmaReport,
@@ -29,13 +36,7 @@ from .equations import (
     validate_one_var,
     validate_two_var,
 )
-from .groups import (
-    GroupStructure,
-    commutator,
-    commutator_subgroup,
-    coset_congruence,
-    derived_subgroup_tree,
-)
+from .groups import GroupStructure, commutator, commutator_subgroup, derived_subgroup_tree
 
 
 # the names of ``verify`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -182,20 +183,22 @@ def _two_var_witness(
 def exact_sigma_report(group: GroupStructure) -> SigmaReport:
     """Relate all ordered pairs exactly: the classes are the commutator-subgroup cosets.
 
-    Every related pair carries the witness ``build_two_var_witness(group, v, u)``
-    gives. It depends on (u, v) only through v * u^-1 in [G, G], whose
-    one-variable witness comes from the per-group map ``_orientable_witnesses``;
-    every two-variable witness is still validated. The classes are complete
-    rather than bounded, so the report's ``bound`` is None.
+    They are read as ker φ (``core._abelian_keys``) and walked by ``Congruence.pairs``.
+    Each pair (u, v) carries the witness ``build_two_var_witness(group, v, u)``
+    gives, from the one-variable witness of v * u^-1 in ``_orientable_witnesses``
+    (WitnessConstructionError if there is none), and every one is validated. The
+    classes are complete rather than bounded, so the report's ``bound`` is None.
     """
-    cong = coset_congruence(group)
+    kernel = _abelian_keys(group.base)[1]
     ones = _orientable_witnesses(group)
     m = adjoin_identity(group.base)
-    t = group.base.table
+    t, names = group.base.table, group.base.names
     inv = group.inverse
-    classes = cong.classes()
     pairs: dict[tuple[int, int], TwoVarWitness] = {}
-    for u in range(group.order):
-        for v in classes[cong.class_of[u]]:  # u's coset, ascending
-            pairs[(u, v)] = _two_var_witness(m, inv, ones[t[v][inv[u]]], u, v)
-    return SigmaReport(None, pairs, cong, "exact-group")
+    for u, v in kernel.pairs():
+        if (one := ones.get(t[v][inv[u]])) is None:
+            raise WitnessConstructionError(
+                f"({names[u]}, {names[v]}) share a class of ker φ, but v * u^-1 has no witness"
+            )
+        pairs[(u, v)] = _two_var_witness(m, inv, one, u, v)
+    return SigmaReport(None, pairs, kernel, "exact-group")

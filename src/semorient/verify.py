@@ -4,11 +4,11 @@ Each suite returns a ``VerificationReport`` of named checks. Hard checks
 fail the report; soft reports record what a bounded search cannot refute.
 The bounded searches are called unfiltered, so a soundness check tests the
 search itself rather than the commutative-image filter in front of it. The
-exact group path is checked against κ, which is built from the pairs
-(xy, yx) without [G, G]. No suite searches past its bound: a construction
-that fits it is a witness, so the search, least by size first, finds one no
-larger. The suites share one unfiltered one-variable search per table and
-bound, so a ``verify`` call searches each bound once.
+σ suite checks the cosets of [G, G] against ker φ, which the exact σ report
+reads, and κ, built from the pairs (xy, yx). No suite searches past its
+bound: a construction that fits it is a witness, so the search, least by
+size first, finds one no larger. The suites share one unfiltered one-variable
+search per table and bound, so a ``verify`` call searches each bound once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import (
     CACHE_SIZE,
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
-    Congruence,
     Semigroup,
     adjoin_identity,
     commutative_congruence,
@@ -121,11 +120,6 @@ def _missed(built, found, bound: int) -> Optional[str]:
     return f"construction of size {built.size} fits bound {bound}, {got}"
 
 
-def _pairs_in_one_class(c: Congruence) -> set[tuple[int, int]]:
-    """The ordered pairs (u, v) with u and v in one class of ``c``."""
-    return {(u, v) for members in c.classes() for u in members for v in members}
-
-
 def verify_orientable_is_commutator_subgroup(
     group: GroupStructure,
     bound: int = ONE_VAR_DEFAULT_BOUND,
@@ -216,10 +210,11 @@ def verify_sigma_is_abelianization(
     a witness no larger; (ii) every pair found by bounded search lives in
     one coset; (iii) the κ-classes are the cosets; (iv) the quotient by the
     exact classes, which is the abelianization, is commutative. The search
-    runs once, at ``bound``, and (i) and (ii) read it. κ is built from the
-    pairs (xy, yx) alone, so (iii) tests the coset path against a partition
-    made without [G, G]. The quotient of a group is a group, so only
-    commutativity is left to check in (iv).
+    runs once, at ``bound``, and (i) and (ii) read it. The exact report reads
+    ker φ and κ is built from the pairs (xy, yx), so (i) and (iii) test
+    ``coset_congruence``, the partition built from [G, G], against two made
+    without it. The quotient of a group is a group, so only commutativity is
+    left to check in (iv).
     """
     s = group.base
     m = adjoin_identity(s)
@@ -229,7 +224,7 @@ def verify_sigma_is_abelianization(
     )
     cosets = coset_congruence(group)
     exact = exact_sigma_report(group)
-    same_coset = _pairs_in_one_class(cosets)
+    same_coset = set(cosets.pairs())
     # unfiltered, as in bounded-search-sound
     everything = [(u, v) for u in range(s.order) for v in range(s.order)]
     searched = unfiltered_two_var_search(m, everything, bound)
@@ -268,7 +263,7 @@ def verify_sigma_is_abelianization(
         failures,
     )
 
-    same_kappa = _pairs_in_one_class(commutative_congruence(s))
+    same_kappa = set(commutative_congruence(s).pairs())
     report._add(
         "sigma-classes-equal-cosets",
         f"{exact.congruence.num_classes} exact classes, all attached witnesses validate",

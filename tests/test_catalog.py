@@ -287,6 +287,13 @@ def test_product_rows_match_the_per_cell_table(left, right):
     assert (s.names, s.table) == _product_per_cell(left, right)
 
 
+def test_product_entries_are_shared_int_objects():
+    # an entry above 256 built by addition is a fresh int object: 28 857 of them for order 400
+    for spec in ("cyclic:2,cyclic:200", "leftzero:2,directproduct:cyclic:2,cyclic:200"):
+        s = make_family(f"directproduct:{spec}")
+        assert len({id(x) for row in s.table for x in row}) <= s.order, spec
+
+
 def test_product_limit_follows_the_order_cap():
     # nine operands of order 2 fit under the cap, ten do not
     k = catalog.MAX_PRODUCTS

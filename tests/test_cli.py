@@ -455,6 +455,19 @@ def test_exact_quotients_build_no_derived_subgroup(monkeypatch):
     assert calls == []
 
 
+def test_exact_sigma_report_builds_no_coset_congruence():
+    # the report reads ker φ; the derived-subgroup tree is still built, for the witnesses
+    from semorient import theorems
+
+    caches = (groups.coset_congruence, groups.derived_subgroup_tree, theorems._orientable_witnesses)
+    for cache in caches:
+        cache.cache_clear()
+    code, out, err = invoke("sigma", "--exact", "--family", "symmetric:4")
+    assert (code, err) == (0, "")
+    assert "classes: 2\n" in out and "related pairs with witnesses: 288\n" in out
+    assert [cache.cache_info().misses for cache in caches] == [0, 1, 1]
+
+
 def test_commutator_verbs():
     code, out, _ = invoke("commutator", "--family", "symmetric:3")
     assert code == 0

@@ -29,6 +29,7 @@ from semorient.core import (
     quotient,
     serialize_table,
 )
+from semorient.core import _abelian_keys  # private: ker φ's pairs are checked directly
 from semorient.core import _magma_generators  # private: the greedy set is checked directly
 from semorient.core import _tokenize  # private: columns are checked against str.split
 from semorient.groups import commutator_subgroup, coset_congruence, group_structure
@@ -319,6 +320,14 @@ def test_relates_rejects_indices_outside_the_partition(u, v):
     bad = u if v == 0 else v
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
         Congruence((0, 1, 0), 2).relates(u, v)
+
+
+def test_pairs_are_the_same_class_pairs_ascending():
+    for s in (*labelled_semigroups(1, 2, 3), *map(make_family, CATALOG_FAMILIES)):
+        for c in (commutative_congruence(s), _abelian_keys(s)[1]):
+            n, cls = s.order, c.class_of
+            same = [(u, v) for u in range(n) for v in range(n) if cls[u] == cls[v]]
+            assert list(c.pairs()) == same, s.table
 
 
 def test_eval_word_s3_conjugation(s3):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product, zip_longest
 
@@ -490,6 +491,19 @@ def test_sigma_classes_are_the_kernel_of_the_abelian_image():
         for bound in (1, 3) if s.order <= 27 else (1,):
             pairs = sigma_report(m, bound).pairs
             assert generated_congruence(s, pairs) == kernel, (s.table, bound)
+
+
+def test_sigma_report_searches_only_the_pairs_inside_kernel_classes():
+    # cyclic:300 has 300 such pairs: a list of all 90 000 pairs peaked at 7 MB
+    m = monoid("cyclic:300")
+    sigma_report(m, 1)  # warms the caches of ker φ
+    tracemalloc.start()
+    try:
+        pairs = sigma_report(m, 1).pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 300 and peak < 2_000_000, peak
 
 
 def test_filtered_searches_still_reject_bad_input():

@@ -291,7 +291,20 @@ def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
         for v in range(s.order)
         if cosets[u] == cosets[v]
     ]
-    assert list(exact_sigma_report(g).pairs.items()) == expected
+    report = exact_sigma_report(g)
+    assert list(report.pairs.items()) == expected
+    # read as ker φ, the classes are the cosets built from [G, G]
+    assert report.congruence == coset_congruence(g)
+
+
+def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, s3):
+    # two cosets of A3 merged into one class: (012, 021) shares it, but 021 is not in [G, G]
+    import semorient.theorems as th
+
+    g = group_structure(s3)
+    monkeypatch.setattr(th, "_abelian_keys", lambda s: (g.identity, Congruence((0,) * 6, 1)))
+    with pytest.raises(WitnessConstructionError, match=r"^\(012, 021\) share a class of ker φ"):
+        exact_sigma_report(g)
 
 
 def test_sigma_report_validates_each_witness_once(monkeypatch):
@@ -472,14 +485,16 @@ def test_properties_suite_runs_the_same_checks_on_groups(s3):
 def fresh_caches():
     """The suites' shared caches, empty before and after the test.
 
-    They are the one-variable searches and the map of constructed witnesses.
+    They are the one-variable searches, the map of constructed witnesses and
+    the cosets of [G, G].
     A test that patches or counts a search or a builder must not read a
     result cached before it, nor leave a patched one behind.
     """
+    import semorient.groups as groups
     import semorient.theorems as th
     import semorient.verify as vf
 
-    caches = (vf._one_var_witnesses, th._orientable_witnesses)
+    caches = (vf._one_var_witnesses, th._orientable_witnesses, groups.coset_congruence)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -654,6 +669,11 @@ def _finest(coset_congruence):
     return _singletons
 
 
+def _trivial_subgroup(commutator_subgroup):
+    # [G, G] read as the identity alone: coset_congruence, its reader in groups, is the finest
+    return lambda g: (g.identity,)
+
+
 def _coarsest(coset_congruence):
     # one class: every pair the search relates still lies in it
     return lambda g: Congruence((0,) * g.order, 1)
@@ -792,6 +812,9 @@ PLANTED = [
      "(012, 120): one coset, two kappa-classes", False),
     ("sigma", "coset_congruence", _finest, "sigma-classes-equal-cosets",
      "(012, 120): one kappa-class, two cosets", False),
+    # every reader of groups.coset_congruence sees it; the exact report reads ker φ
+    ("sigma", "groups.commutator_subgroup", _trivial_subgroup, "constructed-pair-witnesses",
+     "(012, 120): witness built across cosets", False),
     ("sigma", "coset_congruence", _coarsest, "sigma-classes-equal-cosets",
      "(012, 021): one coset, two kappa-classes", False),
     ("sigma", "coset_congruence", _non_compatible, "sigma-classes-equal-cosets",
