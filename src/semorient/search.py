@@ -2,10 +2,12 @@
 
 Searches are exhaustive up to a factor-count bound and return the canonical
 minimal witness: smallest factor count first, then the lexicographically
-smallest word tuple (a, b, c[, d]). The public entry points search only the
-elements and pairs whose keys in the largest abelian-group image agree
-(``core._abelian_keys``); the others have no witness at any bound and get
-None without a search. The exact group path never loads this module.
+smallest word tuple (a, b, c[, d]). One level search serves both kinds: an
+element g is searched as the pair (1, g). The public entry points test one
+key first, ker φ's class (``core._abelian_keys``, read by ``_keys``): they
+search an element only when it is keyed like 1 and a pair only when both
+are keyed alike. The others have no witness at any bound and get None
+without a search. The exact group path never loads this module.
 """
 
 from __future__ import annotations
@@ -164,63 +166,51 @@ def unfiltered_one_var_search(
     return _one_var_search(m, elements, bound)
 
 
-def _two_var_candidates(
-    m: Monoid1, pairs: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The pairs (u, v) in one class of ker φ (``core._abelian_keys``), in input order.
+def _keys(m: Monoid1) -> tuple[int, ...]:
+    """The class id in ker φ (``core._abelian_keys``) of each element of S¹, 1 keyed [ε].
 
-    The rest have no witness at any bound. The adjoined identity 1 is keyed
-    [ε], the identity of the abelian image. The indices are not checked.
+    A pair (u, v) with key[u] != key[v], or an element g with key[g] !=
+    key[1], has no witness at any bound. The indices are not checked.
     """
     eps, kernel = _abelian_keys(m.base)
-    key = kernel.class_of + (kernel.class_of[eps],)
-    return [(u, v) for u, v in pairs if key[u] == key[v]]
-
-
-def _one_var_candidates(m: Monoid1, elements: Sequence[int]) -> list[int]:
-    """The elements g whose pair (1, g) passes, in input order: g is keyed [ε]."""
-    e = m.identity_index
-    return [g for _, g in _two_var_candidates(m, [(e, g) for g in elements])]
+    return kernel.class_of + (kernel.class_of[eps],)
 
 
 def search_one_var(
     m: Monoid1, g: int, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> Optional[OneVarWitness]:
-    """Exhaustive search for the canonical minimal witness with |a| <= bound.
+    """Canonical minimal witness with |a| <= bound: the level search on (1, g).
 
-    The balance condition forces both sides of a witness onto the same factor
-    multiset, so for each multiset of size n we take any ordering as a and any
-    ordering with a split point as (b, c); b and c are contiguous products, so
-    this covers every factorization. An element that fails the
-    commutative-image test gets None without a search. Otherwise None means
-    no witness of that size exists, which is not a proof that g satisfies no
-    equation at all.
+    An element keyed apart from 1 gets None without a search. Otherwise None
+    means no witness of that size exists, which is not a proof that g
+    satisfies no equation at all.
     """
     _check_elements(m.order, g)
-    return _one_var_search(m, _one_var_candidates(m, [g]), bound).get(g)
+    key = _keys(m)
+    return _one_var_search(m, [g] if key[g] == key[m.identity_index] else [], bound).get(g)
 
 
 def orientable_set(
     m: Monoid1, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> dict[int, Optional[OneVarWitness]]:
-    """Canonical witness (or None) for every base element, searched in φ⁻¹(1), ε's class."""
-    eps, kernel = _abelian_keys(m.base)
-    found = _one_var_search(m, kernel.classes()[kernel.class_of[eps]], bound)
-    return {g: found.get(g) for g in range(m.base.order)}
+    """Canonical witness (or None) for every base element, searched on those keyed like 1."""
+    key = _keys(m)
+    elements = range(m.base.order)
+    found = _one_var_search(m, [g for g in elements if key[g] == key[m.identity_index]], bound)
+    return {g: found.get(g) for g in elements}
 
 
 def search_two_var(
     m: Monoid1, u: int, v: int, bound: int = TWO_VAR_DEFAULT_BOUND
 ) -> Optional[TwoVarWitness]:
-    """Exhaustive search for the canonical minimal witness with |a| + |b| <= bound.
+    """Canonical minimal witness with |a| + |b| <= bound: the level search on (u, v).
 
-    Each side of a valid witness carries the same size-n factor multiset, so
-    both sides range over orderings of one multiset with independent split
-    points. A pair that fails the commutative-image test gets None without a
-    search. Otherwise None means no witness that small, not unrelatedness.
+    A pair with two keys gets None without a search. Otherwise None means no
+    witness that small, not unrelatedness.
     """
     _check_elements(m.order, u, v)
-    return _pair_search(m, _two_var_candidates(m, [(u, v)]), bound).get((u, v))
+    key = _keys(m)
+    return _pair_search(m, [(u, v)] if key[u] == key[v] else [], bound).get((u, v))
 
 
 def sigma_report(m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND) -> SigmaReport:

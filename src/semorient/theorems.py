@@ -8,9 +8,12 @@ The two central facts of the exact path, on concrete group tables:
   exactly the commutator-subgroup cosets, so the quotient is the
   abelianization.
 
-Witnesses are built constructively from commutator decompositions, and every
-one is re-checked by the independent validators in ``equations``. The suites
-that test these facts against the bounded search live in ``verify``.
+Which elements and pairs carry a witness is read off one partition, ker φ
+(``core._abelian_keys``): an element of ε's class and a pair inside one
+class. The witnesses are built constructively from commutator decompositions
+in the derived-subgroup tree, and every one is re-checked by the independent
+validators in ``equations``. The suites that test these facts against the
+bounded search live in ``verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import import_module
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Optional
 
 from . import _HOMES
 from .core import (
@@ -36,7 +39,7 @@ from .equations import (
     validate_one_var,
     validate_two_var,
 )
-from .groups import GroupStructure, commutator, commutator_subgroup, derived_subgroup_tree
+from .groups import GroupStructure, commutator, derived_subgroup_tree
 
 
 # the names of ``verify`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -136,20 +139,26 @@ def build_orientable_witness(
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _orientable_witnesses(group: GroupStructure) -> Mapping[int, OneVarWitness]:
-    """Each element of [G, G], ascending, mapped to its constructed witness.
+def _orientable_witnesses(group: GroupStructure) -> Mapping[int, Optional[OneVarWitness]]:
+    """Every element, ascending, mapped to its constructed witness, or None outside φ⁻¹(1).
 
-    The only place a decomposition meets the builder: the exact verbs, the
-    two-variable builders and the ``verify`` suites read this map, so each
-    witness is built and validated once per group. The cached mapping is
-    shared by every caller, so it is read-only.
+    φ⁻¹(1) is ε's class of ker φ (``core._abelian_keys``), which on a group
+    is [G, G]; each member's witness is built from its decomposition in the
+    derived-subgroup tree, and a member the tree does not reach raises
+    WitnessConstructionError. The only place a decomposition meets the
+    builder: the exact verbs, the two-variable builders and the ``verify``
+    suites index this map, so each witness is built and validated once per
+    group. The cached mapping is shared by every caller, so it is read-only.
     """
-    return MappingProxyType(
-        {
-            g: build_orientable_witness(group, commutator_decomposition(group, g))
-            for g in commutator_subgroup(group)
-        }
-    )
+    eps, kernel = _abelian_keys(group.base)
+    witnesses: dict[int, Optional[OneVarWitness]] = dict.fromkeys(range(group.order))
+    for g in kernel.classes()[kernel.class_of[eps]]:
+        try:
+            d = commutator_decomposition(group, g)
+        except NotInDerivedSubgroupError as err:
+            raise WitnessConstructionError(f"{err}, yet it lies in the class of ε") from None
+        witnesses[g] = build_orientable_witness(group, d)
+    return MappingProxyType(witnesses)
 
 
 def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitness:
@@ -158,11 +167,11 @@ def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitnes
     If g * h^-1 has one-variable witness (a, b, c), then a * t1 * h^-1 and
     b * t2 * h^-1 c agree under t1 = h, t2 = g and stay balanced. Raises
     ValueError when g or h is not an element index, and NotRelatedError when
-    g * h^-1 is outside the commutator subgroup.
+    the map of constructed witnesses holds None for g * h^-1.
     """
     _check_elements(group.order, g, h)
     inv = group.inverse
-    one = _orientable_witnesses(group).get(group.base.table[g][inv[h]])
+    one = _orientable_witnesses(group)[group.base.table[g][inv[h]]]
     if one is None:
         names = group.base.names
         raise NotRelatedError(f"{names[g]!r} and {names[h]!r} lie in different cosets")
@@ -185,20 +194,16 @@ def exact_sigma_report(group: GroupStructure) -> SigmaReport:
 
     They are read as ker φ (``core._abelian_keys``) and walked by ``Congruence.pairs``.
     Each pair (u, v) carries the witness ``build_two_var_witness(group, v, u)``
-    gives, from the one-variable witness of v * u^-1 in ``_orientable_witnesses``
-    (WitnessConstructionError if there is none), and every one is validated. The
-    classes are complete rather than bounded, so the report's ``bound`` is None.
+    gives, from the one-variable witness of v * u^-1 in ``_orientable_witnesses``,
+    and every one is validated. That map is keyed by the same ker φ, and u ~ v
+    in a congruence puts v * u^-1 in ε's class, so every lookup finds a witness.
+    The classes are complete rather than bounded, so the report's ``bound`` is None.
     """
     kernel = _abelian_keys(group.base)[1]
     ones = _orientable_witnesses(group)
     m = adjoin_identity(group.base)
-    t, names = group.base.table, group.base.names
-    inv = group.inverse
-    pairs: dict[tuple[int, int], TwoVarWitness] = {}
-    for u, v in kernel.pairs():
-        if (one := ones.get(t[v][inv[u]])) is None:
-            raise WitnessConstructionError(
-                f"({names[u]}, {names[v]}) share a class of ker φ, but v * u^-1 has no witness"
-            )
-        pairs[(u, v)] = _two_var_witness(m, inv, one, u, v)
+    t, inv = group.base.table, group.inverse
+    pairs = {
+        (u, v): _two_var_witness(m, inv, ones[t[v][inv[u]]], u, v) for u, v in kernel.pairs()
+    }
     return SigmaReport(None, pairs, kernel, "exact-group")

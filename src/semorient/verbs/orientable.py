@@ -13,8 +13,7 @@ def run(args) -> Result:
         from ..groups import group_structure
         from ..theorems import _orientable_witnesses
 
-        ws = _orientable_witnesses(group_structure(s))
-        found = {g: ws.get(g) for g in range(s.order)}
+        found = _orientable_witnesses(group_structure(s))
         bound = None
     else:
         from ..search import orientable_set

@@ -48,7 +48,7 @@ def run(args) -> Result:
 
         bound, group = None, group_structure(s)
         if one:
-            w = _orientable_witnesses(group).get(target[0])
+            w = _orientable_witnesses(group)[target[0]]
         else:
             try:
                 # build_two_var_witness(group, g, h) validates for (h, g)

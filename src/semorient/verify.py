@@ -113,8 +113,8 @@ def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVar
 
 
 def _missed(built, found, bound: int) -> Optional[str]:
-    """Why the search result ``found`` misses the construction ``built``, or None."""
-    if built.size > bound or (found is not None and found.size <= built.size):
+    """Why the search result ``found`` misses the construction ``built`` (if any), or None."""
+    if built is None or built.size > bound or (found is not None and found.size <= built.size):
         return None
     got = "none found" if found is None else f"search found size {found.size}"
     return f"construction of size {built.size} fits bound {bound}, {got}"
@@ -128,7 +128,9 @@ def verify_orientable_is_commutator_subgroup(
     """Check that one-variable witnesses characterize exactly the commutator subgroup.
 
     Hard checks: (i) every commutator-subgroup element gets a constructed
-    witness of the lawful size, which the map's builder has validated;
+    witness of the lawful size, which the map's builder has validated; the
+    map holds None for an element outside ε's class of ker φ, which fails
+    with "no constructed witness";
     (ii) every witness found by bounded search validates and its element is
     in the subgroup; (iii) the searched set lies in the subgroup and holds
     every element whose construction fits ``bound``, with a witness no
@@ -152,6 +154,9 @@ def verify_orientable_is_commutator_subgroup(
         k = len(commutator_decomposition(group, g).pairs)
         k_max = max(k_max, k)
         w = witnesses[g]
+        if w is None:
+            failures.append(f"{names[g]}: no constructed witness")
+            continue
         expected_size = 2 + 4 * (max(k, 1) - 1)
         if w.size != expected_size:
             failures.append(

@@ -38,11 +38,8 @@ from semorient.search import (
     unfiltered_one_var_search,
     unfiltered_two_var_search,
 )
-from semorient.search import (  # private: the search data and the filter are checked directly
-    _levels,
-    _one_var_candidates,
-    _two_var_candidates,
-)
+# private: the search data and the key the entry points compare are checked directly
+from semorient.search import _keys, _levels
 from semorient.theorems import exact_sigma_report
 
 from oracles import (
@@ -419,21 +416,17 @@ def _assert_filter_keeps_search_results(s):
     assert orientable_set(m, 4) == one
     for g in elements:
         assert search_one_var(m, g, 4) == one[g]
-    kept = _one_var_candidates(m, elements)
-    assert kept == sorted(kept)
-    assert all(one[g] is None for g in elements if g not in kept)
+    key = _keys(m)
+    assert all(one[g] is None for g in elements if key[g] != key[e])
 
     pairs = [(u, v) for u in elements for v in elements]
     two = unfiltered_two_var_search(m, pairs, 3)
     assert sigma_report(m, 3).pairs == {pair: w for pair, w in two.items() if w is not None}
     for u, v in pairs:
         assert search_two_var(m, u, v, 3) == two[(u, v)]
-    kept_pairs = set(_two_var_candidates(m, pairs))
-    assert all(two[pair] is None for pair in pairs if pair not in kept_pairs)
+    assert all(two[(u, v)] is None for u, v in pairs if key[u] != key[v])
 
-    # the adjoined identity acts as the identity of S/κ, so (1, 1) always passes
-    assert _one_var_candidates(m, [e]) == [e]
-    assert _two_var_candidates(m, [(e, e)]) == [(e, e)]
+    # the adjoined identity is searched as an element and in a pair
     assert search_one_var(m, e, 2) == unfiltered_one_var_search(m, [e], 2)[e]
     assert search_two_var(m, e, 0, 2) == unfiltered_two_var_search(m, [(e, 0)], 2)[(e, 0)]
 
@@ -450,13 +443,15 @@ def test_filter_keeps_search_results_on_catalog(catalog_family):
 
 
 def _assert_filter_is_the_class_scan(m):
-    """Both filters keep what the oracle's κ-class scan keeps, on every pair over S¹."""
+    """The pairs keyed alike are those the oracle's κ-class scan keeps, on every pair over S¹.
+
+    The pairs (1, g) among them are the elements the one-variable entry points search.
+    """
     elements = range(m.order)
     pairs = [(u, v) for u in elements for v in elements]
-    assert _two_var_candidates(m, pairs) == class_scan_candidates(m, pairs), m.base.table
-    e = m.identity_index
-    kept = [g for _, g in class_scan_candidates(m, [(e, g) for g in elements])]
-    assert _one_var_candidates(m, elements) == kept, m.base.table
+    key = _keys(m)
+    kept = [(u, v) for u, v in pairs if key[u] == key[v]]
+    assert kept == class_scan_candidates(m, pairs), m.base.table
 
 
 def test_pair_filter_is_the_class_scan_on_every_pair_over_s1():
@@ -506,6 +501,36 @@ def test_sigma_report_searches_only_the_pairs_inside_kernel_classes():
     assert len(pairs) == 300 and peak < 2_000_000, peak
 
 
+@pytest.mark.parametrize("spec", ["cyclic:12", "symmetric:3", "leftzero:3", "fulltransformation:2"])
+def test_entry_points_hand_the_pair_search_only_pairs_keyed_alike(monkeypatch, spec):
+    # the pairs that reach the level search, against the oracle's κ-class scan
+    m = monoid(spec)
+    e, elements = m.identity_index, range(m.base.order)
+    pairs = [(u, v) for u in elements for v in elements]
+    kept = class_scan_candidates(m, pairs)
+    members = [g for _, g in class_scan_candidates(m, [(e, g) for g in elements])]
+    calls = []
+    pair_search = search._pair_search
+
+    def spy(m, pairs, bound):
+        calls.append(list(pairs))
+        return pair_search(m, pairs, bound)
+
+    monkeypatch.setattr(search, "_pair_search", spy)
+    orientable_set(m, 2)
+    assert calls == [[(e, g) for g in members]]
+    calls.clear()
+    for g in elements:
+        if g not in members:
+            assert search_one_var(m, g, 2) is None
+    for u, v in pairs:
+        if (u, v) not in kept:
+            assert search_two_var(m, u, v, 2) is None
+    assert calls == [[]] * (len(elements) - len(members) + len(pairs) - len(kept))
+    if spec in ("cyclic:12", "symmetric:3"):
+        assert len(members) < m.base.order and len(kept) < len(pairs)
+
+
 def test_filtered_searches_still_reject_bad_input():
     m = monoid("cyclic:3")
     with pytest.raises(ValueError):
@@ -546,10 +571,11 @@ def test_bound_one_decides_on_commutative_tables(spec):
         assert commutative_congruence(s).num_classes == s.order
         m = adjoin_identity(s)
         elements = range(s.order)
+        key = _keys(m)
         found = {g for g, w in orientable_set(m, 1).items() if w is not None}
-        assert found == set(_one_var_candidates(m, elements))
-        pairs = [(u, v) for u in elements for v in elements]
-        assert set(sigma_report(m, 1).pairs) == set(_two_var_candidates(m, pairs))
+        assert found == {g for g in elements if key[g] == key[m.identity_index]}
+        pairs = {(u, v) for u in elements for v in elements if key[u] == key[v]}
+        assert set(sigma_report(m, 1).pairs) == pairs
 
 
 # -------------------------------------------------------------- sigma report

@@ -37,12 +37,8 @@ from semorient.groups import (
     coset_congruence,
     group_structure,
 )
-from semorient.search import (
-    _one_var_candidates,  # private: the filter
-    _two_var_candidates,
-    unfiltered_one_var_search,
-    unfiltered_two_var_search,
-)
+from semorient.search import _keys  # private: the key the entry points compare
+from semorient.search import unfiltered_one_var_search, unfiltered_two_var_search
 from semorient.theorems import (
     CommutatorDecomposition,
     InvalidDecompositionError,
@@ -55,6 +51,7 @@ from semorient.theorems import (
     decomposition_product,
     exact_sigma_report,
 )
+from semorient.theorems import _orientable_witnesses  # private: the exact witness map
 from semorient.verify import (
     verify_orientable_is_commutator_subgroup,
     verify_semigroup_properties,
@@ -216,10 +213,15 @@ def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
     m = adjoin_identity(s)
     elements = range(s.order)
     assert commutative_congruence(s) == coset_congruence(g)
-    assert tuple(_one_var_candidates(m, elements)) == commutator_subgroup(g)
+    key = _keys(m)
+    assert tuple(x for x in elements if key[x] == key[m.identity_index]) == commutator_subgroup(g)
     cosets = coset_congruence(g).class_of
     pairs = [(u, v) for u in elements for v in elements]
-    assert _two_var_candidates(m, pairs) == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
+    kept = [(u, v) for u, v in pairs if key[u] == key[v]]
+    assert kept == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
+    # the exact map holds a witness exactly on the tree's nodes, read as ker φ
+    witnessed = tuple(x for x, w in _orientable_witnesses(g).items() if w is not None)
+    assert witnessed == commutator_subgroup(g)
 
 
 @pytest.mark.parametrize(
@@ -297,13 +299,15 @@ def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
     assert report.congruence == coset_congruence(g)
 
 
-def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, s3):
-    # two cosets of A3 merged into one class: (012, 021) shares it, but 021 is not in [G, G]
+def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, fresh_caches, s3):
+    # two cosets of A3 merged into one class: (012, 021) shares it, but 021 is not in [G, G].
+    # The map of witnesses reads the same ker φ, so building it stops at 021
     import semorient.theorems as th
 
     g = group_structure(s3)
     monkeypatch.setattr(th, "_abelian_keys", lambda s: (g.identity, Congruence((0,) * 6, 1)))
-    with pytest.raises(WitnessConstructionError, match=r"^\(012, 021\) share a class of ker φ"):
+    text = r"^element '021' is not in the commutator subgroup, yet it lies in the class of ε$"
+    with pytest.raises(WitnessConstructionError, match=text):
         exact_sigma_report(g)
 
 
@@ -617,7 +621,7 @@ def test_verify_validates_each_constructed_witness_once(monkeypatch, fresh_cache
     assert run(argv, out=out, err=err) == 0
     g = group_structure(make_family(spec))
     assert len(commutator_subgroup(g)) == size
-    assert calls == Counter(th._orientable_witnesses(g).items())
+    assert calls == Counter((x, w) for x, w in th._orientable_witnesses(g).items() if w is not None)
 
 
 def test_report_serialization(s3):
@@ -775,6 +779,11 @@ def _wrong_quotient_classes(exact_sigma_report):
     return lambda g: exact_sigma_report(g)._replace(congruence=_singletons(g))
 
 
+def _without_120(abelian_keys):
+    # ε keeps its class with 201 only: 120, an element of [G, G], leaves φ⁻¹(1)
+    return lambda s: (abelian_keys(s)[0], Congruence((0, 1, 1, 2, 0, 1), 3))
+
+
 def _pair_dropped(exact_sigma_report):
     # the first same-coset pair, (identity, identity), loses its witness
     def dropped(g):
@@ -789,6 +798,9 @@ PLANTED = [
     # the builder of the map of constructed witnesses, which the suite reads
     ("orientable", "theorems.build_orientable_witness", _padded, "constructed-witnesses",
      "witness size 3, expected 2", False),
+    # the partition the map reads: an element of [G, G] outside ε's class gets no witness
+    ("orientable", "theorems._abelian_keys", _without_120, "constructed-witnesses",
+     "120: no constructed witness", False),
     ("orientable", "unfiltered_one_var_search", _bogus_one_var, "bounded-search-sound",
      "unbalanced lengths", False),
     ("orientable", "commutator_subgroup", _shrunk, "bounded-search-sound",
