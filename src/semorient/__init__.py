@@ -40,7 +40,6 @@ _HOMES = {
         "idempotents",
         "is_cancellative",
         "is_commutative",
-        "make_semigroup",
         "parse_table",
         "quotient",
         "serialize_table",
@@ -55,7 +54,6 @@ _HOMES = {
         "two_var_to_text",
         "validate_one_var",
         "validate_two_var",
-        "witness_from_json",
     ),
     "groups": (
         "GroupStructure",

@@ -314,11 +314,6 @@ class Semigroup:
         return self.table[i][j]
 
 
-def make_semigroup(names: Iterable[str], table: Iterable[Iterable[int]]) -> Semigroup:
-    """A validated Semigroup from nested sequences; the constructor normalizes them."""
-    return Semigroup(names, table)
-
-
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace-split with 1-based start columns."""
     tokens = []
@@ -510,10 +505,6 @@ class Congruence:
         """The ordered pairs (u, v) with u and v in one class, ascending."""
         classes = self.classes()
         return ((u, v) for u, c in enumerate(self.class_of) for v in classes[c])
-
-    def relates(self, u: int, v: int) -> bool:
-        _check_elements(len(self.class_of), u, v)
-        return self.class_of[u] == self.class_of[v]
 
 
 def compatibility_violation(

@@ -14,15 +14,7 @@ from importlib import import_module
 from typing import NamedTuple, Optional, Sequence
 
 from . import _HOMES
-from .core import (  # the bounds stay importable from here, where they first lived
-    ONE_VAR_DEFAULT_BOUND,
-    TWO_VAR_DEFAULT_BOUND,
-    Congruence,
-    Monoid1,
-    Word,
-    _check_elements,
-    eval_word,
-)
+from .core import Congruence, Monoid1, Word, _check_elements, eval_word
 
 
 # the names of ``search`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -167,46 +159,3 @@ def two_var_to_json(
         "valid": valid,
     }
 
-
-def witness_from_json(names: Sequence[str], obj: dict):
-    """Rebuild (element, OneVarWitness) or ((u, v), TwoVarWitness) from the JSON form.
-
-    The object comes from outside the program: any malformed one raises
-    ValueError with a plain reason.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"a witness must be a JSON object, got {obj!r}")
-    lookup = {name: i for i, name in enumerate(names)}
-
-    def field(key: str):
-        if key not in obj:
-            raise ValueError(f"missing field {key!r}")
-        return obj[key]
-
-    def known(name) -> bool:
-        return isinstance(name, str) and name in lookup
-
-    def word(key: str) -> Word:
-        listed = field(key)
-        if not isinstance(listed, list):
-            raise ValueError(f"field {key!r} must be a list of element names, got {listed!r}")
-        for name in listed:
-            if not known(name):
-                raise ValueError(f"unknown element name {name!r}")
-        return tuple(lookup[name] for name in listed)
-
-    kind = obj.get("kind")
-    if kind == "one-var":
-        element = field("element")
-        if not known(element):
-            raise ValueError(f"unknown element name {element!r}")
-        return lookup[element], OneVarWitness(word("a"), word("b"), word("c"))
-    if kind == "two-var":
-        pair = field("pair")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"field 'pair' must name two elements, got {pair!r}")
-        if not all(map(known, pair)):
-            raise ValueError(f"unknown element name in pair {pair!r}")
-        u, v = pair
-        return (lookup[u], lookup[v]), TwoVarWitness(word("a"), word("b"), word("c"), word("d"))
-    raise ValueError(f"unknown witness kind {kind!r}")

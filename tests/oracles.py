@@ -4,8 +4,9 @@ Every oracle is deliberate brute force, written without reusing the
 package's search, closure, or quotient machinery, so agreement is meaningful.
 
 The corpus at the end gives each family of tables the tests share one cached
-builder: the labelled tables of each small order, random transformation
-semigroups, Rees matrix semigroups and an order-96 group of commutator width two.
+builder: the labelled tables and the isomorphism classes of each small order,
+random transformation semigroups, Rees matrix semigroups and an order-96 group
+of commutator width two.
 """
 
 from __future__ import annotations
@@ -193,6 +194,40 @@ def fixed_size_search_one_var(m, g, n):
         ]
         if found:
             return (a, *min(found))
+    return None
+
+
+def witness_problem(names, rows, obj):
+    """Why the CLI's JSON witness ``obj`` fails on the table ``rows`` over ``names``, or None.
+
+    Shares no code with the package's validator. A one-var witness of g reads
+    a = b*g*c and a two-var witness of (u, v) reads a*u*b = c*v*d. Both sides
+    must carry one non-empty multiset of letters, and each side is multiplied
+    out in the raw rows, with the element (or pair member) between its words.
+    """
+    if obj["kind"] == "one-var":
+        sides = ((obj["a"], [], []), (obj["b"], [obj["element"]], obj["c"]))
+    else:
+        u, v = obj["pair"]
+        sides = ((obj["a"], [u], obj["b"]), (obj["c"], [v], obj["d"]))
+    index = {name: i for i, name in enumerate(names)}
+    unknown = [x for side in sides for word in side for x in word if x not in index]
+    if unknown:
+        return f"unknown name {unknown[0]!r}"
+    letters = [sorted(before + after) for before, _, after in sides]
+    if letters[0] != letters[1]:
+        return f"the sides carry the letters {letters[0]} and {letters[1]}"
+    if not letters[0]:
+        return "no letters"
+    values = []
+    for side in sides:
+        word = [index[x] for part in side for x in part]
+        value = word[0]
+        for x in word[1:]:
+            value = rows[value][x]
+        values.append(value)
+    if values[0] != values[1]:
+        return f"the sides multiply to {names[values[0]]} and {names[values[1]]}"
     return None
 
 
@@ -388,9 +423,9 @@ def all_pairs_kappa(table):
 def _semigroup(prefix, table):
     # imported here so the oracles above load without semorient on the path,
     # as the benchmark harness loads them
-    from semorient.core import make_semigroup
+    from semorient.core import Semigroup
 
-    return make_semigroup([f"{prefix}{i}" for i in range(len(table))], table)
+    return Semigroup([f"{prefix}{i}" for i in range(len(table))], table)
 
 
 @lru_cache(maxsize=None)
@@ -400,6 +435,12 @@ def labelled_semigroups(*orders):
     1, 8 and 113 of them for n = 1, 2 and 3.
     """
     return tuple(_semigroup("x", table) for n in orders for table in all_associative_tables(n))
+
+
+@lru_cache(maxsize=None)
+def class_semigroups(n):
+    """One semigroup per isomorphism class of order n, ``semigroup_classes`` named x0..."""
+    return tuple(_semigroup("x", table) for table in semigroup_classes(n))
 
 
 def composition_closure(generators, max_order=None):

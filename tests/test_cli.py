@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semorient import catalog, cli, equations, groups, verbs
+from semorient import catalog, cli, groups, verbs
 from semorient.cli import run
 from semorient.core import (
     MAX_BOUND,
@@ -21,11 +21,11 @@ from semorient.core import (
     quotient,
     serialize_table,
 )
-from semorient.equations import validate_one_var, validate_two_var, witness_from_json
 from semorient.catalog import make_family
 from semorient.search import sigma_report
 
 from conftest import FIXTURES
+from oracles import witness_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -120,13 +120,13 @@ def _refuse(*args):
 @pytest.mark.parametrize(
     "fmt, renderers",
     [
-        ("text", ((equations, "one_var_to_json"), (equations, "two_var_to_json"))),
+        ("text", ("semorient.equations.one_var_to_json", "semorient.equations.two_var_to_json")),
         (
             "json",
             (
-                (equations, "one_var_to_text"),
-                (equations, "two_var_to_text"),
-                (verbs, "serialize_table"),
+                "semorient.equations.one_var_to_text",
+                "semorient.equations.two_var_to_text",
+                "semorient.verbs.serialize_table",
             ),
         ),
     ],
@@ -134,8 +134,8 @@ def _refuse(*args):
 def test_each_format_renders_only_itself(monkeypatch, fmt, renderers):
     # each verb imports the witness renderers from equations when it runs;
     # the verbs package binds serialize_table from core at import
-    for module, name in renderers:
-        monkeypatch.setattr(module, name, _refuse)
+    for target in renderers:
+        monkeypatch.setattr(target, _refuse)
     for argv in (
         "orientable", "orientable --exact", "witness --element 120",
         "witness --pair 120,201", "sigma", "sigma --exact", "quotient --exact",
@@ -327,13 +327,11 @@ def test_orientable_s3_json_lists_three_elements():
     assert obj["orientable_count"] == 3
     found = {e["element"] for e in obj["elements"] if e["orientable"]}
     assert found == {"012", "120", "201"}
-    # every reported witness re-validates
+    # every reported witness re-checks
     s3 = make_family("symmetric:3")
-    m = adjoin_identity(s3)
     for entry in obj["elements"]:
         if entry["witness"] is not None:
-            element, w = witness_from_json(s3.names, entry["witness"])
-            assert validate_one_var(m, element, w) is None
+            assert witness_problem(s3.names, s3.table, entry["witness"]) is None
 
 
 def test_orientable_bounded_text_states_bound():
@@ -358,8 +356,8 @@ def test_witness_element_json_round_trip():
     obj = json.loads(out)
     assert obj["kind"] == "one-var" and obj["valid"] is True
     s3 = make_family("symmetric:3")
-    element, w = witness_from_json(s3.names, obj)
-    assert validate_one_var(adjoin_identity(s3), element, w) is None
+    assert obj["element"] == "120"
+    assert witness_problem(s3.names, s3.table, obj) is None
 
 
 def test_witness_pair_json_round_trip():
@@ -370,8 +368,8 @@ def test_witness_pair_json_round_trip():
     obj = json.loads(out)
     assert obj["kind"] == "two-var" and obj["valid"] is True
     s3 = make_family("symmetric:3")
-    pair, w = witness_from_json(s3.names, obj)
-    assert validate_two_var(adjoin_identity(s3), pair[0], pair[1], w) is None
+    assert obj["pair"] == ["120", "201"]
+    assert witness_problem(s3.names, s3.table, obj) is None
 
 
 def test_witness_none_states_bound():
@@ -405,9 +403,81 @@ def test_witness_exact_constructed_validates():
     assert code == 0
     obj = json.loads(out)
     q8 = make_family("quaternion8")
-    pair, w = witness_from_json(q8.names, obj)
-    assert pair == (q8.index_of("i"), q8.index_of("-i"))
-    assert validate_two_var(adjoin_identity(q8), pair[0], pair[1], w) is None
+    assert obj["pair"] == ["i", "-i"]
+    assert witness_problem(q8.names, q8.table, obj) is None
+
+
+def _printed_witnesses(spec, *mode):
+    """Every JSON witness that orientable, witness and sigma print on ``spec`` in ``mode``."""
+
+    def printed(*argv):
+        code, out, err = invoke(*argv, "--family", spec, *mode, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        return json.loads(out)
+
+    names = make_family(spec).names
+    found = [entry["witness"] for entry in printed("orientable")["elements"]]
+    found += [printed("witness", f"--element={x}") for x in names]
+    found += [printed("witness", f"--pair={u},{v}") for u in names for v in names]
+    found += printed("sigma")["pairs"]
+    return [w for w in found if w is not None and "kind" in w]
+
+
+_PRINTING = [
+    ("symmetric:3", ("--bound", "2")),
+    ("quaternion8", ("--bound", "2")),
+    ("fulltransformation:2", ("--bound", "2")),
+    ("symmetric:3", ("--exact",)),
+    ("quaternion8", ("--exact",)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, mode", _PRINTING, ids=[spec + "".join(mode) for spec, mode in _PRINTING]
+)
+def test_printed_witnesses_check_out_in_the_raw_table(spec, mode):
+    s = make_family(spec)
+    printed = _printed_witnesses(spec, *mode)
+    assert {w["kind"] for w in printed} == {"one-var", "two-var"}
+    for w in printed:
+        assert w["valid"] is True
+        assert witness_problem(s.names, s.table, w) is None, w
+
+
+def _mutants(w):
+    """An S3 witness with one letter changed, one dropped, one unknown, no letters, and moved.
+
+    Moved puts 021, outside [G, G], in the place of the first element witnessed:
+    the letters still agree, but no witness relates what φ keeps apart.
+    """
+    key = next(k for k in "abcd" if w.get(k))
+    first, *rest = w[key]
+    changed = "021" if first != "021" else "012"
+    moved = {"element": "021"} if w["kind"] == "one-var" else {"pair": ["021", w["pair"][1]]}
+    return {
+        "changed": {**w, key: [changed, *rest]},
+        "dropped": {**w, key: rest},
+        "unknown": {**w, key: ["zz", *rest]},
+        "empty": {**w, **{k: [] for k in "abcd" if k in w}},
+        "moved": {**w, **moved},
+    }
+
+
+def test_witness_problem_rejects_mutants(s3):
+    reasons = {
+        "changed": "the sides carry the letters",
+        "dropped": "the sides carry the letters",
+        "unknown": "unknown name 'zz'",
+        "empty": "no letters",
+        "moved": "the sides multiply to",
+    }
+    for argv in (("--element", "120"), ("--pair", "120,201")):
+        _, out, _ = invoke("witness", "--family", "symmetric:3", *argv, "--format", "json")
+        w = json.loads(out)
+        assert witness_problem(s3.names, s3.table, w) is None
+        for label, mutant in _mutants(w).items():
+            problem = witness_problem(s3.names, s3.table, mutant)
+            assert problem is not None and problem.startswith(reasons[label]), (label, problem)
 
 
 def test_sigma_text_and_json():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from collections import deque
 
 from semorient.catalog import GROUP_FAMILIES, NONGROUP_FAMILIES, make_family
-from semorient.core import generated_congruence, is_cancellative, is_commutative, make_semigroup
+from semorient.core import Semigroup, generated_congruence, is_cancellative, is_commutative
 from semorient.groups import (
     NotAGroupError,
     abelianization,
@@ -206,7 +206,7 @@ def _monoid_with_zero(group):
     """The group with a zero adjoined last: an identity, but not a Latin square."""
     n = group.order
     rows = [list(row) + [n] for row in group.table] + [[n] * (n + 1)]
-    return make_semigroup([f"g{i}" for i in range(n)] + ["z"], rows)
+    return Semigroup([f"g{i}" for i in range(n)] + ["z"], rows)
 
 
 def _group_structure_cases():

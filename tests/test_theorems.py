@@ -889,6 +889,22 @@ def test_planted_defect_is_reported(
         assert "result: FAIL" in report.to_text()
 
 
+@pytest.mark.parametrize("planted, count", [(False, "all"), (True, "2 of")])
+def test_constructed_witnesses_counts_the_witnesses_it_built(
+    monkeypatch, fresh_caches, s3, planted, count
+):
+    # under _without_120 the map holds None for 120, so two of the three are built
+    if planted:
+        import semorient.theorems as th
+
+        monkeypatch.setattr(th, "_abelian_keys", _without_120(th._abelian_keys))
+    report = _suite("orientable", s3)
+    check = next(c for c in report.checks if c.check_id == "constructed-witnesses")
+    assert check.details == (
+        f"built witnesses for {count} 3 commutator-subgroup elements (max decomposition length 1)"
+    )
+
+
 def test_every_theorem_check_has_a_planted_defect(s3):
     planted = {(suite, check_id) for suite, _, _, check_id, *_ in PLANTED}
     for suite in ("orientable", "sigma"):
