@@ -75,7 +75,6 @@ _HOMES = {
         "CommutatorDecomposition",
         "InvalidDecompositionError",
         "NotInDerivedSubgroupError",
-        "NotRelatedError",
         "WitnessConstructionError",
         "build_orientable_witness",
         "build_two_var_witness",

@@ -57,10 +57,6 @@ class InvalidDecompositionError(SemigroupError):
     """The decomposition's pairs do not multiply to its element."""
 
 
-class NotRelatedError(SemigroupError):
-    """The two elements lie in different commutator-subgroup cosets."""
-
-
 class WitnessConstructionError(SemigroupError):
     """A constructed witness failed its independent validation."""
 
@@ -73,8 +69,6 @@ class CommutatorDecomposition(NamedTuple):
 
 
 def decomposition_product(group: GroupStructure, pairs) -> int:
-    pairs = tuple(pairs)
-    _check_elements(group.order, *(x for pair in pairs for x in pair))
     t = group.base.table
     acc = group.identity
     for x, y in pairs:
@@ -110,28 +104,29 @@ def build_orientable_witness(
 ) -> OneVarWitness:
     """Realize a commutator decomposition as a validated one-variable witness.
 
-    For a single commutator g = x y x^-1 y^-1 the equation x y = t y x works,
-    since x y = g y x. Each further pair (x, y) appends the trivial product
-    x x^-1 y y^-1 on the left and wraps the right side in y x y^-1 x^-1,
-    which keeps the factor multisets balanced and the equality intact. The
-    result has |a| = 2 + 4(k - 1) for k pairs; the identity (k = 0) gets the
-    canonical witness x x^-1 = x * t * x^-1 over the smallest element.
+    Theorem: if g ≠ 1 lies in [G, G] and k = cl(g), the number of pairs in its
+    decomposition (a BFS, so least), then the least witness of g has size 2k.
+    ≥: name the n letters of b·c of a witness (a, b, c) z_1…z_n; a holds them
+    in another order. Then g = W(z) for W = b⁻¹·a·c⁻¹, in which each z_i occurs
+    once with each sign. Glued by W, a 2n-gon is an orientable surface with one
+    face, n edges and V ≥ 1 vertices, so of genus (n + 1 − V)/2 ≤ n/2, and W is
+    a product of that many commutators (Culler, Topology 20, 1981). So k ≤ n/2.
+    ≤: one step per pair (u, v), with b empty. With A and C the values of a
+    and c so far, A·C⁻¹ = h, the product of the earlier pairs. Append
+    x = C⁻¹uC and y = C⁻¹vC as a += (x, y), c += (y, x); then A·xy·(C·yx)⁻¹
+    = A·[x, y]·C⁻¹ = h·C[x, y]C⁻¹ = h·[u, v]. So |a| = 2k. The identity
+    (k = 0) gets x x^-1 = x * t * x^-1 over element 0, of size 2.
     """
     if decomposition_product(group, d.pairs) != d.element:
         raise InvalidDecompositionError("pairs do not multiply to the element")
-    inv = group.inverse
-    if not d.pairs:  # an empty product is the identity, so d.element is too
-        x = 0
-        witness = OneVarWitness((x, inv[x]), (x,), (inv[x],))
-    else:
-        x, y = d.pairs[0]
-        a: tuple[int, ...] = (x, y)
-        b: tuple[int, ...] = ()
-        c: tuple[int, ...] = (y, x)
-        for x, y in d.pairs[1:]:
-            a = a + (x, inv[x], y, inv[y])
-            c = (y, x, inv[y], inv[x]) + c
-        witness = OneVarWitness(a, b, c)
+    t, inv = group.base.table, group.inverse
+    a: tuple[int, ...] = ()
+    c: tuple[int, ...] = ()
+    value_c = group.identity
+    for u, v in d.pairs:
+        x, y = t[t[inv[value_c]][u]][value_c], t[t[inv[value_c]][v]][value_c]
+        a, c, value_c = a + (x, y), c + (y, x), t[t[value_c][y]][x]
+    witness = OneVarWitness(a, (), c) if d.pairs else OneVarWitness((0, inv[0]), (0,), (inv[0],))
     problem = validate_one_var(adjoin_identity(group.base), d.element, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
@@ -161,29 +156,27 @@ def _orientable_witnesses(group: GroupStructure) -> Mapping[int, Optional[OneVar
     return MappingProxyType(witnesses)
 
 
-def build_two_var_witness(group: GroupStructure, g: int, h: int) -> TwoVarWitness:
-    """Construct a witness for the ordered pair (h, g) from one for g * h^-1.
+def build_two_var_witness(group: GroupStructure, u: int, v: int) -> Optional[TwoVarWitness]:
+    """A validated witness for the ordered pair (u, v), or None in different cosets.
 
-    If g * h^-1 has one-variable witness (a, b, c), then a * t1 * h^-1 and
-    b * t2 * h^-1 c agree under t1 = h, t2 = g and stay balanced. Raises
-    ValueError when g or h is not an element index, and NotRelatedError when
-    the map of constructed witnesses holds None for g * h^-1.
+    If v * u^-1 has one-variable witness (a, b, c), then a * t1 * u^-1 and
+    b * t2 * u^-1 c agree under t1 = u, t2 = v and stay balanced. Raises
+    ValueError when u or v is not an element index; the map of constructed
+    witnesses holds None for v * u^-1 exactly when u and v lie in different cosets.
     """
-    _check_elements(group.order, g, h)
-    inv = group.inverse
-    one = _orientable_witnesses(group)[group.base.table[g][inv[h]]]
-    if one is None:
-        names = group.base.names
-        raise NotRelatedError(f"{names[g]!r} and {names[h]!r} lie in different cosets")
-    return _two_var_witness(adjoin_identity(group.base), inv, one, h, g)
+    _check_elements(group.order, u, v)
+    one = _orientable_witnesses(group)[group.base.table[v][group.inverse[u]]]
+    return _two_var_witness(adjoin_identity(group.base), group.inverse, one, u, v)
 
 
 def _two_var_witness(
-    m: Monoid1, inv: tuple[int, ...], one: OneVarWitness, h: int, g: int
-) -> TwoVarWitness:
-    """The witness for (h, g) from ``one``, a witness for g * h^-1, validated on ``m``."""
-    witness = TwoVarWitness(one.a, (inv[h],), one.b, (inv[h],) + one.c)
-    problem = validate_two_var(m, h, g, witness)
+    m: Monoid1, inv: tuple[int, ...], one: Optional[OneVarWitness], u: int, v: int
+) -> Optional[TwoVarWitness]:
+    """The witness for (u, v) from ``one``, a witness for v * u^-1 or None, validated on ``m``."""
+    if one is None:
+        return None
+    witness = TwoVarWitness(one.a, (inv[u],), one.b, (inv[u],) + one.c)
+    problem = validate_two_var(m, u, v, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed two-variable witness: {problem}")
     return witness
@@ -193,7 +186,7 @@ def exact_sigma_report(group: GroupStructure) -> SigmaReport:
     """Relate all ordered pairs exactly: the classes are the commutator-subgroup cosets.
 
     They are read as ker φ (``core._abelian_keys``) and walked by ``Congruence.pairs``.
-    Each pair (u, v) carries the witness ``build_two_var_witness(group, v, u)``
+    Each pair (u, v) carries the witness ``build_two_var_witness(group, u, v)``
     gives, from the one-variable witness of v * u^-1 in ``_orientable_witnesses``,
     and every one is validated. That map is keyed by the same ker φ, and u ~ v
     in a congruence puts v * u^-1 in ε's class, so every lookup finds a witness.

@@ -44,17 +44,12 @@ def run(args) -> Result:
         w = (search_one_var if one else search_two_var)(m, *target, bound)
     else:
         from ..groups import group_structure
-        from ..theorems import NotRelatedError, _orientable_witnesses, build_two_var_witness
+        from ..theorems import _orientable_witnesses, build_two_var_witness
 
         bound, group = None, group_structure(s)
-        if one:
-            w = _orientable_witnesses(group)[target[0]]
-        else:
-            try:
-                # build_two_var_witness(group, g, h) validates for (h, g)
-                w = build_two_var_witness(group, target[1], target[0])
-            except NotRelatedError:
-                w = None
+        w = (
+            _orientable_witnesses(group)[target[0]] if one else build_two_var_witness(group, *target)
+        )
     note = _no_witness(bound, "not orientable (exact)" if one else "not related (exact)")
 
     def to_json() -> dict:

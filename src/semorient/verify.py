@@ -157,7 +157,7 @@ def verify_orientable_is_commutator_subgroup(
         if w is None:
             failures.append(f"{names[g]}: no constructed witness")
             continue
-        expected_size = 2 + 4 * (max(k, 1) - 1)
+        expected_size = 2 * max(k, 1)
         if w.size != expected_size:
             failures.append(
                 f"{names[g]}: witness size {w.size}, expected {expected_size} for k = {k}"

@@ -67,7 +67,7 @@ def test_criterion_1_orientable_equals_commutator_subgroup():
         k_max = max(
             (len(commutator_decomposition(g, x).pairs) for x in derived), default=0
         )
-        bound = max(4, 2 + 4 * (max(k_max, 1) - 1))
+        bound = max(4, 2 * max(k_max, 1))
         found = orientable_set(adjoin_identity(s), bound)
         got = {x for x, w in found.items() if w is not None}
         assert got == set(derived), f"{spec}: {got} != {set(derived)}"
@@ -146,13 +146,13 @@ def test_criterion_4_constructed_witnesses():
             k = len(d.pairs)
             assert k <= 3, (spec, k)
             w = build_orientable_witness(g, d)
-            assert w.size == 2 + 4 * (max(k, 1) - 1), (spec, s.names[x])
+            assert w.size == 2 * max(k, 1), (spec, s.names[x])
             assert validate_one_var(m, x, w) is None, (spec, s.names[x])
         cosets = coset_congruence(g)
         for u in range(s.order):
             for v in range(s.order):
                 if cosets.class_of[u] == cosets.class_of[v]:
-                    w2 = build_two_var_witness(g, v, u)
+                    w2 = build_two_var_witness(g, u, v)
                     assert validate_two_var(m, u, v, w2) is None, (spec, u, v)
     report("criterion 4: constructed witnesses obey the size law and validate", True)
 

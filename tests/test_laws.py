@@ -5,6 +5,7 @@ happens to be right on those labels passes it. A relabelling and the transposed
 table give the same semigroup again, up to isomorphism and anti-isomorphism,
 and ker φ (``core._abelian_keys``) and the least witness sizes must follow.
 Sizes are compared at bound 2, on members of order at most ``SIZE_ORDER``.
+A direct product is a new table whose ker φ is read off its factors'.
 """
 
 import random
@@ -26,6 +27,7 @@ from oracles import (
 
 BOUND = 2
 SIZE_ORDER = 24
+PRODUCT_ORDER = 150
 
 CORPORA = {
     "labelled": lambda: labelled_semigroups(1, 2, 3),
@@ -47,6 +49,19 @@ def relabelled(s, p):
 def opposite(s):
     """S^op, the transposed table: x·y in S^op is y·x in S."""
     return Semigroup(s.names, zip(*s.table))
+
+
+def product(s, t):
+    """S × T, with (x, y) at x·|T| + y and (x, y)(u, v) = (xu, yv)."""
+    n = t.order
+    return Semigroup(
+        [f"{a}|{b}" for a in s.names for b in t.names],
+        [
+            [s.table[x][u] * n + t.table[y][v] for u in range(s.order) for v in range(n)]
+            for x in range(s.order)
+            for y in range(n)
+        ],
+    )
 
 
 def kernel_classes(s):
@@ -137,3 +152,30 @@ def test_a_relabelling_exposes_epsilon_taken_as_the_first_idempotent(monkeypatch
     assert _first_idempotent_keys(s) == core._abelian_keys(s)
     monkeypatch.setattr(core, "_abelian_keys", _first_idempotent_keys)
     assert not all(relabelling_holds(s, p) for p in perms)
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_the_kernel_of_a_product_is_the_product_of_the_kernels(corpus):
+    """ker φ of S × T is ker φ_S × ker φ_T.
+
+    ⊆: φ_S × φ_T maps S × T onto an abelian group, so it factors through φ,
+    and a pair that φ joins has both coordinates joined. ⊇: let ψ be any
+    homomorphism of S × T into an abelian group, and e = (ε_S, ε_T), an
+    idempotent, so ψ(e) = 1. Then ψ_S(s) = ψ(s, ε_T) and ψ_T(t) = ψ(ε_S, t)
+    are homomorphisms, and ψ(s, t) = ψ(e)ψ(s, t)ψ(e) = ψ(ε_S s ε_S, ε_T t ε_T)
+    = ψ(e)ψ_S(s)ψ_T(t)ψ(e) = ψ_S(s)ψ_T(t). Each factor is constant on the
+    classes of ker φ_S and ker φ_T, so ψ is constant on their product; take
+    ψ = φ. Each member is paired with a seeded partner from every corpus, up
+    to order ``PRODUCT_ORDER``.
+    """
+    rng = random.Random(corpus)
+    pool = [t for make in CORPORA.values() for t in make()]
+    for s in CORPORA[corpus]():
+        t = rng.choice([t for t in pool if s.order * t.order <= PRODUCT_ORDER])
+        n = t.order
+        expected = {
+            frozenset(x * n + y for x in left for y in right)
+            for left in kernel_classes(s)
+            for right in kernel_classes(t)
+        }
+        assert kernel_classes(product(s, t)) == expected, (s.table, t.table)

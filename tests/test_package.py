@@ -55,7 +55,7 @@ EXPORTS = {
     ),
     "theorems": (
         "CheckResult", "CommutatorDecomposition", "InvalidDecompositionError",
-        "NotInDerivedSubgroupError", "NotRelatedError", "VerificationReport",
+        "NotInDerivedSubgroupError", "VerificationReport",
         "WitnessConstructionError", "build_orientable_witness", "build_two_var_witness",
         "commutator_decomposition", "decomposition_product", "exact_sigma_report",
         "verify_orientable_is_commutator_subgroup", "verify_semigroup_properties",

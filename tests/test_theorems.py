@@ -43,7 +43,6 @@ from semorient.theorems import (
     CommutatorDecomposition,
     InvalidDecompositionError,
     NotInDerivedSubgroupError,
-    NotRelatedError,
     WitnessConstructionError,
     build_orientable_witness,
     build_two_var_witness,
@@ -142,14 +141,14 @@ def test_identity_witness_shape(group_family):
 
 
 def test_forced_two_pair_witness_in_q8():
-    # -1 = [i, j]; pad with the trivial pair (1, 1) to force k = 2
+    # -1 = [i, j]; pad with the trivial pair (1, 1) to force k = 2: one step of size 2 per pair
     q8 = make_family("quaternion8")
     g = group_structure(q8)
     minus, i, j = q8.index_of("-1"), q8.index_of("i"), q8.index_of("j")
     d = CommutatorDecomposition(minus, ((i, j), (0, 0)))
     assert decomposition_product(g, d.pairs) == minus
     w = build_orientable_witness(g, d)
-    assert w.size == 6
+    assert w.size == 4
     assert validate_one_var(adjoin_identity(q8), minus, w) is None
 
 
@@ -159,16 +158,16 @@ def test_three_pair_witness_size_law(s3):
     base = commutator_decomposition(g, r)
     padded = CommutatorDecomposition(r, base.pairs + ((0, 0), (1, 1)))
     w = build_orientable_witness(g, padded)
-    assert w.size == 2 + 4 * 2
+    assert w.size == 2 * 3
     assert validate_one_var(adjoin_identity(s3), r, w) is None
 
 
-@pytest.mark.parametrize("g_index, h_index", [(-1, 0), (6, 0), (0, -1), (0, 6)])
-def test_two_var_witness_rejects_indices_outside_the_group(s3, g_index, h_index):
+@pytest.mark.parametrize("u_index, v_index", [(-1, 0), (6, 0), (0, -1), (0, 6)])
+def test_two_var_witness_rejects_indices_outside_the_group(s3, u_index, v_index):
     # -1 is not read as the last element, nor 6 as a bare IndexError
-    bad = g_index if h_index == 0 else h_index
+    bad = u_index if v_index == 0 else v_index
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        build_two_var_witness(group_structure(s3), g_index, h_index)
+        build_two_var_witness(group_structure(s3), u_index, v_index)
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
@@ -263,8 +262,9 @@ def test_width_two_group_on_the_exact_path(tmp_path):
         if len((d := commutator_decomposition(g, x)).pairs) == 2
     }
     assert len(two_pairs) == 3
+    # the least size, 2k: bounded orientable at bound 3 finds none (a CI step, 3-4 s)
     for x, w in two_pairs.items():
-        assert w.size == 6 and validate_one_var(m, x, w) is None
+        assert w.size == 4 and validate_one_var(m, x, w) is None
     # every same-coset ordered pair: 96 elements times |[G, G]| = 32
     report = exact_sigma_report(g)
     assert len(report.pairs) == 3072
@@ -283,12 +283,12 @@ def test_width_two_group_on_the_exact_path(tmp_path):
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
     # the report builds each one-variable witness once; the pairs stay those
-    # build_two_var_witness gives, in the same order
+    # build_two_var_witness gives for each ordered pair, in the same order
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
     g = group_structure(s)
     cosets = coset_congruence(g).class_of
     expected = [
-        ((u, v), build_two_var_witness(g, v, u))
+        ((u, v), build_two_var_witness(g, u, v))
         for u in range(s.order)
         for v in range(s.order)
         if cosets[u] == cosets[v]
@@ -380,16 +380,16 @@ def test_invalid_decomposition_rejected(s3):
         build_orientable_witness(g, CommutatorDecomposition(s3.index_of("120"), ()))
 
 
-@pytest.mark.parametrize("spec", GROUP_FAMILIES)
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_constructed_witness_size_law_and_validity(spec):
-    s = make_family(spec)
+    s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
     g = group_structure(s)
     m = adjoin_identity(s)
     for x in commutator_subgroup(g):
         d = commutator_decomposition(g, x)
         w = build_orientable_witness(g, d)
         k = len(d.pairs)
-        assert w.size == 2 + 4 * (max(k, 1) - 1)
+        assert w.size == 2 * max(k, 1)
         assert validate_one_var(m, x, w) is None
 
 
@@ -406,15 +406,29 @@ def test_two_var_witness_s3(s3):
     g = group_structure(s3)
     m = adjoin_identity(s3)
     r, r2 = s3.index_of("120"), s3.index_of("201")
-    w = build_two_var_witness(g, r, r2)
-    # build(group, g, h) certifies the ordered pair (h, g)
-    assert validate_two_var(m, r2, r, w) is None
+    for u, v in ((r, r2), (r2, r)):
+        assert validate_two_var(m, u, v, build_two_var_witness(g, u, v)) is None
 
 
 def test_two_var_witness_unrelated(z4):
     g = group_structure(z4)
-    with pytest.raises(NotRelatedError):
-        build_two_var_witness(g, 1, 3)
+    assert build_two_var_witness(g, 1, 3) is None
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
+def test_two_var_witness_answers_every_ordered_pair(spec):
+    # a validated witness inside one coset of [G, G], None across two
+    s = make_family(spec)
+    g = group_structure(s)
+    m = adjoin_identity(s)
+    cosets = coset_congruence(g).class_of
+    for u in range(s.order):
+        for v in range(s.order):
+            w = build_two_var_witness(g, u, v)
+            if cosets[u] == cosets[v]:
+                assert validate_two_var(m, u, v, w) is None, (spec, u, v)
+            else:
+                assert w is None, (spec, u, v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -428,7 +442,7 @@ def test_two_var_witness_all_same_coset_pairs(data):
     members = data.draw(st.sampled_from(classes))
     u = data.draw(st.sampled_from(members))
     v = data.draw(st.sampled_from(members))
-    w = build_two_var_witness(g, v, u)
+    w = build_two_var_witness(g, u, v)
     assert validate_two_var(adjoin_identity(s), u, v, w) is None
 
 
@@ -543,8 +557,8 @@ def test_orientable_suite_searches_once_at_the_declared_bound(monkeypatch, fresh
 def test_theorems_suites_stop_at_the_declared_bound_on_a_width_two_group(
     monkeypatch, fresh_caches, tmp_path
 ):
-    # three constructions there have size 6; a search at size 6 over all 96 elements
-    # does not finish in a minute, so the suites must not search past --bound
+    # three constructions there have size 4; bounded orientable at size 4 over all 96
+    # elements ran over 5 minutes, so the suites must not search past --bound
     calls = _spy_on_one_var_search(monkeypatch)
     path = tmp_path / "width-two.txt"
     path.write_text(serialize_table(width_two_group()), encoding="utf-8")
