@@ -72,14 +72,11 @@ _HOMES = {
         "unfiltered_two_var_search",
     ),
     "theorems": (
-        "CommutatorDecomposition",
-        "InvalidDecompositionError",
         "NotInDerivedSubgroupError",
         "WitnessConstructionError",
         "build_orientable_witness",
         "build_two_var_witness",
         "commutator_decomposition",
-        "decomposition_product",
         "exact_sigma_report",
     ),
     "verify": (

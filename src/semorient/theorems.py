@@ -10,8 +10,9 @@ The two central facts of the exact path, on concrete group tables:
 
 Which elements and pairs carry a witness is read off one partition, ker φ
 (``core._abelian_keys``): an element of ε's class and a pair inside one
-class. The witnesses are built constructively from commutator decompositions
-in the derived-subgroup tree, and every one is re-checked by the independent
+class. ``build_orientable_witness`` reads it for one element. The witnesses
+are built constructively from commutator decompositions in the
+derived-subgroup tree, and every one is re-checked by the independent
 validators in ``equations``. The suites that test these facts against the
 bounded search live in ``verify``.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import import_module
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from . import _HOMES
 from .core import (
@@ -39,7 +40,7 @@ from .equations import (
     validate_one_var,
     validate_two_var,
 )
-from .groups import GroupStructure, commutator, derived_subgroup_tree
+from .groups import GroupStructure, derived_subgroup_tree
 
 
 # the names of ``verify`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -53,35 +54,17 @@ class NotInDerivedSubgroupError(SemigroupError):
     """The element is outside the commutator subgroup, so it has no decomposition."""
 
 
-class InvalidDecompositionError(SemigroupError):
-    """The decomposition's pairs do not multiply to its element."""
-
-
 class WitnessConstructionError(SemigroupError):
     """A constructed witness failed its independent validation."""
 
 
-class CommutatorDecomposition(NamedTuple):
-    """An element written as a left-to-right product of commutators x_i y_i x_i^-1 y_i^-1."""
-
-    element: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def decomposition_product(group: GroupStructure, pairs) -> int:
-    t = group.base.table
-    acc = group.identity
-    for x, y in pairs:
-        acc = t[acc][commutator(group, x, y)]
-    return acc
-
-
-def commutator_decomposition(group: GroupStructure, g: int) -> CommutatorDecomposition:
+def commutator_decomposition(group: GroupStructure, g: int) -> tuple[tuple[int, int], ...]:
     """Shortest commutator decomposition of g, read off the derived-subgroup tree.
 
-    The path from the identity to g in ``derived_subgroup_tree`` is a
-    breadth-first shortest path with reproducible edge choices; the identity
-    gets the empty decomposition.
+    The pairs (x_i, y_i) multiply left to right, as commutators
+    x_i y_i x_i^-1 y_i^-1, to g. The path from the identity to g in
+    ``derived_subgroup_tree`` is a breadth-first shortest path with
+    reproducible edge choices; the identity gets no pairs.
     """
     _check_elements(group.order, g)
     tree = derived_subgroup_tree(group)
@@ -96,13 +79,17 @@ def commutator_decomposition(group: GroupStructure, g: int) -> CommutatorDecompo
         pairs.append(pair)
         step = tree[back]
     pairs.reverse()
-    return CommutatorDecomposition(g, tuple(pairs))
+    return tuple(pairs)
 
 
-def build_orientable_witness(
-    group: GroupStructure, d: CommutatorDecomposition
-) -> OneVarWitness:
-    """Realize a commutator decomposition as a validated one-variable witness.
+def build_orientable_witness(group: GroupStructure, g: int) -> Optional[OneVarWitness]:
+    """g's validated least witness, or None when g lies outside φ⁻¹(1).
+
+    φ⁻¹(1) is ε's class of ker φ (``core._abelian_keys``), which on a group
+    is [G, G]. A member is built from its decomposition in the
+    derived-subgroup tree; one the tree does not reach raises
+    WitnessConstructionError. Raises ValueError when g is not an element
+    index: the adjoined 1 of S¹ is not one here.
 
     Theorem: if g ≠ 1 lies in [G, G] and k = cl(g), the number of pairs in its
     decomposition (a BFS, so least), then the least witness of g has size 2k.
@@ -115,19 +102,27 @@ def build_orientable_witness(
     and c so far, A·C⁻¹ = h, the product of the earlier pairs. Append
     x = C⁻¹uC and y = C⁻¹vC as a += (x, y), c += (y, x); then A·xy·(C·yx)⁻¹
     = A·[x, y]·C⁻¹ = h·C[x, y]C⁻¹ = h·[u, v]. So |a| = 2k. The identity
-    (k = 0) gets x x^-1 = x * t * x^-1 over element 0, of size 2.
+    (k = 0) gets x x^-1 = x * t * x^-1 over element 0, of size 2. With b
+    empty, the validation accepts the witness exactly when the pairs
+    multiply to g.
     """
-    if decomposition_product(group, d.pairs) != d.element:
-        raise InvalidDecompositionError("pairs do not multiply to the element")
+    _check_elements(group.order, g)
+    eps, kernel = _abelian_keys(group.base)
+    if kernel.class_of[g] != kernel.class_of[eps]:
+        return None
+    try:
+        pairs = commutator_decomposition(group, g)
+    except NotInDerivedSubgroupError as err:
+        raise WitnessConstructionError(f"{err}, yet it lies in the class of ε") from None
     t, inv = group.base.table, group.inverse
     a: tuple[int, ...] = ()
     c: tuple[int, ...] = ()
     value_c = group.identity
-    for u, v in d.pairs:
+    for u, v in pairs:
         x, y = t[t[inv[value_c]][u]][value_c], t[t[inv[value_c]][v]][value_c]
         a, c, value_c = a + (x, y), c + (y, x), t[t[value_c][y]][x]
-    witness = OneVarWitness(a, (), c) if d.pairs else OneVarWitness((0, inv[0]), (0,), (inv[0],))
-    problem = validate_one_var(adjoin_identity(group.base), d.element, witness)
+    witness = OneVarWitness(a, (), c) if pairs else OneVarWitness((0, inv[0]), (0,), (inv[0],))
+    problem = validate_one_var(adjoin_identity(group.base), g, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
     return witness
@@ -135,25 +130,13 @@ def build_orientable_witness(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _orientable_witnesses(group: GroupStructure) -> Mapping[int, Optional[OneVarWitness]]:
-    """Every element, ascending, mapped to its constructed witness, or None outside φ⁻¹(1).
+    """Every element, ascending, mapped to ``build_orientable_witness`` of it.
 
-    φ⁻¹(1) is ε's class of ker φ (``core._abelian_keys``), which on a group
-    is [G, G]; each member's witness is built from its decomposition in the
-    derived-subgroup tree, and a member the tree does not reach raises
-    WitnessConstructionError. The only place a decomposition meets the
-    builder: the exact verbs, the two-variable builders and the ``verify``
-    suites index this map, so each witness is built and validated once per
+    The exact verbs that answer for every element or pair, and the ``verify``
+    suites, index this map, so each witness is built and validated once per
     group. The cached mapping is shared by every caller, so it is read-only.
     """
-    eps, kernel = _abelian_keys(group.base)
-    witnesses: dict[int, Optional[OneVarWitness]] = dict.fromkeys(range(group.order))
-    for g in kernel.classes()[kernel.class_of[eps]]:
-        try:
-            d = commutator_decomposition(group, g)
-        except NotInDerivedSubgroupError as err:
-            raise WitnessConstructionError(f"{err}, yet it lies in the class of ε") from None
-        witnesses[g] = build_orientable_witness(group, d)
-    return MappingProxyType(witnesses)
+    return MappingProxyType({g: build_orientable_witness(group, g) for g in range(group.order)})
 
 
 def build_two_var_witness(group: GroupStructure, u: int, v: int) -> Optional[TwoVarWitness]:
@@ -161,11 +144,11 @@ def build_two_var_witness(group: GroupStructure, u: int, v: int) -> Optional[Two
 
     If v * u^-1 has one-variable witness (a, b, c), then a * t1 * u^-1 and
     b * t2 * u^-1 c agree under t1 = u, t2 = v and stay balanced. Raises
-    ValueError when u or v is not an element index; the map of constructed
-    witnesses holds None for v * u^-1 exactly when u and v lie in different cosets.
+    ValueError when u or v is not an element index; only the witness of
+    v * u^-1 is built, and it is None exactly when u and v lie in different cosets.
     """
     _check_elements(group.order, u, v)
-    one = _orientable_witnesses(group)[group.base.table[v][group.inverse[u]]]
+    one = build_orientable_witness(group, group.base.table[v][group.inverse[u]])
     return _two_var_witness(adjoin_identity(group.base), group.inverse, one, u, v)
 
 

@@ -44,12 +44,10 @@ def run(args) -> Result:
         w = (search_one_var if one else search_two_var)(m, *target, bound)
     else:
         from ..groups import group_structure
-        from ..theorems import _orientable_witnesses, build_two_var_witness
+        from ..theorems import build_orientable_witness, build_two_var_witness
 
-        bound, group = None, group_structure(s)
-        w = (
-            _orientable_witnesses(group)[target[0]] if one else build_two_var_witness(group, *target)
-        )
+        bound = None
+        w = (build_orientable_witness if one else build_two_var_witness)(group_structure(s), *target)
     note = _no_witness(bound, "not orientable (exact)" if one else "not related (exact)")
 
     def to_json() -> dict:

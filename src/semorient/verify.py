@@ -151,7 +151,7 @@ def verify_orientable_is_commutator_subgroup(
     failures = []
     k_max = 0
     for g in derived:
-        k = len(commutator_decomposition(group, g).pairs)
+        k = len(commutator_decomposition(group, g))
         k_max = max(k_max, k)
         w = witnesses[g]
         if w is None:

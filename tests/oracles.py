@@ -309,6 +309,14 @@ def min_commutator_product_length(table, identity, target, max_k):
     return None
 
 
+def commutator_product(table, identity, inverse, pairs):
+    """The left-to-right product of the commutators x y x^-1 y^-1 of ``pairs``."""
+    acc = identity
+    for x, y in pairs:
+        acc = table[acc][table[table[table[x][y]][inverse[x]]][inverse[y]]]
+    return acc
+
+
 def bfs_commutator_decomposition(group, g):
     """Per-call breadth-first commutator decomposition: the pairs for g, or None.
 

@@ -538,6 +538,42 @@ def test_exact_sigma_report_builds_no_coset_congruence():
     assert [cache.cache_info().misses for cache in caches] == [0, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "target, tree_builds, printed",
+    [
+        (("--element", "012|0231"), 1, "valid: true"),
+        (("--pair", "012|0132,012|0213"), 1, "valid: true"),
+        (("--element", "012|0132"), 0, "not orientable (exact)"),
+        (("--pair", "012|0123,021|0123"), 0, "not related (exact)"),
+    ],
+)
+def test_exact_witness_builds_only_the_witness_it_prints(monkeypatch, target, tree_builds, printed):
+    # S3 × S4 has 36 elements in [G, G]; one witness is built, and the derived-subgroup
+    # tree only for a member of ε's class of ker φ
+    from semorient import theorems
+
+    caches = (groups.derived_subgroup_tree, theorems._orientable_witnesses)
+    for cache in caches:
+        cache.cache_clear()
+    calls = []
+    build = theorems.build_orientable_witness
+
+    def spy(group, g):
+        calls.append(g)
+        return build(group, g)
+
+    monkeypatch.setattr(theorems, "build_orientable_witness", spy)
+    code, out, err = invoke(
+        "witness", "--exact", "--family", "directproduct:symmetric:3,symmetric:4", *target
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == printed
+    assert len(calls) == 1
+    assert groups.derived_subgroup_tree.cache_info().misses == tree_builds
+    for cache in caches:
+        cache.cache_clear()
+
+
 def test_commutator_verbs():
     code, out, _ = invoke("commutator", "--family", "symmetric:3")
     assert code == 0

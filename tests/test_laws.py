@@ -5,7 +5,8 @@ happens to be right on those labels passes it. A relabelling and the transposed
 table give the same semigroup again, up to isomorphism and anti-isomorphism,
 and ker φ (``core._abelian_keys``) and the least witness sizes must follow.
 Sizes are compared at bound 2, on members of order at most ``SIZE_ORDER``.
-A direct product is a new table whose ker φ is read off its factors'.
+The exact witnesses of a group follow both maps too. A direct product is a
+new table whose ker φ is read off its factors'.
 """
 
 import random
@@ -13,16 +14,20 @@ import random
 import pytest
 
 from semorient import core
-from semorient.catalog import CATALOG_FAMILIES, make_family
+from semorient.catalog import CATALOG_FAMILIES, GROUP_FAMILIES, make_family
 from semorient.core import Semigroup, adjoin_identity
 from semorient.equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
+from semorient.groups import group_structure
 from semorient.search import orientable_set, sigma_report
+from semorient.theorems import _orientable_witnesses  # private: the exact witness map
+from semorient.theorems import exact_sigma_report
 
 from oracles import (
     class_semigroups,
     labelled_semigroups,
     random_transformation_semigroups,
     rees_tables,
+    width_two_group,
 )
 
 BOUND = 2
@@ -133,6 +138,58 @@ def test_the_opposite_keeps_the_kernel_and_the_sizes(corpus):
             for (u, v), w in two.items():
                 back = TwoVarWitness(w.b[::-1], w.a[::-1], w.d[::-1], w.c[::-1])
                 assert validate_two_var(m, u, v, back) is None, (s.table, u, v, w)
+
+
+def exact_witnesses(s):
+    """The exact witness of each element and of each pair of ker φ of the group S."""
+    g = group_structure(s)
+    return _orientable_witnesses(g), exact_sigma_report(g).pairs
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", "width-two-96"])
+def test_the_exact_witnesses_follow_a_relabelling_and_the_opposite(spec):
+    """Each exact witness moved by p, or reversed in G^op, validates, and its size is kept.
+
+    The size of g's exact witness is 2·max(cl(g), 1), where cl(g) is the least
+    number of commutators whose product is g (``build_orientable_witness``), and
+    a pair (u, v) reads that of v·u⁻¹. A relabelling p is an isomorphism onto
+    G', so it carries commutators to commutators: cl(p(g)) = cl(g), and
+    (p(a), p(b), p(c)) is a witness of p(g). In G^op, where x∘y = yx, the
+    commutator [x, y] is y⁻¹x⁻¹yx = [y⁻¹, x⁻¹] of G, so both groups have the
+    same commutators, and a product of k of them in G^op is their product in
+    reverse order in G: cl(g) is the same in each. For a pair, v∘u⁻¹ = u⁻¹v is
+    a conjugate of v·u⁻¹, which has the same cl. Reversal turns the witnesses
+    of S into those of S^op, as in the opposite law above.
+    """
+    s = width_two_group() if spec == "width-two-96" else make_family(spec)
+    one, two = exact_witnesses(s)
+    p = random.Random(spec).sample(range(s.order), s.order)
+
+    def moved(word):
+        return tuple(p[x] for x in word)
+
+    one_sizes, two_sizes = sizes(one, two)
+    assert sizes(*exact_witnesses(relabelled(s, p))) == (
+        {p[g]: k for g, k in one_sizes.items()},
+        {(p[u], p[v]): k for (u, v), k in two_sizes.items()},
+    ), spec
+    m = adjoin_identity(relabelled(s, p))
+    for g, w in one.items():
+        if w is not None:
+            assert validate_one_var(m, p[g], OneVarWitness(*map(moved, w))) is None, (spec, g)
+    for (u, v), w in two.items():
+        assert validate_two_var(m, p[u], p[v], TwoVarWitness(*map(moved, w))) is None, (spec, u, v)
+
+    op = opposite(s)
+    assert sizes(*exact_witnesses(op)) == (one_sizes, two_sizes), spec
+    m = adjoin_identity(op)
+    for g, w in one.items():
+        if w is not None:
+            back = OneVarWitness(w.a[::-1], w.c[::-1], w.b[::-1])
+            assert validate_one_var(m, g, back) is None, (spec, g)
+    for (u, v), w in two.items():
+        back = TwoVarWitness(w.b[::-1], w.a[::-1], w.d[::-1], w.c[::-1])
+        assert validate_two_var(m, u, v, back) is None, (spec, u, v)
 
 
 def _first_idempotent_keys(s):

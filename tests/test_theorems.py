@@ -40,14 +40,11 @@ from semorient.groups import (
 from semorient.search import _keys  # private: the key the entry points compare
 from semorient.search import unfiltered_one_var_search, unfiltered_two_var_search
 from semorient.theorems import (
-    CommutatorDecomposition,
-    InvalidDecompositionError,
     NotInDerivedSubgroupError,
     WitnessConstructionError,
     build_orientable_witness,
     build_two_var_witness,
     commutator_decomposition,
-    decomposition_product,
     exact_sigma_report,
 )
 from semorient.theorems import _orientable_witnesses  # private: the exact witness map
@@ -57,7 +54,12 @@ from semorient.verify import (
     verify_sigma_is_abelianization,
 )
 
-from oracles import bfs_commutator_decomposition, min_commutator_product_length, width_two_group
+from oracles import (
+    bfs_commutator_decomposition,
+    commutator_product,
+    min_commutator_product_length,
+    width_two_group,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -68,25 +70,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_identity_decomposition_is_empty(group_family):
     spec, s = group_family
     g = group_structure(s)
-    d = commutator_decomposition(g, g.identity)
-    assert d.pairs == ()
+    assert commutator_decomposition(g, g.identity) == ()
 
 
 def test_s3_three_cycle_single_commutator(s3):
     g = group_structure(s3)
-    d = commutator_decomposition(g, s3.index_of("120"))
-    assert len(d.pairs) == 1
-    assert decomposition_product(g, d.pairs) == s3.index_of("120")
-
-
-@pytest.mark.parametrize("bad", [-1, 6])
-@pytest.mark.parametrize("side", ["x", "y"])
-def test_decomposition_product_rejects_pair_entries_outside_the_group(s3, bad, side):
-    # with "021", -1 would read "210" and give "120"; 6 would be a bare IndexError
-    other = s3.index_of("021")
-    pair = (bad, other) if side == "x" else (other, bad)
-    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        decomposition_product(group_structure(s3), (pair,))
+    pairs = commutator_decomposition(g, s3.index_of("120"))
+    assert len(pairs) == 1
+    assert commutator_product(s3.table, g.identity, g.inverse, pairs) == s3.index_of("120")
 
 
 def test_outside_subgroup_raises(z4):
@@ -107,10 +98,10 @@ def test_bfs_length_is_minimal(spec):
     s = make_family(spec)
     g = group_structure(s)
     for x in commutator_subgroup(g):
-        d = commutator_decomposition(g, x)
-        assert decomposition_product(g, d.pairs) == x
+        pairs = commutator_decomposition(g, x)
+        assert commutator_product(s.table, g.identity, g.inverse, pairs) == x
         expected = min_commutator_product_length(s.table, g.identity, x, 3)
-        assert expected is not None and len(d.pairs) == expected
+        assert expected is not None and len(pairs) == expected
 
 
 def test_decomposition_is_deterministic(s3):
@@ -125,41 +116,19 @@ def test_decomposition_is_deterministic(s3):
 
 def test_single_commutator_witness_shape(s3):
     g = group_structure(s3)
-    d = commutator_decomposition(g, s3.index_of("120"))
-    w = build_orientable_witness(g, d)
+    r = s3.index_of("120")
+    w = build_orientable_witness(g, r)
     assert w.size == 2
-    x, y = d.pairs[0]
+    ((x, y),) = commutator_decomposition(g, r)
     assert w == type(w)((x, y), (), (y, x))
 
 
 def test_identity_witness_shape(group_family):
     spec, s = group_family
     g = group_structure(s)
-    w = build_orientable_witness(g, CommutatorDecomposition(g.identity, ()))
+    w = build_orientable_witness(g, g.identity)
     assert w.size == 2
     assert w.b == (0,) and w.c == (g.inverse[0],)
-
-
-def test_forced_two_pair_witness_in_q8():
-    # -1 = [i, j]; pad with the trivial pair (1, 1) to force k = 2: one step of size 2 per pair
-    q8 = make_family("quaternion8")
-    g = group_structure(q8)
-    minus, i, j = q8.index_of("-1"), q8.index_of("i"), q8.index_of("j")
-    d = CommutatorDecomposition(minus, ((i, j), (0, 0)))
-    assert decomposition_product(g, d.pairs) == minus
-    w = build_orientable_witness(g, d)
-    assert w.size == 4
-    assert validate_one_var(adjoin_identity(q8), minus, w) is None
-
-
-def test_three_pair_witness_size_law(s3):
-    g = group_structure(s3)
-    r = s3.index_of("120")
-    base = commutator_decomposition(g, r)
-    padded = CommutatorDecomposition(r, base.pairs + ((0, 0), (1, 1)))
-    w = build_orientable_witness(g, padded)
-    assert w.size == 2 * 3
-    assert validate_one_var(adjoin_identity(s3), r, w) is None
 
 
 @pytest.mark.parametrize("u_index, v_index", [(-1, 0), (6, 0), (0, -1), (0, 6)])
@@ -171,15 +140,30 @@ def test_two_var_witness_rejects_indices_outside_the_group(s3, u_index, v_index)
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
-@pytest.mark.parametrize("side", ["x", "y"])
-def test_orientable_witness_rejects_pair_entries_outside_the_group(s3, bad, side):
+def test_orientable_witness_rejects_indices_outside_the_group(s3, bad):
+    # -1 would read "210"; 6 is the adjoined 1 of S¹, which validate_one_var accepts
+    # and ker φ has no class for
     g = group_structure(s3)
-    # "210" (index 5, what -1 would read) and "021" do not commute, so a
-    # wrapped index would fail the product check instead of the range check
-    other = s3.index_of("021")
-    pair = (bad, other) if side == "x" else (other, bad)
+    assert g.order == 6
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        build_orientable_witness(g, CommutatorDecomposition(g.identity, (pair,)))
+        build_orientable_witness(g, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_orientable_witness_rejects_pair_entries_outside_the_group(monkeypatch, s3, bad, side):
+    # a pair's witness is built from the orientable witness of v * u^-1; with "021",
+    # -1 would read "210" and give an index in range, so the pair's entries are
+    # rejected before that witness is asked for
+    import semorient.theorems as th
+
+    calls = []
+    monkeypatch.setattr(th, "build_orientable_witness", lambda group, g: calls.append(g))
+    other = s3.index_of("021")
+    u, v = (bad, other) if side == "x" else (other, bad)
+    with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
+        build_two_var_witness(group_structure(s3), u, v)
+    assert calls == []
 
 
 WIDTH_TWO = "width-two-96"
@@ -196,7 +180,7 @@ def test_tree_matches_per_call_bfs(spec):
             with pytest.raises(NotInDerivedSubgroupError):
                 commutator_decomposition(g, x)
         else:
-            assert commutator_decomposition(g, x).pairs == expected
+            assert commutator_decomposition(g, x) == expected
             lengths.append(len(expected))
     if spec == WIDTH_TWO:
         # the identity, 28 other commutators, and 3 products of two commutators
@@ -257,9 +241,9 @@ def test_width_two_group_on_the_exact_path(tmp_path):
     g = group_structure(s)
     m = adjoin_identity(s)
     two_pairs = {
-        x: build_orientable_witness(g, d)
+        x: build_orientable_witness(g, x)
         for x in commutator_subgroup(g)
-        if len((d := commutator_decomposition(g, x)).pairs) == 2
+        if len(commutator_decomposition(g, x)) == 2
     }
     assert len(two_pairs) == 3
     # the least size, 2k: bounded orientable at bound 3 finds none (a CI step, 3-4 s)
@@ -346,7 +330,7 @@ def test_one_var_builder_failure_raises(monkeypatch, s3):
     g = group_structure(s3)
     monkeypatch.setattr(th, "validate_one_var", lambda *args: "forced failure")
     with pytest.raises(WitnessConstructionError, match="one-variable witness: forced failure"):
-        build_orientable_witness(g, commutator_decomposition(g, g.identity))
+        build_orientable_witness(g, g.identity)
 
 
 def test_builder_failure_raises_under_optimize():
@@ -358,7 +342,7 @@ def test_builder_failure_raises_under_optimize():
         "th.validate_one_var = lambda *args: 'forced failure'\n"
         "g = group_structure(make_family('symmetric:3'))\n"
         "try:\n"
-        "    th.build_orientable_witness(g, th.commutator_decomposition(g, g.identity))\n"
+        "    th.build_orientable_witness(g, g.identity)\n"
         "except th.WitnessConstructionError as exc:\n"
         "    print(exc)\n"
     )
@@ -370,25 +354,14 @@ def test_builder_failure_raises_under_optimize():
     assert proc.stdout == "1\nconstructed one-variable witness: forced failure\n"
 
 
-def test_invalid_decomposition_rejected(s3):
-    g = group_structure(s3)
-    with pytest.raises(InvalidDecompositionError):
-        build_orientable_witness(
-            g, CommutatorDecomposition(s3.index_of("021"), ((0, 1),))
-        )
-    with pytest.raises(InvalidDecompositionError):
-        build_orientable_witness(g, CommutatorDecomposition(s3.index_of("120"), ()))
-
-
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_constructed_witness_size_law_and_validity(spec):
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
     g = group_structure(s)
     m = adjoin_identity(s)
     for x in commutator_subgroup(g):
-        d = commutator_decomposition(g, x)
-        w = build_orientable_witness(g, d)
-        k = len(d.pairs)
+        w = build_orientable_witness(g, x)
+        k = len(commutator_decomposition(g, x))
         assert w.size == 2 * max(k, 1)
         assert validate_one_var(m, x, w) is None
 
@@ -605,10 +578,7 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
     everything = range(g.order)
     # the builders validate what they build; the suites validate what the searches find.
     # Building here leaves the map of constructed witnesses empty: the suite fills it
-    built = Counter(
-        (x, build_orientable_witness(g, commutator_decomposition(g, x)))
-        for x in commutator_subgroup(g)
-    )
+    built = Counter((x, build_orientable_witness(g, x)) for x in commutator_subgroup(g))
     found = unfiltered_one_var_search(m, everything, 2)
     searched = Counter((x, w) for x, w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_one_var", (th, vf))
@@ -778,9 +748,9 @@ def _relation(label, keep):
 
 
 def _padded(build):
-    def padded(group, d):
-        w = build(group, d)
-        return OneVarWitness(w.a + (0,), w.b + (0,), w.c)
+    def padded(group, g):
+        w = build(group, g)
+        return w and OneVarWitness(w.a + (0,), w.b + (0,), w.c)
 
     return padded
 
