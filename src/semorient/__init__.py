@@ -72,7 +72,6 @@ _HOMES = {
         "unfiltered_two_var_search",
     ),
     "theorems": (
-        "NotInDerivedSubgroupError",
         "WitnessConstructionError",
         "build_orientable_witness",
         "build_two_var_witness",

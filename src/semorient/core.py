@@ -309,10 +309,6 @@ class Semigroup:
         except ValueError:
             raise KeyError(f"unknown element name {name!r}") from None
 
-    def mul(self, i: int, j: int) -> int:
-        _check_elements(self.order, i, j)
-        return self.table[i][j]
-
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace-split with 1-based start columns."""

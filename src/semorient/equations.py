@@ -49,15 +49,6 @@ class TwoVarWitness(NamedTuple):
         return len(self.a) + len(self.b)
 
 
-def _factor_problem(m: Monoid1, *words: Word) -> Optional[str]:
-    for w in words:
-        for x in w:
-            _check_elements(m.order, x)
-            if x == m.identity_index:
-                return "the adjoined identity may not appear as a factor"
-    return None
-
-
 def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
     """Return None if the witness is valid for g, else the first failed clause.
 
@@ -72,29 +63,31 @@ def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
 
 
 def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
-    """Return None if the witness is valid for the ordered pair (u, v), else a reason."""
+    """Return None if the witness is valid for the ordered pair (u, v), else a reason.
+
+    Raises ValueError, before any reason, when u, v or a letter of the four
+    words is outside S¹; ``eval_word`` is the one check of each letter.
+    """
     _check_elements(m.order, u, v)
-    left_len = len(w.a) + len(w.b)
-    right_len = len(w.c) + len(w.d)
-    if left_len == 0 and right_len == 0:
+    a, b, c, d = (eval_word(m, word) for word in w)
+    left, right = w.a + w.b, w.c + w.d
+    if not left and not right:
         return "at least one factor is required"
-    if left_len != right_len:
+    if len(left) != len(right):
         return (
-            f"unbalanced lengths: the left side has {left_len} factors "
-            f"but the right side has {right_len}"
+            f"unbalanced lengths: the left side has {len(left)} factors "
+            f"but the right side has {len(right)}"
         )
-    problem = _factor_problem(m, w.a, w.b, w.c, w.d)
-    if problem:
-        return problem
-    if sorted(w.a + w.b) != sorted(w.c + w.d):
+    if m.identity_index in left + right:
+        return "the adjoined identity may not appear as a factor"
+    if sorted(left) != sorted(right):
         return "factor multisets differ between the two sides"
     t = m.table
-    left = t[t[eval_word(m, w.a)][u]][eval_word(m, w.b)]
-    right = t[t[eval_word(m, w.c)][v]][eval_word(m, w.d)]
-    if left != right:
+    lhs, rhs = t[t[a][u]][b], t[t[c][v]][d]
+    if lhs != rhs:
         return (
-            f"substitution fails: the left side evaluates to {m.names[left]} "
-            f"but the right side evaluates to {m.names[right]}"
+            f"substitution fails: the left side evaluates to {m.names[lhs]} "
+            f"but the right side evaluates to {m.names[rhs]}"
         )
     return None
 

@@ -6,7 +6,7 @@ from collections import deque
 from functools import lru_cache
 from operator import getitem, itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
 from .core import (
     CACHE_SIZE,
@@ -71,15 +71,13 @@ def commutator(g: GroupStructure, x: int, y: int) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def derived_subgroup_tree(
-    g: GroupStructure,
-) -> Mapping[int, Optional[tuple[int, tuple[int, int]]]]:
-    """Breadth-first tree of [G, G] from the identity; each node maps to its parent step.
+def derived_subgroup_tree(g: GroupStructure) -> Mapping[int, tuple[tuple[int, int], ...]]:
+    """Breadth-first tree of [G, G] from the identity; each node maps to its path's labels.
 
     Edges multiply on the right by one commutator value, tried in ascending
     value order; each value is labelled with its first (x, y) preimage in
-    lexicographic index order. A node maps to (parent, (x, y)) and the
-    identity to None. The commutator set is closed under inversion, so the
+    lexicographic index order. A node maps to the (x, y) labels on its path,
+    the identity to (). The commutator set is closed under inversion, so the
     nodes reached are exactly the subgroup the commutators generate. The
     cached mapping is shared by every caller, so it is read-only.
     """
@@ -96,16 +94,16 @@ def derived_subgroup_tree(
         for c in first.keys() - preimage.keys():
             preimage[c] = (x, first[c])
     edges = sorted(preimage.items())
-    parent: dict[int, Optional[tuple[int, tuple[int, int]]]] = {g.identity: None}
+    path: dict[int, tuple[tuple[int, int], ...]] = {g.identity: ()}
     queue = deque([g.identity])
     while queue:
         h = queue.popleft()
         for c, pair in edges:
             nxt = t[h][c]
-            if nxt not in parent:
-                parent[nxt] = (h, pair)
+            if nxt not in path:
+                path[nxt] = path[h] + (pair,)
                 queue.append(nxt)
-    return MappingProxyType(parent)
+    return MappingProxyType(path)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -50,36 +50,22 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class NotInDerivedSubgroupError(SemigroupError):
-    """The element is outside the commutator subgroup, so it has no decomposition."""
-
-
 class WitnessConstructionError(SemigroupError):
     """A constructed witness failed its independent validation."""
 
 
-def commutator_decomposition(group: GroupStructure, g: int) -> tuple[tuple[int, int], ...]:
-    """Shortest commutator decomposition of g, read off the derived-subgroup tree.
+def commutator_decomposition(
+    group: GroupStructure, g: int
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """Shortest commutator decomposition of g, or None when g lies outside [G, G].
 
     The pairs (x_i, y_i) multiply left to right, as commutators
-    x_i y_i x_i^-1 y_i^-1, to g. The path from the identity to g in
-    ``derived_subgroup_tree`` is a breadth-first shortest path with
+    x_i y_i x_i^-1 y_i^-1, to g. They label the path from the identity to g
+    in ``derived_subgroup_tree``, a breadth-first shortest path with
     reproducible edge choices; the identity gets no pairs.
     """
     _check_elements(group.order, g)
-    tree = derived_subgroup_tree(group)
-    if g not in tree:
-        raise NotInDerivedSubgroupError(
-            f"element {group.base.names[g]!r} is not in the commutator subgroup"
-        )
-    pairs = []
-    step = tree[g]
-    while step is not None:
-        back, pair = step
-        pairs.append(pair)
-        step = tree[back]
-    pairs.reverse()
-    return tuple(pairs)
+    return derived_subgroup_tree(group).get(g)
 
 
 def build_orientable_witness(group: GroupStructure, g: int) -> Optional[OneVarWitness]:
@@ -110,10 +96,12 @@ def build_orientable_witness(group: GroupStructure, g: int) -> Optional[OneVarWi
     eps, kernel = _abelian_keys(group.base)
     if kernel.class_of[g] != kernel.class_of[eps]:
         return None
-    try:
-        pairs = commutator_decomposition(group, g)
-    except NotInDerivedSubgroupError as err:
-        raise WitnessConstructionError(f"{err}, yet it lies in the class of ε") from None
+    pairs = commutator_decomposition(group, g)
+    if pairs is None:
+        raise WitnessConstructionError(
+            f"element {group.base.names[g]!r} is not in the commutator subgroup,"
+            " yet it lies in the class of ε"
+        )
     t, inv = group.base.table, group.inverse
     a: tuple[int, ...] = ()
     c: tuple[int, ...] = ()

@@ -25,7 +25,7 @@ from semorient.catalog import make_family
 from semorient.search import sigma_report
 
 from conftest import FIXTURES
-from oracles import witness_problem
+from oracles import width_two_group, witness_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -440,6 +440,27 @@ def test_printed_witnesses_check_out_in_the_raw_table(spec, mode):
     printed = _printed_witnesses(spec, *mode)
     assert {w["kind"] for w in printed} == {"one-var", "two-var"}
     for w in printed:
+        assert w["valid"] is True
+        assert witness_problem(s.names, s.table, w) is None, w
+
+
+def test_two_step_exact_witnesses_check_out_in_the_raw_table(tmp_path):
+    # the width-two group's 3 elements with k = 2 are the only witnesses built from
+    # two conjugated commutator steps: 32 orientable witnesses and 96 * 32 pair witnesses
+    s = width_two_group()
+    path = tmp_path / "width-two.tbl"
+    path.write_text(serialize_table(s), encoding="utf-8")
+
+    def printed(verb):
+        code, out, err = invoke(verb, "--exact", "--table", str(path), "--format", "json")
+        assert (code, err) == (0, ""), verb
+        return json.loads(out)
+
+    found = [e["witness"] for e in printed("orientable")["elements"] if e["witness"]]
+    found += printed("sigma")["pairs"]
+    assert len(found) == 3104
+    assert sum(w["kind"] == "one-var" and len(w["a"]) == 4 for w in found) == 3
+    for w in found:
         assert w["valid"] is True
         assert witness_problem(s.names, s.table, w) is None, w
 

@@ -149,6 +149,19 @@ def test_one_var_out_of_range_raises():
         validate_one_var(m, 0, OneVarWitness((9,), (0,), ()))
 
 
+@pytest.mark.parametrize("earlier", ["adjoined identity", "unbalanced lengths"])
+def test_two_var_letter_outside_s1_raises_before_any_reason(earlier):
+    # each witness also fails the clause it is named for, but 9 is no element of S¹:
+    # an error in the input, not a reason
+    m = monoid("cyclic:3")
+    witness = {
+        "adjoined identity": TwoVarWitness((m.identity_index,), (), (9,), ()),
+        "unbalanced lengths": TwoVarWitness((9,), (), (), ()),
+    }[earlier]
+    with pytest.raises(ValueError, match="^word entry 9 out of range$"):
+        validate_two_var(m, 0, 0, witness)
+
+
 def test_two_var_reflexivity_padding(catalog_family):
     spec, s = catalog_family
     m = adjoin_identity(s)

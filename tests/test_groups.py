@@ -229,22 +229,22 @@ def test_group_structure_matches_the_per_element_loops():
 
 
 def _derived_tree_by_loops(g):
-    """The BFS tree with each commutator value labelled by a double loop over (x, y)."""
+    """The BFS paths with each commutator value labelled by a double loop over (x, y)."""
     preimage = {}
     for x in range(g.order):
         for y in range(g.order):
             preimage.setdefault(commutator(g, x, y), (x, y))
     edges = sorted(preimage.items())
-    parent = {g.identity: None}
+    path = {g.identity: ()}
     queue = deque([g.identity])
     while queue:
         h = queue.popleft()
         for c, pair in edges:
             nxt = g.base.table[h][c]
-            if nxt not in parent:
-                parent[nxt] = (h, pair)
+            if nxt not in path:
+                path[nxt] = path[h] + (pair,)
                 queue.append(nxt)
-    return parent
+    return path
 
 
 @pytest.mark.parametrize(

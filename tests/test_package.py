@@ -54,9 +54,9 @@ EXPORTS = {
         "commutator_subgroup", "coset_congruence", "group_structure",
     ),
     "theorems": (
-        "CheckResult", "NotInDerivedSubgroupError", "VerificationReport",
-        "WitnessConstructionError", "build_orientable_witness", "build_two_var_witness",
-        "commutator_decomposition", "exact_sigma_report",
+        "CheckResult", "VerificationReport", "WitnessConstructionError",
+        "build_orientable_witness", "build_two_var_witness", "commutator_decomposition",
+        "exact_sigma_report",
         "verify_orientable_is_commutator_subgroup", "verify_semigroup_properties",
         "verify_sigma_is_abelianization",
     ),

@@ -35,12 +35,12 @@ from semorient.groups import (
     abelianization,
     commutator_subgroup,
     coset_congruence,
+    derived_subgroup_tree,
     group_structure,
 )
 from semorient.search import _keys  # private: the key the entry points compare
 from semorient.search import unfiltered_one_var_search, unfiltered_two_var_search
 from semorient.theorems import (
-    NotInDerivedSubgroupError,
     WitnessConstructionError,
     build_orientable_witness,
     build_two_var_witness,
@@ -80,16 +80,24 @@ def test_s3_three_cycle_single_commutator(s3):
     assert commutator_product(s3.table, g.identity, g.inverse, pairs) == s3.index_of("120")
 
 
-def test_outside_subgroup_raises(z4):
+def test_outside_subgroup_has_no_decomposition(z4):
     g = group_structure(z4)
-    with pytest.raises(NotInDerivedSubgroupError):
-        commutator_decomposition(g, 1)
+    assert commutator_decomposition(g, 1) is None
 
 
 def test_decomposition_out_of_range(z4):
     g = group_structure(z4)
     with pytest.raises(ValueError):
         commutator_decomposition(g, 17)
+
+
+@pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
+def test_decomposition_is_the_tree_entry(spec):
+    # a decomposition is read off the tree, not rebuilt: None outside [G, G]
+    g = group_structure(make_family(spec))
+    tree = derived_subgroup_tree(g)
+    for x in range(g.order):
+        assert commutator_decomposition(g, x) is tree.get(x)
 
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
@@ -176,11 +184,8 @@ def test_tree_matches_per_call_bfs(spec):
     lengths = []
     for x in range(s.order):
         expected = bfs_commutator_decomposition(g, x)
-        if expected is None:
-            with pytest.raises(NotInDerivedSubgroupError):
-                commutator_decomposition(g, x)
-        else:
-            assert commutator_decomposition(g, x) == expected
+        assert commutator_decomposition(g, x) == expected
+        if expected is not None:
             lengths.append(len(expected))
     if spec == WIDTH_TWO:
         # the identity, 28 other commutators, and 3 products of two commutators
