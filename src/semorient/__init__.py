@@ -46,7 +46,6 @@ _HOMES = {
     ),
     "equations": (
         "OneVarWitness",
-        "SigmaReport",
         "TwoVarWitness",
         "one_var_to_json",
         "one_var_to_text",
@@ -68,8 +67,6 @@ _HOMES = {
         "search_one_var",
         "search_two_var",
         "sigma_report",
-        "unfiltered_one_var_search",
-        "unfiltered_two_var_search",
     ),
     "theorems": (
         "WitnessConstructionError",

@@ -412,7 +412,6 @@ class Monoid1(NamedTuple):
     """
 
     base: Semigroup
-    names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     identity_index: int
 
@@ -423,14 +422,10 @@ class Monoid1(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def adjoin_identity(s: Semigroup) -> Monoid1:
-    """Adjoin a fresh two-sided identity, displayed as "1" (primed until unused)."""
+    """Adjoin a fresh two-sided identity as index ``s.order``."""
     n = s.order
-    marker = "1"
-    while marker in s.names:
-        marker += "'"
-    names = s.names + (marker,)
     table = tuple(s.table[i] + (i,) for i in range(n)) + (tuple(range(n + 1)),)
-    return Monoid1(s, names, table, n)
+    return Monoid1(s, table, n)
 
 
 def eval_word(m: Monoid1, word: Iterable[int]) -> int:

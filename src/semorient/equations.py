@@ -14,7 +14,7 @@ from importlib import import_module
 from typing import NamedTuple, Optional, Sequence
 
 from . import _HOMES
-from .core import Congruence, Monoid1, Word, _check_elements, eval_word
+from .core import Monoid1, Word, _check_elements, eval_word
 
 
 # the names of ``search`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -67,6 +67,9 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
 
     Raises ValueError, before any reason, when u, v or a letter of the four
     words is outside S¹; ``eval_word`` is the one check of each letter.
+    Past the balance clauses each side holds at least one base letter, and a
+    base element times anything in S¹ is a base element, so both sides of a
+    failed substitution are named from the base.
     """
     _check_elements(m.order, u, v)
     a, b, c, d = (eval_word(m, word) for word in w)
@@ -86,26 +89,10 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
     lhs, rhs = t[t[a][u]][b], t[t[c][v]][d]
     if lhs != rhs:
         return (
-            f"substitution fails: the left side evaluates to {m.names[lhs]} "
-            f"but the right side evaluates to {m.names[rhs]}"
+            f"substitution fails: the left side evaluates to {m.base.names[lhs]} "
+            f"but the right side evaluates to {m.base.names[rhs]}"
         )
     return None
-
-
-class SigmaReport(NamedTuple):
-    """Result of relating element pairs through two-variable equations.
-
-    ``pairs`` are the pairs witnessed at ``bound``; exactness "lower-bound"
-    means more pairs may have larger witnesses. ``congruence`` is σ_orient =
-    ker φ (``core._abelian_keys``) at every bound. Exactness "exact-group" is
-    the group path: the classes are the cosets of [G, G], every same-coset
-    pair carries a constructed witness, and bound is None.
-    """
-
-    bound: Optional[int]
-    pairs: dict[tuple[int, int], TwoVarWitness]
-    congruence: Congruence
-    exactness: str
 
 
 def word_to_text(names: Sequence[str], word: Word) -> str:
@@ -126,22 +113,20 @@ def two_var_to_text(names: Sequence[str], w: TwoVarWitness) -> str:
     )
 
 
-def one_var_to_json(
-    names: Sequence[str], w: OneVarWitness, element: int, valid: bool
-) -> dict:
+# "valid" is always true: the search returns only witnesses whose products it
+# compared, and the exact builders validate theirs and raise on a failure
+def one_var_to_json(names: Sequence[str], w: OneVarWitness, element: int) -> dict:
     return {
         "kind": "one-var",
         "a": [names[x] for x in w.a],
         "b": [names[x] for x in w.b],
         "c": [names[x] for x in w.c],
         "element": names[element],
-        "valid": valid,
+        "valid": True,
     }
 
 
-def two_var_to_json(
-    names: Sequence[str], w: TwoVarWitness, pair: tuple[int, int], valid: bool
-) -> dict:
+def two_var_to_json(names: Sequence[str], w: TwoVarWitness, pair: tuple[int, int]) -> dict:
     return {
         "kind": "two-var",
         "a": [names[x] for x in w.a],
@@ -149,6 +134,6 @@ def two_var_to_json(
         "c": [names[x] for x in w.c],
         "d": [names[x] for x in w.d],
         "pair": [names[pair[0]], names[pair[1]]],
-        "valid": valid,
+        "valid": True,
     }
 

@@ -121,7 +121,7 @@ def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
 def coset_congruence(g: GroupStructure) -> Congruence:
     """Partition into cosets of the commutator subgroup: u ~ v iff u * v^-1 is in it.
 
-    It equals ker φ of ``core._abelian_keys``, which the quotients and σ reports
+    It equals ker φ of ``core._abelian_keys``, which the quotients and σ functions
     read. Its one reader is the ``verify`` σ suite: it compares this partition,
     built from [G, G], with ker φ and with κ, which are made without [G, G].
     """

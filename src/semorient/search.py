@@ -7,13 +7,15 @@ element g is searched as the pair (1, g). The public entry points test one
 key first, ker φ's class (``core._abelian_keys``, read by ``_keys``): they
 search an element only when it is keyed like 1 and a pair only when both
 are keyed alike. The others have no witness at any bound and get None
-without a search. The exact group path never loads this module.
+without a search. The ``verify`` suites call the private searches
+``_one_var_search`` and ``_pair_search`` unfiltered, so their checks can
+fail. The exact group path never loads this module.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     ONE_VAR_DEFAULT_BOUND,
@@ -23,7 +25,7 @@ from .core import (
     _abelian_keys,
     _check_elements,
 )
-from .equations import OneVarWitness, SigmaReport, TwoVarWitness
+from .equations import OneVarWitness, TwoVarWitness
 
 
 def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
@@ -90,7 +92,7 @@ def _pair_search(
     """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
 
     No index is checked: the entry points check each index a caller passes
-    once, and build the others in range. For each multiset
+    once, and they and ``verify`` build the others in range. For each multiset
     each element x gives each split (b, c) the value b*x*c. A left element u
     maps each value to the position of the smallest split reaching it; a
     right element v needs only the set of its values. The shared value of
@@ -134,16 +136,8 @@ def _pair_search(
     return found
 
 
-def unfiltered_two_var_search(
-    m: Monoid1, pairs: Sequence[tuple[int, int]], bound: int
-) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
-    """Unfiltered ``_pair_search`` on every pair given, so checks built on it can fail."""
-    _check_elements(m.order, *chain.from_iterable(pairs))
-    return _pair_search(m, pairs, bound)
-
-
 def _one_var_search(
-    m: Monoid1, elements: Sequence[int], bound: int
+    m: Monoid1, elements: Iterable[int], bound: int
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical minimal witness (or None) for each element: the pair search on (1, g).
 
@@ -156,14 +150,6 @@ def _one_var_search(
     e = m.identity_index
     found = _pair_search(m, [(e, g) for g in elements], bound)
     return {g: None if w is None else OneVarWitness(*w[1:]) for (_, g), w in found.items()}
-
-
-def unfiltered_one_var_search(
-    m: Monoid1, elements: Sequence[int], bound: int
-) -> dict[int, Optional[OneVarWitness]]:
-    """Unfiltered ``_one_var_search`` on every element given, so checks built on it can fail."""
-    _check_elements(m.order, *elements)
-    return _one_var_search(m, elements, bound)
 
 
 def _keys(m: Monoid1) -> tuple[int, ...]:
@@ -213,11 +199,14 @@ def search_two_var(
     return _pair_search(m, [(u, v)] if key[u] == key[v] else [], bound).get((u, v))
 
 
-def sigma_report(m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND) -> SigmaReport:
-    """ker φ and the pairs in its classes (``Congruence.pairs``) with a witness of size <= bound."""
-    kernel = _abelian_keys(m.base)[1]
-    found = _pair_search(m, kernel.pairs(), bound)
-    pairs = {pair: w for pair, w in found.items() if w is not None}
-    return SigmaReport(bound, pairs, kernel, "lower-bound")
+def sigma_report(
+    m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND
+) -> dict[tuple[int, int], TwoVarWitness]:
+    """Each pair inside ker φ's classes with a witness of size <= bound, mapped to that witness.
+
+    The pairs come in ``Congruence.pairs`` order. More may have larger witnesses.
+    """
+    found = _pair_search(m, _abelian_keys(m.base)[1].pairs(), bound)
+    return {pair: w for pair, w in found.items() if w is not None}
 
 

@@ -33,13 +33,7 @@ from .core import (
     _check_elements,
     adjoin_identity,
 )
-from .equations import (
-    OneVarWitness,
-    SigmaReport,
-    TwoVarWitness,
-    validate_one_var,
-    validate_two_var,
-)
+from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
 from .groups import GroupStructure, derived_subgroup_tree
 
 
@@ -153,21 +147,20 @@ def _two_var_witness(
     return witness
 
 
-def exact_sigma_report(group: GroupStructure) -> SigmaReport:
-    """Relate all ordered pairs exactly: the classes are the commutator-subgroup cosets.
+def exact_sigma_report(group: GroupStructure) -> dict[tuple[int, int], TwoVarWitness]:
+    """Every ordered pair inside one coset of [G, G], mapped to its validated witness.
 
-    They are read as ker φ (``core._abelian_keys``) and walked by ``Congruence.pairs``.
-    Each pair (u, v) carries the witness ``build_two_var_witness(group, u, v)``
-    gives, from the one-variable witness of v * u^-1 in ``_orientable_witnesses``,
-    and every one is validated. That map is keyed by the same ker φ, and u ~ v
-    in a congruence puts v * u^-1 in ε's class, so every lookup finds a witness.
-    The classes are complete rather than bounded, so the report's ``bound`` is None.
+    The cosets are read as ker φ (``core._abelian_keys``) and walked by
+    ``Congruence.pairs``. Each pair (u, v) carries the witness
+    ``build_two_var_witness(group, u, v)`` gives, from the one-variable witness
+    of v * u^-1 in ``_orientable_witnesses``. That map is keyed by the same
+    ker φ, and u ~ v in a congruence puts v * u^-1 in ε's class, so every
+    lookup finds a witness.
     """
-    kernel = _abelian_keys(group.base)[1]
     ones = _orientable_witnesses(group)
     m = adjoin_identity(group.base)
     t, inv = group.base.table, group.inverse
-    pairs = {
-        (u, v): _two_var_witness(m, inv, ones[t[v][inv[u]]], u, v) for u, v in kernel.pairs()
+    return {
+        (u, v): _two_var_witness(m, inv, ones[t[v][inv[u]]], u, v)
+        for u, v in _abelian_keys(group.base)[1].pairs()
     }
-    return SigmaReport(None, pairs, kernel, "exact-group")

@@ -32,7 +32,7 @@ def run(args) -> Result:
                 {
                     "element": s.names[g],
                     "orientable": w is not None,
-                    "witness": None if w is None else one_var_to_json(s.names, w, g, True),
+                    "witness": None if w is None else one_var_to_json(s.names, w, g),
                 }
                 for g, w in found.items()
             ],

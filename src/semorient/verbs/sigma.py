@@ -1,7 +1,11 @@
-"""``sigma``: the class partition from pair-relating equations."""
+"""``sigma``: the class partition from pair-relating equations.
+
+The classes are ker φ (``core._abelian_keys``) in both modes, as in
+``quotient``; the search or the exact construction gives the pairs.
+"""
 
 from . import EXIT_OK, Result, _bounds, _load
-from ..core import adjoin_identity
+from ..core import _abelian_keys, adjoin_identity
 
 
 def run(args) -> Result:
@@ -13,34 +17,33 @@ def run(args) -> Result:
         from ..groups import group_structure
         from ..theorems import exact_sigma_report
 
-        rep = exact_sigma_report(group_structure(s))
+        pairs = exact_sigma_report(group_structure(s))
+        bound, exactness = None, "exact-group"
     else:
         from ..search import sigma_report
 
-        rep = sigma_report(adjoin_identity(s), two_var_bound)
-    classes = [[s.names[x] for x in members] for members in rep.congruence.classes()]
+        pairs = sigma_report(adjoin_identity(s), two_var_bound)
+        bound, exactness = two_var_bound, "lower-bound"
+    kernel = _abelian_keys(s)[1]
+    classes = [[s.names[x] for x in members] for members in kernel.classes()]
 
     def to_json() -> dict:
         return {
             "subject": subject,
-            "exactness": rep.exactness,
-            "bound": rep.bound,
-            "num_classes": rep.congruence.num_classes,
+            "exactness": exactness,
+            "bound": bound,
+            "num_classes": kernel.num_classes,
             "classes": classes,
-            "pairs": [
-                two_var_to_json(s.names, w, pair, True)
-                for pair, w in sorted(rep.pairs.items())
-            ],
+            "pairs": [two_var_to_json(s.names, w, pair) for pair, w in sorted(pairs.items())],
         }
 
     def to_text() -> str:
         lines = [f"subject: {subject}"]
-        bound = "" if rep.bound is None else f" (bound {rep.bound})"
-        lines.append(f"exactness: {rep.exactness}{bound}")
-        lines.append(f"classes: {rep.congruence.num_classes}")
+        lines.append(f"exactness: {exactness}" + ("" if bound is None else f" (bound {bound})"))
+        lines.append(f"classes: {kernel.num_classes}")
         for i, members in enumerate(classes):
             lines.append(f"  class {i}: " + " ".join(members))
-        lines.append(f"related pairs with witnesses: {len(rep.pairs)}")
+        lines.append(f"related pairs with witnesses: {len(pairs)}")
         return "\n".join(lines) + "\n"
 
     return EXIT_OK, to_json, to_text

@@ -2,13 +2,15 @@
 
 Each suite returns a ``VerificationReport`` of named checks. Hard checks
 fail the report; soft reports record what a bounded search cannot refute.
-The bounded searches are called unfiltered, so a soundness check tests the
-search itself rather than the commutative-image filter in front of it. The
-σ suite checks the cosets of [G, G] against ker φ, which the exact σ report
-reads, and κ, built from the pairs (xy, yx). No suite searches past its
-bound: a construction that fits it is a witness, so the search, least by
-size first, finds one no larger. The suites share one unfiltered one-variable
-search per table and bound, so a ``verify`` call searches each bound once.
+The private searches ``search._one_var_search`` and ``search._pair_search``
+are called unfiltered, on indices built in range, so a soundness check tests
+the search itself rather than the commutative-image filter in front of it.
+The σ suite checks the cosets of [G, G] against ker φ, which the exact pairs
+and the quotient read, and κ, built from the pairs (xy, yx). No suite
+searches past its bound: a construction that fits it is a witness, so the
+search, least by size first, finds one no larger. The suites share one
+unfiltered one-variable search per table and bound, so a ``verify`` call
+searches each bound once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
     Semigroup,
+    _abelian_keys,
     adjoin_identity,
     commutative_congruence,
     idempotents,
@@ -30,7 +33,7 @@ from .core import (
 )
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
 from .groups import GroupStructure, commutator_subgroup, coset_congruence
-from .search import sigma_report, unfiltered_one_var_search, unfiltered_two_var_search
+from .search import _one_var_search, _pair_search, sigma_report
 from .theorems import _orientable_witnesses, commutator_decomposition, exact_sigma_report
 
 
@@ -108,7 +111,7 @@ def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVar
     The suites share it, so a ``verify`` call searches each bound once. The
     cached mapping is shared by every caller, so it is read-only.
     """
-    found = unfiltered_one_var_search(adjoin_identity(s), range(s.order), bound)
+    found = _one_var_search(adjoin_identity(s), range(s.order), bound)
     return MappingProxyType(found)
 
 
@@ -215,10 +218,10 @@ def verify_sigma_is_abelianization(
     ``exact_sigma_report`` has validated, are exactly the same-coset pairs,
     and the search finds every pair whose construction fits ``bound``, with
     a witness no larger; (ii) every pair found by bounded search lives in
-    one coset; (iii) the κ-classes are the cosets; (iv) the quotient by the
-    exact classes, which is the abelianization, is commutative. The search
-    runs once, at ``bound``, and (i) and (ii) read it. The exact report reads
-    ker φ and κ is built from the pairs (xy, yx), so (i) and (iii) test
+    one coset; (iii) the κ-classes are the cosets; (iv) the quotient by
+    ker φ, which is the abelianization, is commutative. The search runs
+    once, at ``bound``, and (i) and (ii) read it. The exact pairs are read
+    from ker φ and κ is built from the pairs (xy, yx), so (i) and (iii) test
     ``coset_congruence``, the partition built from [G, G], against two made
     without it. The quotient of a group is a group, so only commutativity is
     left to check in (iv).
@@ -234,23 +237,23 @@ def verify_sigma_is_abelianization(
     same_coset = set(cosets.pairs())
     # unfiltered, as in bounded-search-sound
     everything = [(u, v) for u in range(s.order) for v in range(s.order)]
-    searched = unfiltered_two_var_search(m, everything, bound)
+    searched = _pair_search(m, everything, bound)
 
     # exact_sigma_report validated every pair's witness, and raises on a failure
     failures = [
         f"({names[u]}, {names[v]}): "
         + ("no witness built in one coset" if (u, v) in same_coset
            else "witness built across cosets")
-        for u, v in sorted(same_coset ^ exact.pairs.keys())
+        for u, v in sorted(same_coset ^ exact.keys())
     ]
     failures += [
         f"({names[u]}, {names[v]}): {why}"
-        for (u, v), w in exact.pairs.items()
+        for (u, v), w in exact.items()
         if (why := _missed(w, searched[(u, v)], bound))
     ]
     report._add(
         "constructed-pair-witnesses",
-        f"built witnesses for all {len(exact.pairs)} same-coset ordered pairs",
+        f"built witnesses for all {len(exact)} same-coset ordered pairs",
         failures,
     )
 
@@ -270,10 +273,11 @@ def verify_sigma_is_abelianization(
         failures,
     )
 
+    kernel = _abelian_keys(s)[1]
     same_kappa = set(commutative_congruence(s).pairs())
     report._add(
         "sigma-classes-equal-cosets",
-        f"{exact.congruence.num_classes} exact classes, all attached witnesses validate",
+        f"{kernel.num_classes} exact classes, all attached witnesses validate",
         [
             f"({names[u]}, {names[v]}): "
             + ("one kappa-class, two cosets" if (u, v) in same_kappa
@@ -282,7 +286,7 @@ def verify_sigma_is_abelianization(
         ],
     )
 
-    q_sigma = quotient(s, exact.congruence)
+    q_sigma = quotient(s, kernel)
     report._add(
         "sigma-quotient-is-abelianization",
         f"quotient of order {q_sigma.order} matches the abelianization",
@@ -355,7 +359,7 @@ def verify_semigroup_properties(
     at_bound = _one_var_witnesses(s, one_var_bound)
     found = [g for g, w in at_bound.items() if w is not None]
     # only elements found at the bound: the others would need the whole next size
-    at_next = unfiltered_one_var_search(m, found, one_var_bound + 1)
+    at_next = _one_var_search(m, found, one_var_bound + 1)
     for g in found:
         w1, w2 = at_bound[g], at_next[g]
         if w2 is None:
@@ -368,8 +372,7 @@ def verify_semigroup_properties(
         failures,
     )
 
-    bounded = sigma_report(m, two_var_bound)
-    relation = set(bounded.pairs)
+    relation = set(sigma_report(m, two_var_bound))
 
     observations = [
         f"{names[u]}*{names[v]} has no witness at bound {one_var_bound}"

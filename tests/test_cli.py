@@ -258,7 +258,7 @@ def test_bound_cap_rejects_before_any_search(monkeypatch, verb, flag):
 
     searches = (
         "orientable_set", "search_one_var", "search_two_var", "sigma_report",
-        "unfiltered_one_var_search", "unfiltered_two_var_search",
+        "_one_var_search", "_pair_search",
     )
     for name in (*searches, "_levels"):
         monkeypatch.setattr(search, name, _refuse)
@@ -429,6 +429,8 @@ _PRINTING = [
     ("fulltransformation:2", ("--bound", "2")),
     ("symmetric:3", ("--exact",)),
     ("quaternion8", ("--exact",)),
+    ("directproduct:cyclic:2,fulltransformation:2", ("--bound", "3")),
+    ("rightzero:3", ()),
 ]
 
 
@@ -525,7 +527,7 @@ def test_bounded_quotient_is_the_quotient_by_the_witnessed_pairs(catalog_family)
     # the verb reads ker φ with no search; the pairs a search witnesses generate the same classes
     spec, s = catalog_family
     for bound in (1, 3):
-        pairs = sigma_report(adjoin_identity(s), bound).pairs
+        pairs = sigma_report(adjoin_identity(s), bound)
         table = serialize_table(quotient(s, generated_congruence(s, pairs)))
         got = invoke("quotient", "--family", spec, "--bound", str(bound))
         assert got == (0, f"# sigma-quotient of {spec} (lower-bound)\n" + table, ""), bound

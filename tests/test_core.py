@@ -338,15 +338,6 @@ def test_eval_word_is_concatenation_homomorphism(data):
     assert eval_word(m, w1 + w2) == m.table[eval_word(m, w1)][eval_word(m, w2)]
 
 
-def test_adjoin_identity_marker_freshness():
-    z2 = make_family("cyclic:2")  # already has an element named "1"
-    m = adjoin_identity(z2)
-    assert m.order == 3
-    assert m.names == ("0", "1", "1'")
-    lz = make_family("leftzero:2")
-    assert adjoin_identity(lz).names[-1] == "1"
-
-
 def test_adjoin_identity_preserves_base_products():
     lz = make_family("leftzero:2")
     m = adjoin_identity(lz)

@@ -29,16 +29,10 @@ from semorient.equations import (
     validate_two_var,
 )
 from semorient.groups import NotAGroupError, commutator_subgroup, group_structure
-from semorient.search import (
-    orientable_set,
-    search_one_var,
-    search_two_var,
-    sigma_report,
-    unfiltered_one_var_search,
-    unfiltered_two_var_search,
-)
-# private: the search data and the key the entry points compare are checked directly
-from semorient.search import _keys, _levels
+from semorient.search import orientable_set, search_one_var, search_two_var, sigma_report
+# private: the search data, the unfiltered searches and the key the entry points
+# compare are checked directly
+from semorient.search import _keys, _levels, _one_var_search, _pair_search
 from semorient.theorems import exact_sigma_report
 
 from oracles import (
@@ -207,6 +201,18 @@ def test_two_var_structural_reasons():
     assert TwoVarWitness((1,), (0, 1), (), (1, 0, 1)).size == 3
 
 
+def test_substitution_reason_names_base_elements_at_the_adjoined_identity(s3):
+    # u = v = 1 of S¹: each side still holds a base letter, so its value is a base element
+    m = adjoin_identity(s3)
+    e, t = m.identity_index, s3.table
+    x, y = next((x, y) for x in range(s3.order) for y in range(s3.order) if t[x][y] != t[y][x])
+    reason = validate_two_var(m, e, e, TwoVarWitness((x, y), (), (y, x), ()))
+    assert reason == (
+        f"substitution fails: the left side evaluates to {s3.names[t[x][y]]}"
+        f" but the right side evaluates to {s3.names[t[y][x]]}"
+    )
+
+
 # ------------------------------------------------------------------ searches
 
 
@@ -334,7 +340,7 @@ def test_rees_matrix_semigroup_needs_witnesses_of_size_3():
         else:
             # the naive search takes seconds per element at size 3
             assert small is None and w == fixed_size_search_one_var(m, g, 3)
-    pairs = sigma_report(m, 2).pairs
+    pairs = sigma_report(m, 2)
     sample = [(0, 3), (0, 8), (2, 9), (3, 8), (5, 10), (11, 4)]
     assert {pair in pairs for pair in sample} == {True, False}
     for u, v in sample:
@@ -348,7 +354,7 @@ def test_batched_searches_match_single_searches(catalog_family):
     assert list(found) == list(range(s.order))
     for g in range(s.order):
         assert found[g] == search_one_var(m, g, 3)
-    pairs = sigma_report(m, 2).pairs
+    pairs = sigma_report(m, 2)
     assert list(pairs) == sorted(pairs)
     for u in range(s.order):
         for v in range(s.order):
@@ -425,7 +431,7 @@ def _assert_filter_keeps_search_results(s):
     m = adjoin_identity(s)
     n, e = s.order, m.identity_index
     elements = range(n)
-    one = unfiltered_one_var_search(m, elements, 4)
+    one = _one_var_search(m, elements, 4)
     assert orientable_set(m, 4) == one
     for g in elements:
         assert search_one_var(m, g, 4) == one[g]
@@ -433,15 +439,15 @@ def _assert_filter_keeps_search_results(s):
     assert all(one[g] is None for g in elements if key[g] != key[e])
 
     pairs = [(u, v) for u in elements for v in elements]
-    two = unfiltered_two_var_search(m, pairs, 3)
-    assert sigma_report(m, 3).pairs == {pair: w for pair, w in two.items() if w is not None}
+    two = _pair_search(m, pairs, 3)
+    assert sigma_report(m, 3) == {pair: w for pair, w in two.items() if w is not None}
     for u, v in pairs:
         assert search_two_var(m, u, v, 3) == two[(u, v)]
     assert all(two[(u, v)] is None for u, v in pairs if key[u] != key[v])
 
     # the adjoined identity is searched as an element and in a pair
-    assert search_one_var(m, e, 2) == unfiltered_one_var_search(m, [e], 2)[e]
-    assert search_two_var(m, e, 0, 2) == unfiltered_two_var_search(m, [(e, 0)], 2)[(e, 0)]
+    assert search_one_var(m, e, 2) == _one_var_search(m, [e], 2)[e]
+    assert search_two_var(m, e, 0, 2) == _pair_search(m, [(e, 0)], 2)[(e, 0)]
 
 
 def test_filter_keeps_search_results_on_every_small_table():
@@ -497,7 +503,7 @@ def test_sigma_classes_are_the_kernel_of_the_abelian_image():
         for x in range(s.order):
             assert eps in {t[t[a][x]][b] for a in letters for b in letters}
         for bound in (1, 3) if s.order <= 27 else (1,):
-            pairs = sigma_report(m, bound).pairs
+            pairs = sigma_report(m, bound)
             assert generated_congruence(s, pairs) == kernel, (s.table, bound)
 
 
@@ -507,7 +513,7 @@ def test_sigma_report_searches_only_the_pairs_inside_kernel_classes():
     sigma_report(m, 1)  # warms the caches of ker φ
     tracemalloc.start()
     try:
-        pairs = sigma_report(m, 1).pairs
+        pairs = sigma_report(m, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -559,15 +565,6 @@ def test_filtered_searches_still_reject_bad_input():
         search_two_var(m, -1, 3, 2)
 
 
-def test_unfiltered_searches_reject_bad_input():
-    m = monoid("cyclic:3")
-    for bad in (-1, 4):
-        with pytest.raises(ValueError):
-            unfiltered_one_var_search(m, [0, bad], 2)
-        with pytest.raises(ValueError):
-            unfiltered_two_var_search(m, [(0, 1), (3, bad)], 2)
-
-
 COMMUTATIVE_FAMILIES = [spec for spec in CATALOG_FAMILIES if is_commutative(make_family(spec))]
 
 
@@ -588,7 +585,7 @@ def test_bound_one_decides_on_commutative_tables(spec):
         found = {g for g, w in orientable_set(m, 1).items() if w is not None}
         assert found == {g for g in elements if key[g] == key[m.identity_index]}
         pairs = {(u, v) for u in elements for v in elements if key[u] == key[v]}
-        assert set(sigma_report(m, 1).pairs) == pairs
+        assert set(sigma_report(m, 1)) == pairs
 
 
 # -------------------------------------------------------------- sigma report
@@ -596,28 +593,29 @@ def test_bound_one_decides_on_commutative_tables(spec):
 
 def test_sigma_report_leftzero_total_at_one():
     m = monoid("leftzero:3")
-    rep = sigma_report(m, 1)
-    assert rep.exactness == "lower-bound"
-    assert rep.congruence.num_classes == 1
-    assert len(rep.pairs) == 9
-    for (u, v), w in rep.pairs.items():
+    pairs = sigma_report(m, 1)
+    assert _abelian_keys(m.base)[1].num_classes == 1
+    assert len(pairs) == 9
+    for (u, v), w in pairs.items():
         assert validate_two_var(m, u, v, w) is None
 
 
 def test_sigma_report_exact_cyclic5():
-    rep = exact_sigma_report(group_structure(make_family("cyclic:5")))
-    assert rep.exactness == "exact-group"
-    assert rep.congruence.num_classes == 5
-    assert set(rep.pairs) == {(u, u) for u in range(5)}
+    s = make_family("cyclic:5")
+    pairs = exact_sigma_report(group_structure(s))
+    assert _abelian_keys(s)[1].num_classes == 5
+    assert set(pairs) == {(u, u) for u in range(5)}
 
 
 def test_sigma_report_exact_s3(s3):
     m = adjoin_identity(s3)
-    rep = exact_sigma_report(group_structure(s3))
-    assert rep.congruence.num_classes == 2
-    sizes = sorted(len(c) for c in rep.congruence.classes())
+    pairs = exact_sigma_report(group_structure(s3))
+    kernel = _abelian_keys(s3)[1]
+    assert kernel.num_classes == 2
+    sizes = sorted(len(c) for c in kernel.classes())
     assert sizes == [3, 3]
-    for (u, v), w in rep.pairs.items():
+    assert set(pairs) == set(kernel.pairs())
+    for (u, v), w in pairs.items():
         assert validate_two_var(m, u, v, w) is None
 
 
@@ -629,9 +627,9 @@ def test_sigma_report_exact_requires_group():
 def test_sigma_pairs_within_congruence(catalog_family):
     spec, s = catalog_family
     m = adjoin_identity(s)
-    rep = sigma_report(m, 2)
-    for u, v in rep.pairs:
-        assert rep.congruence.class_of[u] == rep.congruence.class_of[v]
+    kernel = _abelian_keys(s)[1]
+    for u, v in sigma_report(m, 2):
+        assert kernel.class_of[u] == kernel.class_of[v]
 
 
 # ------------------------------------------------------------- serialization
@@ -652,13 +650,13 @@ def test_witness_json_round_trip(s3):
     m = adjoin_identity(s3)
     g, pair = s3.index_of("120"), (s3.index_of("120"), s3.index_of("201"))
     w = search_one_var(m, g, 3)
-    obj = one_var_to_json(s3.names, w, g, True)
+    obj = one_var_to_json(s3.names, w, g)
     assert (obj["kind"], obj["element"]) == ("one-var", "120")
     assert tuple(tuple(map(s3.index_of, obj[k])) for k in "abc") == w
     assert witness_problem(s3.names, s3.table, obj) is None
 
     w2 = search_two_var(m, *pair, 2)
-    obj2 = two_var_to_json(s3.names, w2, pair, True)
+    obj2 = two_var_to_json(s3.names, w2, pair)
     assert (obj2["kind"], obj2["pair"]) == ("two-var", ["120", "201"])
     assert tuple(tuple(map(s3.index_of, obj2[k])) for k in "abcd") == w2
     assert witness_problem(s3.names, s3.table, obj2) is None

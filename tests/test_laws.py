@@ -76,7 +76,7 @@ def kernel_classes(s):
 def witnesses(s):
     """The canonical witnesses at ``BOUND`` of each element and of each pair of ker φ."""
     m = adjoin_identity(s)
-    return orientable_set(m, BOUND), sigma_report(m, BOUND).pairs
+    return orientable_set(m, BOUND), sigma_report(m, BOUND)
 
 
 def sizes(one, two):
@@ -143,7 +143,7 @@ def test_the_opposite_keeps_the_kernel_and_the_sizes(corpus):
 def exact_witnesses(s):
     """The exact witness of each element and of each pair of ker φ of the group S."""
     g = group_structure(s)
-    return _orientable_witnesses(g), exact_sigma_report(g).pairs
+    return _orientable_witnesses(g), exact_sigma_report(g)
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", "width-two-96"])

@@ -19,9 +19,8 @@ from semorient.core import (
     Semigroup,
     adjoin_identity,
 )
-from semorient.equations import OneVarWitness, SigmaReport, TwoVarWitness
+from semorient.equations import OneVarWitness, TwoVarWitness
 from semorient.groups import group_structure
-from semorient.search import sigma_report
 from semorient.theorems import commutator_decomposition
 from semorient.verify import CheckResult, VerificationReport
 
@@ -44,10 +43,9 @@ EXPORTS = {
         "parse_table", "quotient", "serialize_table",
     ),
     "equations": (
-        "OneVarWitness", "SigmaReport", "TwoVarWitness", "one_var_to_json",
-        "one_var_to_text", "orientable_set", "search_one_var", "search_two_var",
-        "sigma_report", "two_var_to_json", "two_var_to_text", "unfiltered_one_var_search",
-        "unfiltered_two_var_search", "validate_one_var", "validate_two_var",
+        "OneVarWitness", "TwoVarWitness", "one_var_to_json", "one_var_to_text",
+        "orientable_set", "search_one_var", "search_two_var", "sigma_report",
+        "two_var_to_json", "two_var_to_text", "validate_one_var", "validate_two_var",
     ),
     "groups": (
         "GroupStructure", "NotAGroupError", "abelianization", "commutator",
@@ -302,7 +300,7 @@ def _two_of_each():
     return [
         (s1, s2),
         (Congruence((0, 1, 0), 2), Congruence((0, 1, 0), 2)),
-        (adjoin_identity(s1), Monoid1(s2, m2.names, m2.table, m2.identity_index)),
+        (adjoin_identity(s1), Monoid1(s2, m2.table, m2.identity_index)),
         (group_structure(s1), group_structure(s2)),
         (OneVarWitness((0, 1), (1,), (0,)), OneVarWitness((0, 1), (1,), (0,))),
         (TwoVarWitness((0,), (), (0,), ()), TwoVarWitness((0,), (), (0,), ())),
@@ -348,8 +346,6 @@ def test_records_keep_their_defaults():
     first, second = VerificationReport("x", {}), VerificationReport("y", {})
     first._add("check", "details", [])
     assert len(first.checks) == 1 and second.checks == []
-    rep = sigma_report(adjoin_identity(make_family("cyclic:2")), 1)
-    assert rep == SigmaReport(rep.bound, rep.pairs, rep.congruence, rep.exactness)
 
 
 def test_values_survive_pickle_and_copy():

@@ -17,6 +17,7 @@ from semorient.catalog import (
     make_family,
 )
 from semorient.cli import run
+from semorient.core import _abelian_keys  # private: ker φ, the σ classes
 from semorient.core import (
     Congruence,
     adjoin_identity,
@@ -38,8 +39,8 @@ from semorient.groups import (
     derived_subgroup_tree,
     group_structure,
 )
-from semorient.search import _keys  # private: the key the entry points compare
-from semorient.search import unfiltered_one_var_search, unfiltered_two_var_search
+# private: the key the entry points compare, and the unfiltered searches ``verify`` runs
+from semorient.search import _keys, _one_var_search, _pair_search
 from semorient.theorems import (
     WitnessConstructionError,
     build_orientable_witness,
@@ -255,9 +256,9 @@ def test_width_two_group_on_the_exact_path(tmp_path):
     for x, w in two_pairs.items():
         assert w.size == 4 and validate_one_var(m, x, w) is None
     # every same-coset ordered pair: 96 elements times |[G, G]| = 32
-    report = exact_sigma_report(g)
-    assert len(report.pairs) == 3072
-    assert all(validate_two_var(m, u, v, w) is None for (u, v), w in report.pairs.items())
+    pairs = exact_sigma_report(g)
+    assert len(pairs) == 3072
+    assert all(validate_two_var(m, u, v, w) is None for (u, v), w in pairs.items())
     # the CLI prints the same witnesses for the table file
     path = tmp_path / "width-two.tbl"
     path.write_text(serialize_table(s))
@@ -282,10 +283,9 @@ def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
         for v in range(s.order)
         if cosets[u] == cosets[v]
     ]
-    report = exact_sigma_report(g)
-    assert list(report.pairs.items()) == expected
+    assert list(exact_sigma_report(g).items()) == expected
     # read as ker φ, the classes are the cosets built from [G, G]
-    assert report.congruence == coset_congruence(g)
+    assert _abelian_keys(s)[1] == coset_congruence(g)
 
 
 def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, fresh_caches, s3):
@@ -317,10 +317,10 @@ def test_sigma_report_validates_each_witness_once(monkeypatch):
 
     monkeypatch.setattr(th, "validate_one_var", count_one)
     monkeypatch.setattr(th, "validate_two_var", count_two)
-    report = exact_sigma_report(g)
+    pairs = exact_sigma_report(g)
     # one one-variable witness per element of [G, G], every pair validated
     assert sorted(ones) == sorted(commutator_subgroup(g))
-    assert twos == list(report.pairs)
+    assert twos == list(pairs)
     # a failing pair still raises, also one whose one-variable witness an
     # earlier pair built
     last = twos[-1]
@@ -503,13 +503,13 @@ def _spy_on_one_var_search(monkeypatch):
     import semorient.verify as vf
 
     calls = []
-    search = vf.unfiltered_one_var_search
+    search = vf._one_var_search
 
     def spy(m, elements, bound):
         calls.append((len(elements), bound))
         return search(m, elements, bound)
 
-    monkeypatch.setattr(vf, "unfiltered_one_var_search", spy)
+    monkeypatch.setattr(vf, "_one_var_search", spy)
     return calls
 
 
@@ -553,10 +553,10 @@ def test_search_read_at_a_smaller_bound_is_the_search_at_that_bound(spec):
     # constructions too large for it, which the set check allows
     s = make_family(spec)
     m = adjoin_identity(s)
-    full = unfiltered_one_var_search(m, range(s.order), 4)
+    full = _one_var_search(m, range(s.order), 4)
     for b in (1, 2, 3):
         within = {g: w if w is not None and w.size <= b else None for g, w in full.items()}
-        assert within == unfiltered_one_var_search(m, range(s.order), b)
+        assert within == _one_var_search(m, range(s.order), b)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -584,15 +584,15 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
     # the builders validate what they build; the suites validate what the searches find.
     # Building here leaves the map of constructed witnesses empty: the suite fills it
     built = Counter((x, build_orientable_witness(g, x)) for x in commutator_subgroup(g))
-    found = unfiltered_one_var_search(m, everything, 2)
+    found = _one_var_search(m, everything, 2)
     searched = Counter((x, w) for x, w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_one_var", (th, vf))
     assert verify_orientable_is_commutator_subgroup(g, 2).passed
     assert calls == built + searched
 
-    built = Counter((u, v, w) for (u, v), w in exact_sigma_report(g).pairs.items())
+    built = Counter((u, v, w) for (u, v), w in exact_sigma_report(g).items())
     pairs = [(u, v) for u in everything for v in everything]
-    found = unfiltered_two_var_search(m, pairs, 2)
+    found = _pair_search(m, pairs, 2)
     searched = Counter((u, v, w) for (u, v), w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_two_var", (th, vf))
     assert verify_sigma_is_abelianization(g, 2).passed
@@ -743,8 +743,7 @@ def _relation(label, keep):
 
     def patch(sigma_report):
         def report(m, bound):
-            rep = sigma_report(m, bound)
-            return rep._replace(pairs={p: w for p, w in rep.pairs.items() if keep(*p)})
+            return {p: w for p, w in sigma_report(m, bound).items() if keep(*p)}
 
         return report
 
@@ -764,8 +763,9 @@ def _always_fails(validate):
     return lambda *args: "planted failure"
 
 
-def _wrong_quotient_classes(exact_sigma_report):
-    return lambda g: exact_sigma_report(g)._replace(congruence=_singletons(g))
+def _wrong_quotient_classes(abelian_keys):
+    # ker φ read as singletons: the quotient by it is S3 itself
+    return lambda s: (abelian_keys(s)[0], _singletons(s))
 
 
 def _without_120(abelian_keys):
@@ -776,8 +776,7 @@ def _without_120(abelian_keys):
 def _pair_dropped(exact_sigma_report):
     # the first same-coset pair, (identity, identity), loses its witness
     def dropped(g):
-        rep = exact_sigma_report(g)
-        return rep._replace(pairs=dict(list(rep.pairs.items())[1:]))
+        return dict(list(exact_sigma_report(g).items())[1:])
 
     return dropped
 
@@ -790,24 +789,24 @@ PLANTED = [
     # the partition the map reads: an element of [G, G] outside ε's class gets no witness
     ("orientable", "theorems._abelian_keys", _without_120, "constructed-witnesses",
      "120: no constructed witness", False),
-    ("orientable", "unfiltered_one_var_search", _bogus_one_var, "bounded-search-sound",
+    ("orientable", "_one_var_search", _bogus_one_var, "bounded-search-sound",
      "unbalanced lengths", False),
     ("orientable", "commutator_subgroup", _shrunk, "bounded-search-sound",
      "outside the commutator subgroup", False),
     ("orientable", "commutator_subgroup", _shrunk, "orientable-set-equals-commutator-subgroup",
      "201: found, but outside the subgroup", False),
-    ("orientable", "unfiltered_one_var_search", _padded_below_bound,
+    ("orientable", "_one_var_search", _padded_below_bound,
      "orientable-set-equals-commutator-subgroup",
      "120: construction of size 2 fits bound 3, search found size 3", False),
-    ("sigma", "unfiltered_two_var_search", _bogus_two_var, "bounded-pair-search-sound",
+    ("sigma", "_pair_search", _bogus_two_var, "bounded-pair-search-sound",
      "unbalanced lengths", False),
     ("sigma", "coset_congruence", _finest, "bounded-pair-search-sound",
      "related by search but in different cosets", False),
-    ("sigma", "exact_sigma_report", _wrong_quotient_classes, "sigma-quotient-is-abelianization",
+    ("sigma", "_abelian_keys", _wrong_quotient_classes, "sigma-quotient-is-abelianization",
      "quotient is not commutative", False),
     ("sigma", "exact_sigma_report", _pair_dropped, "constructed-pair-witnesses",
      "(012, 012): no witness built in one coset", False),
-    ("sigma", "unfiltered_two_var_search", _pair_unfound, "constructed-pair-witnesses",
+    ("sigma", "_pair_search", _pair_unfound, "constructed-pair-witnesses",
      "(012, 120): construction of size 3 fits bound 3, none found", False),
     ("sigma", "commutative_congruence", _finest, "sigma-classes-equal-cosets",
      "(012, 120): one coset, two kappa-classes", False),
@@ -825,11 +824,11 @@ PLANTED = [
     ("properties", "validate_two_var", _always_fails, "commutation-witnesses",
      "(012, 012): planted failure", False),
     ("properties", "validate_one_var", _always_fails, "idempotent-witnesses", "012", False),
-    ("properties", "unfiltered_one_var_search", _lost_at_next_bound, "search-monotonicity",
+    ("properties", "_one_var_search", _lost_at_next_bound, "search-monotonicity",
      "witness lost at bound 3", False),
-    ("properties", "unfiltered_one_var_search", _grown_at_next_bound, "search-monotonicity",
+    ("properties", "_one_var_search", _grown_at_next_bound, "search-monotonicity",
      "canonical witness grew at a larger bound", False),
-    ("properties", "unfiltered_one_var_search", _identity_unwitnessed,
+    ("properties", "_one_var_search", _identity_unwitnessed,
      "orientable-product-closure", "has no witness at bound 2", True),
     ("properties", "sigma_report", _relation("asymmetric", lambda u, v: u <= v),
      "sigma-relation-symmetry", "possible violation(s)", True),
@@ -903,8 +902,8 @@ def test_every_theorem_check_has_a_planted_defect(s3):
 def test_planted_defect_fails_the_verify_verb(monkeypatch, fresh_caches):
     import semorient.verify as vf
 
-    search = vf.unfiltered_one_var_search
-    monkeypatch.setattr(vf, "unfiltered_one_var_search", _bogus_one_var(search))
+    search = vf._one_var_search
+    monkeypatch.setattr(vf, "_one_var_search", _bogus_one_var(search))
     out, err = io.StringIO(), io.StringIO()
     argv = ["verify", "--family", "symmetric:3", "--suite", "theorems", "--bound", "2"]
     assert run(argv, out=out, err=err) == 1
