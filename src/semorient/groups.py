@@ -35,6 +35,7 @@ class GroupStructure(NamedTuple):
         return self.base.order
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def group_structure(s: Semigroup) -> GroupStructure:
     """Detect group structure, or raise NotAGroupError with the reason.
 
@@ -43,7 +44,7 @@ def group_structure(s: Semigroup) -> GroupStructure:
     identity. With an identity e the rows alone decide the Latin square:
     x*y = e gives y*x = e, because x*(y*x) = (x*y)*x = x*e and a bijective
     row cancels x; likewise y*x = e with a bijective column gives x*y = e.
-    So row x is bijective iff x is a unit iff column x is.
+    So row x is bijective iff x is a unit iff column x is. Cached per table.
     """
     n = s.order
     t = s.table

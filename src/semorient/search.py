@@ -49,8 +49,8 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
     and dict order is ascending again. The orderings are built first, from
     the (1, v) prefix of each smaller dict, which ends at its first other key.
 
-    A size must be read in full before the next is asked for. Only the size
-    that the next one reads is kept, and the last size is never stored. On k
+    A size may be left early only if the next is then never read. Only the
+    size that the next one reads is kept, and the last is never stored. On k
     base elements the kept size n - 1 holds C(n + k - 2, k - 1) multisets,
     each with at most (k + 1)**2 keys, at most k of them orderings: 17 550
     multisets on ``symmetric:4`` at bound 5.
@@ -99,20 +99,27 @@ def _pair_search(
     (u, v) whose left position is lowest carries the smallest (a, b), and the
     first split where v reaches it the smallest (c, d). The orderings of two
     different multisets never coincide, so across multisets (a, b) alone
-    decides. Pairs found at one size drop out before the next.
+    decides. Every split key of an ordering of M is at least ((), sorted(M)), and
+    the multisets ascend, so a pair whose best is below that floor is settled: a
+    size ends once none is live. Pairs found at one size drop out before the next.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     t = m.table
     todo = list(pairs)
     found: dict[tuple[int, int], Optional[TwoVarWitness]] = dict.fromkeys(todo)
-    for level in _levels(m, bound):
+    for n, level in enumerate(_levels(m, bound), 1):
         if not todo:
             break
         lefts = {u for u, _ in todo}
         cols = [(x, x in lefts, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
         best: dict[tuple[int, int], tuple[tuple[Word, Word], tuple[Word, Word]]] = {}
-        for splits in level:
+        live = todo
+        for multiset, splits in zip(combinations_with_replacement(range(m.base.order), n), level):
+            floor = ((), multiset)
+            live = [pair for pair in live if pair not in best or not best[pair][0] < floor]
+            if not live:
+                break
             bcs = list(splits.values())
             down = range(len(bcs) - 1, -1, -1)
             values, seen = {}, {}
@@ -120,7 +127,7 @@ def _pair_search(
                 vals = values[x] = [t[col[p]][s] for p, s in splits]
                 # reversed, so that each value keeps its first position
                 seen[x] = dict(zip(reversed(vals), down)) if is_left else set(vals)
-            for pair in todo:
+            for pair in live:
                 left = seen[pair[0]]
                 shared = left.keys() & seen[pair[1]]
                 if not shared:

@@ -8,13 +8,13 @@ The two central facts of the exact path, on concrete group tables:
   exactly the commutator-subgroup cosets, so the quotient is the
   abelianization.
 
-Which elements and pairs carry a witness is read off one partition, ker φ
-(``core._abelian_keys``): an element of ε's class and a pair inside one
-class. ``build_orientable_witness`` reads it for one element. The witnesses
-are built constructively from commutator decompositions in the
-derived-subgroup tree, and every one is re-checked by the independent
-validators in ``equations``. The suites that test these facts against the
-bounded search live in ``verify``.
+Each function takes the table and reads ``groups.group_structure``, cached
+per table, so off a group it raises NotAGroupError. Which elements and pairs
+carry a witness is read off ker φ (``core._abelian_keys``): an element of
+ε's class and a pair inside one class. The witnesses are built from
+decompositions in the derived-subgroup tree, and every one is re-checked by
+the validators in ``equations``. The suites that test these facts against
+the bounded search live in ``verify``.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from typing import Mapping, Optional
 from . import _HOMES
 from .core import (
     CACHE_SIZE,
-    Monoid1,
+    Semigroup,
     SemigroupError,
     _abelian_keys,
     _check_elements,
     adjoin_identity,
 )
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
-from .groups import GroupStructure, derived_subgroup_tree
+from .groups import derived_subgroup_tree, group_structure
 
 
 # the names of ``verify`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -48,9 +48,7 @@ class WitnessConstructionError(SemigroupError):
     """A constructed witness failed its independent validation."""
 
 
-def commutator_decomposition(
-    group: GroupStructure, g: int
-) -> Optional[tuple[tuple[int, int], ...]]:
+def commutator_decomposition(s: Semigroup, g: int) -> Optional[tuple[tuple[int, int], ...]]:
     """Shortest commutator decomposition of g, or None when g lies outside [G, G].
 
     The pairs (x_i, y_i) multiply left to right, as commutators
@@ -58,11 +56,11 @@ def commutator_decomposition(
     in ``derived_subgroup_tree``, a breadth-first shortest path with
     reproducible edge choices; the identity gets no pairs.
     """
-    _check_elements(group.order, g)
-    return derived_subgroup_tree(group).get(g)
+    _check_elements(s.order, g)
+    return derived_subgroup_tree(group_structure(s)).get(g)
 
 
-def build_orientable_witness(group: GroupStructure, g: int) -> Optional[OneVarWitness]:
+def build_orientable_witness(s: Semigroup, g: int) -> Optional[OneVarWitness]:
     """g's validated least witness, or None when g lies outside φ⁻¹(1).
 
     φ⁻¹(1) is ε's class of ker φ (``core._abelian_keys``), which on a group
@@ -86,17 +84,18 @@ def build_orientable_witness(group: GroupStructure, g: int) -> Optional[OneVarWi
     empty, the validation accepts the witness exactly when the pairs
     multiply to g.
     """
-    _check_elements(group.order, g)
-    eps, kernel = _abelian_keys(group.base)
+    _check_elements(s.order, g)
+    group = group_structure(s)
+    eps, kernel = _abelian_keys(s)
     if kernel.class_of[g] != kernel.class_of[eps]:
         return None
-    pairs = commutator_decomposition(group, g)
+    pairs = commutator_decomposition(s, g)
     if pairs is None:
         raise WitnessConstructionError(
-            f"element {group.base.names[g]!r} is not in the commutator subgroup,"
+            f"element {s.names[g]!r} is not in the commutator subgroup,"
             " yet it lies in the class of ε"
         )
-    t, inv = group.base.table, group.inverse
+    t, inv = s.table, group.inverse
     a: tuple[int, ...] = ()
     c: tuple[int, ...] = ()
     value_c = group.identity
@@ -104,24 +103,24 @@ def build_orientable_witness(group: GroupStructure, g: int) -> Optional[OneVarWi
         x, y = t[t[inv[value_c]][u]][value_c], t[t[inv[value_c]][v]][value_c]
         a, c, value_c = a + (x, y), c + (y, x), t[t[value_c][y]][x]
     witness = OneVarWitness(a, (), c) if pairs else OneVarWitness((0, inv[0]), (0,), (inv[0],))
-    problem = validate_one_var(adjoin_identity(group.base), g, witness)
+    problem = validate_one_var(adjoin_identity(s), g, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
     return witness
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _orientable_witnesses(group: GroupStructure) -> Mapping[int, Optional[OneVarWitness]]:
+def _orientable_witnesses(s: Semigroup) -> Mapping[int, Optional[OneVarWitness]]:
     """Every element, ascending, mapped to ``build_orientable_witness`` of it.
 
     The exact verbs that answer for every element or pair, and the ``verify``
     suites, index this map, so each witness is built and validated once per
-    group. The cached mapping is shared by every caller, so it is read-only.
+    table. The cached mapping is shared by every caller, so it is read-only.
     """
-    return MappingProxyType({g: build_orientable_witness(group, g) for g in range(group.order)})
+    return MappingProxyType({g: build_orientable_witness(s, g) for g in range(s.order)})
 
 
-def build_two_var_witness(group: GroupStructure, u: int, v: int) -> Optional[TwoVarWitness]:
+def build_two_var_witness(s: Semigroup, u: int, v: int) -> Optional[TwoVarWitness]:
     """A validated witness for the ordered pair (u, v), or None in different cosets.
 
     If v * u^-1 has one-variable witness (a, b, c), then a * t1 * u^-1 and
@@ -129,38 +128,38 @@ def build_two_var_witness(group: GroupStructure, u: int, v: int) -> Optional[Two
     ValueError when u or v is not an element index; only the witness of
     v * u^-1 is built, and it is None exactly when u and v lie in different cosets.
     """
-    _check_elements(group.order, u, v)
-    one = build_orientable_witness(group, group.base.table[v][group.inverse[u]])
-    return _two_var_witness(adjoin_identity(group.base), group.inverse, one, u, v)
+    _check_elements(s.order, u, v)
+    inv = group_structure(s).inverse
+    return _two_var_witness(s, build_orientable_witness(s, s.table[v][inv[u]]), u, v)
 
 
 def _two_var_witness(
-    m: Monoid1, inv: tuple[int, ...], one: Optional[OneVarWitness], u: int, v: int
+    s: Semigroup, one: Optional[OneVarWitness], u: int, v: int
 ) -> Optional[TwoVarWitness]:
-    """The witness for (u, v) from ``one``, a witness for v * u^-1 or None, validated on ``m``."""
+    """The witness for (u, v) from ``one``, a witness for v * u^-1 or None, validated on S¹."""
     if one is None:
         return None
-    witness = TwoVarWitness(one.a, (inv[u],), one.b, (inv[u],) + one.c)
-    problem = validate_two_var(m, u, v, witness)
+    inv_u = group_structure(s).inverse[u]
+    witness = TwoVarWitness(one.a, (inv_u,), one.b, (inv_u,) + one.c)
+    problem = validate_two_var(adjoin_identity(s), u, v, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed two-variable witness: {problem}")
     return witness
 
 
-def exact_sigma_report(group: GroupStructure) -> dict[tuple[int, int], TwoVarWitness]:
+def exact_sigma_report(s: Semigroup) -> dict[tuple[int, int], TwoVarWitness]:
     """Every ordered pair inside one coset of [G, G], mapped to its validated witness.
 
     The cosets are read as ker φ (``core._abelian_keys``) and walked by
     ``Congruence.pairs``. Each pair (u, v) carries the witness
-    ``build_two_var_witness(group, u, v)`` gives, from the one-variable witness
+    ``build_two_var_witness(s, u, v)`` gives, from the one-variable witness
     of v * u^-1 in ``_orientable_witnesses``. That map is keyed by the same
     ker φ, and u ~ v in a congruence puts v * u^-1 in ε's class, so every
     lookup finds a witness.
     """
-    ones = _orientable_witnesses(group)
-    m = adjoin_identity(group.base)
-    t, inv = group.base.table, group.inverse
+    inv = group_structure(s).inverse
+    ones, t = _orientable_witnesses(s), s.table
     return {
-        (u, v): _two_var_witness(m, inv, ones[t[v][inv[u]]], u, v)
-        for u, v in _abelian_keys(group.base)[1].pairs()
+        (u, v): _two_var_witness(s, ones[t[v][inv[u]]], u, v)
+        for u, v in _abelian_keys(s)[1].pairs()
     }

@@ -10,10 +10,9 @@ def run(args) -> Result:
     s, subject = _load(args)
     one_var_bound, _ = _bounds(args)
     if args.exact:
-        from ..groups import group_structure
         from ..theorems import _orientable_witnesses
 
-        found = _orientable_witnesses(group_structure(s))
+        found = _orientable_witnesses(s)
         bound = None
     else:
         from ..search import orientable_set

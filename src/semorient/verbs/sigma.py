@@ -14,10 +14,9 @@ def run(args) -> Result:
     s, subject = _load(args)
     _, two_var_bound = _bounds(args)
     if args.exact:
-        from ..groups import group_structure
         from ..theorems import exact_sigma_report
 
-        pairs = exact_sigma_report(group_structure(s))
+        pairs = exact_sigma_report(s)
         bound, exactness = None, "exact-group"
     else:
         from ..search import sigma_report

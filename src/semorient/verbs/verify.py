@@ -4,7 +4,6 @@ from . import EXIT_INVALID, EXIT_OK, Result, _bounds, _load
 
 
 def run(args) -> Result:
-    from ..groups import group_structure
     from ..verify import (
         verify_orientable_is_commutator_subgroup,
         verify_semigroup_properties,
@@ -14,11 +13,10 @@ def run(args) -> Result:
     s, subject = _load(args)
     one_var_bound, two_var_bound = _bounds(args)
     reports = []
-    if args.suite in ("theorems", "all"):
-        group = group_structure(s)  # non-groups exit 3, even for --suite all
+    if args.suite in ("theorems", "all"):  # a non-group exits 3 here, even for --suite all
         reports += [
-            verify_orientable_is_commutator_subgroup(group, one_var_bound, subject=subject),
-            verify_sigma_is_abelianization(group, two_var_bound, subject=subject),
+            verify_orientable_is_commutator_subgroup(s, one_var_bound, subject=subject),
+            verify_sigma_is_abelianization(s, two_var_bound, subject=subject),
         ]
     if args.suite in ("propositions", "all"):
         reports.append(

@@ -33,11 +33,10 @@ def run(args) -> Result:
         bound = one_var_bound if one else two_var_bound
         w = (search_one_var if one else search_two_var)(adjoin_identity(s), *target, bound)
     else:
-        from ..groups import group_structure
         from ..theorems import build_orientable_witness, build_two_var_witness
 
         bound = None
-        w = (build_orientable_witness if one else build_two_var_witness)(group_structure(s), *target)
+        w = (build_orientable_witness if one else build_two_var_witness)(s, *target)
     note = _no_witness(bound, "not orientable (exact)" if one else "not related (exact)")
 
     def to_json() -> dict:

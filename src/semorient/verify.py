@@ -1,16 +1,16 @@
 """Verification suites: the exact constructions checked against the bounded search.
 
-Each suite returns a ``VerificationReport`` of named checks. Hard checks
-fail the report; soft reports record what a bounded search cannot refute.
-The private searches ``search._one_var_search`` and ``search._pair_search``
-are called unfiltered, on indices built in range, so a soundness check tests
-the search itself rather than the commutative-image filter in front of it.
-The σ suite checks the cosets of [G, G] against ker φ, which the exact pairs
-and the quotient read, and κ, built from the pairs (xy, yx). No suite
-searches past its bound: a construction that fits it is a witness, so the
-search, least by size first, finds one no larger. The suites share one
-unfiltered one-variable search per table and bound, so a ``verify`` call
-searches each bound once.
+Each suite takes the table and returns a ``VerificationReport`` of named
+checks; off a group the theorems suites raise NotAGroupError before any.
+Hard checks fail the report; soft reports record what a bounded search
+cannot refute. The private searches ``search._one_var_search`` and
+``search._pair_search`` are called unfiltered, on indices built in range, so
+a soundness check tests the search itself rather than the commutative-image
+filter in front of it. The σ suite checks the cosets of [G, G] against ker φ,
+which the exact pairs and the quotient read, and κ, built from the pairs
+(xy, yx). No suite searches past its bound: a construction that fits it is a
+witness, so the search, least by size first, finds one no larger. The suites
+share the one-variable search of each table and bound (``_one_var_witnesses``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
     quotient,
 )
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
-from .groups import GroupStructure, commutator_subgroup, coset_congruence
+from .groups import commutator_subgroup, coset_congruence, group_structure
 from .search import _one_var_search, _pair_search, sigma_report
 from .theorems import _orientable_witnesses, commutator_decomposition, exact_sigma_report
 
@@ -124,7 +124,7 @@ def _missed(built, found, bound: int) -> Optional[str]:
 
 
 def verify_orientable_is_commutator_subgroup(
-    group: GroupStructure,
+    s: Semigroup,
     bound: int = ONE_VAR_DEFAULT_BOUND,
     subject: str = "",
 ) -> VerificationReport:
@@ -140,21 +140,20 @@ def verify_orientable_is_commutator_subgroup(
     larger. The search runs once, at ``bound``, and (ii) and (iii) read it.
     At a bound that covers every construction, (iii) is set equality.
     """
-    s = group.base
+    derived = commutator_subgroup(group_structure(s))
+    derived_set = set(derived)
     m = adjoin_identity(s)
     names = s.names
     report = VerificationReport(
         subject or f"group of order {s.order}", {"one-var": bound}
     )
-    derived = commutator_subgroup(group)
-    derived_set = set(derived)
 
     # the map's builder validated each witness it built, and raises on a failure
-    witnesses = _orientable_witnesses(group)
+    witnesses = _orientable_witnesses(s)
     failures = []
     k_max = 0
     for g in derived:
-        k = len(commutator_decomposition(group, g))
+        k = len(commutator_decomposition(s, g))
         k_max = max(k_max, k)
         w = witnesses[g]
         if w is None:
@@ -208,7 +207,7 @@ def verify_orientable_is_commutator_subgroup(
 
 
 def verify_sigma_is_abelianization(
-    group: GroupStructure,
+    s: Semigroup,
     bound: int = TWO_VAR_DEFAULT_BOUND,
     subject: str = "",
 ) -> VerificationReport:
@@ -226,14 +225,13 @@ def verify_sigma_is_abelianization(
     without it. The quotient of a group is a group, so only commutativity is
     left to check in (iv).
     """
-    s = group.base
+    cosets = coset_congruence(group_structure(s))
     m = adjoin_identity(s)
     names = s.names
     report = VerificationReport(
         subject or f"group of order {s.order}", {"two-var": bound}
     )
-    cosets = coset_congruence(group)
-    exact = exact_sigma_report(group)
+    exact = exact_sigma_report(s)
     same_coset = set(cosets.pairs())
     # unfiltered, as in bounded-search-sound
     everything = [(u, v) for u in range(s.order) for v in range(s.order)]

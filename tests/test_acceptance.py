@@ -66,7 +66,7 @@ def test_criterion_1_orientable_equals_commutator_subgroup():
         derived = commutator_subgroup(g)
         assert len(derived) == EXPECTED_DERIVED_ORDER[spec], spec
         k_max = max(
-            (len(commutator_decomposition(g, x)) for x in derived), default=0
+            (len(commutator_decomposition(s, x)) for x in derived), default=0
         )
         bound = max(4, 2 * max(k_max, 1))
         found = orientable_set(adjoin_identity(s), bound)
@@ -93,7 +93,7 @@ def test_criterion_2_sigma_classes_equal_cosets():
     for spec in GROUP_FAMILIES:
         s = make_family(spec)
         g = group_structure(s)
-        pairs = exact_sigma_report(g)
+        pairs = exact_sigma_report(s)
         kernel = _abelian_keys(s)[1]
         cosets = coset_congruence(g)
         ok = ok and kernel == cosets and set(pairs) == set(cosets.pairs())
@@ -144,16 +144,16 @@ def test_criterion_4_constructed_witnesses():
         g = group_structure(s)
         m = adjoin_identity(s)
         for x in commutator_subgroup(g):
-            k = len(commutator_decomposition(g, x))
+            k = len(commutator_decomposition(s, x))
             assert k <= 3, (spec, k)
-            w = build_orientable_witness(g, x)
+            w = build_orientable_witness(s, x)
             assert w.size == 2 * max(k, 1), (spec, s.names[x])
             assert validate_one_var(m, x, w) is None, (spec, s.names[x])
         cosets = coset_congruence(g)
         for u in range(s.order):
             for v in range(s.order):
                 if cosets.class_of[u] == cosets.class_of[v]:
-                    w2 = build_two_var_witness(g, u, v)
+                    w2 = build_two_var_witness(s, u, v)
                     assert validate_two_var(m, u, v, w2) is None, (spec, u, v)
     report("criterion 4: constructed witnesses obey the size law and validate", True)
 

@@ -581,9 +581,9 @@ def test_exact_witness_builds_only_the_witness_it_prints(monkeypatch, target, tr
     calls = []
     build = theorems.build_orientable_witness
 
-    def spy(group, g):
+    def spy(s, g):
         calls.append(g)
-        return build(group, g)
+        return build(s, g)
 
     monkeypatch.setattr(theorems, "build_orientable_witness", spy)
     code, out, err = invoke(

@@ -698,8 +698,8 @@ def test_module_caches_stay_bounded():
 
     caches = (
         adjoin_identity, _generators, commutative_congruence, _abelian_keys,
-        derived_subgroup_tree, commutator_subgroup, coset_congruence, _orientable_witnesses,
-        make_family,
+        group_structure, derived_subgroup_tree, commutator_subgroup, coset_congruence,
+        _orientable_witnesses, make_family,
     )
     for k in range(CACHE_SIZE + 5):
         # a new Z3 table each time: the same group under fresh names
@@ -707,7 +707,7 @@ def test_module_caches_stay_bounded():
         adjoin_identity(s)
         _abelian_keys(s)  # and commutative_congruence, _generators
         coset_congruence(group_structure(s))  # and commutator_subgroup, derived_subgroup_tree
-        _orientable_witnesses(group_structure(s))
+        _orientable_witnesses(s)
         make_family(f"cyclic:{k + 1}")
         assert all(f.cache_info().currsize <= CACHE_SIZE for f in caches)
     assert all(f.cache_info().currsize == CACHE_SIZE for f in caches)

@@ -386,6 +386,23 @@ def test_level_data_is_smallest_and_sorted(spec):
             assert items == sorted(smallest_bc.items(), key=lambda kv: kv[1])
 
 
+def test_pair_search_stops_at_the_floor(monkeypatch):
+    # every pair of null:30 has the witness ((), (x0), (), (x0)), found at the first
+    # multiset; each split of the second, (x1), is at least ((), (x1)), so no pair is live
+    levels = search._levels
+    read = []
+
+    def counted(level):
+        for splits in level:
+            read.append(splits)
+            yield splits
+
+    monkeypatch.setattr(search, "_levels", lambda m, bound: map(counted, levels(m, bound)))
+    pairs = sigma_report(monoid("null:30"), 1)
+    assert len(pairs) == 900 and set(pairs.values()) == {TwoVarWitness((), (0,), (), (0,))}
+    assert len(read) == 2
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_search_monotone_in_bound(data):
@@ -602,14 +619,14 @@ def test_sigma_report_leftzero_total_at_one():
 
 def test_sigma_report_exact_cyclic5():
     s = make_family("cyclic:5")
-    pairs = exact_sigma_report(group_structure(s))
+    pairs = exact_sigma_report(s)
     assert _abelian_keys(s)[1].num_classes == 5
     assert set(pairs) == {(u, u) for u in range(5)}
 
 
 def test_sigma_report_exact_s3(s3):
     m = adjoin_identity(s3)
-    pairs = exact_sigma_report(group_structure(s3))
+    pairs = exact_sigma_report(s3)
     kernel = _abelian_keys(s3)[1]
     assert kernel.num_classes == 2
     sizes = sorted(len(c) for c in kernel.classes())

@@ -35,6 +35,11 @@ def test_not_a_group_reasons():
     assert "Latin" in exc.value.reason
 
 
+def test_group_structure_is_detected_once_per_table(s3):
+    # the exact layer takes the table and reads group_structure of it in every function
+    assert group_structure(s3) is group_structure(s3)
+
+
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_group_detection_on_groups(spec):
     g = group_structure(make_family(spec))

@@ -17,7 +17,6 @@ from semorient import core
 from semorient.catalog import CATALOG_FAMILIES, GROUP_FAMILIES, make_family
 from semorient.core import Semigroup, adjoin_identity
 from semorient.equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
-from semorient.groups import group_structure
 from semorient.search import orientable_set, sigma_report
 from semorient.theorems import _orientable_witnesses  # private: the exact witness map
 from semorient.theorems import exact_sigma_report
@@ -142,8 +141,7 @@ def test_the_opposite_keeps_the_kernel_and_the_sizes(corpus):
 
 def exact_witnesses(s):
     """The exact witness of each element and of each pair of ker φ of the group S."""
-    g = group_structure(s)
-    return _orientable_witnesses(g), exact_sigma_report(g)
+    return _orientable_witnesses(s), exact_sigma_report(s)
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", "width-two-96"])

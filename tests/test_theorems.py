@@ -20,6 +20,7 @@ from semorient.cli import run
 from semorient.core import _abelian_keys  # private: ker φ, the σ classes
 from semorient.core import (
     Congruence,
+    NotAGroupError,
     adjoin_identity,
     commutative_congruence,
     quotient,
@@ -71,34 +72,32 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_identity_decomposition_is_empty(group_family):
     spec, s = group_family
     g = group_structure(s)
-    assert commutator_decomposition(g, g.identity) == ()
+    assert commutator_decomposition(s, g.identity) == ()
 
 
 def test_s3_three_cycle_single_commutator(s3):
     g = group_structure(s3)
-    pairs = commutator_decomposition(g, s3.index_of("120"))
+    pairs = commutator_decomposition(s3, s3.index_of("120"))
     assert len(pairs) == 1
     assert commutator_product(s3.table, g.identity, g.inverse, pairs) == s3.index_of("120")
 
 
 def test_outside_subgroup_has_no_decomposition(z4):
-    g = group_structure(z4)
-    assert commutator_decomposition(g, 1) is None
+    assert commutator_decomposition(z4, 1) is None
 
 
 def test_decomposition_out_of_range(z4):
-    g = group_structure(z4)
     with pytest.raises(ValueError):
-        commutator_decomposition(g, 17)
+        commutator_decomposition(z4, 17)
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
 def test_decomposition_is_the_tree_entry(spec):
     # a decomposition is read off the tree, not rebuilt: None outside [G, G]
-    g = group_structure(make_family(spec))
-    tree = derived_subgroup_tree(g)
-    for x in range(g.order):
-        assert commutator_decomposition(g, x) is tree.get(x)
+    s = make_family(spec)
+    tree = derived_subgroup_tree(group_structure(s))
+    for x in range(s.order):
+        assert commutator_decomposition(s, x) is tree.get(x)
 
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
@@ -107,16 +106,15 @@ def test_bfs_length_is_minimal(spec):
     s = make_family(spec)
     g = group_structure(s)
     for x in commutator_subgroup(g):
-        pairs = commutator_decomposition(g, x)
+        pairs = commutator_decomposition(s, x)
         assert commutator_product(s.table, g.identity, g.inverse, pairs) == x
         expected = min_commutator_product_length(s.table, g.identity, x, 3)
         assert expected is not None and len(pairs) == expected
 
 
 def test_decomposition_is_deterministic(s3):
-    g = group_structure(s3)
-    a = commutator_decomposition(g, s3.index_of("201"))
-    b = commutator_decomposition(g, s3.index_of("201"))
+    a = commutator_decomposition(s3, s3.index_of("201"))
+    b = commutator_decomposition(s3, s3.index_of("201"))
     assert a == b
 
 
@@ -124,18 +122,17 @@ def test_decomposition_is_deterministic(s3):
 
 
 def test_single_commutator_witness_shape(s3):
-    g = group_structure(s3)
     r = s3.index_of("120")
-    w = build_orientable_witness(g, r)
+    w = build_orientable_witness(s3, r)
     assert w.size == 2
-    ((x, y),) = commutator_decomposition(g, r)
+    ((x, y),) = commutator_decomposition(s3, r)
     assert w == type(w)((x, y), (), (y, x))
 
 
 def test_identity_witness_shape(group_family):
     spec, s = group_family
     g = group_structure(s)
-    w = build_orientable_witness(g, g.identity)
+    w = build_orientable_witness(s, g.identity)
     assert w.size == 2
     assert w.b == (0,) and w.c == (g.inverse[0],)
 
@@ -145,7 +142,7 @@ def test_two_var_witness_rejects_indices_outside_the_group(s3, u_index, v_index)
     # -1 is not read as the last element, nor 6 as a bare IndexError
     bad = u_index if v_index == 0 else v_index
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        build_two_var_witness(group_structure(s3), u_index, v_index)
+        build_two_var_witness(s3, u_index, v_index)
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
@@ -155,7 +152,7 @@ def test_orientable_witness_rejects_indices_outside_the_group(s3, bad):
     g = group_structure(s3)
     assert g.order == 6
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        build_orientable_witness(g, bad)
+        build_orientable_witness(s3, bad)
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
@@ -167,12 +164,43 @@ def test_orientable_witness_rejects_pair_entries_outside_the_group(monkeypatch, 
     import semorient.theorems as th
 
     calls = []
-    monkeypatch.setattr(th, "build_orientable_witness", lambda group, g: calls.append(g))
+    monkeypatch.setattr(th, "build_orientable_witness", lambda s, g: calls.append(g))
     other = s3.index_of("021")
     u, v = (bad, other) if side == "x" else (other, bad)
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        build_two_var_witness(group_structure(s3), u, v)
+        build_two_var_witness(s3, u, v)
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["leftzero:3", "fulltransformation:2"])
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (commutator_decomposition, (0,)),
+        (build_orientable_witness, (0,)),
+        (_orientable_witnesses, ()),
+        (build_two_var_witness, (0, 1)),
+        (exact_sigma_report, ()),
+        (verify_orientable_is_commutator_subgroup, (8,)),
+        (verify_sigma_is_abelianization, (8,)),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_exact_layer_raises_off_a_group(monkeypatch, spec, function, args):
+    # each takes the table and detects the group first, with group_structure's reason;
+    # the suites run no search, even at the bound cap
+    import semorient.verify as vf
+
+    s = make_family(spec)
+    with pytest.raises(NotAGroupError) as expected:
+        group_structure(s)
+    searches = []
+    monkeypatch.setattr(vf, "_one_var_search", lambda *args: searches.append(args))
+    monkeypatch.setattr(vf, "_pair_search", lambda *args: searches.append(args))
+    with pytest.raises(NotAGroupError) as exc:
+        function(s, *args)
+    assert exc.value.reason == expected.value.reason
+    assert searches == []
 
 
 WIDTH_TWO = "width-two-96"
@@ -185,7 +213,7 @@ def test_tree_matches_per_call_bfs(spec):
     lengths = []
     for x in range(s.order):
         expected = bfs_commutator_decomposition(g, x)
-        assert commutator_decomposition(g, x) == expected
+        assert commutator_decomposition(s, x) == expected
         if expected is not None:
             lengths.append(len(expected))
     if spec == WIDTH_TWO:
@@ -209,7 +237,7 @@ def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
     kept = [(u, v) for u, v in pairs if key[u] == key[v]]
     assert kept == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
     # the exact map holds a witness exactly on the tree's nodes, read as ker φ
-    witnessed = tuple(x for x, w in _orientable_witnesses(g).items() if w is not None)
+    witnessed = tuple(x for x, w in _orientable_witnesses(s).items() if w is not None)
     assert witnessed == commutator_subgroup(g)
 
 
@@ -247,16 +275,16 @@ def test_width_two_group_on_the_exact_path(tmp_path):
     g = group_structure(s)
     m = adjoin_identity(s)
     two_pairs = {
-        x: build_orientable_witness(g, x)
+        x: build_orientable_witness(s, x)
         for x in commutator_subgroup(g)
-        if len(commutator_decomposition(g, x)) == 2
+        if len(commutator_decomposition(s, x)) == 2
     }
     assert len(two_pairs) == 3
     # the least size, 2k: bounded orientable at bound 3 finds none (a CI step, 3-4 s)
     for x, w in two_pairs.items():
         assert w.size == 4 and validate_one_var(m, x, w) is None
     # every same-coset ordered pair: 96 elements times |[G, G]| = 32
-    pairs = exact_sigma_report(g)
+    pairs = exact_sigma_report(s)
     assert len(pairs) == 3072
     assert all(validate_two_var(m, u, v, w) is None for (u, v), w in pairs.items())
     # the CLI prints the same witnesses for the table file
@@ -278,12 +306,12 @@ def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
     g = group_structure(s)
     cosets = coset_congruence(g).class_of
     expected = [
-        ((u, v), build_two_var_witness(g, u, v))
+        ((u, v), build_two_var_witness(s, u, v))
         for u in range(s.order)
         for v in range(s.order)
         if cosets[u] == cosets[v]
     ]
-    assert list(exact_sigma_report(g).items()) == expected
+    assert list(exact_sigma_report(s).items()) == expected
     # read as ker φ, the classes are the cosets built from [G, G]
     assert _abelian_keys(s)[1] == coset_congruence(g)
 
@@ -297,13 +325,13 @@ def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, fres
     monkeypatch.setattr(th, "_abelian_keys", lambda s: (g.identity, Congruence((0,) * 6, 1)))
     text = r"^element '021' is not in the commutator subgroup, yet it lies in the class of ε$"
     with pytest.raises(WitnessConstructionError, match=text):
-        exact_sigma_report(g)
+        exact_sigma_report(s3)
 
 
 def test_sigma_report_validates_each_witness_once(monkeypatch):
     import semorient.theorems as th
 
-    g = group_structure(make_family("symmetric:4"))
+    s = make_family("symmetric:4")
     ones, twos = [], []
     one, two = th.validate_one_var, th.validate_two_var
 
@@ -317,16 +345,16 @@ def test_sigma_report_validates_each_witness_once(monkeypatch):
 
     monkeypatch.setattr(th, "validate_one_var", count_one)
     monkeypatch.setattr(th, "validate_two_var", count_two)
-    pairs = exact_sigma_report(g)
+    pairs = exact_sigma_report(s)
     # one one-variable witness per element of [G, G], every pair validated
-    assert sorted(ones) == sorted(commutator_subgroup(g))
+    assert sorted(ones) == sorted(commutator_subgroup(group_structure(s)))
     assert twos == list(pairs)
     # a failing pair still raises, also one whose one-variable witness an
     # earlier pair built
     last = twos[-1]
     monkeypatch.setattr(th, "validate_two_var", lambda m, u, v, w: "no" if (u, v) == last else None)
     with pytest.raises(th.WitnessConstructionError, match="two-variable witness: no"):
-        exact_sigma_report(g)
+        exact_sigma_report(s)
 
 
 def test_one_var_builder_failure_raises(monkeypatch, s3):
@@ -335,7 +363,7 @@ def test_one_var_builder_failure_raises(monkeypatch, s3):
     g = group_structure(s3)
     monkeypatch.setattr(th, "validate_one_var", lambda *args: "forced failure")
     with pytest.raises(WitnessConstructionError, match="one-variable witness: forced failure"):
-        build_orientable_witness(g, g.identity)
+        build_orientable_witness(s3, g.identity)
 
 
 def test_builder_failure_raises_under_optimize():
@@ -345,9 +373,9 @@ def test_builder_failure_raises_under_optimize():
         "from semorient import group_structure, make_family\n"
         "print(sys.flags.optimize)\n"
         "th.validate_one_var = lambda *args: 'forced failure'\n"
-        "g = group_structure(make_family('symmetric:3'))\n"
+        "s = make_family('symmetric:3')\n"
         "try:\n"
-        "    th.build_orientable_witness(g, g.identity)\n"
+        "    th.build_orientable_witness(s, group_structure(s).identity)\n"
         "except th.WitnessConstructionError as exc:\n"
         "    print(exc)\n"
     )
@@ -365,32 +393,29 @@ def test_constructed_witness_size_law_and_validity(spec):
     g = group_structure(s)
     m = adjoin_identity(s)
     for x in commutator_subgroup(g):
-        w = build_orientable_witness(g, x)
-        k = len(commutator_decomposition(g, x))
+        w = build_orientable_witness(s, x)
+        k = len(commutator_decomposition(s, x))
         assert w.size == 2 * max(k, 1)
         assert validate_one_var(m, x, w) is None
 
 
 def test_two_var_witness_same_element(group_family):
     spec, s = group_family
-    g = group_structure(s)
     m = adjoin_identity(s)
     for h in range(s.order):
-        w = build_two_var_witness(g, h, h)
+        w = build_two_var_witness(s, h, h)
         assert validate_two_var(m, h, h, w) is None
 
 
 def test_two_var_witness_s3(s3):
-    g = group_structure(s3)
     m = adjoin_identity(s3)
     r, r2 = s3.index_of("120"), s3.index_of("201")
     for u, v in ((r, r2), (r2, r)):
-        assert validate_two_var(m, u, v, build_two_var_witness(g, u, v)) is None
+        assert validate_two_var(m, u, v, build_two_var_witness(s3, u, v)) is None
 
 
 def test_two_var_witness_unrelated(z4):
-    g = group_structure(z4)
-    assert build_two_var_witness(g, 1, 3) is None
+    assert build_two_var_witness(z4, 1, 3) is None
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
@@ -402,7 +427,7 @@ def test_two_var_witness_answers_every_ordered_pair(spec):
     cosets = coset_congruence(g).class_of
     for u in range(s.order):
         for v in range(s.order):
-            w = build_two_var_witness(g, u, v)
+            w = build_two_var_witness(s, u, v)
             if cosets[u] == cosets[v]:
                 assert validate_two_var(m, u, v, w) is None, (spec, u, v)
             else:
@@ -420,7 +445,7 @@ def test_two_var_witness_all_same_coset_pairs(data):
     members = data.draw(st.sampled_from(classes))
     u = data.draw(st.sampled_from(members))
     v = data.draw(st.sampled_from(members))
-    w = build_two_var_witness(g, u, v)
+    w = build_two_var_witness(s, u, v)
     assert validate_two_var(adjoin_identity(s), u, v, w) is None
 
 
@@ -429,8 +454,7 @@ def test_two_var_witness_all_same_coset_pairs(data):
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_orientable_suite_passes_on_groups(spec):
-    g = group_structure(make_family(spec))
-    report = verify_orientable_is_commutator_subgroup(g, 4, subject=spec)
+    report = verify_orientable_is_commutator_subgroup(make_family(spec), 4, subject=spec)
     assert report.passed, report.to_text()
     assert {c.check_id for c in report.checks} == {
         "constructed-witnesses",
@@ -441,8 +465,7 @@ def test_orientable_suite_passes_on_groups(spec):
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_sigma_suite_passes_on_groups(spec):
-    g = group_structure(make_family(spec))
-    report = verify_sigma_is_abelianization(g, 3, subject=spec)
+    report = verify_sigma_is_abelianization(make_family(spec), 3, subject=spec)
     assert report.passed, report.to_text()
     assert {c.check_id for c in report.checks} == {
         "constructed-pair-witnesses",
@@ -578,24 +601,25 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
     import semorient.theorems as th
     import semorient.verify as vf
 
-    g = group_structure(make_family(spec))
-    m = adjoin_identity(g.base)
-    everything = range(g.order)
+    s = make_family(spec)
+    m = adjoin_identity(s)
+    everything = range(s.order)
     # the builders validate what they build; the suites validate what the searches find.
     # Building here leaves the map of constructed witnesses empty: the suite fills it
-    built = Counter((x, build_orientable_witness(g, x)) for x in commutator_subgroup(g))
+    derived = commutator_subgroup(group_structure(s))
+    built = Counter((x, build_orientable_witness(s, x)) for x in derived)
     found = _one_var_search(m, everything, 2)
     searched = Counter((x, w) for x, w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_one_var", (th, vf))
-    assert verify_orientable_is_commutator_subgroup(g, 2).passed
+    assert verify_orientable_is_commutator_subgroup(s, 2).passed
     assert calls == built + searched
 
-    built = Counter((u, v, w) for (u, v), w in exact_sigma_report(g).items())
+    built = Counter((u, v, w) for (u, v), w in exact_sigma_report(s).items())
     pairs = [(u, v) for u in everything for v in everything]
     found = _pair_search(m, pairs, 2)
     searched = Counter((u, v, w) for (u, v), w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_two_var", (th, vf))
-    assert verify_sigma_is_abelianization(g, 2).passed
+    assert verify_sigma_is_abelianization(s, 2).passed
     assert calls == built + searched
 
 
@@ -608,15 +632,13 @@ def test_verify_validates_each_constructed_witness_once(monkeypatch, fresh_cache
     out, err = io.StringIO(), io.StringIO()
     argv = ["verify", "--family", spec, "--suite", "theorems"]
     assert run(argv, out=out, err=err) == 0
-    g = group_structure(make_family(spec))
-    assert len(commutator_subgroup(g)) == size
-    assert calls == Counter((x, w) for x, w in th._orientable_witnesses(g).items() if w is not None)
+    s = make_family(spec)
+    assert len(commutator_subgroup(group_structure(s))) == size
+    assert calls == Counter((x, w) for x, w in th._orientable_witnesses(s).items() if w is not None)
 
 
 def test_report_serialization(s3):
-    report = verify_orientable_is_commutator_subgroup(
-        group_structure(s3), 3, subject="symmetric:3"
-    )
+    report = verify_orientable_is_commutator_subgroup(s3, 3, subject="symmetric:3")
     obj = report.to_json()
     assert obj["subject"] == "symmetric:3"
     assert obj["bound"] == {"one-var": 3}
@@ -752,8 +774,8 @@ def _relation(label, keep):
 
 
 def _padded(build):
-    def padded(group, g):
-        w = build(group, g)
+    def padded(s, g):
+        w = build(s, g)
         return w and OneVarWitness(w.a + (0,), w.b + (0,), w.c)
 
     return padded
@@ -775,8 +797,8 @@ def _without_120(abelian_keys):
 
 def _pair_dropped(exact_sigma_report):
     # the first same-coset pair, (identity, identity), loses its witness
-    def dropped(g):
-        return dict(list(exact_sigma_report(g).items())[1:])
+    def dropped(s):
+        return dict(list(exact_sigma_report(s).items())[1:])
 
     return dropped
 
@@ -843,9 +865,9 @@ PLANTED = [
 
 def _suite(name, s3):
     if name == "orientable":
-        return verify_orientable_is_commutator_subgroup(group_structure(s3), 3)
+        return verify_orientable_is_commutator_subgroup(s3, 3)
     if name == "sigma":
-        return verify_sigma_is_abelianization(group_structure(s3), 3)
+        return verify_sigma_is_abelianization(s3, 3)
     return verify_semigroup_properties(s3, 2, 2)
 
 
