@@ -36,7 +36,7 @@ MAX_BOUND = 8
 ONE_VAR_DEFAULT_BOUND = 4
 TWO_VAR_DEFAULT_BOUND = 3
 
-# entries each module-level lru_cache keeps, keyed by table, group or spec: above
+# entries each module-level lru_cache keeps, keyed by table or spec: above
 # the distinct keys one CLI call uses (at most 3 on any benchmark job), so a
 # library loop over many tables keeps the most recent ones, not every one seen
 CACHE_SIZE = 32
@@ -408,7 +408,8 @@ class Monoid1(NamedTuple):
     The identity realizes absent equation parts: an empty factor word
     evaluates to it. It is never a legal factor inside witness words, and it
     is adjoined even if the base already has an identity, so every semigroup
-    gets the same uniform shape. Built only by ``adjoin_identity``.
+    gets the same uniform shape. Built only by ``adjoin_identity``, cached per
+    table, and read from the table by the search and the validators.
     """
 
     base: Semigroup

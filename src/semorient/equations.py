@@ -14,7 +14,7 @@ from importlib import import_module
 from typing import NamedTuple, Optional, Sequence
 
 from . import _HOMES
-from .core import Monoid1, Word, _check_elements, eval_word
+from .core import Semigroup, Word, _check_elements, adjoin_identity, eval_word
 
 
 # the names of ``search`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -49,7 +49,7 @@ class TwoVarWitness(NamedTuple):
         return len(self.a) + len(self.b)
 
 
-def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
+def validate_one_var(s: Semigroup, g: int, w: OneVarWitness) -> Optional[str]:
     """Return None if the witness is valid for g, else the first failed clause.
 
     In S¹ the equation a = b*t*c is ()*t1*a = b*t2*c at (t1, t2) = (1, g):
@@ -59,18 +59,21 @@ def validate_one_var(m: Monoid1, g: int, w: OneVarWitness) -> Optional[str]:
     sides, and a = b*g*c. "a non-empty" and "b, c not both empty" are cases
     of its balance clause.
     """
-    return validate_two_var(m, m.identity_index, g, TwoVarWitness((), w.a, w.b, w.c))
+    return validate_two_var(s, s.order, g, TwoVarWitness((), w.a, w.b, w.c))
 
 
-def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
+def validate_two_var(s: Semigroup, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
     """Return None if the witness is valid for the ordered pair (u, v), else a reason.
 
-    Raises ValueError, before any reason, when u, v or a letter of the four
-    words is outside S¹; ``eval_word`` is the one check of each letter.
+    The words are read in the table's S¹ (``core.adjoin_identity``), whose
+    adjoined 1 is index ``s.order``. Raises ValueError, before any reason,
+    when u, v or a letter of the four words is outside S¹; ``eval_word`` is
+    the one check of each letter.
     Past the balance clauses each side holds at least one base letter, and a
     base element times anything in S¹ is a base element, so both sides of a
     failed substitution are named from the base.
     """
+    m = adjoin_identity(s)
     _check_elements(m.order, u, v)
     a, b, c, d = (eval_word(m, word) for word in w)
     left, right = w.a + w.b, w.c + w.d
@@ -81,7 +84,7 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
             f"unbalanced lengths: the left side has {len(left)} factors "
             f"but the right side has {len(right)}"
         )
-    if m.identity_index in left + right:
+    if s.order in left + right:
         return "the adjoined identity may not appear as a factor"
     if sorted(left) != sorted(right):
         return "factor multisets differ between the two sides"
@@ -89,8 +92,8 @@ def validate_two_var(m: Monoid1, u: int, v: int, w: TwoVarWitness) -> Optional[s
     lhs, rhs = t[t[a][u]][b], t[t[c][v]][d]
     if lhs != rhs:
         return (
-            f"substitution fails: the left side evaluates to {m.base.names[lhs]} "
-            f"but the right side evaluates to {m.base.names[rhs]}"
+            f"substitution fails: the left side evaluates to {s.names[lhs]} "
+            f"but the right side evaluates to {s.names[rhs]}"
         )
     return None
 

@@ -21,18 +21,15 @@ from .core import (
 
 
 class GroupStructure(NamedTuple):
-    """Identity and inverse map over a semigroup whose table is a Latin square.
+    """Identity and inverse map of a table that is a group.
 
-    Built only by ``group_structure``, which finds both.
+    Built only by ``group_structure``, which finds both, cached per table. The
+    other functions here take the table and read it from there, so off a group
+    each raises the NotAGroupError that ``group_structure`` raises.
     """
 
-    base: Semigroup
     identity: int
     inverse: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return self.base.order
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -61,18 +58,18 @@ def group_structure(s: Semigroup) -> GroupStructure:
                 f"element {s.names[i]!r} has no inverse (table is not a Latin square)"
             )
     inverse = tuple(row.index(identity) for row in t)
-    return GroupStructure(s, identity, inverse)
+    return GroupStructure(identity, inverse)
 
 
-def commutator(g: GroupStructure, x: int, y: int) -> int:
+def commutator(s: Semigroup, x: int, y: int) -> int:
     """x * y * x^-1 * y^-1."""
-    _check_elements(g.order, x, y)
-    t = g.base.table
-    return t[t[t[x][y]][g.inverse[x]]][g.inverse[y]]
+    _check_elements(s.order, x, y)
+    t, inv = s.table, group_structure(s).inverse
+    return t[t[t[x][y]][inv[x]]][inv[y]]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def derived_subgroup_tree(g: GroupStructure) -> Mapping[int, tuple[tuple[int, int], ...]]:
+def derived_subgroup_tree(s: Semigroup) -> Mapping[int, tuple[tuple[int, int], ...]]:
     """Breadth-first tree of [G, G] from the identity; each node maps to its path's labels.
 
     Edges multiply on the right by one commutator value, tried in ascending
@@ -82,9 +79,8 @@ def derived_subgroup_tree(g: GroupStructure) -> Mapping[int, tuple[tuple[int, in
     nodes reached are exactly the subgroup the commutators generate. The
     cached mapping is shared by every caller, so it is read-only.
     """
-    n = g.order
-    t = g.base.table
-    inv = g.inverse
+    identity, inv = group_structure(s)
+    n, t = s.order, s.table
     columns = tuple(zip(*t))
     backwards = range(n - 1, -1, -1)
     preimage: dict[int, tuple[int, int]] = {}
@@ -95,8 +91,8 @@ def derived_subgroup_tree(g: GroupStructure) -> Mapping[int, tuple[tuple[int, in
         for c in first.keys() - preimage.keys():
             preimage[c] = (x, first[c])
     edges = sorted(preimage.items())
-    path: dict[int, tuple[tuple[int, int], ...]] = {g.identity: ()}
-    queue = deque([g.identity])
+    path: dict[int, tuple[tuple[int, int], ...]] = {identity: ()}
+    queue = deque([identity])
     while queue:
         h = queue.popleft()
         for c, pair in edges:
@@ -108,38 +104,39 @@ def derived_subgroup_tree(g: GroupStructure) -> Mapping[int, tuple[tuple[int, in
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def commutator_subgroup(g: GroupStructure) -> tuple[int, ...]:
+def commutator_subgroup(s: Semigroup) -> tuple[int, ...]:
     """The nodes of the derived-subgroup tree, as an ascending index tuple.
 
     The nodes are the closure of the commutator set under products, which in
     a finite group is a subgroup, and it is normal because a conjugate of a
     commutator is a commutator.
     """
-    return tuple(sorted(derived_subgroup_tree(g)))
+    return tuple(sorted(derived_subgroup_tree(s)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def coset_congruence(g: GroupStructure) -> Congruence:
+def coset_congruence(s: Semigroup) -> Congruence:
     """Partition into cosets of the commutator subgroup: u ~ v iff u * v^-1 is in it.
 
     It equals ker φ of ``core._abelian_keys``, which the quotients and σ functions
     read. Its one reader is the ``verify`` σ suite: it compares this partition,
     built from [G, G], with ker φ and with κ, which are made without [G, G].
     """
-    t = g.base.table
-    derived = commutator_subgroup(g)
-    first = [-1] * g.order  # the smallest member of each element's coset
-    for x in range(g.order):
+    t = s.table
+    derived = commutator_subgroup(s)
+    first = [-1] * s.order  # the smallest member of each element's coset
+    for x in range(s.order):
         if first[x] == -1:
             for k in derived:
                 first[t[k][x]] = x
     return _by_first_appearance(first)
 
 
-def abelianization(g: GroupStructure) -> Semigroup:
+def abelianization(s: Semigroup) -> Semigroup:
     """G/[G, G]: the quotient by ker φ of ``core._abelian_keys``, the largest abelian image.
 
     On a group ε is the identity, so ker φ is κ, whose classes are the cosets
     of [G, G], and the quotient needs no derived-subgroup tree.
     """
-    return quotient(g.base, _abelian_keys(g.base)[1])
+    group_structure(s)  # raises NotAGroupError off a group
+    return quotient(s, _abelian_keys(s)[1])

@@ -2,14 +2,15 @@
 
 Searches are exhaustive up to a factor-count bound and return the canonical
 minimal witness: smallest factor count first, then the lexicographically
-smallest word tuple (a, b, c[, d]). One level search serves both kinds: an
-element g is searched as the pair (1, g). The public entry points test one
-key first, ker φ's class (``core._abelian_keys``, read by ``_keys``): they
-search an element only when it is keyed like 1 and a pair only when both
-are keyed alike. The others have no witness at any bound and get None
-without a search. The ``verify`` suites call the private searches
-``_one_var_search`` and ``_pair_search`` unfiltered, so their checks can
-fail. The exact group path never loads this module.
+smallest word tuple (a, b, c[, d]). Each function but ``_levels`` takes the
+table and reads its S¹ (``core.adjoin_identity``), where index ``s.order`` is
+the adjoined 1. One level search serves both kinds: an element g is searched as
+the pair (1, g). The public entry points test one key first, ker φ's class
+(``core._abelian_keys``, read by ``_keys``): they search an element only when
+it is keyed like 1 and a pair only when both are keyed alike. The others have
+no witness at any bound and get None without a search. The ``verify`` suites
+call the private searches ``_one_var_search`` and ``_pair_search`` unfiltered,
+so their checks can fail. The exact group path never loads this module.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from .core import (
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
     Monoid1,
+    Semigroup,
     Word,
     _abelian_keys,
     _check_elements,
+    adjoin_identity,
 )
 from .equations import OneVarWitness, TwoVarWitness
 
@@ -87,7 +90,7 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
 
 
 def _pair_search(
-    m: Monoid1, pairs: Iterable[tuple[int, int]], bound: int
+    s: Semigroup, pairs: Iterable[tuple[int, int]], bound: int
 ) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
     """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
 
@@ -105,6 +108,7 @@ def _pair_search(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    m = adjoin_identity(s)
     t = m.table
     todo = list(pairs)
     found: dict[tuple[int, int], Optional[TwoVarWitness]] = dict.fromkeys(todo)
@@ -115,7 +119,7 @@ def _pair_search(
         cols = [(x, x in lefts, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
         best: dict[tuple[int, int], tuple[tuple[Word, Word], tuple[Word, Word]]] = {}
         live = todo
-        for multiset, splits in zip(combinations_with_replacement(range(m.base.order), n), level):
+        for multiset, splits in zip(combinations_with_replacement(range(s.order), n), level):
             floor = ((), multiset)
             live = [pair for pair in live if pair not in best or not best[pair][0] < floor]
             if not live:
@@ -144,7 +148,7 @@ def _pair_search(
 
 
 def _one_var_search(
-    m: Monoid1, elements: Iterable[int], bound: int
+    s: Semigroup, elements: Iterable[int], bound: int
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical minimal witness (or None) for each element: the pair search on (1, g).
 
@@ -154,23 +158,22 @@ def _one_var_search(
     since () comes first. So the canonical witness of (1, g) starts with (),
     and the rest is the canonical (a, b, c). The indices are not checked.
     """
-    e = m.identity_index
-    found = _pair_search(m, [(e, g) for g in elements], bound)
+    found = _pair_search(s, [(s.order, g) for g in elements], bound)
     return {g: None if w is None else OneVarWitness(*w[1:]) for (_, g), w in found.items()}
 
 
-def _keys(m: Monoid1) -> tuple[int, ...]:
+def _keys(s: Semigroup) -> tuple[int, ...]:
     """The class id in ker φ (``core._abelian_keys``) of each element of S¹, 1 keyed [ε].
 
     A pair (u, v) with key[u] != key[v], or an element g with key[g] !=
     key[1], has no witness at any bound. The indices are not checked.
     """
-    eps, kernel = _abelian_keys(m.base)
+    eps, kernel = _abelian_keys(s)
     return kernel.class_of + (kernel.class_of[eps],)
 
 
 def search_one_var(
-    m: Monoid1, g: int, bound: int = ONE_VAR_DEFAULT_BOUND
+    s: Semigroup, g: int, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> Optional[OneVarWitness]:
     """Canonical minimal witness with |a| <= bound: the level search on (1, g).
 
@@ -178,42 +181,42 @@ def search_one_var(
     means no witness of that size exists, which is not a proof that g
     satisfies no equation at all.
     """
-    _check_elements(m.order, g)
-    key = _keys(m)
-    return _one_var_search(m, [g] if key[g] == key[m.identity_index] else [], bound).get(g)
+    _check_elements(s.order + 1, g)
+    key = _keys(s)
+    return _one_var_search(s, [g] if key[g] == key[s.order] else [], bound).get(g)
 
 
 def orientable_set(
-    m: Monoid1, bound: int = ONE_VAR_DEFAULT_BOUND
+    s: Semigroup, bound: int = ONE_VAR_DEFAULT_BOUND
 ) -> dict[int, Optional[OneVarWitness]]:
     """Canonical witness (or None) for every base element, searched on those keyed like 1."""
-    key = _keys(m)
-    elements = range(m.base.order)
-    found = _one_var_search(m, [g for g in elements if key[g] == key[m.identity_index]], bound)
+    key = _keys(s)
+    elements = range(s.order)
+    found = _one_var_search(s, [g for g in elements if key[g] == key[s.order]], bound)
     return {g: found.get(g) for g in elements}
 
 
 def search_two_var(
-    m: Monoid1, u: int, v: int, bound: int = TWO_VAR_DEFAULT_BOUND
+    s: Semigroup, u: int, v: int, bound: int = TWO_VAR_DEFAULT_BOUND
 ) -> Optional[TwoVarWitness]:
     """Canonical minimal witness with |a| + |b| <= bound: the level search on (u, v).
 
     A pair with two keys gets None without a search. Otherwise None means no
     witness that small, not unrelatedness.
     """
-    _check_elements(m.order, u, v)
-    key = _keys(m)
-    return _pair_search(m, [(u, v)] if key[u] == key[v] else [], bound).get((u, v))
+    _check_elements(s.order + 1, u, v)
+    key = _keys(s)
+    return _pair_search(s, [(u, v)] if key[u] == key[v] else [], bound).get((u, v))
 
 
 def sigma_report(
-    m: Monoid1, bound: int = TWO_VAR_DEFAULT_BOUND
+    s: Semigroup, bound: int = TWO_VAR_DEFAULT_BOUND
 ) -> dict[tuple[int, int], TwoVarWitness]:
     """Each pair inside ker φ's classes with a witness of size <= bound, mapped to that witness.
 
     The pairs come in ``Congruence.pairs`` order. More may have larger witnesses.
     """
-    found = _pair_search(m, _abelian_keys(m.base)[1].pairs(), bound)
+    found = _pair_search(s, _abelian_keys(s)[1].pairs(), bound)
     return {pair: w for pair, w in found.items() if w is not None}
 
 

@@ -10,11 +10,11 @@ The two central facts of the exact path, on concrete group tables:
 
 Each function takes the table and reads ``groups.group_structure``, cached
 per table, so off a group it raises NotAGroupError. Which elements and pairs
-carry a witness is read off ker φ (``core._abelian_keys``): an element of
-ε's class and a pair inside one class. The witnesses are built from
-decompositions in the derived-subgroup tree, and every one is re-checked by
-the validators in ``equations``. The suites that test these facts against
-the bounded search live in ``verify``.
+carry a witness is read off ker φ (``core._abelian_keys``): an element of ε's
+class and a pair inside one class. The witnesses are built from
+decompositions in the derived-subgroup tree, and every one is re-checked on
+the same table by the validators in ``equations``. The suites that test these
+facts against the bounded search live in ``verify``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .core import (
     SemigroupError,
     _abelian_keys,
     _check_elements,
-    adjoin_identity,
 )
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
 from .groups import derived_subgroup_tree, group_structure
@@ -57,7 +56,7 @@ def commutator_decomposition(s: Semigroup, g: int) -> Optional[tuple[tuple[int, 
     reproducible edge choices; the identity gets no pairs.
     """
     _check_elements(s.order, g)
-    return derived_subgroup_tree(group_structure(s)).get(g)
+    return derived_subgroup_tree(s).get(g)
 
 
 def build_orientable_witness(s: Semigroup, g: int) -> Optional[OneVarWitness]:
@@ -103,7 +102,7 @@ def build_orientable_witness(s: Semigroup, g: int) -> Optional[OneVarWitness]:
         x, y = t[t[inv[value_c]][u]][value_c], t[t[inv[value_c]][v]][value_c]
         a, c, value_c = a + (x, y), c + (y, x), t[t[value_c][y]][x]
     witness = OneVarWitness(a, (), c) if pairs else OneVarWitness((0, inv[0]), (0,), (inv[0],))
-    problem = validate_one_var(adjoin_identity(s), g, witness)
+    problem = validate_one_var(s, g, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed one-variable witness: {problem}")
     return witness
@@ -141,7 +140,7 @@ def _two_var_witness(
         return None
     inv_u = group_structure(s).inverse[u]
     witness = TwoVarWitness(one.a, (inv_u,), one.b, (inv_u,) + one.c)
-    problem = validate_two_var(adjoin_identity(s), u, v, witness)
+    problem = validate_two_var(s, u, v, witness)
     if problem is not None:
         raise WitnessConstructionError(f"constructed two-variable witness: {problem}")
     return witness

@@ -4,11 +4,11 @@ from . import Result, _load, _table_result
 
 
 def run(args) -> Result:
-    from ..groups import abelianization, group_structure
+    from ..groups import abelianization
 
     s, subject = _load(args)
     return _table_result(
-        abelianization(group_structure(s)),
+        abelianization(s),
         {"subject": subject},
         f"# abelianization of {subject}\n",
     )

@@ -7,16 +7,16 @@ def run(args) -> Result:
     from ..groups import commutator, commutator_subgroup, group_structure
 
     s, subject = _load(args)
-    group = group_structure(s)
+    group_structure(s)  # raises NotAGroupError before --pair is parsed
     if args.pair:
         x, y = _pair(s, args.pair)
-        nx, ny, nc = s.names[x], s.names[y], s.names[commutator(group, x, y)]
+        nx, ny, nc = s.names[x], s.names[y], s.names[commutator(s, x, y)]
         return (
             EXIT_OK,
             lambda: {"subject": subject, "pair": [nx, ny], "commutator": nc},
             lambda: f"commutator({nx}, {ny}) = {nc}\n",
         )
-    derived = [s.names[g] for g in commutator_subgroup(group)]
+    derived = [s.names[g] for g in commutator_subgroup(s)]
     return (
         EXIT_OK,
         lambda: {"subject": subject, "order": len(derived), "elements": derived},

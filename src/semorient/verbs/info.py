@@ -22,7 +22,7 @@ def run(args) -> Result:
         "group": group is not None,
     }
     if group is not None:
-        derived = commutator_subgroup(group)
+        derived = commutator_subgroup(s)
         obj["identity"] = s.names[group.identity]
         obj["commutator_subgroup"] = [s.names[g] for g in derived]
         obj["abelianization_order"] = s.order // len(derived)

@@ -1,7 +1,6 @@
 """``orientable``: a witness for every element, by bounded search or ``--exact``."""
 
 from . import EXIT_OK, Result, _bounds, _load, _no_witness
-from ..core import adjoin_identity
 
 
 def run(args) -> Result:
@@ -17,7 +16,7 @@ def run(args) -> Result:
     else:
         from ..search import orientable_set
 
-        found = orientable_set(adjoin_identity(s), one_var_bound)
+        found = orientable_set(s, one_var_bound)
         bound = one_var_bound
     count = sum(1 for w in found.values() if w is not None)
 

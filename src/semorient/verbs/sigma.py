@@ -5,7 +5,7 @@ The classes are ker φ (``core._abelian_keys``) in both modes, as in
 """
 
 from . import EXIT_OK, Result, _bounds, _load
-from ..core import _abelian_keys, adjoin_identity
+from ..core import _abelian_keys
 
 
 def run(args) -> Result:
@@ -21,7 +21,7 @@ def run(args) -> Result:
     else:
         from ..search import sigma_report
 
-        pairs = sigma_report(adjoin_identity(s), two_var_bound)
+        pairs = sigma_report(s, two_var_bound)
         bound, exactness = two_var_bound, "lower-bound"
     kernel = _abelian_keys(s)[1]
     classes = [[s.names[x] for x in members] for members in kernel.classes()]

@@ -10,7 +10,6 @@ from . import (
     _no_witness,
     _pair,
 )
-from ..core import adjoin_identity
 
 
 def run(args) -> Result:
@@ -31,7 +30,7 @@ def run(args) -> Result:
         from ..search import search_one_var, search_two_var
 
         bound = one_var_bound if one else two_var_bound
-        w = (search_one_var if one else search_two_var)(adjoin_identity(s), *target, bound)
+        w = (search_one_var if one else search_two_var)(s, *target, bound)
     else:
         from ..theorems import build_orientable_witness, build_two_var_witness
 

@@ -25,14 +25,13 @@ from .core import (
     TWO_VAR_DEFAULT_BOUND,
     Semigroup,
     _abelian_keys,
-    adjoin_identity,
     commutative_congruence,
     idempotents,
     is_commutative,
     quotient,
 )
 from .equations import OneVarWitness, TwoVarWitness, validate_one_var, validate_two_var
-from .groups import commutator_subgroup, coset_congruence, group_structure
+from .groups import commutator_subgroup, coset_congruence
 from .search import _one_var_search, _pair_search, sigma_report
 from .theorems import _orientable_witnesses, commutator_decomposition, exact_sigma_report
 
@@ -111,7 +110,7 @@ def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVar
     The suites share it, so a ``verify`` call searches each bound once. The
     cached mapping is shared by every caller, so it is read-only.
     """
-    found = _one_var_search(adjoin_identity(s), range(s.order), bound)
+    found = _one_var_search(s, range(s.order), bound)
     return MappingProxyType(found)
 
 
@@ -140,9 +139,8 @@ def verify_orientable_is_commutator_subgroup(
     larger. The search runs once, at ``bound``, and (ii) and (iii) read it.
     At a bound that covers every construction, (iii) is set equality.
     """
-    derived = commutator_subgroup(group_structure(s))
+    derived = commutator_subgroup(s)
     derived_set = set(derived)
-    m = adjoin_identity(s)
     names = s.names
     report = VerificationReport(
         subject or f"group of order {s.order}", {"one-var": bound}
@@ -179,7 +177,7 @@ def verify_orientable_is_commutator_subgroup(
     for g, w in found.items():
         if w is None:
             continue
-        problem = validate_one_var(m, g, w)
+        problem = validate_one_var(s, g, w)
         if problem is not None:
             failures.append(f"{names[g]}: {problem}")
         elif g not in derived_set:
@@ -225,8 +223,7 @@ def verify_sigma_is_abelianization(
     without it. The quotient of a group is a group, so only commutativity is
     left to check in (iv).
     """
-    cosets = coset_congruence(group_structure(s))
-    m = adjoin_identity(s)
+    cosets = coset_congruence(s)
     names = s.names
     report = VerificationReport(
         subject or f"group of order {s.order}", {"two-var": bound}
@@ -235,7 +232,7 @@ def verify_sigma_is_abelianization(
     same_coset = set(cosets.pairs())
     # unfiltered, as in bounded-search-sound
     everything = [(u, v) for u in range(s.order) for v in range(s.order)]
-    searched = _pair_search(m, everything, bound)
+    searched = _pair_search(s, everything, bound)
 
     # exact_sigma_report validated every pair's witness, and raises on a failure
     failures = [
@@ -258,7 +255,7 @@ def verify_sigma_is_abelianization(
     failures = []
     found = {pair: w for pair, w in searched.items() if w is not None}
     for (u, v), w in found.items():
-        problem = validate_two_var(m, u, v, w)
+        problem = validate_two_var(s, u, v, w)
         if problem is not None:
             failures.append(f"({names[u]}, {names[v]}): {problem}")
         elif cosets.class_of[u] != cosets.class_of[v]:
@@ -307,7 +304,6 @@ def verify_semigroup_properties(
     behavior) are soft reports. Groups get the same checks: the σ suite
     tests their exact classes.
     """
-    m = adjoin_identity(s)
     names = s.names
     n = s.order
     report = VerificationReport(
@@ -319,7 +315,7 @@ def verify_semigroup_properties(
     failures = [
         f"({names[u]}, {names[u]})"
         for u in range(n)
-        if validate_two_var(m, u, u, pad) is not None
+        if validate_two_var(s, u, u, pad) is not None
     ]
     report._add(
         "reflexivity-witnesses",
@@ -331,7 +327,7 @@ def verify_semigroup_properties(
     for u in range(n):
         for v in range(n):
             w = TwoVarWitness((v,), (), (), (v,))
-            problem = validate_two_var(m, s.table[u][v], s.table[v][u], w)
+            problem = validate_two_var(s, s.table[u][v], s.table[v][u], w)
             if problem is not None:
                 failures.append(f"({names[u]}, {names[v]}): {problem}")
     report._add(
@@ -344,7 +340,7 @@ def verify_semigroup_properties(
     failures = [
         names[e]
         for e in idems
-        if validate_one_var(m, e, OneVarWitness((e, e), (e,), (e,))) is not None
+        if validate_one_var(s, e, OneVarWitness((e, e), (e,), (e,))) is not None
     ]
     report._add(
         "idempotent-witnesses",
@@ -357,7 +353,7 @@ def verify_semigroup_properties(
     at_bound = _one_var_witnesses(s, one_var_bound)
     found = [g for g, w in at_bound.items() if w is not None]
     # only elements found at the bound: the others would need the whole next size
-    at_next = _one_var_search(m, found, one_var_bound + 1)
+    at_next = _one_var_search(s, found, one_var_bound + 1)
     for g in found:
         w1, w2 = at_bound[g], at_next[g]
         if w2 is None:
@@ -370,7 +366,7 @@ def verify_semigroup_properties(
         failures,
     )
 
-    relation = set(sigma_report(m, two_var_bound))
+    relation = set(sigma_report(s, two_var_bound))
 
     observations = [
         f"{names[u]}*{names[v]} has no witness at bound {one_var_bound}"

@@ -317,25 +317,27 @@ def commutator_product(table, identity, inverse, pairs):
     return acc
 
 
-def bfs_commutator_decomposition(group, g):
-    """Per-call breadth-first commutator decomposition: the pairs for g, or None.
+def bfs_commutator_decomposition(table, g):
+    """Per-call breadth-first commutator decomposition in a group's rows: the pairs for g, or None.
 
-    Recomputes every commutator and the whole search on each call. Edges are
-    tried in ascending commutator value, each value labelled with its first
-    (x, y) preimage in lexicographic order; None means g lies outside the
-    commutator subgroup.
+    Recomputes the identity, the inverses, every commutator and the whole
+    search on each call. Edges are tried in ascending commutator value, each
+    value labelled with its first (x, y) preimage in lexicographic order; None
+    means g lies outside the commutator subgroup.
     """
-    t = group.base.table
-    inv = group.inverse
+    t = table
+    n = len(t)
+    identity = next(e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n)))
+    inv = [next(y for y in range(n) if t[x][y] == identity) for x in range(n)]
     preimage = {}
-    for x in range(group.order):
-        for y in range(group.order):
+    for x in range(n):
+        for y in range(n):
             c = t[t[t[x][y]][inv[x]]][inv[y]]
             if c not in preimage:
                 preimage[c] = (x, y)
     edges = sorted(preimage)
-    parent = {group.identity: None}
-    queue = deque([group.identity])
+    parent = {identity: None}
+    queue = deque([identity])
     while queue:
         h = queue.popleft()
         for c in edges:

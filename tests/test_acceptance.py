@@ -27,7 +27,6 @@ from semorient.groups import (
     abelianization,
     commutator_subgroup,
     coset_congruence,
-    group_structure,
 )
 from semorient.search import orientable_set, search_one_var, search_two_var, sigma_report
 from semorient.theorems import (
@@ -62,18 +61,17 @@ def test_criterion_1_orientable_equals_commutator_subgroup():
     started = time.perf_counter()
     for spec in GROUP_FAMILIES:
         s = make_family(spec)
-        g = group_structure(s)
-        derived = commutator_subgroup(g)
+        derived = commutator_subgroup(s)
         assert len(derived) == EXPECTED_DERIVED_ORDER[spec], spec
         k_max = max(
             (len(commutator_decomposition(s, x)) for x in derived), default=0
         )
         bound = max(4, 2 * max(k_max, 1))
-        found = orientable_set(adjoin_identity(s), bound)
+        found = orientable_set(s, bound)
         got = {x for x, w in found.items() if w is not None}
         assert got == set(derived), f"{spec}: {got} != {set(derived)}"
         for x in got:
-            assert validate_one_var(adjoin_identity(s), x, found[x]) is None
+            assert validate_one_var(s, x, found[x]) is None
     elapsed = time.perf_counter() - started
     report(
         "criterion 1: orientable set equals commutator subgroup on the group catalog",
@@ -92,14 +90,13 @@ def test_criterion_2_sigma_classes_equal_cosets():
     ok = True
     for spec in GROUP_FAMILIES:
         s = make_family(spec)
-        g = group_structure(s)
         pairs = exact_sigma_report(s)
         kernel = _abelian_keys(s)[1]
-        cosets = coset_congruence(g)
+        cosets = coset_congruence(s)
         ok = ok and kernel == cosets and set(pairs) == set(cosets.pairs())
         q = quotient(s, kernel)
         ok = ok and is_commutative(q) and is_cancellative(q)
-        ok = ok and q.order == s.order // len(commutator_subgroup(g))
+        ok = ok and q.order == s.order // len(commutator_subgroup(s))
         if spec in expected_quotient_order:
             ok = ok and q.order == expected_quotient_order[spec]
         # up to class relabeling: map sigma class -> coset class through elements
@@ -108,7 +105,7 @@ def test_criterion_2_sigma_classes_equal_cosets():
         for x in range(s.order):
             a, b = kernel.class_of[x], cosets.class_of[x]
             consistent = consistent and phi.setdefault(a, b) == b
-        ab = abelianization(g)
+        ab = abelianization(s)
         same_table = all(
             phi[q.table[i][j]] == ab.table[phi[i]][phi[j]]
             for i in range(q.order)
@@ -122,68 +119,60 @@ def test_criterion_2_sigma_classes_equal_cosets():
 def test_criterion_3_forward_direction_searches_find_nothing():
     for spec in ("symmetric:3", "dihedral:4", "quaternion8"):
         s = make_family(spec)
-        g = group_structure(s)
-        derived = set(commutator_subgroup(g))
-        m = adjoin_identity(s)
+        derived = set(commutator_subgroup(s))
         for x in range(s.order):
             if x not in derived:
-                assert search_one_var(m, x, 3) is None, (spec, s.names[x])
+                assert search_one_var(s, x, 3) is None, (spec, s.names[x])
     s3 = make_family("symmetric:3")
-    m3 = adjoin_identity(s3)
-    cosets = coset_congruence(group_structure(s3))
+    cosets = coset_congruence(s3)
     for u in range(6):
         for v in range(6):
             if cosets.class_of[u] != cosets.class_of[v]:
-                assert search_two_var(m3, u, v, 2) is None, (u, v)
+                assert search_two_var(s3, u, v, 2) is None, (u, v)
     report("criterion 3: no witnesses outside the subgroup (N=3) or across cosets (N=2)", True)
 
 
 def test_criterion_4_constructed_witnesses():
     for spec in GROUP_FAMILIES:
         s = make_family(spec)
-        g = group_structure(s)
-        m = adjoin_identity(s)
-        for x in commutator_subgroup(g):
+        for x in commutator_subgroup(s):
             k = len(commutator_decomposition(s, x))
             assert k <= 3, (spec, k)
             w = build_orientable_witness(s, x)
             assert w.size == 2 * max(k, 1), (spec, s.names[x])
-            assert validate_one_var(m, x, w) is None, (spec, s.names[x])
-        cosets = coset_congruence(g)
+            assert validate_one_var(s, x, w) is None, (spec, s.names[x])
+        cosets = coset_congruence(s)
         for u in range(s.order):
             for v in range(s.order):
                 if cosets.class_of[u] == cosets.class_of[v]:
                     w2 = build_two_var_witness(s, u, v)
-                    assert validate_two_var(m, u, v, w2) is None, (spec, u, v)
+                    assert validate_two_var(s, u, v, w2) is None, (spec, u, v)
     report("criterion 4: constructed witnesses obey the size law and validate", True)
 
 
 def test_criterion_5_nongroup_fixtures():
     for spec in ("leftzero:3", "null:3"):
         s = make_family(spec)
-        m = adjoin_identity(s)
-        found = orientable_set(m, 2)
+        found = orientable_set(s, 2)
         assert all(w is not None for w in found.values()), spec
         assert _abelian_keys(s)[1].num_classes == 1, spec
-        assert len(sigma_report(m, 2)) == s.order**2, spec
+        assert len(sigma_report(s, 2)) == s.order**2, spec
 
     ft2 = make_family("fulltransformation:2")
-    m = adjoin_identity(ft2)
     idem = [e for e in range(4) if ft2.table[e][e] == e]
     assert len(idem) == 3
     for e in idem:
-        assert validate_one_var(m, e, OneVarWitness((e, e), (e,), (e,))) is None
+        assert validate_one_var(ft2, e, OneVarWitness((e, e), (e,), (e,))) is None
 
     for spec in CATALOG_FAMILIES:
         s = make_family(spec)
         assert s.order <= 12, spec
-        m = adjoin_identity(s)
         pad = TwoVarWitness((0,), (), (0,), ())
         for u in range(s.order):
-            assert validate_two_var(m, u, u, pad) is None
+            assert validate_two_var(s, u, u, pad) is None
             for v in range(s.order):
                 w = TwoVarWitness((v,), (), (), (v,))
-                assert validate_two_var(m, s.table[u][v], s.table[v][u], w) is None
+                assert validate_two_var(s, s.table[u][v], s.table[v][u], w) is None
     report("criterion 5: non-group fixtures behave as computed by direct arithmetic", True)
 
 
@@ -197,7 +186,7 @@ def test_criterion_6_oracle_equivalence_small_semigroups():
         m = adjoin_identity(s)
         for bound in (1, 2, 3):
             for g in range(n):
-                got = search_one_var(m, g, bound)
+                got = search_one_var(s, g, bound)
                 expected = naive_search_one_var(m, g, bound)
                 if expected is None:
                     assert got is None, (s.table, g, bound)
@@ -207,7 +196,7 @@ def test_criterion_6_oracle_equivalence_small_semigroups():
         for bound in (1, 2, 3):
             for u in range(n):
                 for v in range(n):
-                    got = search_two_var(m, u, v, bound)
+                    got = search_two_var(s, u, v, bound)
                     expected = naive_search_two_var(m, u, v, bound)
                     if expected is None:
                         assert got is None, (s.table, u, v, bound)
@@ -236,13 +225,12 @@ def test_criterion_7_infrastructure():
 
     for spec in GROUP_FAMILIES:
         s = make_family(spec)
-        g = group_structure(s)
         pairs = [
             (s.table[x][y], s.table[y][x])
             for x in range(s.order)
             for y in range(s.order)
         ]
-        assert generated_congruence(s, pairs) == coset_congruence(g), spec
+        assert generated_congruence(s, pairs) == coset_congruence(s), spec
 
     report(
         "criterion 7: table round-trips, smallest commutative congruence",

@@ -15,7 +15,6 @@ from semorient import catalog, cli, groups, verbs
 from semorient.cli import run
 from semorient.core import (
     MAX_BOUND,
-    adjoin_identity,
     generated_congruence,
     parse_table,
     quotient,
@@ -87,6 +86,10 @@ def test_usage_errors_exit_2():
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: usage:"), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
+    # on a group the pair is parsed, and an unknown name is a usage error
+    assert invoke("commutator", "--family", "cyclic:3", "--pair", "0,zz") == (
+        2, "", "error: usage: unknown element name 'zz'\n"
+    )
 
 
 @pytest.mark.parametrize("verb", ["witness", "commutator"])
@@ -297,6 +300,10 @@ def test_group_only_verbs_exit_3():
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: not-a-group:"), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
+    # the group is detected before --pair is parsed, so an unknown name exits 3 here
+    assert invoke("commutator", "--family", "leftzero:3", "--pair", "x0,zz") == (
+        3, "", "error: not-a-group: no identity element\n"
+    )
 
 
 def test_exact_outside_group_exit_4():
@@ -527,7 +534,7 @@ def test_bounded_quotient_is_the_quotient_by_the_witnessed_pairs(catalog_family)
     # the verb reads ker φ with no search; the pairs a search witnesses generate the same classes
     spec, s = catalog_family
     for bound in (1, 3):
-        pairs = sigma_report(adjoin_identity(s), bound)
+        pairs = sigma_report(s, bound)
         table = serialize_table(quotient(s, generated_congruence(s, pairs)))
         got = invoke("quotient", "--family", spec, "--bound", str(bound))
         assert got == (0, f"# sigma-quotient of {spec} (lower-bound)\n" + table, ""), bound

@@ -390,12 +390,11 @@ def test_generated_congruence_commutation_pairs_equal_cosets(group_family):
         (s.table[x][y], s.table[y][x]) for x in range(s.order) for y in range(s.order)
     ]
     c = generated_congruence(s, pairs)
-    g = group_structure(s)
-    derived = commutator_subgroup(g)
+    derived = commutator_subgroup(s)
     assert c.num_classes == s.order // len(derived)
     from semorient.groups import coset_congruence
 
-    assert c == coset_congruence(g)
+    assert c == coset_congruence(s)
 
 
 def test_commutative_congruence_is_the_least_one():
@@ -432,7 +431,7 @@ def test_quotient_by_identity_congruence(s3):
 def test_quotient_s3_by_coset_congruence(s3):
     from semorient.groups import coset_congruence
 
-    q = quotient(s3, coset_congruence(group_structure(s3)))
+    q = quotient(s3, coset_congruence(s3))
     assert q.order == 2
     assert q.table == ((0, 1), (1, 0))
 
@@ -706,7 +705,7 @@ def test_module_caches_stay_bounded():
         s = Semigroup([f"e{k}", f"a{k}", f"b{k}"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         adjoin_identity(s)
         _abelian_keys(s)  # and commutative_congruence, _generators
-        coset_congruence(group_structure(s))  # and commutator_subgroup, derived_subgroup_tree
+        coset_congruence(s)  # and commutator_subgroup, derived_subgroup_tree
         _orientable_witnesses(s)
         make_family(f"cyclic:{k + 1}")
         assert all(f.cache_info().currsize <= CACHE_SIZE for f in caches)

@@ -49,42 +49,34 @@ from oracles import (
 )
 
 
-def monoid(spec):
-    return adjoin_identity(make_family(spec))
-
-
 # ---------------------------------------------------------------- validators
 
 
 def test_one_var_identity_witness_any_group(group_family):
     spec, s = group_family
     g = group_structure(s)
-    m = adjoin_identity(s)
     for x in range(s.order):
         w = OneVarWitness((x, g.inverse[x]), (x,), (g.inverse[x],))
-        assert validate_one_var(m, g.identity, w) is None
+        assert validate_one_var(s, g.identity, w) is None
 
 
 def test_one_var_s3_single_commutator_shape(s3):
     # x y = t y x with t the commutator of the transpositions x = (12), y = (13)
     from semorient.groups import commutator
 
-    g = group_structure(s3)
-    m = adjoin_identity(s3)
     x, y = s3.index_of("102"), s3.index_of("210")
-    t = commutator(g, x, y)
+    t = commutator(s3, x, y)
     w = OneVarWitness((x, y), (), (y, x))
-    assert validate_one_var(m, t, w) is None
+    assert validate_one_var(s3, t, w) is None
     # and it fails for any other element
     for other in range(6):
         if other != t:
-            assert validate_one_var(m, other, w) is not None
+            assert validate_one_var(s3, other, w) is not None
 
 
 def test_one_var_z2_substitution_failure():
-    m = monoid("cyclic:2")
     w = OneVarWitness((1, 1), (1,), (1,))
-    reason = validate_one_var(m, 1, w)
+    reason = validate_one_var(make_family("cyclic:2"), 1, w)
     assert reason is not None and "substitution" in reason
 
 
@@ -98,8 +90,7 @@ def test_one_var_z2_substitution_failure():
     ],
 )
 def test_one_var_structural_reasons(witness, fragment):
-    m = monoid("cyclic:2")
-    reason = validate_one_var(m, 0, witness)
+    reason = validate_one_var(make_family("cyclic:2"), 0, witness)
     assert reason is not None and fragment in reason
 
 
@@ -121,7 +112,7 @@ def test_one_var_validator_agrees_with_the_definition_on_small_witnesses():
                     and sorted(a) == sorted(b + c)
                     and mul_word(m, a) == mul_word(m, b + (g,) + c)
                 )
-                reason = validate_one_var(m, g, OneVarWitness(a, b, c))
+                reason = validate_one_var(s, g, OneVarWitness(a, b, c))
                 assert (reason is None) == valid, (s.table, g, a, b, c, reason)
                 checked += 1
                 accepted += valid
@@ -129,72 +120,69 @@ def test_one_var_validator_agrees_with_the_definition_on_small_witnesses():
 
 
 def test_one_var_rejects_adjoined_identity_as_factor():
-    m = monoid("cyclic:2")
-    e = m.identity_index
-    reason = validate_one_var(m, 0, OneVarWitness((e,), (e,), ()))
+    s = make_family("cyclic:2")
+    e = s.order  # the adjoined 1 of S¹
+    reason = validate_one_var(s, 0, OneVarWitness((e,), (e,), ()))
     assert reason is not None and "adjoined identity" in reason
 
 
 def test_one_var_out_of_range_raises():
-    m = monoid("cyclic:2")
+    s = make_family("cyclic:2")
     with pytest.raises(ValueError):
-        validate_one_var(m, 99, OneVarWitness((0,), (0,), ()))
+        validate_one_var(s, 99, OneVarWitness((0,), (0,), ()))
     with pytest.raises(ValueError):
-        validate_one_var(m, 0, OneVarWitness((9,), (0,), ()))
+        validate_one_var(s, 0, OneVarWitness((9,), (0,), ()))
 
 
 @pytest.mark.parametrize("earlier", ["adjoined identity", "unbalanced lengths"])
 def test_two_var_letter_outside_s1_raises_before_any_reason(earlier):
     # each witness also fails the clause it is named for, but 9 is no element of S¹:
     # an error in the input, not a reason
-    m = monoid("cyclic:3")
+    s = make_family("cyclic:3")
     witness = {
-        "adjoined identity": TwoVarWitness((m.identity_index,), (), (9,), ()),
+        "adjoined identity": TwoVarWitness((s.order,), (), (9,), ()),
         "unbalanced lengths": TwoVarWitness((9,), (), (), ()),
     }[earlier]
     with pytest.raises(ValueError, match="^word entry 9 out of range$"):
-        validate_two_var(m, 0, 0, witness)
+        validate_two_var(s, 0, 0, witness)
 
 
 def test_two_var_reflexivity_padding(catalog_family):
     spec, s = catalog_family
-    m = adjoin_identity(s)
     w = TwoVarWitness((0,), (), (0,), ())
     for u in range(s.order):
-        assert validate_two_var(m, u, u, w) is None
+        assert validate_two_var(s, u, u, w) is None
 
 
 def test_two_var_commutation_witness(catalog_family):
     spec, s = catalog_family
-    m = adjoin_identity(s)
     for u in range(s.order):
         for v in range(s.order):
             w = TwoVarWitness((v,), (), (), (v,))
-            assert validate_two_var(m, s.table[u][v], s.table[v][u], w) is None
+            assert validate_two_var(s, s.table[u][v], s.table[v][u], w) is None
 
 
 def test_two_var_leftzero_pair():
     s = make_family("leftzero:2")
-    m = adjoin_identity(s)
     w = TwoVarWitness((0,), (), (0,), ())
-    assert validate_two_var(m, 0, 1, w) is None  # x0*x0 = x0 = x0*x1
+    assert validate_two_var(s, 0, 1, w) is None  # x0*x0 = x0 = x0*x1
 
 
 def test_two_var_structural_reasons():
-    m = monoid("cyclic:2")
+    s = make_family("cyclic:2")
     assert "at least one factor" in validate_two_var(
-        m, 0, 0, TwoVarWitness((), (), (), ())
+        s, 0, 0, TwoVarWitness((), (), (), ())
     )
     assert "unbalanced lengths" in validate_two_var(
-        m, 0, 0, TwoVarWitness((0,), (), (), ())
+        s, 0, 0, TwoVarWitness((0,), (), (), ())
     )
     assert "multisets differ" in validate_two_var(
-        m, 0, 0, TwoVarWitness((0,), (), (1,), ())
+        s, 0, 0, TwoVarWitness((0,), (), (1,), ())
     )
-    e = m.identity_index
-    assert "adjoined identity" in validate_two_var(m, 0, 0, TwoVarWitness((e,), (), (e,), ()))
+    e = s.order
+    assert "adjoined identity" in validate_two_var(s, 0, 0, TwoVarWitness((e,), (), (e,), ()))
     # in Z2, 1*0 = 1 but 1*1 = 0
-    reason = validate_two_var(m, 0, 1, TwoVarWitness((1,), (), (1,), ()))
+    reason = validate_two_var(s, 0, 1, TwoVarWitness((1,), (), (1,), ()))
     assert reason == (
         "substitution fails: the left side evaluates to 1 but the right side evaluates to 0"
     )
@@ -203,10 +191,9 @@ def test_two_var_structural_reasons():
 
 def test_substitution_reason_names_base_elements_at_the_adjoined_identity(s3):
     # u = v = 1 of S¹: each side still holds a base letter, so its value is a base element
-    m = adjoin_identity(s3)
-    e, t = m.identity_index, s3.table
+    e, t = s3.order, s3.table
     x, y = next((x, y) for x in range(s3.order) for y in range(s3.order) if t[x][y] != t[y][x])
-    reason = validate_two_var(m, e, e, TwoVarWitness((x, y), (), (y, x), ()))
+    reason = validate_two_var(s3, e, e, TwoVarWitness((x, y), (), (y, x), ()))
     assert reason == (
         f"substitution fails: the left side evaluates to {s3.names[t[x][y]]}"
         f" but the right side evaluates to {s3.names[t[y][x]]}"
@@ -217,84 +204,78 @@ def test_substitution_reason_names_base_elements_at_the_adjoined_identity(s3):
 
 
 def test_search_identity_witness_minimal(z4):
-    m = adjoin_identity(z4)
-    w = search_one_var(m, 0, 1)
+    w = search_one_var(z4, 0, 1)
     # canonical minimal witness at n = 1: [0] = [] * t * [0]
     assert w == OneVarWitness((0,), (), (0,))
 
 
 def test_search_one_var_s3_transposition_none(s3):
-    m = adjoin_identity(s3)
     for name in ("021", "102", "210"):
-        assert search_one_var(m, s3.index_of(name), 3) is None
+        assert search_one_var(s3, s3.index_of(name), 3) is None
 
 
 def test_search_one_var_null3():
-    m = monoid("null:3")
+    s = make_family("null:3")
     for g in range(3):
-        w = search_one_var(m, g, 2)
+        w = search_one_var(s, g, 2)
         assert w is not None
-        assert validate_one_var(m, g, w) is None
+        assert validate_one_var(s, g, w) is None
 
 
 def test_orientable_set_z4(z4):
-    m = adjoin_identity(z4)
-    found = orientable_set(m, 3)
+    found = orientable_set(z4, 3)
     assert {g for g, w in found.items() if w is not None} == {0}
 
 
 def test_orientable_set_s3_is_a3(s3):
-    m = adjoin_identity(s3)
-    found = orientable_set(m, 3)
+    found = orientable_set(s3, 3)
     got = {s3.names[g] for g, w in found.items() if w is not None}
     assert got == {"012", "120", "201"}
 
 
 def test_orientable_set_leftzero_all():
-    m = monoid("leftzero:3")
-    found = orientable_set(m, 2)
+    found = orientable_set(make_family("leftzero:3"), 2)
     assert all(w is not None for w in found.values())
 
 
 def test_search_two_var_reflexive_canonical():
-    m = monoid("cyclic:3")
-    w = search_two_var(m, 1, 1, 1)
+    s = make_family("cyclic:3")
+    w = search_two_var(s, 1, 1, 1)
     # canonical at n = 1 prefers the empty a_word: t1 * [0] = t2 * [0]
     assert w == TwoVarWitness((), (0,), (), (0,))
-    assert validate_two_var(m, 1, 1, w) is None
+    assert validate_two_var(s, 1, 1, w) is None
 
 
 def test_search_two_var_z4_cross_class_none(z4):
-    m = adjoin_identity(z4)
-    assert search_two_var(m, 1, 3, 2) is None
+    assert search_two_var(z4, 1, 3, 2) is None
 
 
 def test_search_two_var_s3_same_coset_found(s3):
-    m = adjoin_identity(s3)
     r, r2 = s3.index_of("120"), s3.index_of("201")
-    w = search_two_var(m, r, r2, 2)
+    w = search_two_var(s3, r, r2, 2)
     assert w is not None
-    assert validate_two_var(m, r, r2, w) is None
+    assert validate_two_var(s3, r, r2, w) is None
 
 
 def test_search_bounds_validated():
-    m = monoid("cyclic:2")
+    s = make_family("cyclic:2")
     with pytest.raises(ValueError):
-        search_one_var(m, 0, 0)
+        search_one_var(s, 0, 0)
     with pytest.raises(ValueError):
-        search_two_var(m, 0, 0, 0)
+        search_two_var(s, 0, 0, 0)
     with pytest.raises(ValueError):
-        search_one_var(m, 77, 2)
+        search_one_var(s, 77, 2)
 
 
 @pytest.mark.parametrize(
     "spec", ["cyclic:3", "leftzero:3", "rightzero:3", "null:3", "fulltransformation:2"]
 )
 def test_search_one_var_agrees_with_naive_oracle(spec):
-    m = monoid(spec)
-    for g in range(m.base.order):
+    s = make_family(spec)
+    m = adjoin_identity(s)
+    for g in range(s.order):
         for bound in (1, 2, 3, 4):
-            got = search_one_var(m, g, bound)
+            got = search_one_var(s, g, bound)
             expected = naive_search_one_var(m, g, bound)
             if expected is None:
                 assert got is None
@@ -304,11 +285,12 @@ def test_search_one_var_agrees_with_naive_oracle(spec):
 
 @pytest.mark.parametrize("spec", ["cyclic:3", "leftzero:2", "rightzero:3", "null:3"])
 def test_search_two_var_agrees_with_naive_oracle(spec):
-    m = monoid(spec)
-    for u in range(m.base.order):
-        for v in range(m.base.order):
+    s = make_family(spec)
+    m = adjoin_identity(s)
+    for u in range(s.order):
+        for v in range(s.order):
             for bound in (1, 2):
-                got = search_two_var(m, u, v, bound)
+                got = search_two_var(s, u, v, bound)
                 expected = naive_search_two_var(m, u, v, bound)
                 if expected is None:
                     assert got is None
@@ -319,28 +301,30 @@ def test_search_two_var_agrees_with_naive_oracle(spec):
 @pytest.mark.parametrize("raw", list(all_associative_tables(2)))
 def test_search_one_var_agrees_with_naive_oracle_on_order_2_at_bound_5(raw):
     # two elements give many orderings with equal products, so split keys collide
-    m = adjoin_identity(Semigroup(("a", "b"), raw))
+    s = Semigroup(("a", "b"), raw)
+    m = adjoin_identity(s)
     for g in range(2):
         expected = naive_search_one_var(m, g, 5)
-        assert search_one_var(m, g, 5) == (None if expected is None else OneVarWitness(*expected))
+        assert search_one_var(s, g, 5) == (None if expected is None else OneVarWitness(*expected))
 
 
 def test_rees_matrix_semigroup_needs_witnesses_of_size_3():
     # M[Z3; 2, 2; P] with P = ((e, e), (e, g)) for the generator g: a non-group of order 12
     z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     table = rees_matrix_table(z3, 2, 2, ((0, 0), (0, 1)))
-    m = adjoin_identity(Semigroup([f"r{k}" for k in range(12)], table))
-    found = orientable_set(m, 3)
+    s = Semigroup([f"r{k}" for k in range(12)], table)
+    m = adjoin_identity(s)
+    found = orientable_set(s, 3)
     assert Counter(len(w.a) for w in found.values()) == {1: 4, 2: 4, 3: 4}
     for g, w in found.items():
-        assert validate_one_var(m, g, w) is None
+        assert validate_one_var(s, g, w) is None
         small = naive_search_one_var(m, g, 2)
         if len(w.a) <= 2:
             assert w == small
         else:
             # the naive search takes seconds per element at size 3
             assert small is None and w == fixed_size_search_one_var(m, g, 3)
-    pairs = sigma_report(m, 2)
+    pairs = sigma_report(s, 2)
     sample = [(0, 3), (0, 8), (2, 9), (3, 8), (5, 10), (11, 4)]
     assert {pair in pairs for pair in sample} == {True, False}
     for u, v in sample:
@@ -349,24 +333,24 @@ def test_rees_matrix_semigroup_needs_witnesses_of_size_3():
 
 def test_batched_searches_match_single_searches(catalog_family):
     spec, s = catalog_family
-    m = adjoin_identity(s)
-    found = orientable_set(m, 3)
+    found = orientable_set(s, 3)
     assert list(found) == list(range(s.order))
     for g in range(s.order):
-        assert found[g] == search_one_var(m, g, 3)
-    pairs = sigma_report(m, 2)
+        assert found[g] == search_one_var(s, g, 3)
+    pairs = sigma_report(s, 2)
     assert list(pairs) == sorted(pairs)
     for u in range(s.order):
         for v in range(s.order):
-            assert pairs.get((u, v)) == search_two_var(m, u, v, 2)
+            assert pairs.get((u, v)) == search_two_var(s, u, v, 2)
 
 
 @pytest.mark.parametrize("spec", ["null:3", "leftzero:2", "symmetric:3", "fulltransformation:2"])
 def test_level_data_is_smallest_and_sorted(spec):
-    m = monoid(spec)
-    e = m.identity_index
+    s = make_family(spec)
+    m = adjoin_identity(s)  # the level search alone takes S¹
+    e = s.order
     for n, level in enumerate(_levels(m, 5), start=1):
-        multisets = combinations_with_replacement(range(m.base.order), n)
+        multisets = combinations_with_replacement(range(s.order), n)
         for multiset, splits in zip_longest(multisets, level):
             words = sorted(set(permutations(multiset)))
             smallest_a = {}
@@ -398,7 +382,7 @@ def test_pair_search_stops_at_the_floor(monkeypatch):
             yield splits
 
     monkeypatch.setattr(search, "_levels", lambda m, bound: map(counted, levels(m, bound)))
-    pairs = sigma_report(monoid("null:30"), 1)
+    pairs = sigma_report(make_family("null:30"), 1)
     assert len(pairs) == 900 and set(pairs.values()) == {TwoVarWitness((), (0,), (), (0,))}
     assert len(read) == 2
 
@@ -408,31 +392,27 @@ def test_pair_search_stops_at_the_floor(monkeypatch):
 def test_search_monotone_in_bound(data):
     spec = data.draw(st.sampled_from(CATALOG_FAMILIES))
     s = make_family(spec)
-    m = adjoin_identity(s)
     g = data.draw(st.integers(min_value=0, max_value=s.order - 1))
     bound = data.draw(st.integers(min_value=1, max_value=3))
-    w1 = search_one_var(m, g, bound)
+    w1 = search_one_var(s, g, bound)
     if w1 is not None:
-        assert search_one_var(m, g, bound + 1) == w1
+        assert search_one_var(s, g, bound + 1) == w1
 
 
 def test_found_witnesses_stay_in_commutator_subgroup(group_family):
     # balance forces the substituted element into the trivial class upstairs
     spec, s = group_family
-    g = group_structure(s)
-    derived = set(commutator_subgroup(g))
-    m = adjoin_identity(s)
-    for x, w in orientable_set(m, 3).items():
+    derived = set(commutator_subgroup(s))
+    for x, w in orientable_set(s, 3).items():
         if w is not None:
             assert x in derived
 
 
 def test_idempotent_canonical_witness(catalog_family):
     spec, s = catalog_family
-    m = adjoin_identity(s)
     for e in range(s.order):
         if s.table[e][e] == e:
-            assert validate_one_var(m, e, OneVarWitness((e, e), (e,), (e,))) is None
+            assert validate_one_var(s, e, OneVarWitness((e, e), (e,), (e,))) is None
 
 
 # ------------------------------------------------------- commutative image
@@ -445,26 +425,25 @@ KEY_CORPUS = [*SMALL_TABLES, *map(make_family, CATALOG_FAMILIES), *REES_TABLES]
 
 def _assert_filter_keeps_search_results(s):
     """The filtered entry points equal the unfiltered search; rejects have no witness."""
-    m = adjoin_identity(s)
-    n, e = s.order, m.identity_index
+    n = e = s.order
     elements = range(n)
-    one = _one_var_search(m, elements, 4)
-    assert orientable_set(m, 4) == one
+    one = _one_var_search(s, elements, 4)
+    assert orientable_set(s, 4) == one
     for g in elements:
-        assert search_one_var(m, g, 4) == one[g]
-    key = _keys(m)
+        assert search_one_var(s, g, 4) == one[g]
+    key = _keys(s)
     assert all(one[g] is None for g in elements if key[g] != key[e])
 
     pairs = [(u, v) for u in elements for v in elements]
-    two = _pair_search(m, pairs, 3)
-    assert sigma_report(m, 3) == {pair: w for pair, w in two.items() if w is not None}
+    two = _pair_search(s, pairs, 3)
+    assert sigma_report(s, 3) == {pair: w for pair, w in two.items() if w is not None}
     for u, v in pairs:
-        assert search_two_var(m, u, v, 3) == two[(u, v)]
+        assert search_two_var(s, u, v, 3) == two[(u, v)]
     assert all(two[(u, v)] is None for u, v in pairs if key[u] != key[v])
 
     # the adjoined identity is searched as an element and in a pair
-    assert search_one_var(m, e, 2) == _one_var_search(m, [e], 2)[e]
-    assert search_two_var(m, e, 0, 2) == _pair_search(m, [(e, 0)], 2)[(e, 0)]
+    assert search_one_var(s, e, 2) == _one_var_search(s, [e], 2)[e]
+    assert search_two_var(s, e, 0, 2) == _pair_search(s, [(e, 0)], 2)[(e, 0)]
 
 
 def test_filter_keeps_search_results_on_every_small_table():
@@ -478,22 +457,22 @@ def test_filter_keeps_search_results_on_catalog(catalog_family):
     _assert_filter_keeps_search_results(s)
 
 
-def _assert_filter_is_the_class_scan(m):
+def _assert_filter_is_the_class_scan(s):
     """The pairs keyed alike are those the oracle's κ-class scan keeps, on every pair over S¹.
 
     The pairs (1, g) among them are the elements the one-variable entry points search.
     """
-    elements = range(m.order)
+    elements = range(s.order + 1)
     pairs = [(u, v) for u in elements for v in elements]
-    key = _keys(m)
+    key = _keys(s)
     kept = [(u, v) for u, v in pairs if key[u] == key[v]]
-    assert kept == class_scan_candidates(m, pairs), m.base.table
+    assert kept == class_scan_candidates(adjoin_identity(s), pairs), s.table
 
 
 def test_pair_filter_is_the_class_scan_on_every_pair_over_s1():
     assert len(REES_TABLES) == 18 and max(s.order for s in REES_TABLES) == 54
     for s in KEY_CORPUS:
-        _assert_filter_is_the_class_scan(adjoin_identity(s))
+        _assert_filter_is_the_class_scan(s)
 
 
 def test_key_from_an_idempotent_outside_the_minimal_ideal_is_not_the_class_scan(monkeypatch):
@@ -506,7 +485,7 @@ def test_key_from_an_idempotent_outside_the_minimal_ideal_is_not_the_class_scan(
     kernel = Congruence(keys, len(set(keys)))  # κ's ids, already in first-appearance order
     monkeypatch.setattr(search, "_abelian_keys", lambda _: (eps, kernel))
     with pytest.raises(AssertionError):
-        _assert_filter_is_the_class_scan(adjoin_identity(s))
+        _assert_filter_is_the_class_scan(s)
 
 
 def test_sigma_classes_are_the_kernel_of_the_abelian_image():
@@ -520,17 +499,17 @@ def test_sigma_classes_are_the_kernel_of_the_abelian_image():
         for x in range(s.order):
             assert eps in {t[t[a][x]][b] for a in letters for b in letters}
         for bound in (1, 3) if s.order <= 27 else (1,):
-            pairs = sigma_report(m, bound)
+            pairs = sigma_report(s, bound)
             assert generated_congruence(s, pairs) == kernel, (s.table, bound)
 
 
 def test_sigma_report_searches_only_the_pairs_inside_kernel_classes():
     # cyclic:300 has 300 such pairs: a list of all 90 000 pairs peaked at 7 MB
-    m = monoid("cyclic:300")
-    sigma_report(m, 1)  # warms the caches of ker φ
+    s = make_family("cyclic:300")
+    sigma_report(s, 1)  # warms the caches of ker φ
     tracemalloc.start()
     try:
-        pairs = sigma_report(m, 1)
+        pairs = sigma_report(s, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,46 +519,47 @@ def test_sigma_report_searches_only_the_pairs_inside_kernel_classes():
 @pytest.mark.parametrize("spec", ["cyclic:12", "symmetric:3", "leftzero:3", "fulltransformation:2"])
 def test_entry_points_hand_the_pair_search_only_pairs_keyed_alike(monkeypatch, spec):
     # the pairs that reach the level search, against the oracle's κ-class scan
-    m = monoid(spec)
-    e, elements = m.identity_index, range(m.base.order)
+    s = make_family(spec)
+    m = adjoin_identity(s)
+    e, elements = s.order, range(s.order)
     pairs = [(u, v) for u in elements for v in elements]
     kept = class_scan_candidates(m, pairs)
     members = [g for _, g in class_scan_candidates(m, [(e, g) for g in elements])]
     calls = []
     pair_search = search._pair_search
 
-    def spy(m, pairs, bound):
+    def spy(s, pairs, bound):
         calls.append(list(pairs))
-        return pair_search(m, pairs, bound)
+        return pair_search(s, pairs, bound)
 
     monkeypatch.setattr(search, "_pair_search", spy)
-    orientable_set(m, 2)
+    orientable_set(s, 2)
     assert calls == [[(e, g) for g in members]]
     calls.clear()
     for g in elements:
         if g not in members:
-            assert search_one_var(m, g, 2) is None
+            assert search_one_var(s, g, 2) is None
     for u, v in pairs:
         if (u, v) not in kept:
-            assert search_two_var(m, u, v, 2) is None
+            assert search_two_var(s, u, v, 2) is None
     assert calls == [[]] * (len(elements) - len(members) + len(pairs) - len(kept))
     if spec in ("cyclic:12", "symmetric:3"):
-        assert len(members) < m.base.order and len(kept) < len(pairs)
+        assert len(members) < s.order and len(kept) < len(pairs)
 
 
 def test_filtered_searches_still_reject_bad_input():
-    m = monoid("cyclic:3")
+    s = make_family("cyclic:3")
     with pytest.raises(ValueError):
-        search_one_var(m, 9, 2)
+        search_one_var(s, 9, 2)
     with pytest.raises(ValueError):
-        search_two_var(m, 0, 9, 2)
+        search_two_var(s, 0, 9, 2)
     with pytest.raises(ValueError):
-        search_one_var(m, 1, 0)  # rejected by the filter, but the bound is still checked
+        search_one_var(s, 1, 0)  # rejected by the filter, but the bound is still checked
     # a negative index would read key[-1], the adjoined identity's key, if it were not checked
     with pytest.raises(ValueError):
-        search_one_var(m, -1, 2)
+        search_one_var(s, -1, 2)
     with pytest.raises(ValueError):
-        search_two_var(m, -1, 3, 2)
+        search_two_var(s, -1, 3, 2)
 
 
 COMMUTATIVE_FAMILIES = [spec for spec in CATALOG_FAMILIES if is_commutative(make_family(spec))]
@@ -596,25 +576,24 @@ def test_bound_one_decides_on_commutative_tables(spec):
         tables = [make_family(spec)]
     for s in tables:
         assert commutative_congruence(s).num_classes == s.order
-        m = adjoin_identity(s)
         elements = range(s.order)
-        key = _keys(m)
-        found = {g for g, w in orientable_set(m, 1).items() if w is not None}
-        assert found == {g for g in elements if key[g] == key[m.identity_index]}
+        key = _keys(s)
+        found = {g for g, w in orientable_set(s, 1).items() if w is not None}
+        assert found == {g for g in elements if key[g] == key[s.order]}
         pairs = {(u, v) for u in elements for v in elements if key[u] == key[v]}
-        assert set(sigma_report(m, 1)) == pairs
+        assert set(sigma_report(s, 1)) == pairs
 
 
 # -------------------------------------------------------------- sigma report
 
 
 def test_sigma_report_leftzero_total_at_one():
-    m = monoid("leftzero:3")
-    pairs = sigma_report(m, 1)
-    assert _abelian_keys(m.base)[1].num_classes == 1
+    s = make_family("leftzero:3")
+    pairs = sigma_report(s, 1)
+    assert _abelian_keys(s)[1].num_classes == 1
     assert len(pairs) == 9
     for (u, v), w in pairs.items():
-        assert validate_two_var(m, u, v, w) is None
+        assert validate_two_var(s, u, v, w) is None
 
 
 def test_sigma_report_exact_cyclic5():
@@ -625,7 +604,6 @@ def test_sigma_report_exact_cyclic5():
 
 
 def test_sigma_report_exact_s3(s3):
-    m = adjoin_identity(s3)
     pairs = exact_sigma_report(s3)
     kernel = _abelian_keys(s3)[1]
     assert kernel.num_classes == 2
@@ -633,7 +611,7 @@ def test_sigma_report_exact_s3(s3):
     assert sizes == [3, 3]
     assert set(pairs) == set(kernel.pairs())
     for (u, v), w in pairs.items():
-        assert validate_two_var(m, u, v, w) is None
+        assert validate_two_var(s3, u, v, w) is None
 
 
 def test_sigma_report_exact_requires_group():
@@ -643,9 +621,8 @@ def test_sigma_report_exact_requires_group():
 
 def test_sigma_pairs_within_congruence(catalog_family):
     spec, s = catalog_family
-    m = adjoin_identity(s)
     kernel = _abelian_keys(s)[1]
-    for u, v in sigma_report(m, 2):
+    for u, v in sigma_report(s, 2):
         assert kernel.class_of[u] == kernel.class_of[v]
 
 
@@ -664,15 +641,14 @@ def test_two_var_text_rendering(s3):
 
 def test_witness_json_round_trip(s3):
     # the names map back to the searched words, and the JSON re-checks apart from validate_*
-    m = adjoin_identity(s3)
     g, pair = s3.index_of("120"), (s3.index_of("120"), s3.index_of("201"))
-    w = search_one_var(m, g, 3)
+    w = search_one_var(s3, g, 3)
     obj = one_var_to_json(s3.names, w, g)
     assert (obj["kind"], obj["element"]) == ("one-var", "120")
     assert tuple(tuple(map(s3.index_of, obj[k])) for k in "abc") == w
     assert witness_problem(s3.names, s3.table, obj) is None
 
-    w2 = search_two_var(m, *pair, 2)
+    w2 = search_two_var(s3, *pair, 2)
     obj2 = two_var_to_json(s3.names, w2, pair)
     assert (obj2["kind"], obj2["pair"]) == ("two-var", ["120", "201"])
     assert tuple(tuple(map(s3.index_of, obj2[k])) for k in "abcd") == w2

@@ -36,14 +36,26 @@ def test_not_a_group_reasons():
 
 
 def test_group_structure_is_detected_once_per_table(s3):
-    # the exact layer takes the table and reads group_structure of it in every function
+    # the exact layer and the functions of groups take the table and read group_structure
+    # of it in every function: a table none has seen misses its cache once
     assert group_structure(s3) is group_structure(s3)
+    s = Semigroup([f"fresh{i}" for i in range(6)], s3.table)
+    misses = group_structure.cache_info().misses
+    commutator(s, 1, 2)
+    derived_subgroup_tree(s)
+    commutator_subgroup(s)
+    coset_congruence(s)
+    abelianization(s)
+    assert group_structure.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_group_detection_on_groups(spec):
-    g = group_structure(make_family(spec))
-    assert g.order == make_family(spec).order
+    # the structure holds only what detection finds, not the table it was found on
+    s = make_family(spec)
+    g = group_structure(s)
+    assert g._fields == ("identity", "inverse")
+    assert sorted(g.inverse) == list(range(s.order))
 
 
 @pytest.mark.parametrize("spec", NONGROUP_FAMILIES)
@@ -55,10 +67,10 @@ def test_group_detection_rejects_nongroups(spec):
 def test_commutator_basics(s3):
     g = group_structure(s3)
     for x in range(6):
-        assert commutator(g, x, x) == g.identity
+        assert commutator(s3, x, x) == g.identity
     # (12) and (13) in image notation: "102" and "210"; their commutator is a 3-cycle
     x, y = s3.index_of("102"), s3.index_of("210")
-    c = commutator(g, x, y)
+    c = commutator(s3, x, y)
     assert s3.names[c] in {"120", "201"}
 
 
@@ -67,7 +79,7 @@ def test_commutator_rejects_indices_outside_the_group(s3, x, y):
     # with "021" (index 1), -1 would read "210" and give "120"; 6 would be a bare IndexError
     bad = x if x in (-1, 6) else y
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
-        commutator(group_structure(s3), x, y)
+        commutator(s3, x, y)
 
 
 def test_commutator_abelian_groups_trivial():
@@ -75,7 +87,7 @@ def test_commutator_abelian_groups_trivial():
         s = make_family(spec)
         g = group_structure(s)
         assert all(
-            commutator(g, x, y) == g.identity
+            commutator(s, x, y) == g.identity
             for x in range(s.order)
             for y in range(s.order)
         )
@@ -89,7 +101,7 @@ def test_commutators_xy_yx_mutual_inverses(data):
     g = group_structure(s)
     x = data.draw(st.integers(min_value=0, max_value=s.order - 1))
     y = data.draw(st.integers(min_value=0, max_value=s.order - 1))
-    assert s.table[commutator(g, x, y)][commutator(g, y, x)] == g.identity
+    assert s.table[commutator(s, x, y)][commutator(s, y, x)] == g.identity
 
 
 @pytest.mark.parametrize(
@@ -105,7 +117,7 @@ def test_commutators_xy_yx_mutual_inverses(data):
 )
 def test_commutator_subgroup_orders(spec, expected_order):
     s = make_family(spec)
-    assert len(commutator_subgroup(group_structure(s))) == expected_order
+    assert len(commutator_subgroup(s)) == expected_order
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36"])
@@ -113,22 +125,20 @@ def test_commutator_subgroup_matches_closure_oracle(spec):
     s = make_family(spec)
     g = group_structure(s)
     values, _ = brute_commutators(s.table, g.identity)
-    assert set(commutator_subgroup(g)) == subgroup_closure(s.table, values)
+    assert set(commutator_subgroup(s)) == subgroup_closure(s.table, values)
 
 
 def test_commutator_subgroup_named_elements(s3):
-    g = group_structure(s3)
-    assert [s3.names[x] for x in commutator_subgroup(g)] == ["012", "120", "201"]
+    assert [s3.names[x] for x in commutator_subgroup(s3)] == ["012", "120", "201"]
     q8 = make_family("quaternion8")
-    gq = group_structure(q8)
-    assert [q8.names[x] for x in commutator_subgroup(gq)] == ["1", "-1"]
+    assert [q8.names[x] for x in commutator_subgroup(q8)] == ["1", "-1"]
 
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_commutator_subgroup_is_normal(spec):
     s = make_family(spec)
     g = group_structure(s)
-    k = set(commutator_subgroup(g))
+    k = set(commutator_subgroup(s))
     t = s.table
     for a in k:
         for x in range(s.order):
@@ -139,7 +149,7 @@ def test_commutator_subgroup_is_normal(spec):
 def test_coset_congruence_matches_oracle(spec):
     s = make_family(spec)
     g = group_structure(s)
-    c = coset_congruence(g)
+    c = coset_congruence(s)
     values, inv = brute_commutators(s.table, g.identity)
     expected = coset_partition(s.table, subgroup_closure(s.table, values), inv)
     got = {frozenset(members) for members in c.classes()}
@@ -147,29 +157,29 @@ def test_coset_congruence_matches_oracle(spec):
 
 
 def test_coset_congruence_shapes(s3):
-    c = coset_congruence(group_structure(s3))
+    c = coset_congruence(s3)
     assert c.num_classes == 2
     assert sorted(len(m) for m in c.classes()) == [3, 3]
     d4 = make_family("dihedral:4")
-    c4 = coset_congruence(group_structure(d4))
+    c4 = coset_congruence(d4)
     assert c4.num_classes == 4
     assert all(len(m) == 2 for m in c4.classes())
     z5 = make_family("cyclic:5")
-    assert coset_congruence(group_structure(z5)).num_classes == 5
+    assert coset_congruence(z5).num_classes == 5
 
 
 def test_abelianization_examples(s3):
-    ab = abelianization(group_structure(s3))
+    ab = abelianization(s3)
     assert ab.order == 2
 
     q8 = make_family("quaternion8")
-    ab8 = abelianization(group_structure(q8))
+    ab8 = abelianization(q8)
     assert ab8.order == 4
     e = group_structure(ab8).identity
     assert all(ab8.table[x][x] == e for x in range(4))  # Klein four shape
 
     a4 = make_family("alternating:4")
-    ab4 = abelianization(group_structure(a4))
+    ab4 = abelianization(a4)
     assert ab4.order == 3
     assert any(ab4.table[x][x] != group_structure(ab4).identity for x in range(3))
 
@@ -177,20 +187,18 @@ def test_abelianization_examples(s3):
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_abelianization_properties(spec):
     s = make_family(spec)
-    g = group_structure(s)
-    ab = abelianization(g)
+    ab = abelianization(s)
     assert is_commutative(ab) and is_cancellative(ab)
-    assert ab.order * len(commutator_subgroup(g)) == s.order  # Lagrange consistency
+    assert ab.order * len(commutator_subgroup(s)) == s.order  # Lagrange consistency
 
 
 @pytest.mark.parametrize("spec", GROUP_FAMILIES)
 def test_smallest_commutative_congruence_is_coset_partition(spec):
     s = make_family(spec)
-    g = group_structure(s)
     pairs = [
         (s.table[x][y], s.table[y][x]) for x in range(s.order) for y in range(s.order)
     ]
-    assert generated_congruence(s, pairs) == coset_congruence(g)
+    assert generated_congruence(s, pairs) == coset_congruence(s)
 
 
 def _group_structure_by_loops(s):
@@ -233,19 +241,20 @@ def test_group_structure_matches_the_per_element_loops():
             assert (g.identity, g.inverse) == expected, s.table
 
 
-def _derived_tree_by_loops(g):
+def _derived_tree_by_loops(s):
     """The BFS paths with each commutator value labelled by a double loop over (x, y)."""
     preimage = {}
-    for x in range(g.order):
-        for y in range(g.order):
-            preimage.setdefault(commutator(g, x, y), (x, y))
+    for x in range(s.order):
+        for y in range(s.order):
+            preimage.setdefault(commutator(s, x, y), (x, y))
     edges = sorted(preimage.items())
-    path = {g.identity: ()}
-    queue = deque([g.identity])
+    identity = group_structure(s).identity
+    path = {identity: ()}
+    queue = deque([identity])
     while queue:
         h = queue.popleft()
         for c, pair in edges:
-            nxt = g.base.table[h][c]
+            nxt = s.table[h][c]
             if nxt not in path:
                 path[nxt] = path[h] + (pair,)
                 queue.append(nxt)
@@ -257,8 +266,8 @@ def _derived_tree_by_loops(g):
     GROUP_FAMILIES + ("dihedral:9", "symmetric:4", "directproduct:quaternion8,symmetric:3"),
 )
 def test_derived_tree_matches_the_double_loop(spec):
-    g = group_structure(make_family(spec))
-    tree = derived_subgroup_tree(g)
-    expected = _derived_tree_by_loops(g)
+    s = make_family(spec)
+    tree = derived_subgroup_tree(s)
+    expected = _derived_tree_by_loops(s)
     assert dict(tree) == expected
     assert list(tree) == list(expected)  # the same BFS order

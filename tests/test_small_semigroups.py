@@ -52,27 +52,26 @@ def test_searches_at_bound_one_are_the_naive_enumerators(n):
         for g in elements:
             w = naive_search_one_var(m, g, 1)
             expected[g] = w and OneVarWitness(*w)
-        assert orientable_set(m, 1) == expected, s.table
+        assert orientable_set(s, 1) == expected, s.table
         expected = {}
         for u in elements:
             for v in elements:
                 w = naive_search_two_var(m, u, v, 1)
                 if w is not None:
                     expected[(u, v)] = TwoVarWitness(*w)
-        assert sigma_report(m, 1) == expected, s.table
+        assert sigma_report(s, 1) == expected, s.table
 
 
 @pytest.mark.parametrize("n", ORDERS)
 def test_every_kernel_element_and_pair_has_a_witness_of_size_one(n):
     counted = [0, 0]
     for s in class_semigroups(n):
-        m = adjoin_identity(s)
         eps, kernel = _abelian_keys(s)
         key = kernel.class_of
         ones = {g for g in range(n) if key[g] == key[eps]}
-        assert {g for g, w in orientable_set(m, 1).items() if w is not None} == ones, s.table
+        assert {g for g, w in orientable_set(s, 1).items() if w is not None} == ones, s.table
         related = {(u, v) for u in range(n) for v in range(n) if key[u] == key[v]}
-        assert sigma_report(m, 1).keys() == related, s.table
+        assert sigma_report(s, 1).keys() == related, s.table
         counted[0] += len(ones)
         counted[1] += len(related)
     if n == 4:

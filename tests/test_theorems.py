@@ -21,7 +21,6 @@ from semorient.core import _abelian_keys  # private: ker φ, the σ classes
 from semorient.core import (
     Congruence,
     NotAGroupError,
-    adjoin_identity,
     commutative_congruence,
     quotient,
     serialize_table,
@@ -35,6 +34,7 @@ from semorient.equations import (
 )
 from semorient.groups import (
     abelianization,
+    commutator,
     commutator_subgroup,
     coset_congruence,
     derived_subgroup_tree,
@@ -95,7 +95,7 @@ def test_decomposition_out_of_range(z4):
 def test_decomposition_is_the_tree_entry(spec):
     # a decomposition is read off the tree, not rebuilt: None outside [G, G]
     s = make_family(spec)
-    tree = derived_subgroup_tree(group_structure(s))
+    tree = derived_subgroup_tree(s)
     for x in range(s.order):
         assert commutator_decomposition(s, x) is tree.get(x)
 
@@ -105,7 +105,7 @@ def test_bfs_length_is_minimal(spec):
     # oracle: exhaustive products of up to 3 commutators
     s = make_family(spec)
     g = group_structure(s)
-    for x in commutator_subgroup(g):
+    for x in commutator_subgroup(s):
         pairs = commutator_decomposition(s, x)
         assert commutator_product(s.table, g.identity, g.inverse, pairs) == x
         expected = min_commutator_product_length(s.table, g.identity, x, 3)
@@ -149,8 +149,7 @@ def test_two_var_witness_rejects_indices_outside_the_group(s3, u_index, v_index)
 def test_orientable_witness_rejects_indices_outside_the_group(s3, bad):
     # -1 would read "210"; 6 is the adjoined 1 of S¹, which validate_one_var accepts
     # and ker φ has no class for
-    g = group_structure(s3)
-    assert g.order == 6
+    assert s3.order == 6
     with pytest.raises(ValueError, match=f"^element {bad} out of range$"):
         build_orientable_witness(s3, bad)
 
@@ -183,12 +182,17 @@ def test_orientable_witness_rejects_pair_entries_outside_the_group(monkeypatch, 
         (exact_sigma_report, ()),
         (verify_orientable_is_commutator_subgroup, (8,)),
         (verify_sigma_is_abelianization, (8,)),
+        (commutator, (0, 1)),
+        (derived_subgroup_tree, ()),
+        (commutator_subgroup, ()),
+        (coset_congruence, ()),
+        (abelianization, ()),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
 def test_exact_layer_raises_off_a_group(monkeypatch, spec, function, args):
-    # each takes the table and detects the group first, with group_structure's reason;
-    # the suites run no search, even at the bound cap
+    # each, the functions of groups too, takes the table and detects the group first,
+    # with group_structure's reason; the suites run no search, even at the bound cap
     import semorient.verify as vf
 
     s = make_family(spec)
@@ -209,10 +213,9 @@ WIDTH_TWO = "width-two-96"
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_tree_matches_per_call_bfs(spec):
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
-    g = group_structure(s)
     lengths = []
     for x in range(s.order):
-        expected = bfs_commutator_decomposition(g, x)
+        expected = bfs_commutator_decomposition(s.table, x)
         assert commutator_decomposition(s, x) == expected
         if expected is not None:
             lengths.append(len(expected))
@@ -226,19 +229,17 @@ def test_tree_matches_per_call_bfs(spec):
 def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
     # congruence closure on one side, the derived-subgroup tree on the other
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
-    g = group_structure(s)
-    m = adjoin_identity(s)
     elements = range(s.order)
-    assert commutative_congruence(s) == coset_congruence(g)
-    key = _keys(m)
-    assert tuple(x for x in elements if key[x] == key[m.identity_index]) == commutator_subgroup(g)
-    cosets = coset_congruence(g).class_of
+    assert commutative_congruence(s) == coset_congruence(s)
+    key = _keys(s)
+    assert tuple(x for x in elements if key[x] == key[s.order]) == commutator_subgroup(s)
+    cosets = coset_congruence(s).class_of
     pairs = [(u, v) for u in elements for v in elements]
     kept = [(u, v) for u, v in pairs if key[u] == key[v]]
     assert kept == [(u, v) for u, v in pairs if cosets[u] == cosets[v]]
     # the exact map holds a witness exactly on the tree's nodes, read as ker φ
     witnessed = tuple(x for x, w in _orientable_witnesses(s).items() if w is not None)
-    assert witnessed == commutator_subgroup(g)
+    assert witnessed == commutator_subgroup(s)
 
 
 @pytest.mark.parametrize(
@@ -255,9 +256,8 @@ def test_kappa_candidates_are_the_commutator_subgroup_and_its_cosets(spec):
 def test_quotients_are_the_quotient_by_the_derived_subgroup_cosets(spec, tmp_path):
     # the quotients read ker φ; the reference is the definition, G mod [G, G]
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
-    g = group_structure(s)
-    expected = quotient(s, coset_congruence(g))
-    assert abelianization(g) == expected
+    expected = quotient(s, coset_congruence(s))
+    assert abelianization(s) == expected
     path = tmp_path / "group.tbl"
     path.write_text(serialize_table(s))
     for argv, head in (
@@ -272,21 +272,19 @@ def test_quotients_are_the_quotient_by_the_derived_subgroup_cosets(spec, tmp_pat
 
 def test_width_two_group_on_the_exact_path(tmp_path):
     s = width_two_group()
-    g = group_structure(s)
-    m = adjoin_identity(s)
     two_pairs = {
         x: build_orientable_witness(s, x)
-        for x in commutator_subgroup(g)
+        for x in commutator_subgroup(s)
         if len(commutator_decomposition(s, x)) == 2
     }
     assert len(two_pairs) == 3
     # the least size, 2k: bounded orientable at bound 3 finds none (a CI step, 3-4 s)
     for x, w in two_pairs.items():
-        assert w.size == 4 and validate_one_var(m, x, w) is None
+        assert w.size == 4 and validate_one_var(s, x, w) is None
     # every same-coset ordered pair: 96 elements times |[G, G]| = 32
     pairs = exact_sigma_report(s)
     assert len(pairs) == 3072
-    assert all(validate_two_var(m, u, v, w) is None for (u, v), w in pairs.items())
+    assert all(validate_two_var(s, u, v, w) is None for (u, v), w in pairs.items())
     # the CLI prints the same witnesses for the table file
     path = tmp_path / "width-two.tbl"
     path.write_text(serialize_table(s))
@@ -303,8 +301,7 @@ def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
     # the report builds each one-variable witness once; the pairs stay those
     # build_two_var_witness gives for each ordered pair, in the same order
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
-    g = group_structure(s)
-    cosets = coset_congruence(g).class_of
+    cosets = coset_congruence(s).class_of
     expected = [
         ((u, v), build_two_var_witness(s, u, v))
         for u in range(s.order)
@@ -313,7 +310,7 @@ def test_sigma_report_pairs_are_the_per_pair_witnesses(spec):
     ]
     assert list(exact_sigma_report(s).items()) == expected
     # read as ker φ, the classes are the cosets built from [G, G]
-    assert _abelian_keys(s)[1] == coset_congruence(g)
+    assert _abelian_keys(s)[1] == coset_congruence(s)
 
 
 def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, fresh_caches, s3):
@@ -335,24 +332,24 @@ def test_sigma_report_validates_each_witness_once(monkeypatch):
     ones, twos = [], []
     one, two = th.validate_one_var, th.validate_two_var
 
-    def count_one(m, x, w):
+    def count_one(s, x, w):
         ones.append(x)
-        return one(m, x, w)
+        return one(s, x, w)
 
-    def count_two(m, u, v, w):
+    def count_two(s, u, v, w):
         twos.append((u, v))
-        return two(m, u, v, w)
+        return two(s, u, v, w)
 
     monkeypatch.setattr(th, "validate_one_var", count_one)
     monkeypatch.setattr(th, "validate_two_var", count_two)
     pairs = exact_sigma_report(s)
     # one one-variable witness per element of [G, G], every pair validated
-    assert sorted(ones) == sorted(commutator_subgroup(group_structure(s)))
+    assert sorted(ones) == sorted(commutator_subgroup(s))
     assert twos == list(pairs)
     # a failing pair still raises, also one whose one-variable witness an
     # earlier pair built
     last = twos[-1]
-    monkeypatch.setattr(th, "validate_two_var", lambda m, u, v, w: "no" if (u, v) == last else None)
+    monkeypatch.setattr(th, "validate_two_var", lambda s, u, v, w: "no" if (u, v) == last else None)
     with pytest.raises(th.WitnessConstructionError, match="two-variable witness: no"):
         exact_sigma_report(s)
 
@@ -390,28 +387,24 @@ def test_builder_failure_raises_under_optimize():
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
 def test_constructed_witness_size_law_and_validity(spec):
     s = width_two_group() if spec == WIDTH_TWO else make_family(spec)
-    g = group_structure(s)
-    m = adjoin_identity(s)
-    for x in commutator_subgroup(g):
+    for x in commutator_subgroup(s):
         w = build_orientable_witness(s, x)
         k = len(commutator_decomposition(s, x))
         assert w.size == 2 * max(k, 1)
-        assert validate_one_var(m, x, w) is None
+        assert validate_one_var(s, x, w) is None
 
 
 def test_two_var_witness_same_element(group_family):
     spec, s = group_family
-    m = adjoin_identity(s)
     for h in range(s.order):
         w = build_two_var_witness(s, h, h)
-        assert validate_two_var(m, h, h, w) is None
+        assert validate_two_var(s, h, h, w) is None
 
 
 def test_two_var_witness_s3(s3):
-    m = adjoin_identity(s3)
     r, r2 = s3.index_of("120"), s3.index_of("201")
     for u, v in ((r, r2), (r2, r)):
-        assert validate_two_var(m, u, v, build_two_var_witness(s3, u, v)) is None
+        assert validate_two_var(s3, u, v, build_two_var_witness(s3, u, v)) is None
 
 
 def test_two_var_witness_unrelated(z4):
@@ -422,14 +415,12 @@ def test_two_var_witness_unrelated(z4):
 def test_two_var_witness_answers_every_ordered_pair(spec):
     # a validated witness inside one coset of [G, G], None across two
     s = make_family(spec)
-    g = group_structure(s)
-    m = adjoin_identity(s)
-    cosets = coset_congruence(g).class_of
+    cosets = coset_congruence(s).class_of
     for u in range(s.order):
         for v in range(s.order):
             w = build_two_var_witness(s, u, v)
             if cosets[u] == cosets[v]:
-                assert validate_two_var(m, u, v, w) is None, (spec, u, v)
+                assert validate_two_var(s, u, v, w) is None, (spec, u, v)
             else:
                 assert w is None, (spec, u, v)
 
@@ -439,14 +430,13 @@ def test_two_var_witness_answers_every_ordered_pair(spec):
 def test_two_var_witness_all_same_coset_pairs(data):
     spec = data.draw(st.sampled_from(GROUP_FAMILIES))
     s = make_family(spec)
-    g = group_structure(s)
-    cosets = coset_congruence(g)
+    cosets = coset_congruence(s)
     classes = cosets.classes()
     members = data.draw(st.sampled_from(classes))
     u = data.draw(st.sampled_from(members))
     v = data.draw(st.sampled_from(members))
     w = build_two_var_witness(s, u, v)
-    assert validate_two_var(adjoin_identity(s), u, v, w) is None
+    assert validate_two_var(s, u, v, w) is None
 
 
 # -------------------------------------------------------------------- suites
@@ -528,9 +518,9 @@ def _spy_on_one_var_search(monkeypatch):
     calls = []
     search = vf._one_var_search
 
-    def spy(m, elements, bound):
+    def spy(s, elements, bound):
         calls.append((len(elements), bound))
-        return search(m, elements, bound)
+        return search(s, elements, bound)
 
     monkeypatch.setattr(vf, "_one_var_search", spy)
     return calls
@@ -575,11 +565,10 @@ def test_search_read_at_a_smaller_bound_is_the_search_at_that_bound(spec):
     # both bounds, and a larger one is none at b. So a search at --bound misses only the
     # constructions too large for it, which the set check allows
     s = make_family(spec)
-    m = adjoin_identity(s)
-    full = _one_var_search(m, range(s.order), 4)
+    full = _one_var_search(s, range(s.order), 4)
     for b in (1, 2, 3):
         within = {g: w if w is not None and w.size <= b else None for g, w in full.items()}
-        assert within == _one_var_search(m, range(s.order), b)
+        assert within == _one_var_search(s, range(s.order), b)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -587,9 +576,9 @@ def _count_calls(monkeypatch, name, modules):
     calls = Counter()
     validator = getattr(modules[0], name)
 
-    def counting(m, *args):
+    def counting(s, *args):
         calls[args] += 1
-        return validator(m, *args)
+        return validator(s, *args)
 
     for module in modules:
         monkeypatch.setattr(module, name, counting)
@@ -602,13 +591,12 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
     import semorient.verify as vf
 
     s = make_family(spec)
-    m = adjoin_identity(s)
     everything = range(s.order)
     # the builders validate what they build; the suites validate what the searches find.
     # Building here leaves the map of constructed witnesses empty: the suite fills it
-    derived = commutator_subgroup(group_structure(s))
+    derived = commutator_subgroup(s)
     built = Counter((x, build_orientable_witness(s, x)) for x in derived)
-    found = _one_var_search(m, everything, 2)
+    found = _one_var_search(s, everything, 2)
     searched = Counter((x, w) for x, w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_one_var", (th, vf))
     assert verify_orientable_is_commutator_subgroup(s, 2).passed
@@ -616,7 +604,7 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
 
     built = Counter((u, v, w) for (u, v), w in exact_sigma_report(s).items())
     pairs = [(u, v) for u in everything for v in everything]
-    found = _pair_search(m, pairs, 2)
+    found = _pair_search(s, pairs, 2)
     searched = Counter((u, v, w) for (u, v), w in found.items() if w is not None)
     calls = _count_calls(monkeypatch, "validate_two_var", (th, vf))
     assert verify_sigma_is_abelianization(s, 2).passed
@@ -633,7 +621,7 @@ def test_verify_validates_each_constructed_witness_once(monkeypatch, fresh_cache
     argv = ["verify", "--family", spec, "--suite", "theorems"]
     assert run(argv, out=out, err=err) == 0
     s = make_family(spec)
-    assert len(commutator_subgroup(group_structure(s))) == size
+    assert len(commutator_subgroup(s)) == size
     assert calls == Counter((x, w) for x, w in th._orientable_witnesses(s).items() if w is not None)
 
 
@@ -670,13 +658,13 @@ def test_report_records_failures():
 # soft report records possible violations and leaves the report passing.
 
 
-def _singletons(g):
-    return Congruence(tuple(range(g.order)), g.order)
+def _singletons(s):
+    return Congruence(tuple(range(s.order)), s.order)
 
 
 def _shrunk(commutator_subgroup):
     # [G, G] without its last element: no longer the set the search finds, nor closed
-    return lambda g: commutator_subgroup(g)[:-1]
+    return lambda s: commutator_subgroup(s)[:-1]
 
 
 def _finest(coset_congruence):
@@ -686,45 +674,45 @@ def _finest(coset_congruence):
 
 def _trivial_subgroup(commutator_subgroup):
     # [G, G] read as the identity alone: coset_congruence, its reader in groups, is the finest
-    return lambda g: (g.identity,)
+    return lambda s: (group_structure(s).identity,)
 
 
 def _coarsest(coset_congruence):
     # one class: every pair the search relates still lies in it
-    return lambda g: Congruence((0,) * g.order, 1)
+    return lambda s: Congruence((0,) * s.order, 1)
 
 
 def _non_compatible(coset_congruence):
     # the identity and one transposition, a subgroup that is not normal, as one class
-    return lambda g: Congruence((0, 0, 1, 2, 3, 4), 5)
+    return lambda s: Congruence((0, 0, 1, 2, 3, 4), 5)
 
 
 def _bogus_one_var(search):
-    def bogus(m, elements, bound):
-        found = search(m, elements, bound)
+    def bogus(s, elements, bound):
+        found = search(s, elements, bound)
         return {g: w and OneVarWitness((g,), (), ()) for g, w in found.items()}
 
     return bogus
 
 
 def _bogus_two_var(search):
-    def bogus(m, pairs, bound):
-        found = search(m, pairs, bound)
+    def bogus(s, pairs, bound):
+        found = search(s, pairs, bound)
         return {p: w and TwoVarWitness((0,), (), (), ()) for p, w in found.items()}
 
     return bogus
 
 
 def _lost_at_next_bound(search):
-    def lost(m, elements, bound):
-        return dict.fromkeys(elements) if bound > 2 else search(m, elements, bound)
+    def lost(s, elements, bound):
+        return dict.fromkeys(elements) if bound > 2 else search(s, elements, bound)
 
     return lost
 
 
 def _grown_at_next_bound(search):
-    def grown(m, elements, bound):
-        found = search(m, elements, bound)
+    def grown(s, elements, bound):
+        found = search(s, elements, bound)
         if bound > 2:
             found = {g: w and OneVarWitness(w.a + (0,), w.b + (0,), w.c) for g, w in found.items()}
         return found
@@ -734,8 +722,8 @@ def _grown_at_next_bound(search):
 
 def _padded_below_bound(search):
     # each witness below the bound gets the identity, element 0, on each side: still valid
-    def padded(m, elements, bound):
-        found = search(m, elements, bound)
+    def padded(s, elements, bound):
+        found = search(s, elements, bound)
         return {
             g: OneVarWitness(w.a + (0,), w.b, w.c + (0,)) if w and w.size < bound else w
             for g, w in found.items()
@@ -746,16 +734,16 @@ def _padded_below_bound(search):
 
 def _pair_unfound(search):
     # the same-coset pair (identity, 3-cycle) is not found, though its construction fits
-    def unfound(m, pairs, bound):
-        return {p: None if p == (0, 3) else w for p, w in search(m, pairs, bound).items()}
+    def unfound(s, pairs, bound):
+        return {p: None if p == (0, 3) else w for p, w in search(s, pairs, bound).items()}
 
     return unfound
 
 
 def _identity_unwitnessed(search):
     # the identity's witness dropped: the product of a 3-cycle and its inverse has none
-    def dropped(m, elements, bound):
-        return {g: None if g == 0 else w for g, w in search(m, elements, bound).items()}
+    def dropped(s, elements, bound):
+        return {g: None if g == 0 else w for g, w in search(s, elements, bound).items()}
 
     return dropped
 
@@ -764,8 +752,8 @@ def _relation(label, keep):
     """A ``sigma_report`` whose relation keeps only the pairs ``keep`` accepts."""
 
     def patch(sigma_report):
-        def report(m, bound):
-            return {p: w for p, w in sigma_report(m, bound).items() if keep(*p)}
+        def report(s, bound):
+            return {p: w for p, w in sigma_report(s, bound).items() if keep(*p)}
 
         return report
 
