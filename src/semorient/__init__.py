@@ -25,7 +25,6 @@ _HOMES = {
         "CompatibilityError",
         "Congruence",
         "FamilyError",
-        "Monoid1",
         "NotAGroupError",
         "Semigroup",
         "SemigroupError",

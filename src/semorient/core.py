@@ -12,7 +12,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import chain, compress
 from operator import eq, itemgetter, ne
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -402,38 +402,27 @@ def serialize_table(s: Semigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-class Monoid1(NamedTuple):
-    """A semigroup with a fresh two-sided identity adjoined as the last element.
+@lru_cache(maxsize=CACHE_SIZE)
+def adjoin_identity(s: Semigroup) -> tuple[tuple[int, ...], ...]:
+    """The rows of S¹: the table with a fresh two-sided identity adjoined as index ``s.order``.
 
     The identity realizes absent equation parts: an empty factor word
     evaluates to it. It is never a legal factor inside witness words, and it
     is adjoined even if the base already has an identity, so every semigroup
-    gets the same uniform shape. Built only by ``adjoin_identity``, cached per
-    table, and read from the table by the search and the validators.
+    gets the same uniform shape. The search and the validators read these
+    rows alongside ``s.order``.
     """
-
-    base: Semigroup
-    table: tuple[tuple[int, ...], ...]
-    identity_index: int
-
-    @property
-    def order(self) -> int:
-        return self.base.order + 1
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def adjoin_identity(s: Semigroup) -> Monoid1:
-    """Adjoin a fresh two-sided identity as index ``s.order``."""
     n = s.order
-    table = tuple(s.table[i] + (i,) for i in range(n)) + (tuple(range(n + 1)),)
-    return Monoid1(s, table, n)
+    return tuple(row + (i,) for i, row in enumerate(s.table)) + (tuple(range(n + 1)),)
 
 
-def eval_word(m: Monoid1, word: Iterable[int]) -> int:
-    """Left-to-right product of a word of element indices; the empty word is the identity."""
-    acc = m.identity_index
-    table = m.table
-    top = m.identity_index
+def eval_word(s: Semigroup, word: Iterable[int]) -> int:
+    """Left-to-right product in S¹ of a word of indices ``0..s.order``; the empty word is the 1.
+
+    Raises ValueError for a letter outside S¹.
+    """
+    table = adjoin_identity(s)
+    acc = top = len(table) - 1  # the adjoined 1, index s.order
     for x in word:
         if not 0 <= x <= top:
             raise ValueError(f"word entry {x} out of range")

@@ -65,17 +65,16 @@ def validate_one_var(s: Semigroup, g: int, w: OneVarWitness) -> Optional[str]:
 def validate_two_var(s: Semigroup, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
     """Return None if the witness is valid for the ordered pair (u, v), else a reason.
 
-    The words are read in the table's S¹ (``core.adjoin_identity``), whose
-    adjoined 1 is index ``s.order``. Raises ValueError, before any reason,
-    when u, v or a letter of the four words is outside S¹; ``eval_word`` is
-    the one check of each letter.
+    The words are read in the rows of the table's S¹ (``core.adjoin_identity``),
+    whose adjoined 1 is index ``s.order``. Raises ValueError, before any
+    reason, when u, v or a letter of the four words is outside S¹;
+    ``eval_word`` is the one check of each letter.
     Past the balance clauses each side holds at least one base letter, and a
     base element times anything in S¹ is a base element, so both sides of a
     failed substitution are named from the base.
     """
-    m = adjoin_identity(s)
-    _check_elements(m.order, u, v)
-    a, b, c, d = (eval_word(m, word) for word in w)
+    _check_elements(s.order + 1, u, v)
+    a, b, c, d = (eval_word(s, word) for word in w)
     left, right = w.a + w.b, w.c + w.d
     if not left and not right:
         return "at least one factor is required"
@@ -88,7 +87,7 @@ def validate_two_var(s: Semigroup, u: int, v: int, w: TwoVarWitness) -> Optional
         return "the adjoined identity may not appear as a factor"
     if sorted(left) != sorted(right):
         return "factor multisets differ between the two sides"
-    t = m.table
+    t = adjoin_identity(s)
     lhs, rhs = t[t[a][u]][b], t[t[c][v]][d]
     if lhs != rhs:
         return (

@@ -2,9 +2,9 @@
 
 Searches are exhaustive up to a factor-count bound and return the canonical
 minimal witness: smallest factor count first, then the lexicographically
-smallest word tuple (a, b, c[, d]). Each function but ``_levels`` takes the
-table and reads its S¹ (``core.adjoin_identity``), where index ``s.order`` is
-the adjoined 1. One level search serves both kinds: an element g is searched as
+smallest word tuple (a, b, c[, d]). Each function takes the table and reads
+its S¹ rows (``core.adjoin_identity``), where index ``s.order`` is the
+adjoined 1. One level search serves both kinds: an element g is searched as
 the pair (1, g). The public entry points test one key first, ker φ's class
 (``core._abelian_keys``, read by ``_keys``): they search an element only when
 it is keyed like 1 and a pair only when both are keyed alike. The others have
@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Optional
 from .core import (
     ONE_VAR_DEFAULT_BOUND,
     TWO_VAR_DEFAULT_BOUND,
-    Monoid1,
     Semigroup,
     Word,
     _abelian_keys,
@@ -31,7 +30,7 @@ from .core import (
 from .equations import OneVarWitness, TwoVarWitness
 
 
-def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
+def _levels(s: Semigroup, bound: int) -> Iterator[Iterator[dict]]:
     """The splits of every multiset of base elements, one size n = 1..bound at a time.
 
     Each size is an iterator over its multisets M in
@@ -58,11 +57,11 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
     each with at most (k + 1)**2 keys, at most k of them orderings: 17 550
     multisets on ``symmetric:4`` at bound 5.
     """
-    t, e = m.table, m.identity_index
+    t, e = adjoin_identity(s), s.order
     below: dict[Word, dict] = {(): {(e, e): ((), ())}}
 
     def level(n: int, below: dict, kept: Optional[dict]) -> Iterator[dict]:
-        for multiset in combinations_with_replacement(range(m.base.order), n):
+        for multiset in combinations_with_replacement(range(e), n):
             parts = [
                 (y, below[multiset[:i] + multiset[i + 1 :]])
                 for i, y in enumerate(multiset)
@@ -71,14 +70,14 @@ def _levels(m: Monoid1, bound: int) -> Iterator[Iterator[dict]]:
             splits: dict[tuple[int, int], tuple[Word, Word]] = {}
             for y, sub in parts:
                 row = t[y]
-                for (p, s), (_, c) in sub.items():
+                for (p, q), (_, c) in sub.items():
                     if p != e:
                         break
-                    splits.setdefault((e, row[s]), ((), (y, *c)))
+                    splits.setdefault((e, row[q]), ((), (y, *c)))
             for y, sub in parts:
                 row = t[y]
-                for (p, s), (b, c) in sub.items():
-                    splits.setdefault((row[p], s), ((y, *b), c))
+                for (p, q), (b, c) in sub.items():
+                    splits.setdefault((row[p], q), ((y, *b), c))
             if kept is not None:
                 kept[multiset] = splits
             yield splits
@@ -108,11 +107,10 @@ def _pair_search(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    m = adjoin_identity(s)
-    t = m.table
+    t = adjoin_identity(s)
     todo = list(pairs)
     found: dict[tuple[int, int], Optional[TwoVarWitness]] = dict.fromkeys(todo)
-    for n, level in enumerate(_levels(m, bound), 1):
+    for n, level in enumerate(_levels(s, bound), 1):
         if not todo:
             break
         lefts = {u for u, _ in todo}

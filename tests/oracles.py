@@ -15,6 +15,7 @@ import random
 from collections import deque
 from functools import lru_cache
 from itertools import permutations, product
+from types import SimpleNamespace
 
 
 def compose(f, g):
@@ -114,8 +115,20 @@ def semigroup_classes(n):
             yield table
 
 
+def with_identity(rows):
+    """S¹ of the table ``rows``: ``base.order``, ``base.table``, ``table`` and ``identity_index``.
+
+    ``table`` holds the rows as tuples with a fresh identity appended as the
+    last index, adjoined even if the table already has one.
+    """
+    n = len(rows)
+    table = tuple((*row, i) for i, row in enumerate(rows)) + (tuple(range(n + 1)),)
+    base = SimpleNamespace(order=n, table=rows)
+    return SimpleNamespace(base=base, table=table, identity_index=n)
+
+
 def mul_word(m, word):
-    """Fold a word over a Monoid1 table, starting from the identity."""
+    """Fold a word over the table of S¹ from ``with_identity``, starting from the identity."""
     acc = m.identity_index
     for x in word:
         acc = m.table[acc][x]

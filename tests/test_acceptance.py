@@ -9,7 +9,6 @@ import time
 from semorient.catalog import CATALOG_FAMILIES, GROUP_FAMILIES, make_family
 from semorient.core import _abelian_keys  # private: ker φ, the σ classes
 from semorient.core import (
-    adjoin_identity,
     generated_congruence,
     is_cancellative,
     is_commutative,
@@ -37,7 +36,12 @@ from semorient.theorems import (
 )
 
 from conftest import FIXTURES
-from oracles import labelled_semigroups, naive_search_one_var, naive_search_two_var
+from oracles import (
+    labelled_semigroups,
+    naive_search_one_var,
+    naive_search_two_var,
+    with_identity,
+)
 
 EXPECTED_DERIVED_ORDER = {
     **{f"cyclic:{n}": 1 for n in range(1, 9)},
@@ -183,7 +187,7 @@ def test_criterion_6_oracle_equivalence_small_semigroups():
     checked_one = checked_two = 0
     for s in labelled_semigroups(1, 2, 3):
         n = s.order
-        m = adjoin_identity(s)
+        m = with_identity(s.table)
         for bound in (1, 2, 3):
             for g in range(n):
                 got = search_one_var(s, g, bound)

@@ -36,13 +36,16 @@ from semorient.groups import commutator_subgroup, coset_congruence, group_struct
 from conftest import FIXTURES
 from oracles import (
     all_pairs_kappa,
+    class_semigroups,
     commutative_congruences,
     first_assoc_violation,
     labelled_semigroups,
     least_congruence,
     magma_closure,
     random_transformation_semigroups,
+    rees_tables,
     transformation_table,
+    with_identity,
 )
 
 BROKEN_2X2 = [[1, 1], [1, 0]]  # xor-with-1 magma
@@ -298,11 +301,20 @@ def test_semigroup_constructor_rejects_bad_tables():
 
 
 def test_eval_word_z4(z4):
-    m = adjoin_identity(z4)
-    assert eval_word(m, (1, 1, 1)) == 3 == z4.table[1][2]
-    assert eval_word(m, ()) == m.identity_index
+    assert eval_word(z4, (1, 1, 1)) == 3 == z4.table[1][2]
     with pytest.raises(ValueError):
-        eval_word(m, (9,))
+        eval_word(z4, (9,))
+
+
+def test_eval_word_letters_range_over_s1():
+    # index s.order is the adjoined 1: the empty word's value and a legal letter
+    s = make_family("leftzero:3")
+    assert eval_word(s, ()) == 3
+    assert eval_word(s, (3,)) == 3
+    assert eval_word(s, (3, 2, 3, 0)) == 2
+    for letter in (4, -1):
+        with pytest.raises(ValueError, match=f"word entry {letter} out of range"):
+            eval_word(s, (0, letter))
 
 
 def test_pairs_are_the_same_class_pairs_ascending():
@@ -317,10 +329,9 @@ def test_eval_word_s3_conjugation(s3):
     # s r s = r^2 for a transposition s and 3-cycle r, per the permutation oracle
     from oracles import compose
 
-    m = adjoin_identity(s3)
     r = s3.index_of("120")
     s = s3.index_of("102")
-    got = eval_word(m, (s, r, s))
+    got = eval_word(s3, (s, r, s))
     expected = compose(compose((1, 0, 2), (1, 2, 0)), (1, 0, 2))
     assert s3.names[got] == "".join(map(str, expected))
     assert got == s3.table[r][r]
@@ -331,33 +342,41 @@ def test_eval_word_s3_conjugation(s3):
 def test_eval_word_is_concatenation_homomorphism(data):
     spec = data.draw(st.sampled_from(CATALOG_FAMILIES))
     s = make_family(spec)
-    m = adjoin_identity(s)
-    elems = st.integers(min_value=0, max_value=s.order - 1)
+    elems = st.integers(min_value=0, max_value=s.order)  # letters of S¹, the 1 among them
     w1 = tuple(data.draw(st.lists(elems, max_size=6)))
     w2 = tuple(data.draw(st.lists(elems, max_size=6)))
-    assert eval_word(m, w1 + w2) == m.table[eval_word(m, w1)][eval_word(m, w2)]
+    assert eval_word(s, w1 + w2) == adjoin_identity(s)[eval_word(s, w1)][eval_word(s, w2)]
 
 
 def test_adjoin_identity_preserves_base_products():
     lz = make_family("leftzero:2")
-    m = adjoin_identity(lz)
-    assert m.order == 3
+    rows = adjoin_identity(lz)
+    assert len(rows) == 3
     for i in range(2):
         for j in range(2):
-            assert m.table[i][j] == lz.table[i][j]  # still xy = x
-    e = m.identity_index
-    assert all(m.table[e][x] == x == m.table[x][e] for x in range(3))
+            assert rows[i][j] == lz.table[i][j]  # still xy = x
+    assert all(rows[2][x] == x == rows[x][2] for x in range(3))
 
 
 def test_adjoin_identity_even_if_identity_exists(z4):
-    m = adjoin_identity(z4)
-    assert m.order == 5
-    assert m.identity_index == 4
+    rows = adjoin_identity(z4)
+    assert len(rows) == 5
+    assert rows[4] == (0, 1, 2, 3, 4) and [row[4] for row in rows] == [0, 1, 2, 3, 4]
 
 
 def test_adjoin_identity_null3():
-    m = adjoin_identity(make_family("null:3"))
-    assert m.order == 4
+    assert len(adjoin_identity(make_family("null:3"))) == 4
+
+
+def test_adjoin_identity_is_the_oracles_s1():
+    # S¹ built apart from the package, on every table the oracle comparisons share
+    corpus = (
+        *labelled_semigroups(1, 2, 3), *class_semigroups(4),
+        *random_transformation_semigroups(60), *rees_tables(),
+        *map(make_family, CATALOG_FAMILIES),
+    )
+    for s in corpus:
+        assert adjoin_identity(s) == with_identity(s.table).table, s.table
 
 
 def test_idempotents():

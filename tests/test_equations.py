@@ -46,6 +46,7 @@ from oracles import (
     rees_matrix_table,
     rees_tables,
     witness_problem,
+    with_identity,
 )
 
 
@@ -99,7 +100,7 @@ def test_one_var_validator_agrees_with_the_definition_on_small_witnesses():
     # table of order <= 2: the pair check on (1, g) accepts exactly these
     checked = accepted = 0
     for s in labelled_semigroups(1, 2):
-        m = adjoin_identity(s)
+        m = with_identity(s.table)
         e = m.identity_index
         letters = range(e + 1)
         words = [w for k in range(3) for w in product(letters, repeat=k)]
@@ -267,12 +268,34 @@ def test_search_bounds_validated():
         search_one_var(s, 77, 2)
 
 
+_CALLS_BEYOND_THE_TABLE = [
+    (orientable_set, (3,)),
+    (search_one_var, (0, 3)),
+    (search_two_var, (0, 0, 3)),
+    (sigma_report, (3,)),
+    (validate_one_var, (0, OneVarWitness((0,), (0,), ()))),
+    (validate_two_var, (0, 0, TwoVarWitness((), (0,), (), (0,)))),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, args", _CALLS_BEYOND_THE_TABLE, ids=[f.__name__ for f, _ in _CALLS_BEYOND_THE_TABLE]
+)
+def test_entry_points_refuse_the_rows_of_s1(entry, args):
+    # read as a table, S¹ of Z4 would get a second 1 adjoined, and its orientable
+    # set would be {0, 4} where Z4's is {0}: the rows carry no order to be read so
+    s = make_family("cyclic:4")
+    assert [g for g, w in orientable_set(s, 3).items() if w is not None] == [0]
+    with pytest.raises(AttributeError):
+        entry(adjoin_identity(s), *args)
+
+
 @pytest.mark.parametrize(
     "spec", ["cyclic:3", "leftzero:3", "rightzero:3", "null:3", "fulltransformation:2"]
 )
 def test_search_one_var_agrees_with_naive_oracle(spec):
     s = make_family(spec)
-    m = adjoin_identity(s)
+    m = with_identity(s.table)
     for g in range(s.order):
         for bound in (1, 2, 3, 4):
             got = search_one_var(s, g, bound)
@@ -286,7 +309,7 @@ def test_search_one_var_agrees_with_naive_oracle(spec):
 @pytest.mark.parametrize("spec", ["cyclic:3", "leftzero:2", "rightzero:3", "null:3"])
 def test_search_two_var_agrees_with_naive_oracle(spec):
     s = make_family(spec)
-    m = adjoin_identity(s)
+    m = with_identity(s.table)
     for u in range(s.order):
         for v in range(s.order):
             for bound in (1, 2):
@@ -302,7 +325,7 @@ def test_search_two_var_agrees_with_naive_oracle(spec):
 def test_search_one_var_agrees_with_naive_oracle_on_order_2_at_bound_5(raw):
     # two elements give many orderings with equal products, so split keys collide
     s = Semigroup(("a", "b"), raw)
-    m = adjoin_identity(s)
+    m = with_identity(s.table)
     for g in range(2):
         expected = naive_search_one_var(m, g, 5)
         assert search_one_var(s, g, 5) == (None if expected is None else OneVarWitness(*expected))
@@ -313,7 +336,7 @@ def test_rees_matrix_semigroup_needs_witnesses_of_size_3():
     z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     table = rees_matrix_table(z3, 2, 2, ((0, 0), (0, 1)))
     s = Semigroup([f"r{k}" for k in range(12)], table)
-    m = adjoin_identity(s)
+    m = with_identity(s.table)
     found = orientable_set(s, 3)
     assert Counter(len(w.a) for w in found.values()) == {1: 4, 2: 4, 3: 4}
     for g, w in found.items():
@@ -347,18 +370,17 @@ def test_batched_searches_match_single_searches(catalog_family):
 @pytest.mark.parametrize("spec", ["null:3", "leftzero:2", "symmetric:3", "fulltransformation:2"])
 def test_level_data_is_smallest_and_sorted(spec):
     s = make_family(spec)
-    m = adjoin_identity(s)  # the level search alone takes S¹
     e = s.order
-    for n, level in enumerate(_levels(m, 5), start=1):
+    for n, level in enumerate(_levels(s, 5), start=1):
         multisets = combinations_with_replacement(range(s.order), n)
         for multiset, splits in zip_longest(multisets, level):
             words = sorted(set(permutations(multiset)))
             smallest_a = {}
             smallest_bc = {}
             for word in words:
-                smallest_a.setdefault(eval_word(m, word), word)
+                smallest_a.setdefault(eval_word(s, word), word)
                 for k in range(n + 1):
-                    key = (eval_word(m, word[:k]), eval_word(m, word[k:]))
+                    key = (eval_word(s, word[:k]), eval_word(s, word[k:]))
                     bc = (word[:k], word[k:])
                     smallest_bc[key] = min(smallest_bc.get(key, bc), bc)
             # the orderings come first, keyed (1, v), in ascending words
@@ -381,7 +403,7 @@ def test_pair_search_stops_at_the_floor(monkeypatch):
             read.append(splits)
             yield splits
 
-    monkeypatch.setattr(search, "_levels", lambda m, bound: map(counted, levels(m, bound)))
+    monkeypatch.setattr(search, "_levels", lambda s, bound: map(counted, levels(s, bound)))
     pairs = sigma_report(make_family("null:30"), 1)
     assert len(pairs) == 900 and set(pairs.values()) == {TwoVarWitness((), (0,), (), (0,))}
     assert len(read) == 2
@@ -466,7 +488,7 @@ def _assert_filter_is_the_class_scan(s):
     pairs = [(u, v) for u in elements for v in elements]
     key = _keys(s)
     kept = [(u, v) for u, v in pairs if key[u] == key[v]]
-    assert kept == class_scan_candidates(adjoin_identity(s), pairs), s.table
+    assert kept == class_scan_candidates(with_identity(s.table), pairs), s.table
 
 
 def test_pair_filter_is_the_class_scan_on_every_pair_over_s1():
@@ -492,9 +514,9 @@ def test_sigma_classes_are_the_kernel_of_the_abelian_image():
     # σ_orient = ker φ: the pairs the search witnesses generate ker φ from bound 1 on,
     # and a larger bound adds witnessed pairs only; ε is an idempotent in every principal ideal
     for s in KEY_CORPUS:
-        m = adjoin_identity(s)
         eps, kernel = _abelian_keys(s)
-        t, letters = m.table, range(m.order)
+        t = adjoin_identity(s)
+        letters = range(len(t))
         assert t[eps][eps] == eps
         for x in range(s.order):
             assert eps in {t[t[a][x]][b] for a in letters for b in letters}
@@ -520,7 +542,7 @@ def test_sigma_report_searches_only_the_pairs_inside_kernel_classes():
 def test_entry_points_hand_the_pair_search_only_pairs_keyed_alike(monkeypatch, spec):
     # the pairs that reach the level search, against the oracle's κ-class scan
     s = make_family(spec)
-    m = adjoin_identity(s)
+    m = with_identity(s.table)
     e, elements = s.order, range(s.order)
     pairs = [(u, v) for u in elements for v in elements]
     kept = class_scan_candidates(m, pairs)
