@@ -14,7 +14,7 @@ from importlib import import_module
 from typing import NamedTuple, Optional, Sequence
 
 from . import _HOMES
-from .core import Semigroup, Word, _check_elements, adjoin_identity, eval_word
+from .core import Semigroup, Word, _check_elements, eval_word
 
 
 # the names of ``search`` stay readable here (perfbench/tracer.py reads them), loaded on demand
@@ -65,16 +65,16 @@ def validate_one_var(s: Semigroup, g: int, w: OneVarWitness) -> Optional[str]:
 def validate_two_var(s: Semigroup, u: int, v: int, w: TwoVarWitness) -> Optional[str]:
     """Return None if the witness is valid for the ordered pair (u, v), else a reason.
 
-    The words are read in the rows of the table's S¹ (``core.adjoin_identity``),
-    whose adjoined 1 is index ``s.order``. Raises ValueError, before any
-    reason, when u, v or a letter of the four words is outside S¹;
-    ``eval_word`` is the one check of each letter.
-    Past the balance clauses each side holds at least one base letter, and a
-    base element times anything in S¹ is a base element, so both sides of a
-    failed substitution are named from the base.
+    Each side is one word in S¹ (``core.eval_word``), whose adjoined 1 is
+    index ``s.order``: a*u*b and c*v*d. Raises ValueError, before any reason,
+    when u, v or a letter of a, b, c or d (in that order) is outside S¹;
+    ``eval_word`` is the one check of each letter. Past the balance clauses
+    each side holds at least one base letter, and a base element times
+    anything in S¹ is a base element, so both sides of a failed substitution
+    are named from the base.
     """
     _check_elements(s.order + 1, u, v)
-    a, b, c, d = (eval_word(s, word) for word in w)
+    lhs, rhs = eval_word(s, (*w.a, u, *w.b)), eval_word(s, (*w.c, v, *w.d))
     left, right = w.a + w.b, w.c + w.d
     if not left and not right:
         return "at least one factor is required"
@@ -87,8 +87,6 @@ def validate_two_var(s: Semigroup, u: int, v: int, w: TwoVarWitness) -> Optional
         return "the adjoined identity may not appear as a factor"
     if sorted(left) != sorted(right):
         return "factor multisets differ between the two sides"
-    t = adjoin_identity(s)
-    lhs, rhs = t[t[a][u]][b], t[t[c][v]][d]
     if lhs != rhs:
         return (
             f"substitution fails: the left side evaluates to {s.names[lhs]} "

@@ -263,7 +263,7 @@ def test_bound_cap_rejects_before_any_search(monkeypatch, verb, flag):
         "orientable_set", "search_one_var", "search_two_var", "sigma_report",
         "_one_var_search", "_pair_search",
     )
-    for name in (*searches, "_levels"):
+    for name in (*searches, "_splits"):
         monkeypatch.setattr(search, name, _refuse)
     # verify binds three searches at import; the verb reads the suites when it runs
     for name in (

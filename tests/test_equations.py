@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, permutations, product, zip_longest
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +32,7 @@ from semorient.groups import NotAGroupError, commutator_subgroup, group_structur
 from semorient.search import orientable_set, search_one_var, search_two_var, sigma_report
 # private: the search data, the unfiltered searches and the key the entry points
 # compare are checked directly
-from semorient.search import _keys, _levels, _one_var_search, _pair_search
+from semorient.search import _keys, _one_var_search, _pair_search, _splits
 from semorient.theorems import exact_sigma_report
 
 from oracles import (
@@ -370,10 +370,11 @@ def test_batched_searches_match_single_searches(catalog_family):
 @pytest.mark.parametrize("spec", ["null:3", "leftzero:2", "symmetric:3", "fulltransformation:2"])
 def test_level_data_is_smallest_and_sorted(spec):
     s = make_family(spec)
-    e = s.order
-    for n, level in enumerate(_levels(s, 5), start=1):
-        multisets = combinations_with_replacement(range(s.order), n)
-        for multiset, splits in zip_longest(multisets, level):
+    t, e = adjoin_identity(s), s.order
+    below = {(): {(e, e): ((), ())}}
+    for n in range(1, 6):
+        level = {m: _splits(t, m, below) for m in combinations_with_replacement(range(e), n)}
+        for multiset, splits in level.items():
             words = sorted(set(permutations(multiset)))
             smallest_a = {}
             smallest_bc = {}
@@ -390,23 +391,42 @@ def test_level_data_is_smallest_and_sorted(spec):
             assert all(p != e for p, _ in list(splits)[len(orderings) :])
             # the entries and their order: ascending words
             assert items == sorted(smallest_bc.items(), key=lambda kv: kv[1])
+        below = level
+
+
+def _built_splits(monkeypatch):
+    """Spy on ``search._splits``: the list of multisets it builds, in order."""
+    splits, built = search._splits, []
+
+    def spy(t, multiset, below):
+        built.append(multiset)
+        return splits(t, multiset, below)
+
+    monkeypatch.setattr(search, "_splits", spy)
+    return built
 
 
 def test_pair_search_stops_at_the_floor(monkeypatch):
     # every pair of null:30 has the witness ((), (x0), (), (x0)), found at the first
-    # multiset; each split of the second, (x1), is at least ((), (x1)), so no pair is live
-    levels = search._levels
-    read = []
-
-    def counted(level):
-        for splits in level:
-            read.append(splits)
-            yield splits
-
-    monkeypatch.setattr(search, "_levels", lambda s, bound: map(counted, levels(s, bound)))
+    # multiset; each split of the second, (x1), is at least ((), (x1)), so no pair is
+    # live there and it is never built
+    built = _built_splits(monkeypatch)
     pairs = sigma_report(make_family("null:30"), 1)
     assert len(pairs) == 900 and set(pairs.values()) == {TwoVarWitness((), (0,), (), (0,))}
-    assert len(read) == 2
+    assert built == [(0,)]
+
+
+def test_inputs_the_filter_drops_build_no_splits(monkeypatch):
+    # 1 of Z12 is keyed apart from the identity, and (0, 1) lie in two classes of ker φ
+    built = _built_splits(monkeypatch)
+    s = make_family("cyclic:12")
+    assert search_one_var(s, 1, 7) is None and search_two_var(s, 0, 1, 7) is None
+    assert built == []
+    # φ⁻¹(1) of Z1000 is {0}, witnessed [0] = [] * t * [0] by the first multiset, (0,);
+    # the floor of the second is above that witness, so the search builds no other
+    found = orientable_set(make_family("cyclic:1000"))
+    assert [g for g, w in found.items() if w is not None] == [0]
+    assert built == [(0,)]
 
 
 @settings(max_examples=30, deadline=None)
