@@ -52,8 +52,6 @@ def _parity(p) -> int:
 
 
 def _cyclic(n: int) -> Semigroup:
-    if n < 1:
-        raise FamilyError("cyclic:n requires n >= 1")
     line = tuple(range(n))
     # row i is (i + j) % n for every j: the line rotated by i
     return Semigroup(tuple(map(str, line)), tuple(line[i:] + line[:i] for i in range(n)))
@@ -68,23 +66,17 @@ def _klein4() -> Semigroup:
 
 
 def _symmetric(n: int) -> Semigroup:
-    if not 1 <= n <= 4:
-        raise FamilyError("symmetric:n supports 1 <= n <= 4")
     elems = sorted(permutations(range(n)))
     return _table_from_op(elems, _compose, lambda p: "".join(map(str, p)))
 
 
 def _alternating(n: int) -> Semigroup:
-    if n != 4:
-        raise FamilyError("alternating:n supports only n = 4")
     elems = [p for p in sorted(permutations(range(n))) if _parity(p) == 0]
     return _table_from_op(elems, _compose, lambda p: "".join(map(str, p)))
 
 
 def _dihedral(n: int) -> Semigroup:
     """Rotations r^i then reflections r^i s, with s r = r^-1 s."""
-    if n < 1:
-        raise FamilyError("dihedral:n requires n >= 1")
     rotations = ("e", "r", *(f"r{i}" for i in range(2, n)))[:n]
     reflections = ("s", "rs", *(f"r{i}s" for i in range(2, n)))[:n]
     # r^i r^j = r^(i+j) and r^i (r^j s) = r^(i+j) s; reflection r^j s sits at n + j
@@ -122,30 +114,22 @@ def _quaternion8() -> Semigroup:
 
 
 def _leftzero(n: int) -> Semigroup:
-    if n < 1:
-        raise FamilyError("leftzero:n requires n >= 1")
     names = tuple(f"x{i}" for i in range(n))
     return Semigroup(names, tuple((i,) * n for i in range(n)))
 
 
 def _rightzero(n: int) -> Semigroup:
-    if n < 1:
-        raise FamilyError("rightzero:n requires n >= 1")
     names = tuple(f"x{i}" for i in range(n))
     return Semigroup(names, (tuple(range(n)),) * n)
 
 
 def _null(n: int) -> Semigroup:
     """Every product is the zero, which sits at index 0."""
-    if n < 1:
-        raise FamilyError("null:n requires n >= 1")
     names = ("z",) + tuple(f"x{i}" for i in range(1, n))
     return Semigroup(names, ((0,) * n,) * n)
 
 
 def _fulltransformation(n: int) -> Semigroup:
-    if not 1 <= n <= 3:
-        raise FamilyError("fulltransformation:n supports 1 <= n <= 3")
     elems = sorted(product(range(n), repeat=n))
     return _table_from_op(elems, _compose, lambda f: "".join(map(str, f)))
 
@@ -197,15 +181,16 @@ def _product(a: Semigroup, b: Semigroup) -> Semigroup:
 
 
 _NO_PARAM = {"klein4": _klein4, "quaternion8": _quaternion8}
+# family -> (builder, least n, largest n or None); make_family checks the range
 _INT_PARAM = {
-    "cyclic": _cyclic,
-    "symmetric": _symmetric,
-    "alternating": _alternating,
-    "dihedral": _dihedral,
-    "leftzero": _leftzero,
-    "rightzero": _rightzero,
-    "null": _null,
-    "fulltransformation": _fulltransformation,
+    "cyclic": (_cyclic, 1, None),
+    "symmetric": (_symmetric, 1, 4),
+    "alternating": (_alternating, 4, 4),
+    "dihedral": (_dihedral, 1, None),
+    "leftzero": (_leftzero, 1, None),
+    "rightzero": (_rightzero, 1, None),
+    "null": (_null, 1, None),
+    "fulltransformation": (_fulltransformation, 1, 3),
 }
 
 
@@ -239,4 +224,11 @@ def make_family(spec: str) -> Semigroup:
     # every integer family has order at least n (dihedral: exactly 2n)
     if (2 * n if name == "dihedral" else n) > MAX_ORDER:
         raise FamilyError(f"{spec} has order above the maximum {MAX_ORDER}")
-    return _INT_PARAM[name](n)
+    build, least, largest = _INT_PARAM[name]
+    if largest is None:
+        if n < least:
+            raise FamilyError(f"{name}:n requires n >= {least}")
+    elif not least <= n <= largest:
+        rule = f"only n = {least}" if least == largest else f"{least} <= n <= {largest}"
+        raise FamilyError(f"{name}:n supports {rule}")
+    return build(n)

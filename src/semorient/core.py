@@ -12,7 +12,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import chain, compress
 from operator import eq, itemgetter, ne
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -436,45 +436,38 @@ def idempotents(s: Semigroup) -> tuple[int, ...]:
 
 
 class Congruence:
-    """A partition of element indices by class id, intended to respect multiplication.
+    """The partition of element indices by label, intended to respect multiplication.
 
-    Class ids are canonical: class k first appears at the smallest element
-    index not already covered, so equal partitions compare equal directly.
-    Compatibility with the table is checked by consumers (see ``quotient``),
-    not by this constructor. The value is immutable.
+    ``class_of`` gives one hashable label per element; elements share a class
+    iff their labels are equal. The constructor numbers the classes in order
+    of first appearance, so class k first appears at the smallest element
+    index not already covered, and equal partitions compare equal however
+    they were labelled. Compatibility with the table is checked by consumers
+    (see ``compatibility_violation``), not by this constructor. The value is
+    immutable.
     """
 
     __slots__ = ("class_of", "num_classes")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, class_of: Sequence[int], num_classes: int):
-        class_of = tuple(class_of)
-        next_fresh = 0
-        for x, c in enumerate(class_of):
-            if not 0 <= c < num_classes:
-                raise SemigroupError(f"class id {c} out of range at element {x}")
-            if c > next_fresh:
-                raise SemigroupError("class ids must appear in first-appearance order")
-            if c == next_fresh:
-                next_fresh += 1
-        if next_fresh != num_classes:
-            raise SemigroupError("not every class id is used")
-        object.__setattr__(self, "class_of", class_of)
-        object.__setattr__(self, "num_classes", num_classes)
+    def __init__(self, class_of: Iterable[Hashable]):
+        ids: dict[Hashable, int] = {}
+        object.__setattr__(self, "class_of", tuple(ids.setdefault(c, len(ids)) for c in class_of))
+        object.__setattr__(self, "num_classes", len(ids))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.class_of == other.class_of and self.num_classes == other.num_classes
+        return self.class_of == other.class_of
 
     def __hash__(self) -> int:
-        return hash((self.class_of, self.num_classes))
+        return hash(self.class_of)
 
     def __repr__(self) -> str:
-        return f"Congruence(class_of={self.class_of!r}, num_classes={self.num_classes!r})"
+        return f"Congruence(class_of={self.class_of!r})"
 
     def __reduce__(self):
-        return (Congruence, (self.class_of, self.num_classes))
+        return (Congruence, (self.class_of,))
 
     def classes(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_classes)]
@@ -496,8 +489,11 @@ def compatibility_violation(
     One-sided translation invariance is checked; together with transitivity
     that is equivalent to full two-sided compatibility. Each member's row and
     column of classes is compared with its class's first member at C speed;
-    only a mismatch is scanned for its first t.
+    only a mismatch is scanned for its first t. Raises ValueError when the
+    partition is not of the semigroup's order.
     """
+    if len(c.class_of) != s.order:
+        raise ValueError("congruence does not match the semigroup's order")
     table = s.table
     cls = c.class_of
     classes_of = cls.__getitem__
@@ -527,13 +523,6 @@ def compatibility_violation(
 def _generators(s: Semigroup) -> list[int]:
     """``_magma_generators`` of the table: on an associative table they generate it as a semigroup."""
     return _magma_generators(s.table)
-
-
-def _by_first_appearance(labels: Iterable[int]) -> Congruence:
-    """The partition of element indices by label, with class ids in order of first appearance."""
-    ids: dict[int, int] = {}
-    class_of = tuple(ids.setdefault(label, len(ids)) for label in labels)
-    return Congruence(class_of, len(ids))
 
 
 def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -583,7 +572,7 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
         right = [*map(itemgetter(v), generator_rows), *map(row_v.__getitem__, generators)]
         for a, b in set(compress(zip(left, right), map(ne, left, right))):
             union(a, b)
-    return _by_first_appearance(map(find, range(n)))
+    return Congruence(map(find, range(n)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -631,7 +620,7 @@ def _abelian_keys(s: Semigroup) -> tuple[int, Congruence]:
     same argument shows that a pair over S¹ with two keys, or an element g
     keyed apart from 1, has no witness at any bound. On a group ε = 1 and
     the keys are the cosets of [G, G]. The key of x is ``class_of[x]`` of the
-    ker φ returned, whose class ids run in order of first appearance.
+    ker φ returned: its κ-class [xε], numbered by first appearance.
     """
     t = s.table
     z = 0
@@ -641,16 +630,16 @@ def _abelian_keys(s: Semigroup) -> tuple[int, Congruence]:
     while t[eps][eps] != eps:  # the powers of z reach their idempotent by z**n
         eps = t[eps][z]
     cls = commutative_congruence(s).class_of
-    return eps, _by_first_appearance(cls[row[eps]] for row in t)
+    return eps, Congruence(cls[row[eps]] for row in t)
 
 
 def quotient(s: Semigroup, c: Congruence) -> Semigroup:
     """Quotient semigroup on congruence classes; compatibility is re-verified here.
 
-    Class i is named after its smallest member, bracketed: ``[name]``.
+    Raises ValueError for a partition of another order (through
+    ``compatibility_violation``) and CompatibilityError for one that is not a
+    congruence. Class i is named after its smallest member, bracketed: ``[name]``.
     """
-    if len(c.class_of) != s.order:
-        raise ValueError("congruence does not match the semigroup's order")
     bad = compatibility_violation(s, c)
     if bad is not None:
         raise CompatibilityError(bad)

@@ -14,7 +14,6 @@ from .core import (
     NotAGroupError,
     Semigroup,
     _abelian_keys,
-    _by_first_appearance,
     _check_elements,
     quotient,
 )
@@ -129,7 +128,7 @@ def coset_congruence(s: Semigroup) -> Congruence:
         if first[x] == -1:
             for k in derived:
                 first[t[k][x]] = x
-    return _by_first_appearance(first)
+    return Congruence(first)
 
 
 def abelianization(s: Semigroup) -> Semigroup:

@@ -196,6 +196,38 @@ def test_directproduct_operand_errors(spec, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # below the range
+        ("cyclic:0", "cyclic:n requires n >= 1"),
+        ("cyclic:-3", "cyclic:n requires n >= 1"),
+        ("symmetric:0", "symmetric:n supports 1 <= n <= 4"),
+        ("alternating:3", "alternating:n supports only n = 4"),
+        ("dihedral:0", "dihedral:n requires n >= 1"),
+        ("leftzero:0", "leftzero:n requires n >= 1"),
+        ("rightzero:-1", "rightzero:n requires n >= 1"),
+        ("null:0", "null:n requires n >= 1"),
+        ("fulltransformation:0", "fulltransformation:n supports 1 <= n <= 3"),
+        # above the range
+        ("symmetric:5", "symmetric:n supports 1 <= n <= 4"),
+        ("alternating:5", "alternating:n supports only n = 4"),
+        ("fulltransformation:4", "fulltransformation:n supports 1 <= n <= 3"),
+        # the order cap comes first, and bounds the families with no largest n
+        ("symmetric:2000", "symmetric:2000 has order above the maximum 1000"),
+        ("cyclic:1001", "cyclic:1001 has order above the maximum 1000"),
+        ("dihedral:501", "dihedral:501 has order above the maximum 1000"),
+        ("leftzero:1001", "leftzero:1001 has order above the maximum 1000"),
+        ("rightzero:1001", "rightzero:1001 has order above the maximum 1000"),
+        ("null:1001", "null:1001 has order above the maximum 1000"),
+    ],
+)
+def test_integer_parameter_out_of_range_messages(spec, message):
+    with pytest.raises(FamilyError) as exc:
+        make_family(spec)
+    assert str(exc.value) == message
+
+
 def test_long_product_spec_fails_in_linear_time():
     # one product of 14 001 operands: a split tried at every comma re-parses the rest each time
     rest = "cyclic:1" + ",cyclic:1" * 14_000
@@ -305,9 +337,10 @@ def test_too_many_products_rejected_before_any_builder_runs(monkeypatch):
     def refuse(*args):
         raise AssertionError("parsed or built an operand of a spec over the product limit")
 
-    for builders in (catalog._INT_PARAM, catalog._NO_PARAM):
-        for name in builders:
-            monkeypatch.setitem(builders, name, refuse)
+    for name, (_, least, largest) in catalog._INT_PARAM.items():
+        monkeypatch.setitem(catalog._INT_PARAM, name, (refuse, least, largest))
+    for name in catalog._NO_PARAM:
+        monkeypatch.setitem(catalog._NO_PARAM, name, refuse)
     monkeypatch.setattr(catalog, "_split_product_spec", refuse)
     monkeypatch.setattr(catalog, "_product", refuse)
     products = catalog.MAX_PRODUCTS + 1

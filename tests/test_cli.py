@@ -149,7 +149,7 @@ def test_each_format_renders_only_itself(monkeypatch, fmt, renderers):
 
 
 def test_family_order_cap_rejects_before_building(monkeypatch):
-    monkeypatch.setitem(catalog._INT_PARAM, "cyclic", _refuse)
+    monkeypatch.setitem(catalog._INT_PARAM, "cyclic", (_refuse, 1, None))
     code, out, err = invoke("check", "--family", "cyclic:100000000000")
     assert (code, out) == (2, "")
     assert err == "error: usage: cyclic:100000000000 has order above the maximum 1000\n"

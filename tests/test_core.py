@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -13,7 +15,6 @@ from semorient.core import (
     CompatibilityError,
     Congruence,
     Semigroup,
-    SemigroupError,
     TableFormatError,
     adjoin_identity,
     check_associativity,
@@ -434,14 +435,14 @@ def test_generated_congruence_rejects_bad_pairs(z4):
 
 
 def test_quotient_z4_mod_two(z4):
-    c = Congruence((0, 1, 0, 1), 2)
+    c = Congruence((0, 1, 0, 1))
     q = quotient(z4, c)
     assert q.names == ("[0]", "[1]")
     assert q.table == ((0, 1), (1, 0))  # hand quotient: Z2
 
 
 def test_quotient_by_identity_congruence(s3):
-    c = Congruence(tuple(range(6)), 6)
+    c = Congruence(range(6))
     q = quotient(s3, c)
     assert q.table == s3.table
     assert q.names == tuple(f"[{n}]" for n in s3.names)
@@ -456,7 +457,7 @@ def test_quotient_s3_by_coset_congruence(s3):
 
 
 def test_quotient_rejects_incompatible_partition(z4):
-    bad = Congruence((0, 0, 1, 2), 3)
+    bad = Congruence((0, 0, 1, 2))
     violation = compatibility_violation(z4, bad)
     assert violation is not None
     with pytest.raises(CompatibilityError) as exc:
@@ -467,21 +468,47 @@ def test_quotient_rejects_incompatible_partition(z4):
     assert cls[z4.table[u][v]] != cls[z4.table[u2][v2]]
 
 
-def test_congruence_constructor_validation():
-    with pytest.raises(SemigroupError):
-        Congruence((0, 2, 1), 3)  # ids out of first-appearance order
-    with pytest.raises(SemigroupError):
-        Congruence((0, 0), 2)  # class id 1 unused
-    with pytest.raises(SemigroupError):
-        Congruence((0, 5), 2)
+def test_congruence_numbers_its_labels_by_first_appearance():
+    assert Congruence((0, 2, 1)).class_of == (0, 1, 2)
+    assert Congruence("bab") == Congruence((0, 1, 0))
+    assert Congruence(()).num_classes == 0
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 5), max_size=12),
+        st.lists(st.text("ab", max_size=2), max_size=12),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_congruence_is_the_partition_by_label(labels, rng):
+    c = Congruence(labels)
+    n = len(labels)
+    assert len(c.class_of) == n
+    for x in range(n):
+        for y in range(n):
+            assert (c.class_of[x] == c.class_of[y]) == (labels[x] == labels[y])
+    assert c.num_classes == len(set(labels))
+    assert set(c.class_of) == set(range(c.num_classes))
+    # class k first appears after classes 0..k-1 have
+    firsts = [c.class_of.index(k) for k in range(c.num_classes)]
+    assert firsts == sorted(firsts)
+    # relabel each class by a fresh label: the same partition
+    fresh = dict(zip(dict.fromkeys(labels), rng.sample(range(100, 200), c.num_classes)))
+    other = Congruence(fresh[label] for label in labels)
+    assert other == c and hash(other) == hash(c)
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert copy.copy(c) == c
+    assert eval(repr(c), {"Congruence": Congruence}) == c
 
 
 def test_congruence_from_a_list_is_an_immutable_value():
     class_of = [0, 1, 0]
-    c = Congruence(class_of, 2)
-    assert c == Congruence((0, 1, 0), 2)
-    assert hash(c) == hash(Congruence((0, 1, 0), 2))
-    class_of[1] = 0  # the checks ran on the list; a later change must not reach the value
+    c = Congruence(class_of)
+    assert c == Congruence((0, 1, 0))
+    assert hash(c) == hash(Congruence((0, 1, 0)))
+    class_of[1] = 0  # the labels were read from the list; a later change must not reach the value
     assert c.class_of == (0, 1, 0)
     with pytest.raises(TypeError):
         c.class_of[1] = 1
@@ -613,7 +640,14 @@ def test_index_of_unknown_name(z4):
 
 def test_quotient_rejects_a_congruence_of_another_order(z4):
     with pytest.raises(ValueError) as exc:
-        quotient(z4, Congruence((0, 1, 0), 2))
+        quotient(z4, Congruence((0, 1, 0)))
+    assert str(exc.value) == "congruence does not match the semigroup's order"
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 0), (0, 1, 0, 1, 2, 3)])
+def test_compatibility_violation_rejects_a_congruence_of_another_order(z4, labels):
+    with pytest.raises(ValueError) as exc:
+        compatibility_violation(z4, Congruence(labels))
     assert str(exc.value) == "congruence does not match the semigroup's order"
 
 
@@ -677,9 +711,7 @@ def _first_incompatibility(s, c):
 @given(st.data())
 def test_compatibility_violation_matches_the_per_element_loop(data):
     s = make_family(data.draw(st.sampled_from(_KAPPA_SPECS)))
-    raw = data.draw(st.lists(st.integers(0, 3), min_size=s.order, max_size=s.order))
-    ids = {}
-    c = Congruence(tuple(ids.setdefault(x, len(ids)) for x in raw), len(ids))
+    c = Congruence(data.draw(st.lists(st.integers(0, 3), min_size=s.order, max_size=s.order)))
     assert compatibility_violation(s, c) == _first_incompatibility(s, c)
 
 
@@ -687,9 +719,7 @@ def _one_sided_cosets(s, subgroup, left):
     """The left cosets g*H (compatible with left translation only) or the right cosets H*g."""
     t = s.table
     h = [s.index_of(name) for name in subgroup]
-    coset = [frozenset(t[g][x] if left else t[x][g] for x in h) for g in range(s.order)]
-    ids = {}
-    return Congruence(tuple(ids.setdefault(c, len(ids)) for c in coset), len(ids))
+    return Congruence(frozenset(t[g][x] if left else t[x][g] for x in h) for g in range(s.order))
 
 
 @pytest.mark.parametrize(

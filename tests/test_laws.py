@@ -192,7 +192,7 @@ def _first_idempotent_keys(s):
     t = s.table
     eps = next(x for x in range(s.order) if t[x][x] == x)
     cls = core.commutative_congruence(s).class_of
-    return eps, core._by_first_appearance(cls[row[eps]] for row in t)
+    return eps, core.Congruence(cls[row[eps]] for row in t)
 
 
 def test_a_relabelling_exposes_epsilon_taken_as_the_first_idempotent(monkeypatch):

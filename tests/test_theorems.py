@@ -319,7 +319,7 @@ def test_sigma_report_raises_on_a_pair_outside_the_witness_map(monkeypatch, fres
     import semorient.theorems as th
 
     g = group_structure(s3)
-    monkeypatch.setattr(th, "_abelian_keys", lambda s: (g.identity, Congruence((0,) * 6, 1)))
+    monkeypatch.setattr(th, "_abelian_keys", lambda s: (g.identity, Congruence((0,) * 6)))
     text = r"^element '021' is not in the commutator subgroup, yet it lies in the class of ε$"
     with pytest.raises(WitnessConstructionError, match=text):
         exact_sigma_report(s3)
@@ -659,7 +659,7 @@ def test_report_records_failures():
 
 
 def _singletons(s):
-    return Congruence(tuple(range(s.order)), s.order)
+    return Congruence(range(s.order))
 
 
 def _shrunk(commutator_subgroup):
@@ -679,12 +679,12 @@ def _trivial_subgroup(commutator_subgroup):
 
 def _coarsest(coset_congruence):
     # one class: every pair the search relates still lies in it
-    return lambda s: Congruence((0,) * s.order, 1)
+    return lambda s: Congruence((0,) * s.order)
 
 
 def _non_compatible(coset_congruence):
     # the identity and one transposition, a subgroup that is not normal, as one class
-    return lambda s: Congruence((0, 0, 1, 2, 3, 4), 5)
+    return lambda s: Congruence((0, 0, 1, 2, 3, 4))
 
 
 def _bogus_one_var(search):
@@ -780,7 +780,7 @@ def _wrong_quotient_classes(abelian_keys):
 
 def _without_120(abelian_keys):
     # ε keeps its class with 201 only: 120, an element of [G, G], leaves φ⁻¹(1)
-    return lambda s: (abelian_keys(s)[0], Congruence((0, 1, 1, 2, 0, 1), 3))
+    return lambda s: (abelian_keys(s)[0], Congruence((0, 1, 1, 2, 0, 1)))
 
 
 def _pair_dropped(exact_sigma_report):
