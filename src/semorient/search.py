@@ -13,7 +13,8 @@ test one key first, ker φ's class (``core._abelian_keys``, read by
 only when both are keyed alike. The others have no witness at any bound and
 get None without a search. The ``verify`` suites call the private searches
 ``_one_var_search`` and ``_pair_search`` unfiltered, so their checks can
-fail. The exact group path never loads this module.
+fail; these return only what they found, in the order given, with one
+witness object per distinct witness. The exact group path never loads it.
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ def _splits(t: tuple[tuple[int, ...], ...], multiset: Word, below: dict) -> dict
 
 def _pair_search(
     s: Semigroup, pairs: Iterable[tuple[int, int]], bound: int
-) -> dict[tuple[int, int], Optional[TwoVarWitness]]:
-    """Canonical minimal witness (or None) for each ordered pair, sharing all per-multiset work.
+) -> dict[tuple[int, int], TwoVarWitness]:
+    """Each witnessed pair, once, in the order given, mapped to its canonical minimal witness.
 
-    No index is checked: the entry points check each index a caller passes
-    once, and they and ``verify`` build the others in range. Each size n =
-    1..bound walks its multisets in ``combinations_with_replacement`` order.
-    For each multiset each element x gives each split (b, c) the value b*x*c.
-    A left element u maps each value to the position of the smallest split
-    reaching it; a right element v needs only the set of its values. The
+    Equal witnesses are one object: all n² pairs of a null semigroup share
+    one. No index is checked: the entry points check each index a caller
+    passes once, and they and ``verify`` build the others in range. Each size
+    n = 1..bound walks its multisets in ``combinations_with_replacement``
+    order. For each multiset each element x gives each split (b, c) the value
+    b*x*c. A left element u maps each value to the position of the smallest
+    split reaching it; a right element v needs only the set of its values. The
     shared value of (u, v) whose left position is lowest carries the smallest
     (a, b), and the first split where v reaches it the smallest (c, d). The
     orderings of two different multisets never coincide, so across multisets
@@ -99,19 +101,19 @@ def _pair_search(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     t, e = adjoin_identity(s), s.order
-    todo = list(pairs)
-    found: dict[tuple[int, int], Optional[TwoVarWitness]] = dict.fromkeys(todo)
+    # each pair's best ((a, b), (c, d)) so far, None until it has one
+    found: dict = dict.fromkeys(pairs)
+    todo = list(found)
     below: dict[Word, dict] = {(): {(e, e): ((), ())}}
     for n in range(1, bound + 1):
         if not todo:
             break
         lefts = {u for u, _ in todo}
         cols = [(x, x in lefts, [row[x] for row in t]) for x in {x for pair in todo for x in pair}]
-        best: dict[tuple[int, int], tuple[tuple[Word, Word], tuple[Word, Word]]] = {}
         live, kept = todo, {}
         for multiset in combinations_with_replacement(range(e), n):
             floor = ((), multiset)
-            live = [pair for pair in live if pair not in best or not best[pair][0] < floor]
+            live = [pair for pair in live if (cur := found[pair]) is None or not cur[0] < floor]
             if not live:
                 break
             splits = _splits(t, multiset, below)
@@ -131,20 +133,23 @@ def _pair_search(
                     continue
                 value = min(shared, key=left.__getitem__)
                 ab = bcs[left[value]]
-                cur = best.get(pair)
+                cur = found[pair]
                 if cur is None or ab < cur[0]:
-                    best[pair] = (ab, bcs[values[pair[1]].index(value)])
-        for pair, (ab, cd) in best.items():
-            found[pair] = TwoVarWitness(*ab, *cd)
-        todo = [pair for pair in todo if pair not in best]
+                    found[pair] = (ab, bcs[values[pair[1]].index(value)])
+        todo = [pair for pair in todo if found[pair] is None]
         below = kept
+    for pair in todo:
+        del found[pair]
+    witnesses: dict = {}
+    for pair, best in found.items():
+        if best not in witnesses:
+            witnesses[best] = TwoVarWitness(*best[0], *best[1])
+        found[pair] = witnesses[best]
     return found
 
 
-def _one_var_search(
-    s: Semigroup, elements: Iterable[int], bound: int
-) -> dict[int, Optional[OneVarWitness]]:
-    """Canonical minimal witness (or None) for each element: the pair search on (1, g).
+def _one_var_search(s: Semigroup, elements: Iterable[int], bound: int) -> dict[int, OneVarWitness]:
+    """Each witnessed element, once, in the order given: the pair search on (1, g).
 
     In S¹, a = b*g*c is ()*1*a = b*g*c, so a witness (a, b, c) of g is the
     witness ((), a, b, c) of (1, g). A witness (a', b', c, d) of (1, g) gives
@@ -153,7 +158,7 @@ def _one_var_search(
     and the rest is the canonical (a, b, c). The indices are not checked.
     """
     found = _pair_search(s, [(s.order, g) for g in elements], bound)
-    return {g: None if w is None else OneVarWitness(*w[1:]) for (_, g), w in found.items()}
+    return {g: OneVarWitness(*w[1:]) for (_, g), w in found.items()}
 
 
 def _keys(s: Semigroup) -> tuple[int, ...]:
@@ -208,9 +213,8 @@ def sigma_report(
 ) -> dict[tuple[int, int], TwoVarWitness]:
     """Each pair inside ker φ's classes with a witness of size <= bound, mapped to that witness.
 
-    The pairs come in ``Congruence.pairs`` order. More may have larger witnesses.
+    The pair search's own map, in ``Congruence.pairs`` order. More may have larger witnesses.
     """
-    found = _pair_search(s, _abelian_keys(s)[1].pairs(), bound)
-    return {pair: w for pair, w in found.items() if w is not None}
+    return _pair_search(s, _abelian_keys(s)[1].pairs(), bound)
 
 

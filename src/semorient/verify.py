@@ -104,8 +104,8 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, Optional[OneVarWitness]]:
-    """Every element's canonical one-variable witness (or None) at ``bound``, unfiltered.
+def _one_var_witnesses(s: Semigroup, bound: int) -> Mapping[int, OneVarWitness]:
+    """Each element witnessed at ``bound``, unfiltered, mapped to its canonical witness.
 
     The suites share it, so a ``verify`` call searches each bound once. The
     cached mapping is shared by every caller, so it is read-only.
@@ -175,8 +175,6 @@ def verify_orientable_is_commutator_subgroup(
     # unfiltered: the commutative-image filter would make soundness hold by construction
     found = _one_var_witnesses(s, bound)
     for g, w in found.items():
-        if w is None:
-            continue
         problem = validate_one_var(s, g, w)
         if problem is not None:
             failures.append(f"{names[g]}: {problem}")
@@ -191,14 +189,14 @@ def verify_orientable_is_commutator_subgroup(
         failures,
     )
 
-    got = {g for g, w in found.items() if w is not None}
-    failures = [f"{names[g]}: found, but outside the subgroup" for g in sorted(got - derived_set)]
+    outside = sorted(found.keys() - derived_set)
+    failures = [f"{names[g]}: found, but outside the subgroup" for g in outside]
     failures += [
-        f"{names[g]}: {why}" for g in derived if (why := _missed(witnesses[g], found[g], bound))
+        f"{names[g]}: {why}" for g in derived if (why := _missed(witnesses[g], found.get(g), bound))
     ]
     report._add(
         "orientable-set-equals-commutator-subgroup",
-        f"searched set at bound {bound} has {len(got)} elements, subgroup has {len(derived)}",
+        f"searched set at bound {bound} has {len(found)} elements, subgroup has {len(derived)}",
         failures,
     )
     return report
@@ -232,7 +230,7 @@ def verify_sigma_is_abelianization(
     same_coset = set(cosets.pairs())
     # unfiltered, as in bounded-search-sound
     everything = [(u, v) for u in range(s.order) for v in range(s.order)]
-    searched = _pair_search(s, everything, bound)
+    found = _pair_search(s, everything, bound)
 
     # exact_sigma_report validated every pair's witness, and raises on a failure
     failures = [
@@ -244,7 +242,7 @@ def verify_sigma_is_abelianization(
     failures += [
         f"({names[u]}, {names[v]}): {why}"
         for (u, v), w in exact.items()
-        if (why := _missed(w, searched[(u, v)], bound))
+        if (why := _missed(w, found.get((u, v)), bound))
     ]
     report._add(
         "constructed-pair-witnesses",
@@ -253,7 +251,6 @@ def verify_sigma_is_abelianization(
     )
 
     failures = []
-    found = {pair: w for pair, w in searched.items() if w is not None}
     for (u, v), w in found.items():
         problem = validate_two_var(s, u, v, w)
         if problem is not None:
@@ -350,12 +347,11 @@ def verify_semigroup_properties(
 
     failures = []
     # unfiltered at both bounds: the check tests the search itself
-    at_bound = _one_var_witnesses(s, one_var_bound)
-    found = [g for g, w in at_bound.items() if w is not None]
+    found = _one_var_witnesses(s, one_var_bound)
     # only elements found at the bound: the others would need the whole next size
     at_next = _one_var_search(s, found, one_var_bound + 1)
-    for g in found:
-        w1, w2 = at_bound[g], at_next[g]
+    for g, w1 in found.items():
+        w2 = at_next.get(g)
         if w2 is None:
             failures.append(f"{names[g]}: witness lost at bound {one_var_bound + 1}")
         elif (w2.size, *w2) > (w1.size, *w1):  # size first, then (a, b, c)
@@ -372,7 +368,7 @@ def verify_semigroup_properties(
         f"{names[u]}*{names[v]} has no witness at bound {one_var_bound}"
         for u in found
         for v in found
-        if at_bound[s.table[u][v]] is None
+        if s.table[u][v] not in found
     ]
     report._soft(
         "orientable-product-closure",

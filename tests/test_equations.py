@@ -414,6 +414,31 @@ def test_pair_search_stops_at_the_floor(monkeypatch):
     pairs = sigma_report(make_family("null:30"), 1)
     assert len(pairs) == 900 and set(pairs.values()) == {TwoVarWitness((), (0,), (), (0,))}
     assert built == [(0,)]
+    # equal witnesses are one object: one for the null semigroup, and on the left-zero
+    # band one for the diagonal and one ((), (u,), (u,), ()) per u for the other (u, v)
+    assert len({id(w) for w in pairs.values()}) == 1
+    band = sigma_report(make_family("leftzero:30"), 1)
+    assert len(band) == 900 and len({id(w) for w in band.values()}) == 31
+
+
+def test_pair_search_maps_only_the_witnessed_pairs_once_in_the_order_given():
+    # all 49 pairs over S¹ of S3 in reverse order, (1, 1) given again at the end: the
+    # result holds each pair the naive oracle witnesses once, where it first came
+    s = make_family("symmetric:3")
+    m = with_identity(s.table)
+    pairs = list(product(range(s.order + 1), repeat=2))[::-1]
+    pairs.append(pairs[0])
+    expected = {}
+    for u, v in pairs:
+        w = naive_search_two_var(m, u, v, 2)
+        if w is not None:
+            expected.setdefault((u, v), TwoVarWitness(*w))
+    found = _pair_search(s, pairs, 2)
+    assert len(found) == 25 and (s.order, s.order) in found
+    assert list(found.items()) == list(expected.items())
+    # sigma_report keeps Congruence.pairs order, which the propositions output follows
+    related = sigma_report(s, 2)
+    assert list(related) == [pair for pair in _abelian_keys(s)[1].pairs() if pair in related]
 
 
 def test_inputs_the_filter_drops_build_no_splits(monkeypatch):
@@ -470,22 +495,22 @@ def _assert_filter_keeps_search_results(s):
     n = e = s.order
     elements = range(n)
     one = _one_var_search(s, elements, 4)
-    assert orientable_set(s, 4) == one
+    assert orientable_set(s, 4) == {g: one.get(g) for g in elements}
     for g in elements:
-        assert search_one_var(s, g, 4) == one[g]
+        assert search_one_var(s, g, 4) == one.get(g)
     key = _keys(s)
-    assert all(one[g] is None for g in elements if key[g] != key[e])
+    assert all(key[g] == key[e] for g in one)
 
     pairs = [(u, v) for u in elements for v in elements]
     two = _pair_search(s, pairs, 3)
-    assert sigma_report(s, 3) == {pair: w for pair, w in two.items() if w is not None}
+    assert sigma_report(s, 3) == two
     for u, v in pairs:
-        assert search_two_var(s, u, v, 3) == two[(u, v)]
-    assert all(two[(u, v)] is None for u, v in pairs if key[u] != key[v])
+        assert search_two_var(s, u, v, 3) == two.get((u, v))
+    assert all(key[u] == key[v] for u, v in two)
 
     # the adjoined identity is searched as an element and in a pair
-    assert search_one_var(s, e, 2) == _one_var_search(s, [e], 2)[e]
-    assert search_two_var(s, e, 0, 2) == _pair_search(s, [(e, 0)], 2)[(e, 0)]
+    assert search_one_var(s, e, 2) == _one_var_search(s, [e], 2).get(e)
+    assert search_two_var(s, e, 0, 2) == _pair_search(s, [(e, 0)], 2).get((e, 0))
 
 
 def test_filter_keeps_search_results_on_every_small_table():

@@ -567,8 +567,8 @@ def test_search_read_at_a_smaller_bound_is_the_search_at_that_bound(spec):
     s = make_family(spec)
     full = _one_var_search(s, range(s.order), 4)
     for b in (1, 2, 3):
-        within = {g: w if w is not None and w.size <= b else None for g, w in full.items()}
-        assert within == _one_var_search(s, range(s.order), b)
+        within = [(g, w) for g, w in full.items() if w.size <= b]
+        assert within == list(_one_var_search(s, range(s.order), b).items())
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -597,7 +597,7 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
     derived = commutator_subgroup(s)
     built = Counter((x, build_orientable_witness(s, x)) for x in derived)
     found = _one_var_search(s, everything, 2)
-    searched = Counter((x, w) for x, w in found.items() if w is not None)
+    searched = Counter(found.items())
     calls = _count_calls(monkeypatch, "validate_one_var", (th, vf))
     assert verify_orientable_is_commutator_subgroup(s, 2).passed
     assert calls == built + searched
@@ -605,7 +605,7 @@ def test_suites_validate_each_constructed_witness_once(monkeypatch, fresh_caches
     built = Counter((u, v, w) for (u, v), w in exact_sigma_report(s).items())
     pairs = [(u, v) for u in everything for v in everything]
     found = _pair_search(s, pairs, 2)
-    searched = Counter((u, v, w) for (u, v), w in found.items() if w is not None)
+    searched = Counter((u, v, w) for (u, v), w in found.items())
     calls = _count_calls(monkeypatch, "validate_two_var", (th, vf))
     assert verify_sigma_is_abelianization(s, 2).passed
     assert calls == built + searched
@@ -690,7 +690,7 @@ def _non_compatible(coset_congruence):
 def _bogus_one_var(search):
     def bogus(s, elements, bound):
         found = search(s, elements, bound)
-        return {g: w and OneVarWitness((g,), (), ()) for g, w in found.items()}
+        return {g: OneVarWitness((g,), (), ()) for g in found}
 
     return bogus
 
@@ -698,14 +698,14 @@ def _bogus_one_var(search):
 def _bogus_two_var(search):
     def bogus(s, pairs, bound):
         found = search(s, pairs, bound)
-        return {p: w and TwoVarWitness((0,), (), (), ()) for p, w in found.items()}
+        return dict.fromkeys(found, TwoVarWitness((0,), (), (), ()))
 
     return bogus
 
 
 def _lost_at_next_bound(search):
     def lost(s, elements, bound):
-        return dict.fromkeys(elements) if bound > 2 else search(s, elements, bound)
+        return {} if bound > 2 else search(s, elements, bound)
 
     return lost
 
@@ -714,7 +714,7 @@ def _grown_at_next_bound(search):
     def grown(s, elements, bound):
         found = search(s, elements, bound)
         if bound > 2:
-            found = {g: w and OneVarWitness(w.a + (0,), w.b + (0,), w.c) for g, w in found.items()}
+            found = {g: OneVarWitness(w.a + (0,), w.b + (0,), w.c) for g, w in found.items()}
         return found
 
     return grown
@@ -725,7 +725,7 @@ def _padded_below_bound(search):
     def padded(s, elements, bound):
         found = search(s, elements, bound)
         return {
-            g: OneVarWitness(w.a + (0,), w.b, w.c + (0,)) if w and w.size < bound else w
+            g: OneVarWitness(w.a + (0,), w.b, w.c + (0,)) if w.size < bound else w
             for g, w in found.items()
         }
 
@@ -735,7 +735,7 @@ def _padded_below_bound(search):
 def _pair_unfound(search):
     # the same-coset pair (identity, 3-cycle) is not found, though its construction fits
     def unfound(s, pairs, bound):
-        return {p: None if p == (0, 3) else w for p, w in search(s, pairs, bound).items()}
+        return {p: w for p, w in search(s, pairs, bound).items() if p != (0, 3)}
 
     return unfound
 
@@ -743,7 +743,7 @@ def _pair_unfound(search):
 def _identity_unwitnessed(search):
     # the identity's witness dropped: the product of a 3-cycle and its inverse has none
     def dropped(s, elements, bound):
-        return {g: None if g == 0 else w for g, w in search(s, elements, bound).items()}
+        return {g: w for g, w in search(s, elements, bound).items() if g != 0}
 
     return dropped
 
