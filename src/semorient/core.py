@@ -109,7 +109,6 @@ def _magma_generators(rows: Sequence[Sequence[int]]) -> list[int]:
     """
     n = len(rows)
     covered: set[int] = set()
-    members: list[int] = []
     generators: list[int] = []
     generator_rows = []
     for start in range(n):
@@ -118,17 +117,14 @@ def _magma_generators(rows: Sequence[Sequence[int]]) -> list[int]:
         row = rows[start]
         generators.append(start)
         generator_rows.append(row)
-        # the new generator meets itself and, on both sides, the members so far,
-        # which include the earlier generators
-        batch = {row[start], *map(row.__getitem__, members)}
-        batch.update(map(itemgetter(start), map(rows.__getitem__, members)))
+        # the new generator meets itself and, on both sides, every covered element
+        batch = {row[start], *map(row.__getitem__, covered)}
+        batch.update(map(itemgetter(start), map(rows.__getitem__, covered)))
         batch -= covered
         batch.discard(start)
         covered.add(start)
-        members.append(start)
         while batch:
             covered |= batch
-            members.extend(batch)
             new = set()
             for z in batch:
                 new.update(map(rows[z].__getitem__, generators))  # z*g
@@ -148,16 +144,18 @@ def check_associativity(table: Sequence[Sequence[int]]) -> Optional[tuple[int, i
 
     Each middle is checked per fiber of its row, at C speed. Two equal rows x
     give equal sides, so x ranges over the r distinct rows. And x*(a*y)
-    depends on y only through a*y, so the equation holds for all y iff (i)
-    row x*a is constant on every fiber {y : a*y = v} and (ii) it holds at one
-    y per fiber. Whether a row passes (i) depends only on the fiber
-    partition, so each distinct partition checks a row once. A middle is
-    checked by whole rows instead, r row comparisons, when its row is
-    injective (singleton fibers, which every row passes) or when that costs
-    less than checking its partition's new rows; passing whole rows also
-    shows (i) for the rows x*a. A group thus costs one row comparison per
-    (generator, row) pair, Θ(n²·|A|) with |A| <= 1 + log2(n); a left-zero,
-    right-zero or null table, whose rows are constant or all equal, Θ(n²).
+    depends on y only through a*y, so the equation holds for all y iff (i) row
+    x*a is constant on every fiber {y : a*y = v} and (ii) it holds at one y
+    per fiber. Passing (i) depends only on the fiber partition, and a failing
+    row ends the check, so each partition keeps one set: the rows that passed.
+    Whole rows, r row comparisons, check a middle whose row is injective or
+    whose partition's new rows cost at least as much by (i) and (ii); passing
+    them shows (i) too. This fork keeps chain semilattices, a new partition at
+    nearly every middle, at whole-row cost: fibers alone took max(x, y) on 300
+    elements from 0.37 to 0.56 s, and min(x, y) on 600 from 2.8 to 4.6 s
+    (medians of five, 2-vCPU VM, Python 3.11). A group costs Θ(n²·|A|),
+    |A| <= 1 + log2(n); a left-zero, right-zero or null table, with constant
+    or equal rows, Θ(n²).
 
     Only when a middle fails does a row-comparison scan over the pairs (i, j)
     in order find the first bad triple; it skips the middles that the
@@ -168,42 +166,34 @@ def check_associativity(table: Sequence[Sequence[int]]) -> Optional[tuple[int, i
         # the one in-range table associates; itemgetter of one index would return a scalar
         return None
     rows = [tuple(row) for row in table]  # itemgetter returns tuples: compare like with like
-    backwards = range(n - 1, -1, -1)
-    # the first of each run of equal rows, ascending
-    xrows = [rows[x] for x in sorted(dict(zip(reversed(rows), backwards)).values())]
+    xrows = list(dict.fromkeys(rows))  # the distinct rows, in order of first appearance
     r = len(xrows)
-    # fiber partition -> (rows checked for (i), the rows among them that pass)
-    seen: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
+    # fiber partition -> the rows x*a known to pass (i) on it
+    seen: dict[tuple[int, ...], set[int]] = {}
     for a in _magma_generators(rows):
         row_a = rows[a]
         xa = list(map(itemgetter(a), xrows))
-        rep = dict(zip(reversed(row_a), backwards))  # a*y -> the smallest y in its fiber
+        rep = dict(zip(reversed(row_a), range(n - 1, -1, -1)))  # a*y -> smallest y in its fiber
         k = len(rep)
         if k < n:
             partition = tuple(map(rep.__getitem__, row_a))  # y -> its fiber's smallest y
-            checked, good = seen.setdefault(partition, (set(), set()))
-            needed = set(xa)
-            fresh = list(needed - checked)
+            good = seen.setdefault(partition, set())
+            fresh = set(xa) - good
             # (i) on the fresh rows and (ii) cost |fresh|*n + r*k; whole rows cost r*n
             if len(fresh) * n + r * k < r * n:
                 fresh_rows = list(map(rows.__getitem__, fresh))
-                same = map(eq, map(itemgetter(*partition), fresh_rows), fresh_rows)
-                good.update(compress(fresh, same))
-                checked.update(fresh)
-                if not good.issuperset(needed):
+                if not all(map(eq, map(itemgetter(*partition), fresh_rows), fresh_rows)):
                     break
+                good |= fresh
                 values, ys = zip(*rep.items())
                 left = map(itemgetter(*ys), map(rows.__getitem__, xa))  # (x*a)*y, y per fiber
                 if not all(map(eq, left, map(itemgetter(*values), xrows))):  # x*v
                     break
                 continue
+            good.update(xa)  # read again only if the whole rows agree, which shows (i) for them
         # x-row -> (x*(a*y) for every y), against row x*a
         if not all(map(eq, map(itemgetter(*row_a), xrows), map(rows.__getitem__, xa))):
             break
-        if k < n:
-            # the whole rows agree, so every row x*a is constant on the fibers
-            checked.update(needed)
-            good.update(needed)
     else:
         return None
     # a is the smallest element the generators before it do not cover, so every

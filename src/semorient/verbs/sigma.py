@@ -33,7 +33,7 @@ def run(args) -> Result:
             "bound": bound,
             "num_classes": kernel.num_classes,
             "classes": classes,
-            "pairs": [two_var_to_json(s.names, w, pair) for pair, w in sorted(pairs.items())],
+            "pairs": [two_var_to_json(s.names, w, pair) for pair, w in pairs.items()],
         }
 
     def to_text() -> str:
