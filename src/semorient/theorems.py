@@ -60,7 +60,7 @@ def commutator_decomposition(s: Semigroup, g: int) -> Optional[tuple[tuple[int, 
 
 
 def build_orientable_witness(s: Semigroup, g: int) -> Optional[OneVarWitness]:
-    """g's validated least witness, or None when g lies outside φ⁻¹(1).
+    """g's validated witness, least for g ≠ 1, or None when g lies outside φ⁻¹(1).
 
     φ⁻¹(1) is ε's class of ker φ (``core._abelian_keys``), which on a group
     is [G, G]. A member is built from its decomposition in the
@@ -79,9 +79,10 @@ def build_orientable_witness(s: Semigroup, g: int) -> Optional[OneVarWitness]:
     and c so far, A·C⁻¹ = h, the product of the earlier pairs. Append
     x = C⁻¹uC and y = C⁻¹vC as a += (x, y), c += (y, x); then A·xy·(C·yx)⁻¹
     = A·[x, y]·C⁻¹ = h·C[x, y]C⁻¹ = h·[u, v]. So |a| = 2k. The identity
-    (k = 0) gets x x^-1 = x * t * x^-1 over element 0, of size 2. With b
-    empty, the validation accepts the witness exactly when the pairs
-    multiply to g.
+    (k = 0) gets x x^-1 = x * t * x^-1 over element 0, of size 2, though
+    bounded search finds 1 = t * 1, of size 1: the exact verbs print size 2
+    until their recorded output is changed on purpose. With b empty, the
+    validation accepts the witness exactly when the pairs multiply to g.
     """
     _check_elements(s.order, g)
     group = group_structure(s)

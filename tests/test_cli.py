@@ -55,6 +55,15 @@ def test_check_invalid_table_exit_1():
         assert "triple" in err, verb
 
 
+def test_check_names_the_bad_triple_by_the_tables_names(tmp_path):
+    # element 0 is named e1: a message naming e{index} would name the other element
+    path = tmp_path / "swapped.tbl"
+    path.write_text("elements: e1 e0\ntable:\ne0 e1\ne1 e1\n")
+    assert invoke("check", "--table", str(path)) == (
+        1, "", "error: invalid-table: not associative at triple (0, 0, 1): (e1 e1) e0 != e1 (e1 e0)\n"
+    )
+
+
 def test_non_utf8_table_exit_1(tmp_path):
     path = tmp_path / "latin1.tbl"
     path.write_bytes(b"# r\xe9sum\xe9\nelements: e\ntable:\ne\n")

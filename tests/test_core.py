@@ -589,7 +589,7 @@ def test_per_fiber_check_matches_oracle_on_perturbed_tables(label):
             Semigroup(names, table)
         i, j, k = expected
         assert str(exc.value) == (
-            f"not associative at triple ({i}, {j}, {k}): (e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+            f"not associative at triple ({i}, {j}, {k}): (x{i} x{j}) x{k} != x{i} (x{j} x{k})"
         )
 
 
@@ -629,6 +629,20 @@ def test_constructor_validates_names(names, message):
     with pytest.raises(TableFormatError) as exc:
         Semigroup(names, [[0] * len(names)] * len(names))
     assert str(exc.value) == message
+
+
+# the cases a split line can carry, never an empty name or one with whitespace; the last
+# name is the offending one in each
+@pytest.mark.parametrize("names", [("x#",), ("x,y",), ("a:",), ("a", "b", "a")])
+def test_parse_and_constructor_share_one_name_rule(names):
+    with pytest.raises(TableFormatError) as built:
+        Semigroup(names, [[0] * len(names)] * len(names))
+    line = "elements:  " + "\t".join(names)
+    rows = [" ".join(names[:1] * len(names))] * len(names)
+    with pytest.raises(TableFormatError) as parsed:
+        parse_table("\n".join([line, "table:", *rows]))
+    column = len(line) - len(names[-1]) + 1
+    assert str(parsed.value) == f"line 1, column {column}: {built.value}"
 
 
 def test_index_of_unknown_name(z4):
