@@ -46,10 +46,6 @@ _HOMES = {
     "equations": (
         "OneVarWitness",
         "TwoVarWitness",
-        "one_var_to_json",
-        "one_var_to_text",
-        "two_var_to_json",
-        "two_var_to_text",
         "validate_one_var",
         "validate_two_var",
     ),

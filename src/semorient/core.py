@@ -321,10 +321,11 @@ def parse_table(text: str) -> Semigroup:
     ``names[i] * names[j]``. Lines end at ``\n``, ``\r\n`` or a lone ``\r``,
     the line ends ``open()`` translates; any other line-break character of
     ``str.splitlines`` (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``,
-    ``\u2028``, ``\u2029``) is whitespace inside its line.
+    ``\u2028``, ``\u2029``) is whitespace inside its line. One leading U+FEFF,
+    a byte-order mark, is dropped; any other is part of its line.
     """
     significant: list[tuple[int, str]] = []
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -5,7 +5,9 @@ base elements. Validity needs the factor multisets of the two sides to agree
 (the balance condition that lets factors be paired across the equals sign)
 and the substituted products to be equal. The bounded search that finds
 witnesses lives in ``search``; the exact group path builds them in
-``theorems``. Both check them here.
+``theorems``. Both check them here. Each witness renders itself by the
+table's names: ``w.to_text(names)`` and ``w.to_json(names, g)`` or
+``w.to_json(names, u, v)``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ class OneVarWitness(NamedTuple):
     def size(self) -> int:
         return len(self.a)
 
+    def to_text(self, names: Sequence[str]) -> str:
+        a, b, c = (" ".join(names[x] for x in word) for word in self)
+        return f"[{a}] = [{b}] * t * [{c}]"
+
+    def to_json(self, names: Sequence[str], g: int) -> dict:
+        return _to_json(self, names, "one-var", element=names[g])
+
 
 class TwoVarWitness(NamedTuple):
     """Factor words (a, b, c, d) certifying that a pair (u, v) solves a*t1*b = c*t2*d."""
@@ -47,6 +56,20 @@ class TwoVarWitness(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.a) + len(self.b)
+
+    def to_text(self, names: Sequence[str]) -> str:
+        a, b, c, d = (" ".join(names[x] for x in word) for word in self)
+        return f"[{a}] * t1 * [{b}] = [{c}] * t2 * [{d}]"
+
+    def to_json(self, names: Sequence[str], u: int, v: int) -> dict:
+        return _to_json(self, names, "two-var", pair=[names[u], names[v]])
+
+
+# "valid" is always true: the search returns only witnesses whose products it
+# compared, and the exact builders validate theirs and raise on a failure
+def _to_json(w: OneVarWitness | TwoVarWitness, names: Sequence[str], kind: str, **target) -> dict:
+    words = {field: [names[x] for x in word] for field, word in zip(w._fields, w)}
+    return {"kind": kind, **words, **target, "valid": True}
 
 
 def validate_one_var(s: Semigroup, g: int, w: OneVarWitness) -> Optional[str]:
@@ -93,47 +116,3 @@ def validate_two_var(s: Semigroup, u: int, v: int, w: TwoVarWitness) -> Optional
             f"but the right side evaluates to {s.names[rhs]}"
         )
     return None
-
-
-def word_to_text(names: Sequence[str], word: Word) -> str:
-    return "[" + " ".join(names[x] for x in word) + "]"
-
-
-def one_var_to_text(names: Sequence[str], w: OneVarWitness) -> str:
-    return (
-        f"{word_to_text(names, w.a)} = "
-        f"{word_to_text(names, w.b)} * t * {word_to_text(names, w.c)}"
-    )
-
-
-def two_var_to_text(names: Sequence[str], w: TwoVarWitness) -> str:
-    return (
-        f"{word_to_text(names, w.a)} * t1 * {word_to_text(names, w.b)} = "
-        f"{word_to_text(names, w.c)} * t2 * {word_to_text(names, w.d)}"
-    )
-
-
-# "valid" is always true: the search returns only witnesses whose products it
-# compared, and the exact builders validate theirs and raise on a failure
-def one_var_to_json(names: Sequence[str], w: OneVarWitness, element: int) -> dict:
-    return {
-        "kind": "one-var",
-        "a": [names[x] for x in w.a],
-        "b": [names[x] for x in w.b],
-        "c": [names[x] for x in w.c],
-        "element": names[element],
-        "valid": True,
-    }
-
-
-def two_var_to_json(names: Sequence[str], w: TwoVarWitness, pair: tuple[int, int]) -> dict:
-    return {
-        "kind": "two-var",
-        "a": [names[x] for x in w.a],
-        "b": [names[x] for x in w.b],
-        "c": [names[x] for x in w.c],
-        "d": [names[x] for x in w.d],
-        "pair": [names[pair[0]], names[pair[1]]],
-        "valid": True,
-    }
-

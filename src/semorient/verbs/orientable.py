@@ -4,8 +4,6 @@ from . import EXIT_OK, Result, _bounds, _load, _no_witness
 
 
 def run(args) -> Result:
-    from ..equations import one_var_to_json, one_var_to_text
-
     s, subject = _load(args)
     one_var_bound, _ = _bounds(args)
     if args.exact:
@@ -30,7 +28,7 @@ def run(args) -> Result:
                 {
                     "element": s.names[g],
                     "orientable": w is not None,
-                    "witness": None if w is None else one_var_to_json(s.names, w, g),
+                    "witness": None if w is None else w.to_json(s.names, g),
                 }
                 for g, w in found.items()
             ],
@@ -42,7 +40,7 @@ def run(args) -> Result:
         lines.append("mode: exact" if args.exact else f"bound: {bound}")
         lines.append(f"orientable elements: {count} of {s.order}")
         for g, w in found.items():
-            lines.append(f"{s.names[g]}: {none if w is None else one_var_to_text(s.names, w)}")
+            lines.append(f"{s.names[g]}: {none if w is None else w.to_text(s.names)}")
         return "\n".join(lines) + "\n"
 
     return EXIT_OK, to_json, to_text

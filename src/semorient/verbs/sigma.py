@@ -9,8 +9,6 @@ from ..core import _abelian_keys
 
 
 def run(args) -> Result:
-    from ..equations import two_var_to_json
-
     s, subject = _load(args)
     _, two_var_bound = _bounds(args)
     if args.exact:
@@ -33,7 +31,7 @@ def run(args) -> Result:
             "bound": bound,
             "num_classes": kernel.num_classes,
             "classes": classes,
-            "pairs": [two_var_to_json(s.names, w, pair) for pair, w in pairs.items()],
+            "pairs": [w.to_json(s.names, *pair) for pair, w in pairs.items()],
         }
 
     def to_text() -> str:

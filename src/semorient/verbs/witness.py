@@ -13,8 +13,6 @@ from . import (
 
 
 def run(args) -> Result:
-    from ..equations import one_var_to_json, one_var_to_text, two_var_to_json, two_var_to_text
-
     s, _ = _load(args)
     one_var_bound, two_var_bound = _bounds(args)
     if bool(args.element) == bool(args.pair):
@@ -22,9 +20,6 @@ def run(args) -> Result:
     # one path for both kinds: an element is the target (g,), a pair (u, v)
     target = (_element(s, args.element),) if args.element else _pair(s, args.pair)
     one = len(target) == 1
-    show, as_json = (
-        (one_var_to_text, one_var_to_json) if one else (two_var_to_text, two_var_to_json)
-    )
     names = [s.names[x] for x in target]
     if not args.exact:
         from ..search import search_one_var, search_two_var
@@ -42,13 +37,13 @@ def run(args) -> Result:
         if w is None:
             head = {"element": names[0]} if one else {"pair": names}
             return {**head, "witness": None, "bound": bound, "note": note}
-        return as_json(s.names, w, target[0] if one else target)
+        return w.to_json(s.names, *target)
 
     def to_text() -> str:
         head = f"element: {names[0]}" if one else f"pair: ({names[0]}, {names[1]})"
         if w is None:
             return f"{head}\n{note}\n"
-        # not re-checked, as in ``equations.two_var_to_json``
-        return f"{head}\nwitness: {show(s.names, w)}\nvalid: true\n"
+        # not re-checked, as in ``equations._to_json``
+        return f"{head}\nwitness: {w.to_text(s.names)}\nvalid: true\n"
 
     return EXIT_OK, to_json, to_text

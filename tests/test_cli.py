@@ -132,19 +132,25 @@ def _refuse(*args):
 @pytest.mark.parametrize(
     "fmt, renderers",
     [
-        ("text", ("semorient.equations.one_var_to_json", "semorient.equations.two_var_to_json")),
+        (
+            "text",
+            (
+                "semorient.equations.OneVarWitness.to_json",
+                "semorient.equations.TwoVarWitness.to_json",
+            ),
+        ),
         (
             "json",
             (
-                "semorient.equations.one_var_to_text",
-                "semorient.equations.two_var_to_text",
+                "semorient.equations.OneVarWitness.to_text",
+                "semorient.equations.TwoVarWitness.to_text",
                 "semorient.verbs.serialize_table",
             ),
         ),
     ],
 )
 def test_each_format_renders_only_itself(monkeypatch, fmt, renderers):
-    # each verb imports the witness renderers from equations when it runs;
+    # each witness renders itself through its type's methods;
     # the verbs package binds serialize_table from core at import
     for target in renderers:
         monkeypatch.setattr(target, _refuse)

@@ -148,6 +148,10 @@ def test_only_newlines_end_lines(sep):
          "line 6: unexpected content after table rows"),
         ("elements: e a\x85b\x85a\ntable:\n", "elements",
          "line 1, column 17: duplicate element name 'a'"),
+        # only one leading byte-order mark is dropped; any other is part of its line
+        ("elements: a\n\ufefftable:\na\n", "\ufefftable", "line 2, column 1: expected 'table:' line"),
+        ("\ufeff\ufeffelements: a\ntable:\na\n", "elements",
+         "line 1, column 1: expected 'elements:' line"),
     ],
 )
 def test_error_line_numbers_count_newlines(text, culprit, message):
@@ -198,6 +202,8 @@ def test_serialize_parse_round_trip(spec):
     text = serialize_table(s)
     assert parse_table(text) == s
     assert serialize_table(parse_table(text)) == text
+    # a leading byte-order mark, as some editors write, is not part of the first line
+    assert parse_table("\ufeff" + text) == s
 
 
 def test_round_trip_fixture_files():

@@ -21,10 +21,6 @@ from semorient.core import (
 from semorient.equations import (
     OneVarWitness,
     TwoVarWitness,
-    one_var_to_json,
-    one_var_to_text,
-    two_var_to_json,
-    two_var_to_text,
     validate_one_var,
     validate_two_var,
 )
@@ -697,25 +693,34 @@ def test_sigma_pairs_within_congruence(catalog_family):
 
 def test_one_var_text_rendering(s3):
     w = OneVarWitness((2, 5), (), (5, 2))
-    assert one_var_to_text(s3.names, w) == "[102 210] = [] * t * [210 102]"
+    assert w.to_text(s3.names) == "[102 210] = [] * t * [210 102]"
 
 
 def test_two_var_text_rendering(s3):
     w = TwoVarWitness((3,), (), (), (3,))
-    assert two_var_to_text(s3.names, w) == "[120] * t1 * [] = [] * t2 * [120]"
+    assert w.to_text(s3.names) == "[120] * t1 * [] = [] * t2 * [120]"
+
+
+def test_witness_json_keys_and_text_shape(s3):
+    # the JSON bytes follow dict order: the words, then the target, then "valid"
+    one, two = OneVarWitness((2, 5), (1,), (0,)), TwoVarWitness((3,), (1,), (1,), (3,))
+    assert list(one.to_json(s3.names, 3)) == ["kind", "a", "b", "c", "element", "valid"]
+    assert list(two.to_json(s3.names, 3, 4)) == ["kind", "a", "b", "c", "d", "pair", "valid"]
+    assert one.to_text(s3.names) == "[102 210] = [021] * t * [012]"
+    assert two.to_text(s3.names) == "[120] * t1 * [021] = [021] * t2 * [120]"
 
 
 def test_witness_json_round_trip(s3):
     # the names map back to the searched words, and the JSON re-checks apart from validate_*
     g, pair = s3.index_of("120"), (s3.index_of("120"), s3.index_of("201"))
     w = search_one_var(s3, g, 3)
-    obj = one_var_to_json(s3.names, w, g)
+    obj = w.to_json(s3.names, g)
     assert (obj["kind"], obj["element"]) == ("one-var", "120")
     assert tuple(tuple(map(s3.index_of, obj[k])) for k in "abc") == w
     assert witness_problem(s3.names, s3.table, obj) is None
 
     w2 = search_two_var(s3, *pair, 2)
-    obj2 = two_var_to_json(s3.names, w2, pair)
+    obj2 = w2.to_json(s3.names, *pair)
     assert (obj2["kind"], obj2["pair"]) == ("two-var", ["120", "201"])
     assert tuple(tuple(map(s3.index_of, obj2[k])) for k in "abcd") == w2
     assert witness_problem(s3.names, s3.table, obj2) is None

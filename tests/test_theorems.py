@@ -28,7 +28,6 @@ from semorient.core import (
 from semorient.equations import (
     OneVarWitness,
     TwoVarWitness,
-    one_var_to_text,
     validate_one_var,
     validate_two_var,
 )
@@ -293,7 +292,7 @@ def test_width_two_group_on_the_exact_path(tmp_path):
     lines = out.getvalue().splitlines()
     assert lines[:3] == [f"subject: {path}", "mode: exact", "orientable elements: 32 of 96"]
     for x, w in two_pairs.items():
-        assert f"{s.names[x]}: {one_var_to_text(s.names, w)}" in lines
+        assert f"{s.names[x]}: {w.to_text(s.names)}" in lines
 
 
 @pytest.mark.parametrize("spec", [*GROUP_FAMILIES, "dihedral:36", WIDTH_TWO])
