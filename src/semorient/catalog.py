@@ -217,9 +217,12 @@ def make_family(spec: str) -> Semigroup:
         raise _SpecSyntaxError(f"unknown family {name!r}")
     if not sep or not rest:
         raise _SpecSyntaxError(f"{name} needs an integer parameter, e.g. {name}:3")
+    digits = rest.removeprefix("-")  # int() alone also takes "1_0", " 3", "+3" and non-ASCII digits
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         n = int(rest)
-    except ValueError:
+    except ValueError:  # or past int()'s digit limit
         raise _SpecSyntaxError(f"{name} parameter must be an integer, got {rest!r}") from None
     # every integer family has order at least n (dihedral: exactly 2n)
     if (2 * n if name == "dihedral" else n) > MAX_ORDER:

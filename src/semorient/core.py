@@ -8,7 +8,6 @@ between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import chain, compress
 from operator import eq, itemgetter, ne
@@ -540,14 +539,12 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
             x = parent[x]
         return x
 
-    queue: deque[tuple[int, int]] = deque()
+    queue: list[tuple[int, int]] = []
 
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra == rb:
             return
-        if rb < ra:
-            ra, rb = rb, ra
         parent[rb] = ra
         queue.append((a, b))
 
@@ -562,7 +559,7 @@ def generated_congruence(s: Semigroup, pairs: Iterable[tuple[int, int]]) -> Cong
     generators = _generators(s)
     generator_rows = list(map(table.__getitem__, generators))
     while queue:
-        u, v = queue.popleft()
+        u, v = queue.pop()
         row_u, row_v = table[u], table[v]
         # (t*u, u*t) and (t*v, v*t) for every generator t; only distinct unequal pairs
         left = [*map(itemgetter(u), generator_rows), *map(row_u.__getitem__, generators)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import import_module
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from . import _HOMES
 from .core import (
@@ -89,7 +89,7 @@ def build_orientable_witness(s: Semigroup, g: int) -> Optional[OneVarWitness]:
     eps, kernel = _abelian_keys(s)
     if kernel.class_of[g] != kernel.class_of[eps]:
         return None
-    pairs = commutator_decomposition(s, g)
+    pairs = derived_subgroup_tree(s).get(g)
     if pairs is None:
         raise WitnessConstructionError(
             f"element {s.names[g]!r} is not in the commutator subgroup,"
@@ -130,16 +130,16 @@ def build_two_var_witness(s: Semigroup, u: int, v: int) -> Optional[TwoVarWitnes
     """
     _check_elements(s.order, u, v)
     inv = group_structure(s).inverse
-    return _two_var_witness(s, build_orientable_witness(s, s.table[v][inv[u]]), u, v)
+    return _two_var_witness(s, build_orientable_witness(s, s.table[v][inv[u]]), u, v, inv)
 
 
 def _two_var_witness(
-    s: Semigroup, one: Optional[OneVarWitness], u: int, v: int
+    s: Semigroup, one: Optional[OneVarWitness], u: int, v: int, inv: Sequence[int]
 ) -> Optional[TwoVarWitness]:
     """The witness for (u, v) from ``one``, a witness for v * u^-1 or None, validated on S¹."""
     if one is None:
         return None
-    inv_u = group_structure(s).inverse[u]
+    inv_u = inv[u]
     witness = TwoVarWitness(one.a, (inv_u,), one.b, (inv_u,) + one.c)
     problem = validate_two_var(s, u, v, witness)
     if problem is not None:
@@ -160,6 +160,6 @@ def exact_sigma_report(s: Semigroup) -> dict[tuple[int, int], TwoVarWitness]:
     inv = group_structure(s).inverse
     ones, t = _orientable_witnesses(s), s.table
     return {
-        (u, v): _two_var_witness(s, ones[t[v][inv[u]]], u, v)
+        (u, v): _two_var_witness(s, ones[t[v][inv[u]]], u, v, inv)
         for u, v in _abelian_keys(s)[1].pairs()
     }

@@ -156,6 +156,11 @@ def test_directproduct_nests():
         "cyclic:",
         "cyclic:0",
         "cyclic:x",
+        # int() reads each of these, but a parameter is an optional "-" and ASCII digits
+        "cyclic:1_0",
+        "cyclic: 3",
+        "cyclic:+3",
+        "cyclic:\u0663",  # ARABIC-INDIC DIGIT THREE
         "symmetric:5",
         "alternating:5",
         "dihedral:0",
@@ -220,6 +225,8 @@ def test_directproduct_operand_errors(spec, message):
         ("leftzero:1001", "leftzero:1001 has order above the maximum 1000"),
         ("rightzero:1001", "rightzero:1001 has order above the maximum 1000"),
         ("null:1001", "null:1001 has order above the maximum 1000"),
+        # not an optional "-" and ASCII digits, though int() reads it as 10
+        ("cyclic:1_0", "cyclic parameter must be an integer, got '1_0'"),
     ],
 )
 def test_integer_parameter_out_of_range_messages(spec, message):

@@ -78,6 +78,7 @@ def test_usage_errors_exit_2():
         ("check",),
         ("check", "--family", "cyclic:2", "--table", "x"),
         ("check", "--family", "nosuch:1"),
+        ("check", "--family", "cyclic:1_0"),
         ("witness", "--family", "cyclic:2"),
         ("witness", "--family", "cyclic:2", "--element", "0", "--pair", "0,1"),
         ("witness", "--family", "cyclic:2", "--pair", "0"),
